@@ -1,28 +1,24 @@
-//! Scale-out benchmark: hotness-aware consistent-hash placement and the
-//! conservative-window parallel event executor, from the paper's N = 3 up
-//! to N = 64 nodes.
+//! Scale-out benchmark: hotness-aware consistent-hash placement, a
+//! switched fabric and batched probing, from the paper's N = 3 up to
+//! N = 64 nodes.
 //!
-//! Four layers of evidence, written to `BENCH_scale.json` at the workspace
+//! Layers of evidence, written to `BENCH_scale.json` at the workspace
 //! root:
 //!
 //! 1. **Balance**: at N = 16 under a hard Zipf skew (θ = 1.2), the static
 //!    hash placement concentrates home reads on whichever nodes the hot
 //!    pages land on, while the hot ring replicates hot pages across several
 //!    homes — the max/mean per-node home-read ratio is the figure of merit.
-//! 2. **Executor**: ops/s of the data plane driven to quiescence over a
-//!    dense 16-node cross-node workload, sequential versus the
-//!    conservative-window executor at 1/2/4 workers, with the completion
-//!    log cross-checked identical in every mode. Window runs are bounded
-//!    by the global directory lookup between accesses, so intra-window
-//!    parallelism is real but modest — the honest number, not a hero one.
-//! 3. **Replication**: end-to-end wall-clock of a batch of independent
+//! 2. **Replication**: end-to-end wall-clock of a batch of independent
 //!    N = 16 experiments (different seeds) replicated on 1 versus 4 pool
 //!    workers with a deterministic fold — where the wall-clock of a
 //!    scale-out *study* actually goes.
-//! 4. **Sweep**: event throughput and goal-convergence intervals for
-//!    N ∈ {4, 8, 16, 32, 64}, sequential vs windowed execution, plus a
-//!    dedicated long N = 64 convergence run (the hyperplane controller
-//!    needs ~N+1 probe intervals before its first optimization).
+//! 3. **Sweep**: event throughput and goal-convergence intervals for
+//!    N ∈ {4, 8, 16, 32, 64}, plus a dedicated long N = 64 convergence run
+//!    (the hyperplane controller needs ~N+1 probe intervals before its
+//!    first optimization).
+//! 4. **Fabric** and **probe**: shared medium vs switched links at N = 64,
+//!    and the batched Hadamard probe plan with a cross-scale warm start.
 //!
 //! `--quick` shrinks node counts, intervals and replication width for CI
 //! smoke use; the acceptance numbers quoted in the README come from the
@@ -31,17 +27,12 @@
 use std::ops::ControlFlow;
 use std::time::Instant;
 
-use dmm::buffer::{ClassId, PageId};
-use dmm::cluster::{
-    drive_to_quiescence, drive_to_quiescence_windowed, ClusterParams, DataPlane, FabricSpec,
-    HotRingSpec, NodeId, OpId, Operation, PlacementSpec,
-};
+use dmm::buffer::ClassId;
+use dmm::cluster::{FabricSpec, HotRingSpec, PlacementSpec};
 use dmm::core::{
     calibrate_goal_range, upsample_planes, ProbeSpec, SatisfactionMode, Simulation, SystemConfig,
 };
 use dmm::obs::Json;
-use dmm::prelude::ExecMode;
-use dmm::sim::SimTime;
 use dmm_bench::pool::replicate_in_order;
 
 /// One scale-out experiment configuration: N nodes, database and load
@@ -59,7 +50,6 @@ fn scale_config(
     nodes: usize,
     theta: f64,
     placement: PlacementSpec,
-    exec: ExecMode,
     net_bits_per_sec: u64,
     seed: u64,
 ) -> SystemConfig {
@@ -75,7 +65,6 @@ fn scale_config(
         .warmup_intervals(2)
         .satisfaction(SatisfactionMode::UpperBound)
         .placement(placement)
-        .execution(exec)
         .build()
         .expect("valid scale config")
 }
@@ -87,7 +76,6 @@ fn fabric_config(
     nodes: usize,
     fabric: FabricSpec,
     probe: ProbeSpec,
-    exec: ExecMode,
     net_bits_per_sec: u64,
     seed: u64,
 ) -> SystemConfig {
@@ -105,7 +93,6 @@ fn fabric_config(
         .placement(PlacementSpec::HotRing(HotRingSpec::default()))
         .fabric(fabric)
         .probe(probe)
-        .execution(exec)
         .build()
         .expect("valid fabric config")
 }
@@ -158,7 +145,7 @@ fn balance(quick: bool) -> Json {
     println!("== balance: static hash vs hot ring (N = 16, zipf θ = 1.2) ==");
     let intervals = if quick { 6 } else { 12 };
     let run = |placement: PlacementSpec| {
-        let cfg = scale_config(16, 1.2, placement, ExecMode::Sequential, PAPER_FABRIC, 21);
+        let cfg = scale_config(16, 1.2, placement, PAPER_FABRIC, 21);
         let mut sim = Simulation::new(cfg);
         sim.run_intervals(intervals);
         let load = sim.plane().home_load();
@@ -195,184 +182,6 @@ fn balance(quick: bool) -> Json {
         )
 }
 
-/// A dense cross-node workload: every node issues `ops_per_node` one-page
-/// operations on remote-homed pages, arrivals packed tightly so many
-/// operations are in flight at once and parallel-safe events pile up
-/// inside each conservative window.
-fn dense_ops(nodes: u16, ops_per_node: u64, db_pages: u32) -> Vec<Operation> {
-    let mut ops = Vec::new();
-    let mut id = 0u64;
-    for i in 0..ops_per_node {
-        for origin in 0..nodes {
-            id += 1;
-            let page = (origin as u32 + 1 + i as u32 * nodes as u32) % db_pages;
-            let at = SimTime::from_nanos(i * 9_000 + origin as u64 * 17);
-            ops.push(Operation {
-                id: OpId(id),
-                class: ClassId(0),
-                origin: NodeId(origin),
-                pages: vec![PageId(page)],
-                arrival: at,
-            });
-        }
-    }
-    ops
-}
-
-/// Executor throughput: the same dense plane-level workload driven
-/// sequentially and through the windowed executor at 1/2/4 workers.
-fn executor(quick: bool) -> Json {
-    println!("\n== executor: windowed data plane vs sequential (N = 16) ==");
-    let ops_per_node = if quick { 400 } else { 2_000 };
-    let params = ClusterParams {
-        nodes: 16,
-        db_pages: 1_600,
-        buffer_pages_per_node: 64,
-        placement: PlacementSpec::HotRing(HotRingSpec::default()),
-        ..ClusterParams::default()
-    };
-    let ops = dense_ops(16, ops_per_node, params.db_pages);
-    let timed = |workers: Option<usize>| -> (f64, Vec<(u64, u64)>) {
-        let mut plane = DataPlane::new(params.clone());
-        let mut start = Vec::new();
-        for op in &ops {
-            let at = op.arrival;
-            let out = plane.start_operation(op.clone(), at);
-            start.extend(out.schedule);
-        }
-        let begin = Instant::now();
-        let done = match workers {
-            None => drive_to_quiescence(&mut plane, start),
-            Some(w) => drive_to_quiescence_windowed(&mut plane, start, w),
-        };
-        let secs = begin.elapsed().as_secs_f64();
-        (
-            secs,
-            done.iter()
-                .map(|c| (c.id.0, c.finished.as_nanos()))
-                .collect(),
-        )
-    };
-    let (seq_secs, seq_log) = timed(None);
-    let total_ops = seq_log.len() as f64;
-    println!(
-        "sequential: {:.3} s  ({:.0} ops/s)",
-        seq_secs,
-        total_ops / seq_secs
-    );
-    let mut rows = Vec::new();
-    rows.push(
-        Json::obj()
-            .field("mode", "sequential")
-            .field("secs", seq_secs)
-            .field("ops_per_sec", total_ops / seq_secs),
-    );
-    for workers in [1usize, 2, 4] {
-        let (secs, log) = timed(Some(workers));
-        assert_eq!(log, seq_log, "windowed({workers}) diverged from sequential");
-        println!(
-            "windowed/{workers}: {:.3} s  ({:.0} ops/s, {:+.1} % vs sequential)",
-            secs,
-            total_ops / secs,
-            100.0 * (seq_secs - secs) / seq_secs
-        );
-        rows.push(
-            Json::obj()
-                .field("mode", format!("windowed/{workers}"))
-                .field("secs", secs)
-                .field("ops_per_sec", total_ops / secs),
-        );
-    }
-    // Lookahead: the windowed engine can extend a run past the 30 µs
-    // conservative window using follow-up delays the data plane already
-    // knows at schedule time (CPU service, page installs). Same events,
-    // same trace bytes — fewer, fatter parallel runs.
-    println!("-- lookahead: windowed end-to-end runs, 30 µs window vs schedule-time lookahead --");
-    let sim_intervals = if quick { 6 } else { 16 };
-    let sim_run = |lookahead: bool| {
-        let cfg = SystemConfig::builder()
-            .seed(42)
-            .theta(0.8)
-            .goal_ms(10.0)
-            .nodes(16)
-            .db_pages(1_600)
-            .buffer_pages_per_node(64)
-            .goal_rate_per_ms(0.004)
-            .net_bits_per_sec(PAPER_FABRIC)
-            .warmup_intervals(2)
-            .satisfaction(SatisfactionMode::UpperBound)
-            .placement(PlacementSpec::HotRing(HotRingSpec::default()))
-            .execution(ExecMode::Windowed { workers: 4 })
-            .window_lookahead(lookahead)
-            .build()
-            .expect("valid lookahead config");
-        let mut sim = Simulation::new(cfg);
-        let begin = Instant::now();
-        sim.run_intervals(sim_intervals);
-        let secs = begin.elapsed().as_secs_f64();
-        let events = sim
-            .metrics_snapshot()
-            .get_counter("sim.events")
-            .unwrap_or(0);
-        (secs, events, sim.plane().completions(), sim.window_stats())
-    };
-    let (base_secs, base_events, base_done, base_win) = sim_run(false);
-    let (look_secs, look_events, look_done, look_win) = sim_run(true);
-    assert_eq!(
-        (base_events, base_done),
-        (look_events, look_done),
-        "lookahead simulated a different system"
-    );
-    assert_eq!(
-        base_win.run_events, look_win.run_events,
-        "lookahead must not change which events run in parallel windows"
-    );
-    assert!(
-        look_win.runs < base_win.runs,
-        "lookahead must merge windows into fewer runs ({} vs {})",
-        look_win.runs,
-        base_win.runs
-    );
-    let batch = |w: dmm::sim::WindowStats| w.run_events as f64 / w.runs as f64;
-    println!(
-        "30 µs window: {base_secs:.2} s  ({:.0} ev/s, {} runs, mean batch {:.1})",
-        base_events as f64 / base_secs,
-        base_win.runs,
-        batch(base_win)
-    );
-    println!(
-        "lookahead:    {look_secs:.2} s  ({:.0} ev/s, {} runs, mean batch {:.1}, {:+.1} % vs window)",
-        look_events as f64 / look_secs,
-        look_win.runs,
-        batch(look_win),
-        100.0 * (base_secs - look_secs) / base_secs
-    );
-    if !quick && cores() >= 4 {
-        assert!(
-            look_secs < base_secs,
-            "lookahead must improve end-to-end wall-clock \
-             ({look_secs:.2} s vs {base_secs:.2} s)"
-        );
-    }
-    Json::obj()
-        .field("ops", total_ops)
-        .field("runs", Json::Arr(rows))
-        .field(
-            "lookahead",
-            Json::obj()
-                .field("intervals", sim_intervals as u64)
-                .field("window_secs", base_secs)
-                .field("window_runs", base_win.runs)
-                .field("lookahead_secs", look_secs)
-                .field("lookahead_runs", look_win.runs)
-                .field("run_events", base_win.run_events)
-                .field(
-                    "run_reduction",
-                    1.0 - look_win.runs as f64 / base_win.runs as f64,
-                ),
-        )
-}
-
 /// Replication speedup: a batch of independent N = 16 experiments on 1 vs
 /// 4 pool workers, deterministic fold cross-checked bit-identical.
 fn replication(quick: bool) -> Json {
@@ -384,7 +193,6 @@ fn replication(quick: bool) -> Json {
             16,
             0.8,
             PlacementSpec::HotRing(HotRingSpec::default()),
-            ExecMode::Sequential,
             PAPER_FABRIC,
             *seed,
         );
@@ -435,10 +243,9 @@ fn replication(quick: bool) -> Json {
         .field("speedup", speedup)
 }
 
-/// Node-count sweep: event throughput and goal convergence per N, the
-/// windowed backend cross-checked against sequential at every scale.
+/// Node-count sweep: event throughput and goal convergence per N.
 fn sweep(quick: bool) -> Json {
-    println!("\n== sweep: N ∈ {{4..64}} sequential vs windowed ==");
+    println!("\n== sweep: N ∈ {{4..64}} ==");
     let node_counts: &[usize] = if quick {
         &[4, 8, 16]
     } else {
@@ -447,48 +254,30 @@ fn sweep(quick: bool) -> Json {
     let intervals = if quick { 8 } else { 24 };
     let mut rows = Vec::new();
     for &n in node_counts {
-        let timed = |exec: ExecMode| -> (f64, u64, u64, Option<u32>, f64, f64, f64) {
-            let cfg = scale_config(
-                n,
-                0.8,
-                PlacementSpec::HotRing(HotRingSpec::default()),
-                exec,
-                PAPER_FABRIC,
-                42,
-            );
-            let mut sim = Simulation::new(cfg);
-            let begin = Instant::now();
-            sim.run_intervals(intervals);
-            let secs = begin.elapsed().as_secs_f64();
-            let events = sim
-                .metrics_snapshot()
-                .get_counter("sim.events")
-                .unwrap_or(0);
-            let now = sim.now();
-            (
-                secs,
-                events,
-                sim.plane().completions(),
-                converged_at(&sim),
-                satisfied_tail(&sim, 6),
-                sim.plane().network().utilization(now),
-                sim.plane().max_disk_utilization(now),
-            )
-        };
-        let (seq_secs, seq_events, seq_done, conv, tail, net_util, disk_util) =
-            timed(ExecMode::Sequential);
-        let (win_secs, win_events, win_done, win_conv, _, _, _) =
-            timed(ExecMode::Windowed { workers: 4 });
-        assert_eq!(
-            (seq_events, seq_done, conv),
-            (win_events, win_done, win_conv),
-            "windowed backend simulated a different system at N = {n}"
+        let cfg = scale_config(
+            n,
+            0.8,
+            PlacementSpec::HotRing(HotRingSpec::default()),
+            PAPER_FABRIC,
+            42,
         );
+        let mut sim = Simulation::new(cfg);
+        let begin = Instant::now();
+        sim.run_intervals(intervals);
+        let secs = begin.elapsed().as_secs_f64();
+        let events = sim
+            .metrics_snapshot()
+            .get_counter("sim.events")
+            .unwrap_or(0);
+        let now = sim.now();
+        let conv = converged_at(&sim);
+        let tail = satisfied_tail(&sim, 6);
+        let net_util = sim.plane().network().utilization(now);
+        let disk_util = sim.plane().max_disk_utilization(now);
         println!(
-            "N = {n:>2}: {seq_events:>8} events  sequential {:>7.0} ev/s  windowed/4 {:>7.0} ev/s  \
+            "N = {n:>2}: {events:>8} events  {:>7.0} ev/s  \
              net {:.0} %  disk {:.0} %  converged at {:?}  tail satisfied {:.0} %",
-            seq_events as f64 / seq_secs,
-            win_events as f64 / win_secs,
+            events as f64 / secs,
             net_util * 100.0,
             disk_util * 100.0,
             conv,
@@ -498,11 +287,9 @@ fn sweep(quick: bool) -> Json {
             Json::obj()
                 .field("nodes", n as u64)
                 .field("intervals", intervals as u64)
-                .field("events", seq_events)
-                .field("sequential_secs", seq_secs)
-                .field("windowed4_secs", win_secs)
-                .field("sequential_events_per_sec", seq_events as f64 / seq_secs)
-                .field("windowed4_events_per_sec", win_events as f64 / win_secs)
+                .field("events", events)
+                .field("sequential_secs", secs)
+                .field("sequential_events_per_sec", events as f64 / secs)
                 .field("converged_at", Json::from(conv.map(|c| c as u64)))
                 .field("satisfied_tail", tail)
                 .field("net_utilization", net_util)
@@ -522,14 +309,7 @@ fn fabric(quick: bool) -> Json {
     let intervals = if quick { 6 } else { 24 };
     let nodes = 64usize;
     let run = |spec: FabricSpec| {
-        let cfg = fabric_config(
-            nodes,
-            spec,
-            ProbeSpec::Sequential,
-            ExecMode::Windowed { workers: 4 },
-            PAPER_FABRIC,
-            42,
-        );
+        let cfg = fabric_config(nodes, spec, ProbeSpec::Sequential, PAPER_FABRIC, 42);
         let mut sim = Simulation::new(cfg);
         let begin = Instant::now();
         sim.run_intervals(intervals);
@@ -616,7 +396,6 @@ fn probe(quick: bool) -> Json {
         donor_nodes,
         switched,
         ProbeSpec::Sequential,
-        ExecMode::Windowed { workers: 4 },
         PAPER_FABRIC,
         42,
     );
@@ -633,14 +412,7 @@ fn probe(quick: bool) -> Json {
     // construction, but only through controller action).
     let nodes = 64usize;
     let target = |probe: ProbeSpec, intervals: u32, warm: Option<&dmm::core::Planes>| {
-        let mut cfg = fabric_config(
-            nodes,
-            switched,
-            probe,
-            ExecMode::Windowed { workers: 4 },
-            PAPER_FABRIC,
-            42,
-        );
+        let mut cfg = fabric_config(nodes, switched, probe, PAPER_FABRIC, 42);
         let range = calibrate_goal_range(&cfg, ClassId(1), 4, 4);
         let goal = (range.min_ms + range.max_ms) / 2.0;
         cfg.workload.classes[1].goal_ms = Some(goal);
@@ -724,7 +496,6 @@ fn n64_convergence(quick: bool) -> Json {
         64,
         0.8,
         PlacementSpec::HotRing(HotRingSpec::default()),
-        ExecMode::Windowed { workers: 4 },
         GBIT_FABRIC,
         42,
     );
@@ -786,7 +557,6 @@ fn main() {
     let wants = |name: &str| args.wants(name);
 
     let balance = wants("balance").then(|| balance(quick));
-    let executor = wants("executor").then(|| executor(quick));
     let replication = wants("replication").then(|| replication(quick));
     let sweep = wants("sweep").then(|| sweep(quick));
     let fabric = wants("fabric").then(|| fabric(quick));
@@ -798,9 +568,8 @@ fn main() {
         println!("\n(--only run: BENCH_scale.json not written)");
         return;
     }
-    let (balance, executor, replication, sweep, fabric, probe, n64) = (
+    let (balance, replication, sweep, fabric, probe, n64) = (
         balance.expect("ran"),
-        executor.expect("ran"),
         replication.expect("ran"),
         sweep.expect("ran"),
         fabric.expect("ran"),
@@ -813,7 +582,6 @@ fn main() {
         .field("quick", quick)
         .field("host_cores", cores() as u64)
         .field("balance", balance)
-        .field("executor", executor)
         .field("replication", replication)
         .field("sweep", sweep)
         .field("fabric", fabric)

@@ -54,10 +54,7 @@ impl Handler<u64> for Hold {
 }
 
 fn hold_bench(backend: SchedulerBackend, pending: usize) -> (MicroResult, SchedStats) {
-    let mut eng = Engine::with_params(SimParams {
-        scheduler: backend,
-        ..SimParams::default()
-    });
+    let mut eng = Engine::with_params(SimParams { scheduler: backend });
     let mut rng = SimRng::seed_from_u64(0xD15C_0000 + pending as u64);
     for i in 0..pending {
         let t = rng.next_u64() % 1_000_000_000;

@@ -29,60 +29,6 @@ impl CostSlot {
     }
 }
 
-/// The storage level a page access was served from (NOW hierarchy of §1:
-/// local memory, remote memory, disk).
-#[deprecated(
-    since = "0.8.0",
-    note = "storage levels are data-driven now: use `CostSlot` via `TierLadder` / \
-            `AccessCosts` slot accessors instead of this fixed enum"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CostLevel {
-    /// Hit in a local pool.
-    LocalHit,
-    /// Served from another node's memory over the LAN.
-    RemoteHit,
-    /// Read from the local disk (requester is the home).
-    LocalDisk,
-    /// Read from a remote node's disk and shipped over the LAN.
-    RemoteDisk,
-}
-
-#[allow(deprecated)]
-impl CostLevel {
-    /// All levels, for iteration.
-    pub const ALL: [CostLevel; 4] = [
-        CostLevel::LocalHit,
-        CostLevel::RemoteHit,
-        CostLevel::LocalDisk,
-        CostLevel::RemoteDisk,
-    ];
-
-    /// Stable snake-case name, used as a metric/trace key.
-    pub fn name(self) -> &'static str {
-        match self {
-            CostLevel::LocalHit => "local_hit",
-            CostLevel::RemoteHit => "remote_hit",
-            CostLevel::LocalDisk => "local_disk",
-            CostLevel::RemoteDisk => "remote_disk",
-        }
-    }
-}
-
-/// The deprecated fixed levels map onto the default ladder's slot layout
-/// (one local memory tier): slots 0–3 in declaration order.
-#[allow(deprecated)]
-impl From<CostLevel> for CostSlot {
-    fn from(level: CostLevel) -> CostSlot {
-        CostSlot(match level {
-            CostLevel::LocalHit => 0,
-            CostLevel::RemoteHit => 1,
-            CostLevel::LocalDisk => 2,
-            CostLevel::RemoteDisk => 3,
-        })
-    }
-}
-
 /// EWMA cost (milliseconds) per storage slot.
 #[derive(Debug, Clone)]
 pub struct AccessCosts {
@@ -152,9 +98,9 @@ impl AccessCosts {
     }
 
     /// Records an observed access latency (including queueing) for `slot`.
-    pub fn observe(&mut self, slot: impl Into<CostSlot>, latency_ms: f64) {
+    pub fn observe(&mut self, slot: CostSlot, latency_ms: f64) {
         debug_assert!(latency_ms >= 0.0);
-        let i = slot.into().index();
+        let i = slot.index();
         self.observations[i] += 1;
         if self.observations[i] == 1 {
             self.est_ms[i] = latency_ms;
@@ -164,13 +110,13 @@ impl AccessCosts {
     }
 
     /// Current estimate for `slot` in milliseconds.
-    pub fn estimate_ms(&self, slot: impl Into<CostSlot>) -> f64 {
-        self.est_ms[slot.into().index()]
+    pub fn estimate_ms(&self, slot: CostSlot) -> f64 {
+        self.est_ms[slot.index()]
     }
 
     /// Observation count for `slot`.
-    pub fn observations(&self, slot: impl Into<CostSlot>) -> u64 {
-        self.observations[slot.into().index()]
+    pub fn observations(&self, slot: CostSlot) -> u64 {
+        self.observations[slot.index()]
     }
 
     /// Cost of a miss that falls through to disk, blended over local/remote
@@ -186,12 +132,6 @@ impl AccessCosts {
         } else {
             (nl as f64 * el + nr as f64 * er) / ((nl + nr) as f64)
         }
-    }
-
-    /// Midpoint-weighted disk cost, kept for one release.
-    #[deprecated(since = "0.8.0", note = "use `blended_disk_ms`")]
-    pub fn disk_ms(&self) -> f64 {
-        self.blended_disk_ms()
     }
 }
 
@@ -255,18 +195,6 @@ mod tests {
         c.observe(s, 2.0);
         // 1.0 + 0.5·(2−1) = 1.5.
         assert!((c.estimate_ms(s) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_levels_map_to_default_slots() {
-        let mut c = AccessCosts::new(0.1);
-        c.observe(CostLevel::LocalDisk, 9.0);
-        assert_eq!(c.observations(c.local_disk_slot()), 1);
-        assert!((c.estimate_ms(CostLevel::LocalDisk) - 9.0).abs() < 1e-12);
-        for (level, slot) in CostLevel::ALL.into_iter().zip(0u8..) {
-            assert_eq!(CostSlot::from(level), CostSlot(slot));
-        }
     }
 
     #[test]

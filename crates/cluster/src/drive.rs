@@ -3,7 +3,7 @@
 //! benches that want to run the access protocol to quiescence without
 //! wiring up a whole control plane.
 
-use dmm_sim::{Engine, Handler, Scheduler, SimDuration, SimTime, WindowHandler};
+use dmm_sim::{Engine, Handler, Scheduler, SimTime};
 
 use crate::op::OpCompletion;
 use crate::plane::{ClusterEvent, DataPlane};
@@ -29,25 +29,6 @@ impl Handler<ClusterEvent> for Driver<'_> {
     }
 }
 
-impl WindowHandler<ClusterEvent> for Driver<'_> {
-    fn classify(&self, event: &ClusterEvent) -> Option<u32> {
-        self.plane.classify(event)
-    }
-
-    fn execute_run(
-        &mut self,
-        run: &[(SimTime, ClusterEvent)],
-        workers: usize,
-        out: &mut Vec<(SimTime, ClusterEvent)>,
-    ) {
-        self.plane.execute_window(run, workers, out);
-    }
-
-    fn lookahead(&self, event: &ClusterEvent) -> Option<SimDuration> {
-        self.plane.lookahead(event)
-    }
-}
-
 /// Delivers `start` and every follow-up the plane schedules, in
 /// (time, scheduling-order) order, until no events remain; returns the
 /// operation completions observed. Panics if the protocol fails to
@@ -65,33 +46,6 @@ pub fn drive_to_quiescence(
         done: Vec::new(),
     };
     eng.run_events(EVENT_STORM_LIMIT, &mut driver);
-    assert_eq!(
-        eng.scheduler().pending(),
-        0,
-        "event storm: protocol does not terminate"
-    );
-    driver.done
-}
-
-/// [`drive_to_quiescence`] through the conservative-window parallel
-/// executor with a `workers`-thread budget. Produces identical completions
-/// (and identical plane state) to the sequential driver at any worker
-/// count — the contract the trace-determinism suite pins.
-pub fn drive_to_quiescence_windowed(
-    plane: &mut DataPlane,
-    start: impl IntoIterator<Item = (SimTime, ClusterEvent)>,
-    workers: usize,
-) -> Vec<OpCompletion> {
-    let window = plane.params().conservative_window();
-    let mut eng = Engine::new();
-    for (t, e) in start {
-        eng.scheduler().at(t, e);
-    }
-    let mut driver = Driver {
-        plane,
-        done: Vec::new(),
-    };
-    eng.run_until_windowed(SimTime::MAX, window, workers, &mut driver);
     assert_eq!(
         eng.scheduler().pending(),
         0,

@@ -44,13 +44,11 @@ pub mod plane;
 pub mod ring;
 pub mod tier;
 
-#[allow(deprecated)]
-pub use costs::CostLevel;
 pub use costs::{AccessCosts, CostSlot};
 pub use directory::Directory;
 pub use disk::Disk;
 pub use dmm_obs::{SpanMode, Stage, StageNanos, STAGES};
-pub use drive::{drive_to_quiescence, drive_to_quiescence_windowed};
+pub use drive::drive_to_quiescence;
 pub use fault::{DiskStall, FaultKind, FaultPlan, ScheduledFault};
 pub use homes::{Homes, HotRingSpec, PlacementError, PlacementSpec};
 pub use ids::{NodeId, OpId};

@@ -208,12 +208,6 @@ pub struct ClusterParams {
     /// Placement policy across the local memory tiers of an extended
     /// ladder. Irrelevant for the default ladder.
     pub tier_policy: TierPolicy,
-    /// Lets the windowed executor advance each parallel window past the
-    /// conservative minimum hop for events whose follow-up delay is known at
-    /// schedule time (a served request cannot produce anything before its
-    /// CPU service completes). Purely a wall-clock optimization: the event
-    /// order — and therefore every trace byte — is unchanged.
-    pub lookahead: bool,
 }
 
 impl Default for ClusterParams {
@@ -234,27 +228,11 @@ impl Default for ClusterParams {
             placement: PlacementSpec::default(),
             tiers: TierLadder::default(),
             tier_policy: TierPolicy::default(),
-            lookahead: true,
         }
     }
 }
 
 impl ClusterParams {
-    /// Conservative parallel-execution window: no protocol step can
-    /// schedule a follow-up event sooner than the cheapest single hop —
-    /// the smallest of the CPU step costs and the fixed per-message network
-    /// latency. Events closer together than this that touch *different*
-    /// nodes are causally independent, which is what licenses the windowed
-    /// executor (`dmm-sim`'s `ExecMode::Windowed`) to run them in parallel.
-    pub fn conservative_window(&self) -> SimDuration {
-        let cpu_min = self
-            .cpu
-            .lookup()
-            .min(self.cpu.serve())
-            .min(self.cpu.install());
-        cpu_min.min(self.net.per_message_latency)
-    }
-
     /// Per-node frame capacity of each local memory tier, with tier 0
     /// inheriting `buffer_pages_per_node` when the ladder leaves it unset.
     pub fn memory_tier_frames(&self) -> Vec<usize> {
@@ -310,13 +288,5 @@ mod tests {
         assert_eq!(p.db_pages, 2000);
         assert_eq!(p.placement, PlacementSpec::RoundRobin);
         assert_eq!(p.net.fabric, FabricSpec::SharedMedium);
-        assert!(p.lookahead);
-    }
-
-    #[test]
-    fn conservative_window_is_the_cheapest_hop() {
-        let p = ClusterParams::default();
-        // min(lookup 30µs, serve 50µs, install 30µs, net latency 50µs).
-        assert_eq!(p.conservative_window(), SimDuration::from_micros(30));
     }
 }

@@ -992,215 +992,6 @@ impl DataPlane {
         }
     }
 
-    // -- conservative-window parallel execution ----------------------------
-
-    /// Partition index (the node whose state the event touches) for a
-    /// *parallel-safe* protocol event, or `None` for an event that needs
-    /// exclusive access to the whole plane.
-    ///
-    /// Safe events are exactly the three that (with their target node up
-    /// and their operation live) reserve a single node's CPU, read only
-    /// run-stable state (`params`, `inflight`, `up`), never complete an
-    /// operation, and schedule exactly one follow-up at least
-    /// [`ClusterParams::conservative_window`] after their own instant:
-    ///
-    /// * [`ClusterEvent::ReqAtHome`] — serve-CPU reservation at the home;
-    /// * [`ClusterEvent::ReqAtHolder`] — serve-CPU reservation at the holder;
-    /// * [`ClusterEvent::PageArrived`] — install-CPU reservation at the origin.
-    ///
-    /// Their dead-node variants fall back to mirror/bounce paths that touch
-    /// the shared disk, network, and fault counters, so they classify as
-    /// global; `up` only changes in global events, which flush any open run
-    /// first, keeping the classification stable for the run's lifetime.
-    pub fn classify(&self, event: &ClusterEvent) -> Option<u32> {
-        match *event {
-            ClusterEvent::ReqAtHome { op } => {
-                let home = self.inflight.get(&op)?.home;
-                self.up[home.index()].then(|| home.index() as u32)
-            }
-            ClusterEvent::ReqAtHolder { op, holder } => {
-                self.inflight.get(&op)?;
-                self.up[holder.index()].then(|| holder.index() as u32)
-            }
-            ClusterEvent::PageArrived { op, .. } => {
-                // A live op's origin is always up (crashes abort its ops).
-                self.inflight.get(&op).map(|s| s.op.origin.index() as u32)
-            }
-            _ => None,
-        }
-    }
-
-    /// Known follow-up delay of a parallel-safe event, or `None` to fall
-    /// back on the conservative window. The three safe events each reserve
-    /// one CPU facility and schedule their single follow-up no earlier than
-    /// their service time after their own instant — a bound known at
-    /// schedule time, before the event executes — so the windowed executor
-    /// may keep the run open up to that horizon instead of the 30 µs
-    /// minimum hop. Gated on [`ClusterParams::lookahead`].
-    pub fn lookahead(&self, event: &ClusterEvent) -> Option<SimDuration> {
-        if !self.params.lookahead {
-            return None;
-        }
-        match *event {
-            ClusterEvent::ReqAtHome { .. } | ClusterEvent::ReqAtHolder { .. } => {
-                Some(self.params.cpu.serve())
-            }
-            ClusterEvent::PageArrived { .. } => Some(self.params.cpu.install()),
-            _ => None,
-        }
-    }
-
-    /// Executes a run of parallel-safe events (each classified `Some` by
-    /// [`DataPlane::classify`]) and appends each event's single follow-up
-    /// to `out` in run order. Per-node work executes on up to `workers`
-    /// scoped threads when the run is worth splitting; the result is
-    /// byte-identical to sequential [`DataPlane::handle`] calls either way,
-    /// because each partition replays its events in run order against its
-    /// own `Facility` and span writes are applied on the caller's thread in
-    /// run order afterwards.
-    pub fn execute_window(
-        &mut self,
-        run: &[(SimTime, ClusterEvent)],
-        workers: usize,
-        out: &mut Vec<(SimTime, ClusterEvent)>,
-    ) {
-        /// Below this size the thread-spawn overhead dwarfs the work
-        /// (a CPU reservation is a few dozen nanoseconds of host time).
-        const MIN_PARALLEL_RUN: usize = 16;
-
-        // Completion time, span-stage effects, and live effect count for one
-        // executed step — what a worker hands back to the merge loop.
-        type Outcome = (SimTime, [(Stage, u64); 2], usize);
-
-        // One prepared step per event, resolved against `inflight` up front.
-        struct Step {
-            node: u16,
-            op: OpId,
-            t: SimTime,
-            install: Option<CostSlot>,
-            follow: ClusterEvent,
-        }
-        let steps: Vec<Step> = run
-            .iter()
-            .map(|&(t, e)| match e {
-                ClusterEvent::ReqAtHome { op } => Step {
-                    node: self.inflight[&op].home.0,
-                    op,
-                    t,
-                    install: None,
-                    follow: ClusterEvent::ServeAtHome { op },
-                },
-                ClusterEvent::ReqAtHolder { op, holder } => Step {
-                    node: holder.0,
-                    op,
-                    t,
-                    install: None,
-                    follow: ClusterEvent::ServeAtHolder { op, holder },
-                },
-                ClusterEvent::PageArrived { op, level } => Step {
-                    node: self.inflight[&op].op.origin.0,
-                    op,
-                    t,
-                    install: Some(level),
-                    follow: ClusterEvent::AccessDone { op, level },
-                },
-                other => unreachable!("unsafe event {other:?} in a parallel run"),
-            })
-            .collect();
-
-        let mut order: Vec<u16> = Vec::new(); // distinct nodes, first-seen order
-        for s in &steps {
-            if !order.contains(&s.node) {
-                order.push(s.node);
-            }
-        }
-
-        if workers < 2 || order.len() < 2 || steps.len() < MIN_PARALLEL_RUN {
-            // Inline execution — the literal sequential code path.
-            for &(t, e) in run {
-                let step = self.handle(t, e);
-                debug_assert!(step.completed.is_none(), "safe events never complete");
-                out.extend(step.schedule);
-            }
-            return;
-        }
-
-        let serve_d = self.params.cpu.serve();
-        let install_d = self.params.cpu.install();
-        // (done, span effects) per run index, filled by the workers.
-        let mut results: Vec<Option<Outcome>> = (0..steps.len()).map(|_| None).collect();
-        {
-            let num_nodes = self.nodes.len();
-            // Hand each worker exclusive &mut access to its nodes' CPUs.
-            let mut cpus: Vec<Option<&mut Facility>> =
-                self.nodes.iter_mut().map(|n| Some(&mut n.cpu)).collect();
-            let threads = workers.min(order.len());
-            let mut jobs: Vec<(Vec<&mut Facility>, Vec<usize>)> =
-                (0..threads).map(|_| (Vec::new(), Vec::new())).collect();
-            let mut lane_of = vec![usize::MAX; num_nodes];
-            for (i, &node) in order.iter().enumerate() {
-                let lane = i % threads;
-                lane_of[node as usize] = jobs[lane].0.len();
-                jobs[lane]
-                    .0
-                    .push(cpus[node as usize].take().expect("distinct nodes"));
-            }
-            for (idx, s) in steps.iter().enumerate() {
-                let lane = order.iter().position(|&n| n == s.node).expect("seen") % threads;
-                jobs[lane].1.push(idx);
-            }
-            let steps = &steps;
-            let lane_of = &lane_of;
-            let out_chunks: Vec<Vec<(usize, Outcome)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .into_iter()
-                    .map(|(mut cpus, idxs)| {
-                        scope.spawn(move || {
-                            let mut acc = Vec::with_capacity(idxs.len());
-                            for idx in idxs {
-                                let s = &steps[idx];
-                                let cpu = &mut *cpus[lane_of[s.node as usize]];
-                                let (done, fx, n) = if s.install.is_some() {
-                                    let (done, wait) = cpu.reserve_split(s.t, install_d);
-                                    let svc = done.since(s.t).as_nanos() - wait.as_nanos();
-                                    (
-                                        done,
-                                        [(Stage::PoolQueue, wait.as_nanos()), (Stage::Cpu, svc)],
-                                        2,
-                                    )
-                                } else {
-                                    let done = cpu.reserve(s.t, serve_d);
-                                    let ns = done.since(s.t).as_nanos();
-                                    (done, [(Stage::RemoteHit, ns); 2], 1)
-                                };
-                                acc.push((idx, (done, fx, n)));
-                            }
-                            acc
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("window worker panicked"))
-                    .collect()
-            });
-            for chunk in out_chunks {
-                for (idx, outcome) in chunk {
-                    results[idx] = Some(outcome);
-                }
-            }
-        }
-        // Apply span effects and emit follow-ups in run order, exactly as
-        // sequential execution would have.
-        for (idx, s) in steps.iter().enumerate() {
-            let (done, fx, n) = results[idx].take().expect("every step executed");
-            for &(stage, ns) in &fx[..n] {
-                self.span_add(s.op, stage, ns);
-            }
-            out.push((done, s.follow));
-        }
-    }
-
     // -- access pipeline ---------------------------------------------------
 
     fn current_page(&self, op: OpId) -> PageId {
@@ -1243,8 +1034,7 @@ impl DataPlane {
                     // that tier's bandwidth-capped facility, then handled as
                     // an install at the origin (promotion under the hotness
                     // policy happens at `AccessDone`, when the transfer has
-                    // actually completed). Safe to schedule `PageArrived`
-                    // here: `Lookup` is a global event.
+                    // actually completed).
                     self.span_lookup_outcome(op, false);
                     let svc = self.tier_service[t - 1];
                     let (done, wait) =
@@ -2222,125 +2012,6 @@ mod tests {
         p.check_invariants();
     }
 
-    /// A dense cross-node workload: every node misses on every other
-    /// node's pages, so ReqAtHome/PageArrived events pile up across
-    /// partitions within single conservative windows.
-    fn cross_node_ops(nodes: u16, ops_per_node: u64) -> Vec<Operation> {
-        let mut ops = Vec::new();
-        let mut id = 0u64;
-        for i in 0..ops_per_node {
-            for origin in 0..nodes {
-                id += 1;
-                let page = (origin as u32 + 1 + i as u32 * nodes as u32) % 60;
-                let at = SimTime::from_nanos(i * 7_000 + origin as u64 * 13);
-                ops.push(op(id, 0, origin, &[page], at));
-            }
-        }
-        ops
-    }
-
-    fn run_workload(
-        params: ClusterParams,
-        ops: &[Operation],
-        workers: Option<usize>,
-    ) -> (Vec<(u64, u64)>, DataPlane) {
-        let mut p = DataPlane::new(params);
-        let mut start = Vec::new();
-        for o in ops {
-            let at = o.arrival;
-            let out = p.start_operation(o.clone(), at);
-            start.extend(out.schedule);
-        }
-        let done = match workers {
-            None => drive(&mut p, start),
-            Some(w) => crate::drive::drive_to_quiescence_windowed(&mut p, start, w),
-        };
-        let log = done
-            .iter()
-            .map(|c| (c.id.0, c.finished.as_nanos()))
-            .collect();
-        (log, p)
-    }
-
-    #[test]
-    fn windowed_execution_matches_sequential_exactly() {
-        for placement in [
-            PlacementSpec::RoundRobin,
-            PlacementSpec::HotRing(crate::homes::HotRingSpec::default()),
-        ] {
-            let params = ClusterParams {
-                nodes: 8,
-                placement,
-                spans: dmm_obs::SpanMode::Sampled { every: 1 },
-                ..ClusterParams::default()
-            };
-            let ops = cross_node_ops(8, 40);
-            let (seq_log, seq_plane) = run_workload(params.clone(), &ops, None);
-            assert_eq!(seq_log.len(), ops.len());
-            for workers in [1, 2, 4] {
-                let (win_log, win_plane) = run_workload(params.clone(), &ops, Some(workers));
-                assert_eq!(seq_log, win_log, "workers={workers} {placement:?}");
-                assert_eq!(
-                    seq_plane.home_load(),
-                    win_plane.home_load(),
-                    "workers={workers}"
-                );
-                assert_eq!(seq_plane.completions(), win_plane.completions());
-                win_plane.check_invariants();
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_window_path_matches_inline_execution() {
-        // A constructed run dense enough (32 events, 8 partitions) to take
-        // the scoped-thread path at workers=4; workers=1 forces the inline
-        // path. Outputs and downstream completions must match exactly.
-        let params = ClusterParams {
-            nodes: 8,
-            ..ClusterParams::default()
-        };
-        let mut p1 = DataPlane::new(params.clone());
-        let mut p2 = DataPlane::new(params);
-        let remote_disk = p1.costs().remote_disk_slot();
-        let mut run = Vec::new();
-        for i in 0..32u64 {
-            let o = op(i + 1, 0, (i % 8) as u16, &[(i as u32) % 50], SimTime::ZERO);
-            // Register the op in flight; the initial lookup event is
-            // dropped — this run injects mid-protocol events directly.
-            let _ = p1.start_operation(o.clone(), SimTime::ZERO);
-            let _ = p2.start_operation(o, SimTime::ZERO);
-            let t = SimTime::from_nanos(1_000 + i * 13);
-            let e = if i % 2 == 0 {
-                ClusterEvent::PageArrived {
-                    op: OpId(i + 1),
-                    level: remote_disk,
-                }
-            } else {
-                ClusterEvent::ReqAtHolder {
-                    op: OpId(i + 1),
-                    holder: NodeId(((i + 3) % 8) as u16),
-                }
-            };
-            assert!(p1.classify(&e).is_some(), "constructed event must be safe");
-            run.push((t, e));
-        }
-        let (mut out1, mut out2) = (Vec::new(), Vec::new());
-        p1.execute_window(&run, 4, &mut out1);
-        p2.execute_window(&run, 1, &mut out2);
-        assert_eq!(out1.len(), run.len(), "one follow-up per safe event");
-        assert_eq!(out1, out2, "parallel and inline outputs diverge");
-        let log = |d: Vec<OpCompletion>| -> Vec<(u64, u64)> {
-            d.iter().map(|c| (c.id.0, c.finished.as_nanos())).collect()
-        };
-        let d1 = log(drive(&mut p1, out1));
-        let d2 = log(drive(&mut p2, out2));
-        assert_eq!(d1.len(), 32);
-        assert_eq!(d1, d2, "facility states diverged after the window");
-        p1.check_invariants();
-        p2.check_invariants();
-    }
-
     #[test]
     fn home_load_accounts_requests_and_fanin() {
         let mut p = plane();
@@ -2468,22 +2139,5 @@ mod tests {
             "cxl hits must be observed in their own cost slot"
         );
         p.check_invariants();
-    }
-
-    #[test]
-    fn windowed_execution_matches_sequential_on_extended_ladder() {
-        let params = ClusterParams {
-            nodes: 8,
-            ..extended_params()
-        };
-        let ops = cross_node_ops(8, 40);
-        let (seq_log, seq_plane) = run_workload(params.clone(), &ops, None);
-        assert_eq!(seq_log.len(), ops.len());
-        for workers in [2, 4] {
-            let (win_log, win_plane) = run_workload(params.clone(), &ops, Some(workers));
-            assert_eq!(seq_log, win_log, "workers={workers}");
-            assert_eq!(seq_plane.completions(), win_plane.completions());
-            win_plane.check_invariants();
-        }
     }
 }

@@ -19,13 +19,12 @@
 //!
 //! It deliberately *excludes* the execution-substrate toggles that are
 //! proven trace-invariant by the determinism suite: span mode (non-span
-//! records are byte-identical with sampling on or off), scheduler backend
-//! (wheel and heap deliver identically), execution mode and lookahead
-//! (windowed runs trace byte-identically to sequential at any worker
-//! count). Including them would break the cross-substrate byte-identity
-//! contract those tests pin; excluding them means a replay reproduces the
-//! *system*, not the observer. Replays therefore run with spans off and
-//! compare *control records* — every record type except `span`.
+//! records are byte-identical with sampling on or off) and scheduler
+//! backend (wheel and heap deliver identically). Including them would
+//! break the cross-substrate byte-identity contract those tests pin;
+//! excluding them means a replay reproduces the *system*, not the observer.
+//! Replays therefore run with spans off and compare *control records* —
+//! every record type except `span`.
 
 use dmm_cluster::{DiskStall, FabricSpec, FaultPlan, NodeId, PlacementSpec, ScheduledFault};
 use dmm_cluster::{FaultKind, HotRingSpec, RepricingMode, TierSpec};

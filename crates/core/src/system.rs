@@ -16,7 +16,6 @@ use dmm_cluster::{
 use dmm_obs::{Json, MetricsSnapshot, NoopSink, SpanMode, Stage, TraceSink};
 use dmm_sim::{
     Engine, ExecMode, Handler, Scheduler, SchedulerBackend, SimDuration, SimParams, SimTime,
-    WindowHandler,
 };
 use dmm_workload::{GoalRange, GoalSchedule, WorkloadGenerator, WorkloadSpec};
 
@@ -114,7 +113,6 @@ impl SystemConfig {
             net_bits_per_sec: None,
             fabric: FabricSpec::default(),
             probe: ProbeSpec::default(),
-            window_lookahead: true,
             tiers: None,
             tier_policy: TierPolicy::default(),
             sim: SimParams::default(),
@@ -159,7 +157,6 @@ pub struct SystemConfigBuilder {
     net_bits_per_sec: Option<u64>,
     fabric: FabricSpec,
     probe: ProbeSpec,
-    window_lookahead: bool,
     tiers: Option<Vec<TierSpec>>,
     tier_policy: TierPolicy,
     sim: SimParams,
@@ -212,8 +209,7 @@ impl SystemConfigBuilder {
     /// 100 Mbit/s). Scale-out experiments need this dial: with a shared
     /// medium, total network traffic grows with the node count while the
     /// medium's capacity does not, so the 1999-era fabric saturates long
-    /// before N = 64. Per-message latency — and therefore the parallel
-    /// executor's conservative window — is unaffected.
+    /// before N = 64. Per-message latency is unaffected.
     pub fn net_bits_per_sec(mut self, bits_per_sec: u64) -> Self {
         self.net_bits_per_sec = Some(bits_per_sec);
         self
@@ -236,16 +232,6 @@ impl SystemConfigBuilder {
     /// wasted on a rank-redundant partitioning.
     pub fn probe(mut self, probe: ProbeSpec) -> Self {
         self.probe = probe;
-        self
-    }
-
-    /// Enables/disables lookahead in the windowed executor (default: on).
-    /// Lookahead extends each parallel run past the conservative window
-    /// using follow-up delays known at schedule time; it changes wall-clock
-    /// batching only, never the event order or the trace bytes. The switch
-    /// exists for A/B benchmarking.
-    pub fn window_lookahead(mut self, on: bool) -> Self {
-        self.window_lookahead = on;
         self
     }
 
@@ -353,12 +339,10 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Selects the event-execution backend (default: sequential).
-    /// [`ExecMode::Windowed`] executes runs of independent per-node events
-    /// inside a conservative time window on a worker pool; traces are
-    /// byte-identical to sequential execution at any worker count.
-    pub fn execution(mut self, exec: ExecMode) -> Self {
-        self.sim.exec = exec;
+    // Inert: kept only because `benchmark/src/workloads.rs` (frozen) calls
+    // `.execution(ExecMode::Sequential)`; remove with that call site.
+    #[doc(hidden)]
+    pub fn execution(self, _exec: ExecMode) -> Self {
         self
     }
 
@@ -370,13 +354,6 @@ impl SystemConfigBuilder {
         if self.nodes > u16::MAX as usize {
             // NodeId is a u16; more nodes would silently truncate.
             return Err(Error::InvalidConfig("node count exceeds u16::MAX"));
-        }
-        if let ExecMode::Windowed { workers } = self.sim.exec {
-            if workers == 0 {
-                return Err(Error::InvalidConfig(
-                    "windowed execution needs at least one worker",
-                ));
-            }
         }
         if self.db_pages == 0 {
             return Err(Error::InvalidConfig("the database needs at least one page"));
@@ -444,7 +421,6 @@ impl SystemConfigBuilder {
                 "probe batch size must be a power of two ≥ 2",
             ));
         }
-        cluster.lookahead = self.window_lookahead;
         let mut workload = WorkloadSpec::base_two_class(
             self.nodes,
             self.db_pages,
@@ -1064,48 +1040,10 @@ impl Handler<SysEvent> for SimState {
     }
 }
 
-impl WindowHandler<SysEvent> for SimState {
-    fn classify(&self, event: &SysEvent) -> Option<u32> {
-        match event {
-            // Only data-plane events can be parallel-safe; the control
-            // plane (arrivals, reports, checks, faults) shares state across
-            // nodes and always executes inline.
-            SysEvent::Data(e) => self.plane.classify(e),
-            _ => None,
-        }
-    }
-
-    fn execute_run(
-        &mut self,
-        run: &[(SimTime, SysEvent)],
-        workers: usize,
-        out: &mut Vec<(SimTime, SysEvent)>,
-    ) {
-        let data: Vec<(SimTime, ClusterEvent)> = run
-            .iter()
-            .map(|(t, e)| match e {
-                SysEvent::Data(d) => (*t, *d),
-                other => unreachable!("non-data event {other:?} in a parallel run"),
-            })
-            .collect();
-        let mut follow = Vec::with_capacity(data.len());
-        self.plane.execute_window(&data, workers, &mut follow);
-        out.extend(follow.into_iter().map(|(t, e)| (t, SysEvent::Data(e))));
-    }
-
-    fn lookahead(&self, event: &SysEvent) -> Option<SimDuration> {
-        match event {
-            SysEvent::Data(e) => self.plane.lookahead(e),
-            _ => None,
-        }
-    }
-}
-
 /// A runnable closed-loop experiment.
 pub struct Simulation {
     engine: Engine<SysEvent>,
     state: SimState,
-    exec: ExecMode,
 }
 
 impl Simulation {
@@ -1225,7 +1163,6 @@ impl Simulation {
             run_config: crate::replay::run_config_record(&config),
         };
 
-        let exec = config.sim.exec;
         let mut engine = Engine::with_params(config.sim);
         for (node, class) in state.gen.active_streams() {
             let gap = state.gen.next_gap(node, class, SimTime::ZERO);
@@ -1244,11 +1181,7 @@ impl Simulation {
             }
         }
 
-        Simulation {
-            engine,
-            state,
-            exec,
-        }
+        Simulation { engine, state }
     }
 
     /// Runs `n` more observation intervals (including their check phases).
@@ -1256,16 +1189,7 @@ impl Simulation {
         let target = self.state.interval_idx + n;
         let horizon =
             SimTime::ZERO + self.state.interval * (target as u64) + self.state.interval / 2;
-        match self.exec {
-            ExecMode::Sequential => {
-                self.engine.run_until(horizon, &mut self.state);
-            }
-            ExecMode::Windowed { workers } => {
-                let window = self.state.plane.params().conservative_window();
-                self.engine
-                    .run_until_windowed(horizon, window, workers, &mut self.state);
-            }
-        }
+        self.engine.run_until(horizon, &mut self.state);
         debug_assert_eq!(self.state.interval_idx, target);
     }
 
@@ -1310,12 +1234,6 @@ impl Simulation {
     /// The underlying cluster (network bytes, pool stats, directory…).
     pub fn plane(&self) -> &DataPlane {
         &self.state.plane
-    }
-
-    /// Windowed-executor batching counters (runs flushed, events executed
-    /// through runs). All zero under sequential execution.
-    pub fn window_stats(&self) -> dmm_sim::WindowStats {
-        self.engine.window_stats()
     }
 
     /// The most recent response-time surfaces `class`'s coordinator fitted
@@ -1379,9 +1297,6 @@ impl Simulation {
                 }
             }
         }
-        let windows = self.engine.window_stats();
-        snap.counter("sim.exec.runs", windows.runs);
-        snap.counter("sim.exec.run_events", windows.run_events);
         // Sink-health counters are zero-suppressed so healthy traces stay
         // byte-identical across sink implementations.
         if self.state.sink.write_errors() > 0 {
@@ -1618,13 +1533,6 @@ mod tests {
                 .unwrap_err(),
             Error::InvalidConfig("node count exceeds u16::MAX")
         );
-        assert_eq!(
-            SystemConfig::builder()
-                .execution(ExecMode::Windowed { workers: 0 })
-                .build()
-                .unwrap_err(),
-            Error::InvalidConfig("windowed execution needs at least one worker")
-        );
         // Tier ladders are validated by the builder into a typed error.
         assert!(matches!(
             SystemConfig::builder()
@@ -1735,44 +1643,6 @@ mod tests {
             .build()
             .expect("valid config");
         assert_eq!(config.cluster.placement, spec);
-    }
-
-    #[test]
-    fn windowed_system_run_matches_sequential() {
-        for placement in [
-            PlacementSpec::RoundRobin,
-            PlacementSpec::HotRing(dmm_cluster::HotRingSpec::default()),
-        ] {
-            let run = |exec: ExecMode| {
-                let config = SystemConfig::builder()
-                    .seed(9)
-                    .nodes(8)
-                    .goal_ms(8.0)
-                    .db_pages(400)
-                    .buffer_pages_per_node(64)
-                    .goal_rate_per_ms(0.006)
-                    .warmup_intervals(2)
-                    .placement(placement)
-                    .execution(exec)
-                    .build()
-                    .expect("valid test config");
-                let mut sim = Simulation::new(config);
-                sim.run_intervals(6);
-                (
-                    sim.plane().completions(),
-                    sim.plane().network().data_bytes(),
-                    sim.records(ClassId(1)).to_vec(),
-                )
-            };
-            let seq = run(ExecMode::Sequential);
-            for workers in [1, 2, 4] {
-                let win = run(ExecMode::Windowed { workers });
-                assert_eq!(
-                    seq, win,
-                    "windowed ({workers} workers) diverged from sequential ({placement:?})"
-                );
-            }
-        }
     }
 
     #[test]

@@ -35,23 +35,14 @@ pub enum SchedulerBackend {
     Heap,
 }
 
-/// How the event loop executes events.
+/// How the event loop executes events: one at a time, in (time, seq) order.
+// Kept only because `benchmark/src/workloads.rs` (frozen) names
+// `ExecMode::Sequential`; remove with that call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// One event at a time, in (time, seq) order. The reference mode.
+    /// One event at a time, in (time, seq) order.
     #[default]
     Sequential,
-    /// Conservative-window parallel execution: runs of consecutive
-    /// *parallel-safe* events (see [`WindowHandler`]) closer together than
-    /// the model's minimum cross-partition latency are executed as a batch,
-    /// partitioned across up to `workers` OS threads. Delivery and
-    /// follow-up scheduling order — and therefore every trace byte — are
-    /// identical to [`ExecMode::Sequential`].
-    Windowed {
-        /// Worker-thread budget for one batch (≥ 1; 1 degenerates to
-        /// batched sequential execution).
-        workers: usize,
-    },
 }
 
 /// Engine construction parameters (extend as the kernel grows knobs).
@@ -59,60 +50,6 @@ pub enum ExecMode {
 pub struct SimParams {
     /// Event-queue backend.
     pub scheduler: SchedulerBackend,
-    /// Event execution mode.
-    pub exec: ExecMode,
-}
-
-/// A [`Handler`] that additionally knows which of its events are safe to
-/// execute as a parallel batch, for [`Engine::run_until_windowed`].
-///
-/// The contract licensing the windowed loop ("conservative" in the
-/// Chandy–Misra sense):
-///
-/// * `classify` returns `Some(partition)` only for events whose handling
-///   (1) mutates state of that partition alone, (2) reads only state no
-///   event of any other partition mutates, (3) never produces a completion
-///   or other side channel, and (4) schedules **exactly one** follow-up
-///   event at least one conservative window after the event's own time.
-/// * `execute_run` must leave the handler in exactly the state a sequence
-///   of ordinary [`Handler::handle`] calls would have, and push exactly one
-///   follow-up per event into `out` **in run order** — the engine re-plays
-///   them into the scheduler in that order, so sequence numbers (and hence
-///   tie-breaks and trace bytes) match sequential execution.
-pub trait WindowHandler<E>: Handler<E> {
-    /// Partition index of a parallel-safe event, or `None` for a *global*
-    /// event that must be executed inline with exclusive state access.
-    fn classify(&self, event: &E) -> Option<u32>;
-
-    /// Executes a run of parallel-safe events (every one classified
-    /// `Some`), appending each event's single follow-up to `out` in run
-    /// order. `workers` is the thread budget; using fewer (or none) is
-    /// always correct.
-    fn execute_run(&mut self, run: &[(SimTime, E)], workers: usize, out: &mut Vec<(SimTime, E)>);
-
-    /// Known per-event lookahead: a lower bound, available **before** the
-    /// event executes, on the delay between this parallel-safe event and
-    /// its single follow-up. Returning `Some(d)` with `d` larger than the
-    /// conservative window lets the engine keep the run open until
-    /// `t + d` instead of `t + window`, growing batches without changing
-    /// delivery order (the follow-up provably sorts after everything the
-    /// run may still pop). Returning a bound the handler cannot honour
-    /// breaks the determinism contract. The default — no extra knowledge —
-    /// leaves the conservative window in force.
-    fn lookahead(&self, _event: &E) -> Option<SimDuration> {
-        None
-    }
-}
-
-/// Windowed-executor batch counters, for observability and benchmarks: how
-/// many parallel runs were flushed and how many events they carried. The
-/// ratio is the mean batch size — the lever lookahead is meant to grow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowStats {
-    /// Parallel runs flushed.
-    pub runs: u64,
-    /// Events executed inside those runs (the rest ran inline as globals).
-    pub run_events: u64,
 }
 
 /// Counters describing scheduler work, for observability surfaces.
@@ -263,7 +200,6 @@ impl<E> Scheduler<E> {
 pub struct Engine<E> {
     sched: Scheduler<E>,
     delivered: u64,
-    window_stats: WindowStats,
 }
 
 impl<E> Default for Engine<E> {
@@ -283,7 +219,6 @@ impl<E> Engine<E> {
         Engine {
             sched: Scheduler::new(params.scheduler),
             delivered: 0,
-            window_stats: WindowStats::default(),
         }
     }
 
@@ -307,12 +242,6 @@ impl<E> Engine<E> {
         self.sched.stats()
     }
 
-    /// Windowed-executor batch counters (see [`WindowStats`]); all-zero
-    /// unless [`Engine::run_until_windowed`] has run.
-    pub fn window_stats(&self) -> WindowStats {
-        self.window_stats
-    }
-
     /// Runs until the queue is empty or the next event would occur after
     /// `horizon`. Events exactly at the horizon are delivered. Returns the
     /// number of events delivered by this call.
@@ -328,98 +257,6 @@ impl<E> Engine<E> {
         if self.sched.now < horizon && horizon != SimTime::MAX {
             self.sched.now = horizon;
         }
-        n
-    }
-
-    /// Runs until the queue is empty or the next event would occur after
-    /// `horizon`, accumulating *parallel-safe* events (per
-    /// [`WindowHandler::classify`]) into runs bounded by the conservative
-    /// `window` and executing each run as one batch. Equivalent to
-    /// [`Engine::run_until`] event for event: every follow-up of a run lands
-    /// at least `window` after the run's first event, i.e. strictly after
-    /// everything the run may still pop, so batching cannot reorder
-    /// delivery; global events flush the open run first and then execute
-    /// inline with exclusive state access.
-    pub fn run_until_windowed<H: WindowHandler<E>>(
-        &mut self,
-        horizon: SimTime,
-        window: SimDuration,
-        workers: usize,
-        handler: &mut H,
-    ) -> u64 {
-        assert!(
-            window.as_nanos() > 0,
-            "conservative window must be positive"
-        );
-        let mut n = 0;
-        let mut run: Vec<(SimTime, E)> = Vec::new();
-        let mut out: Vec<(SimTime, E)> = Vec::new();
-        // Earliest instant any event of the open run could schedule its
-        // follow-up at: min over the run of `t + max(window, lookahead(e))`.
-        // With no lookahead this degenerates to `first + window` exactly.
-        let mut run_end = SimTime::MAX;
-        loop {
-            // While a run is open, only events strictly before `run_end`
-            // may be popped: anything at or past it could be a follow-up of
-            // the run itself and must sort after the flush.
-            let limit = if run.is_empty() {
-                horizon
-            } else {
-                horizon.min(SimTime::from_nanos(run_end.as_nanos() - 1))
-            };
-            match self.sched.pop_next_before(limit) {
-                Some((t, e)) => {
-                    if handler.classify(&e).is_some() {
-                        let d = handler.lookahead(&e).map_or(window, |l| l.max(window));
-                        run_end = run_end.min(t.saturating_add(d));
-                        run.push((t, e));
-                    } else {
-                        // Global event: everything before it must be applied
-                        // first, then it runs inline with exclusive access.
-                        n += self.flush_run(&mut run, workers, &mut out, handler);
-                        run_end = SimTime::MAX;
-                        handler.handle(t, e, &mut self.sched);
-                        n += 1;
-                    }
-                }
-                None => {
-                    if run.is_empty() {
-                        break;
-                    }
-                    n += self.flush_run(&mut run, workers, &mut out, handler);
-                    run_end = SimTime::MAX;
-                }
-            }
-        }
-        self.delivered += n;
-        if self.sched.now < horizon && horizon != SimTime::MAX {
-            self.sched.now = horizon;
-        }
-        n
-    }
-
-    /// Executes an accumulated run as one batch and re-plays its follow-ups
-    /// into the scheduler in run order (preserving sequential sequence
-    /// numbering). Returns the number of events executed.
-    fn flush_run<H: WindowHandler<E>>(
-        &mut self,
-        run: &mut Vec<(SimTime, E)>,
-        workers: usize,
-        out: &mut Vec<(SimTime, E)>,
-        handler: &mut H,
-    ) -> u64 {
-        if run.is_empty() {
-            return 0;
-        }
-        let n = run.len() as u64;
-        self.window_stats.runs += 1;
-        self.window_stats.run_events += n;
-        out.clear();
-        handler.execute_run(run, workers, out);
-        for (t, e) in out.drain(..) {
-            self.sched.at(t, e);
-        }
-        run.clear();
         n
     }
 
@@ -454,10 +291,7 @@ mod tests {
     const BOTH: [SchedulerBackend; 2] = [SchedulerBackend::Wheel, SchedulerBackend::Heap];
 
     fn engine(backend: SchedulerBackend) -> Engine<Ev> {
-        Engine::with_params(SimParams {
-            scheduler: backend,
-            ..SimParams::default()
-        })
+        Engine::with_params(SimParams { scheduler: backend })
     }
 
     #[derive(Debug, PartialEq)]
@@ -612,244 +446,6 @@ mod tests {
         assert_eq!(stats.peak_pending, 100);
         assert!(stats.cascaded > 0, "1000ns spacing spans level 1+");
         assert_eq!(stats.level_pushes.iter().sum::<u64>(), 100);
-    }
-
-    /// Toy model for the windowed loop: per-partition counters mutated by
-    /// `Local` events that chain follow-ups ≥ one window ahead, plus
-    /// `Global` events that read every partition. The windowed loop must
-    /// reproduce the sequential delivery log exactly.
-    #[derive(Debug, Clone, PartialEq)]
-    enum WEv {
-        Local { part: u32, hops: u32 },
-        Global,
-    }
-
-    const WINDOW_NS: u64 = 100;
-
-    struct WinH {
-        per_part: Vec<u64>,
-        log: Vec<(u64, String)>,
-        /// Base chain delay in ns (≥ WINDOW_NS, per the windowed contract).
-        chain_delay: u64,
-        /// Expose the (exact) chain delay as per-event lookahead.
-        lookahead_on: bool,
-    }
-
-    impl WinH {
-        fn new(parts: usize) -> Self {
-            Self::chained(parts, WINDOW_NS, false)
-        }
-
-        fn chained(parts: usize, chain_delay: u64, lookahead_on: bool) -> Self {
-            assert!(chain_delay >= WINDOW_NS);
-            WinH {
-                per_part: vec![0; parts],
-                log: Vec::new(),
-                chain_delay,
-                lookahead_on,
-            }
-        }
-
-        fn delay_ns(&self, part: u32) -> u64 {
-            self.chain_delay + u64::from(part % 7)
-        }
-
-        fn apply_local(&mut self, t: SimTime, part: u32, hops: u32) -> Option<(SimTime, WEv)> {
-            self.per_part[part as usize] =
-                self.per_part[part as usize].wrapping_mul(31) ^ t.as_nanos();
-            self.log.push((t.as_nanos(), format!("local{part}:{hops}")));
-            (hops > 0).then(|| {
-                let next = t.as_nanos() + self.delay_ns(part);
-                (
-                    SimTime::from_nanos(next),
-                    WEv::Local {
-                        part,
-                        hops: hops - 1,
-                    },
-                )
-            })
-        }
-    }
-
-    impl Handler<WEv> for WinH {
-        fn handle(&mut self, now: SimTime, event: WEv, sched: &mut Scheduler<WEv>) {
-            match event {
-                WEv::Local { part, hops } => {
-                    if let Some((t, e)) = self.apply_local(now, part, hops) {
-                        sched.at(t, e);
-                    }
-                }
-                WEv::Global => {
-                    let digest = self.per_part.iter().fold(0u64, |a, &v| a ^ v);
-                    self.log.push((now.as_nanos(), format!("global:{digest}")));
-                }
-            }
-        }
-    }
-
-    impl WindowHandler<WEv> for WinH {
-        fn classify(&self, event: &WEv) -> Option<u32> {
-            match event {
-                WEv::Local { part, .. } => Some(*part),
-                WEv::Global => None,
-            }
-        }
-
-        fn execute_run(
-            &mut self,
-            run: &[(SimTime, WEv)],
-            _workers: usize,
-            out: &mut Vec<(SimTime, WEv)>,
-        ) {
-            for &(t, ref e) in run {
-                let WEv::Local { part, hops } = *e else {
-                    panic!("global event in a run");
-                };
-                if let Some(follow) = self.apply_local(t, part, hops) {
-                    out.push(follow);
-                }
-            }
-        }
-
-        fn lookahead(&self, event: &WEv) -> Option<SimDuration> {
-            match event {
-                WEv::Local { part, .. } if self.lookahead_on => {
-                    Some(SimDuration::from_nanos(self.delay_ns(*part)))
-                }
-                _ => None,
-            }
-        }
-    }
-
-    fn seed_windowed(eng: &mut Engine<WEv>) {
-        // Bursts of same-instant cross-partition events, straddling window
-        // boundaries, plus interleaved globals.
-        for i in 0..40u64 {
-            let t = SimTime::from_nanos(i * 37);
-            eng.scheduler().at(
-                t,
-                WEv::Local {
-                    part: (i % 5) as u32,
-                    hops: 3,
-                },
-            );
-            if i % 8 == 0 {
-                eng.scheduler().at(t, WEv::Global);
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_execution_matches_sequential() {
-        for backend in BOTH {
-            let mut seq_eng: Engine<WEv> = Engine::with_params(SimParams {
-                scheduler: backend,
-                ..SimParams::default()
-            });
-            seed_windowed(&mut seq_eng);
-            let mut seq = WinH::new(5);
-            let n_seq = seq_eng.run_to_completion(&mut seq);
-
-            for workers in [1, 2, 4] {
-                let mut win_eng: Engine<WEv> = Engine::with_params(SimParams {
-                    scheduler: backend,
-                    exec: ExecMode::Windowed { workers },
-                });
-                seed_windowed(&mut win_eng);
-                let mut win = WinH::new(5);
-                let n_win = win_eng.run_until_windowed(
-                    SimTime::MAX,
-                    SimDuration::from_nanos(WINDOW_NS),
-                    workers,
-                    &mut win,
-                );
-                assert_eq!(n_seq, n_win, "{backend:?} workers={workers}");
-                assert_eq!(seq.log, win.log, "{backend:?} workers={workers}");
-                assert_eq!(seq.per_part, win.per_part);
-                // Follow-up scheduling order matched, so the engines pushed
-                // identical event counts.
-                assert_eq!(seq_eng.sched_stats().pushes, win_eng.sched_stats().pushes);
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_horizon_splits_like_sequential() {
-        let mut a: Engine<WEv> = Engine::new();
-        let mut b: Engine<WEv> = Engine::new();
-        seed_windowed(&mut a);
-        seed_windowed(&mut b);
-        let mut ha = WinH::new(5);
-        let mut hb = WinH::new(5);
-        let w = SimDuration::from_nanos(WINDOW_NS);
-        for horizon in [500, 1_000, 1_500] {
-            a.run_until(SimTime::from_nanos(horizon), &mut ha);
-            b.run_until_windowed(SimTime::from_nanos(horizon), w, 4, &mut hb);
-            assert_eq!(a.now(), b.now());
-        }
-        a.run_to_completion(&mut ha);
-        b.run_until_windowed(SimTime::MAX, w, 4, &mut hb);
-        assert_eq!(ha.log, hb.log);
-    }
-
-    #[test]
-    fn lookahead_grows_batches_without_reordering() {
-        // Chains whose follow-ups land five windows out: exposing the chain
-        // delay as per-event lookahead lets the engine keep runs open across
-        // window boundaries. Delivery must stay byte-for-byte sequential;
-        // only the batch count may change.
-        const DELAY_NS: u64 = 5 * WINDOW_NS;
-        let seed = |eng: &mut Engine<WEv>| {
-            for i in 0..25u64 {
-                let t = SimTime::from_nanos(i * 37);
-                eng.scheduler().at(
-                    t,
-                    WEv::Local {
-                        part: (i % 5) as u32,
-                        hops: 4,
-                    },
-                );
-                if i % 8 == 0 {
-                    eng.scheduler().at(t, WEv::Global);
-                }
-            }
-        };
-        for backend in BOTH {
-            let mut seq_eng: Engine<WEv> = Engine::with_params(SimParams {
-                scheduler: backend,
-                ..SimParams::default()
-            });
-            seed(&mut seq_eng);
-            let mut seq = WinH::chained(5, DELAY_NS, false);
-            seq_eng.run_to_completion(&mut seq);
-
-            let mut stats = Vec::new();
-            for lookahead_on in [false, true] {
-                let mut win_eng: Engine<WEv> = Engine::with_params(SimParams {
-                    scheduler: backend,
-                    exec: ExecMode::Windowed { workers: 2 },
-                });
-                seed(&mut win_eng);
-                let mut win = WinH::chained(5, DELAY_NS, lookahead_on);
-                win_eng.run_until_windowed(
-                    SimTime::MAX,
-                    SimDuration::from_nanos(WINDOW_NS),
-                    2,
-                    &mut win,
-                );
-                assert_eq!(seq.log, win.log, "{backend:?} lookahead={lookahead_on}");
-                assert_eq!(seq.per_part, win.per_part);
-                stats.push(win_eng.window_stats());
-            }
-            let (base, look) = (stats[0], stats[1]);
-            assert_eq!(base.run_events, look.run_events, "same events batched");
-            assert!(
-                look.runs < base.runs,
-                "{backend:?}: lookahead must coalesce runs ({} vs {})",
-                look.runs,
-                base.runs
-            );
-        }
     }
 
     #[test]

@@ -17,11 +17,7 @@
 //!
 //! The kernel is logically sequential: the simulated systems in the paper
 //! (buffer managers, coordinators, disks) share state freely inside one
-//! `Handler` implementation, which keeps the model faithful and simple. For
-//! scale-out runs, [`engine::ExecMode::Windowed`] executes runs of
-//! independent per-partition events inside a conservative time window on a
-//! worker pool ([`engine::WindowHandler`]) while delivering — provably and
-//! test-enforced — byte-identical traces to sequential execution.
+//! `Handler` implementation, which keeps the model faithful and simple.
 
 pub mod arena;
 pub mod dist;
@@ -34,10 +30,7 @@ pub mod time;
 pub mod wheel;
 
 pub use arena::SlotArena;
-pub use engine::{
-    Engine, ExecMode, Handler, SchedStats, Scheduler, SchedulerBackend, SimParams, WindowHandler,
-    WindowStats,
-};
+pub use engine::{Engine, ExecMode, Handler, SchedStats, Scheduler, SchedulerBackend, SimParams};
 pub use facility::Facility;
 pub use rng::SimRng;
 pub use series::Series;

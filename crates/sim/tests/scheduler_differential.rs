@@ -80,10 +80,7 @@ fn seed_initial(eng: &mut Engine<u32>, seed: u64) {
 }
 
 fn run_one(backend: SchedulerBackend, seed: u64) -> (Vec<(u64, u32)>, u64, u64) {
-    let mut eng = Engine::with_params(SimParams {
-        scheduler: backend,
-        ..SimParams::default()
-    });
+    let mut eng = Engine::with_params(SimParams { scheduler: backend });
     seed_initial(&mut eng, seed);
     let mut h = Chaos::new(seed, 4_000);
     eng.run_to_completion(&mut h);
@@ -111,10 +108,7 @@ fn wheel_and_heap_agree_across_random_horizon_steps() {
     for seed in 0..24u64 {
         let mut logs = Vec::new();
         for backend in [SchedulerBackend::Wheel, SchedulerBackend::Heap] {
-            let mut eng = Engine::with_params(SimParams {
-                scheduler: backend,
-                ..SimParams::default()
-            });
+            let mut eng = Engine::with_params(SimParams { scheduler: backend });
             seed_initial(&mut eng, seed);
             let mut h = Chaos::new(seed, 2_000);
             let mut horizon_rng = SimRng::seed_from_u64(seed ^ 0x5151);
@@ -142,10 +136,7 @@ fn backends_agree_on_saturated_far_future() {
     // Events scheduled with saturating `after` near SimTime::MAX must come
     // out last on both backends, in scheduling order.
     for backend in [SchedulerBackend::Wheel, SchedulerBackend::Heap] {
-        let mut eng = Engine::with_params(SimParams {
-            scheduler: backend,
-            ..SimParams::default()
-        });
+        let mut eng = Engine::with_params(SimParams { scheduler: backend });
         eng.scheduler().at(SimTime::from_nanos(u64::MAX - 1), 0);
         eng.scheduler().at(SimTime::MAX, 1);
         eng.scheduler().at(SimTime::from_nanos(3), 2);

@@ -471,22 +471,18 @@ pub fn residuals(trace: &Trace) -> String {
     out
 }
 
-/// Executor and scheduler counters from a [`MetricsSnapshot`] (exported by
-/// `Simulation::metrics_snapshot`, serialized with `MetricsSnapshot::to_json`):
-/// event-wheel work (`sim.sched.*`), windowed-executor batching
-/// (`sim.exec.*`), and trace-sink health (`obs.sink.*`). These counters
-/// never ride in the trace itself — they vary across scheduler backends and
-/// worker counts, which traces are byte-identical over — so the report
-/// takes the snapshot as a sidecar (`dmm-trace report --metrics <file>`).
+/// Scheduler and sink counters from a [`dmm_obs::MetricsSnapshot`]
+/// (exported by `Simulation::metrics_snapshot`, serialized with
+/// `MetricsSnapshot::to_json`): event-wheel work (`sim.sched.*`) and
+/// trace-sink health (`obs.sink.*`). These counters never ride in the trace
+/// itself — they vary across scheduler backends, which traces are
+/// byte-identical over — so the report takes the snapshot as a sidecar
+/// (`dmm-trace report --metrics <file>`).
 pub fn executor(snapshot: &dmm_obs::MetricsSnapshot) -> String {
     let mut out = String::from("== executor (metrics sidecar) ==\n");
     let mut rows: Vec<(&str, u64)> = Vec::new();
     for (name, value) in snapshot.counters() {
-        if name.starts_with("sim.sched.")
-            || name.starts_with("sim.exec.")
-            || name.starts_with("obs.sink.")
-            || name == "sim.events"
-        {
+        if name.starts_with("sim.sched.") || name.starts_with("obs.sink.") || name == "sim.events" {
             rows.push((name, *value));
         }
     }
@@ -498,17 +494,6 @@ pub fn executor(snapshot: &dmm_obs::MetricsSnapshot) -> String {
         let _ = writeln!(out, "  {name:<28} {value}");
     }
     let lookup = |key: &str| rows.iter().find(|(n, _)| *n == key).map(|(_, v)| *v);
-    if let (Some(runs), Some(events)) = (lookup("sim.exec.runs"), lookup("sim.exec.run_events")) {
-        if runs > 0 {
-            let _ = writeln!(
-                out,
-                "  mean events per window run: {:.1}",
-                events as f64 / runs as f64
-            );
-        } else {
-            out.push_str("  (sequential execution: no window runs)\n");
-        }
-    }
     if let Some(errors) = lookup("obs.sink.errors") {
         let _ = writeln!(
             out,
@@ -753,13 +738,10 @@ mod tests {
         let mut snap = dmm_obs::MetricsSnapshot::new();
         snap.counter("sim.events", 1000);
         snap.counter("sim.sched.pushes", 900);
-        snap.counter("sim.exec.runs", 10);
-        snap.counter("sim.exec.run_events", 400);
         snap.counter("obs.sink.dropped_records", 3);
         snap.counter("net.bytes", 5_000_000); // unrelated: filtered out
         let text = executor(&snap);
         assert!(text.contains("sim.sched.pushes"), "{text}");
-        assert!(text.contains("mean events per window run: 40.0"), "{text}");
         assert!(text.contains("dropped 3 record(s)"), "{text}");
         assert!(!text.contains("net.bytes"), "{text}");
 

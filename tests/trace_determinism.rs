@@ -8,7 +8,7 @@ use dmm::buffer::ClassId;
 use dmm::cluster::{FabricSpec, FaultPlan, HotRingSpec, NodeId, PlacementSpec};
 use dmm::core::{ControllerKind, ProbeSpec, Simulation, SystemConfig};
 use dmm::obs::{SpanMode, StreamSink, VecSink};
-use dmm::prelude::{ExecMode, SchedulerBackend, TierPolicy, TierSpec};
+use dmm::prelude::{SchedulerBackend, TierPolicy, TierSpec};
 use dmm::workload::GoalRange;
 use dmm_bench::convergence_speed;
 use dmm_bench::pool::replicate_in_order;
@@ -95,11 +95,9 @@ fn spanned_traced_run(seed: u64, every: u32) -> String {
     sink.to_jsonl()
 }
 
-/// Scale-out run at N = 16: configurable placement scheme and execution
-/// backend, span sampling on so per-operation records pin the byte layout
-/// too. The conservative-window parallel executor must trace byte-for-byte
-/// like sequential execution at any worker count.
-fn scaled_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode) -> String {
+/// Scale-out run at N = 16: configurable placement scheme, span sampling on
+/// so per-operation records pin the byte layout too.
+fn scaled_traced_run(seed: u64, placement: PlacementSpec) -> String {
     let cfg = SystemConfig::builder()
         .seed(seed)
         .theta(0.8)
@@ -111,7 +109,6 @@ fn scaled_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode) -> Str
         .warmup_intervals(2)
         .spans(SpanMode::Sampled { every: 16 })
         .placement(placement)
-        .execution(exec)
         .build()
         .expect("valid test config");
     let sink = VecSink::new();
@@ -122,9 +119,8 @@ fn scaled_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode) -> Str
 }
 
 /// The same N = 16 run under a crash/restart plan with message drops and a
-/// disk stall: degraded-mode paths execute inline (global events), so the
-/// windowed backend must stay byte-identical there too.
-fn scaled_faulted_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode) -> String {
+/// disk stall.
+fn scaled_faulted_traced_run(seed: u64, placement: PlacementSpec) -> String {
     let plan = FaultPlan::new(seed)
         .crash_ms(NodeId(2), 22_500)
         .restart_ms(NodeId(2), 42_500)
@@ -141,7 +137,6 @@ fn scaled_faulted_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode
         .warmup_intervals(2)
         .fault_plan(plan)
         .placement(placement)
-        .execution(exec)
         .build()
         .expect("valid test config");
     let sink = VecSink::new();
@@ -153,9 +148,9 @@ fn scaled_faulted_traced_run(seed: u64, placement: PlacementSpec, exec: ExecMode
 
 /// Scale-out run at N = 16 on a switched fabric with batched orthogonal
 /// probing: per-node TX/RX links replace the shared medium and the warm-up
-/// walks the Hadamard probe plan, so both new code paths must hold the same
-/// byte-identity bar — across runs and across worker counts.
-fn switched_traced_run(seed: u64, exec: ExecMode) -> String {
+/// walks the Hadamard probe plan, so both code paths must hold the same
+/// byte-identity bar across runs.
+fn switched_traced_run(seed: u64) -> String {
     let cfg = SystemConfig::builder()
         .seed(seed)
         .theta(0.8)
@@ -170,7 +165,6 @@ fn switched_traced_run(seed: u64, exec: ExecMode) -> String {
             bisection_bits_per_sec: Some(400_000_000),
         })
         .probe(ProbeSpec::Batched { batch: 4 })
-        .execution(exec)
         .build()
         .expect("valid test config");
     let sink = VecSink::new();
@@ -182,7 +176,7 @@ fn switched_traced_run(seed: u64, exec: ExecMode) -> String {
 
 /// The same switched-fabric run under a crash/restart plan with message
 /// drops and a disk stall: degraded mode rides the per-link facilities too.
-fn switched_faulted_traced_run(seed: u64, exec: ExecMode) -> String {
+fn switched_faulted_traced_run(seed: u64) -> String {
     let plan = FaultPlan::new(seed)
         .crash_ms(NodeId(2), 22_500)
         .restart_ms(NodeId(2), 42_500)
@@ -202,7 +196,6 @@ fn switched_faulted_traced_run(seed: u64, exec: ExecMode) -> String {
             bisection_bits_per_sec: Some(400_000_000),
         })
         .probe(ProbeSpec::Batched { batch: 4 })
-        .execution(exec)
         .build()
         .expect("valid test config");
     let sink = VecSink::new();
@@ -213,52 +206,32 @@ fn switched_faulted_traced_run(seed: u64, exec: ExecMode) -> String {
 }
 
 #[test]
-fn switched_fabric_traces_are_byte_identical_per_seed_and_across_workers() {
-    let sequential = switched_traced_run(7, ExecMode::Sequential);
-    assert!(!sequential.is_empty(), "trace must not be empty");
+fn switched_fabric_traces_are_byte_identical_per_seed() {
+    let a = switched_traced_run(7);
+    assert!(!a.is_empty(), "trace must not be empty");
     assert!(
-        sequential.contains("\"type\":\"net_load\""),
+        a.contains("\"type\":\"net_load\""),
         "switched runs must emit net_load records"
     );
     assert_eq!(
-        sequential.as_bytes(),
-        switched_traced_run(7, ExecMode::Sequential).as_bytes(),
+        a.as_bytes(),
+        switched_traced_run(7).as_bytes(),
         "same seed, same bytes"
     );
-    assert_ne!(
-        sequential,
-        switched_traced_run(8, ExecMode::Sequential),
-        "different seed, different trace"
-    );
-    for workers in [1, 2, 4] {
-        let windowed = switched_traced_run(7, ExecMode::Windowed { workers });
-        assert_eq!(
-            sequential.as_bytes(),
-            windowed.as_bytes(),
-            "windowed ({workers} workers) switched trace diverged"
-        );
-    }
+    assert_ne!(a, switched_traced_run(8), "different seed, different trace");
 }
 
 #[test]
-fn switched_fabric_faulted_traces_are_worker_count_invariant() {
-    let sequential = switched_faulted_traced_run(7, ExecMode::Sequential);
+fn switched_fabric_faulted_traces_carry_faults_and_net_load() {
+    let a = switched_faulted_traced_run(7);
     assert!(
-        sequential.contains("\"kind\":\"crash\"") && sequential.contains("\"kind\":\"restart\""),
+        a.contains("\"kind\":\"crash\"") && a.contains("\"kind\":\"restart\""),
         "both crash and restart must appear"
     );
     assert!(
-        sequential.contains("\"type\":\"net_load\""),
+        a.contains("\"type\":\"net_load\""),
         "switched runs must emit net_load records"
     );
-    for workers in [1, 2, 4] {
-        let windowed = switched_faulted_traced_run(7, ExecMode::Windowed { workers });
-        assert_eq!(
-            sequential.as_bytes(),
-            windowed.as_bytes(),
-            "windowed ({workers} workers) switched faulted trace diverged"
-        );
-    }
 }
 
 #[test]
@@ -269,7 +242,7 @@ fn shared_medium_traces_carry_no_net_load_records() {
     for doc in [
         traced_run(7),
         faulted_traced_run(7),
-        scaled_traced_run(7, PlacementSpec::RoundRobin, ExecMode::Sequential),
+        scaled_traced_run(7, PlacementSpec::RoundRobin),
     ] {
         assert!(
             !doc.contains("net_load"),
@@ -279,62 +252,22 @@ fn shared_medium_traces_carry_no_net_load_records() {
 }
 
 #[test]
-fn windowed_execution_traces_byte_identically_to_sequential() {
-    for placement in [
-        PlacementSpec::RoundRobin,
-        PlacementSpec::HotRing(HotRingSpec::default()),
-    ] {
-        let sequential = scaled_traced_run(7, placement, ExecMode::Sequential);
-        assert!(!sequential.is_empty(), "trace must not be empty");
-        assert!(
-            sequential.contains("\"type\":\"home_load\""),
-            "home_load records missing"
-        );
-        for workers in [1, 2, 4] {
-            let windowed = scaled_traced_run(7, placement, ExecMode::Windowed { workers });
-            assert_eq!(
-                sequential.as_bytes(),
-                windowed.as_bytes(),
-                "windowed ({workers} workers) trace diverged ({placement:?})"
-            );
-        }
-    }
-}
-
-#[test]
-fn windowed_execution_traces_faulted_runs_byte_identically() {
-    for placement in [
-        PlacementSpec::RoundRobin,
-        PlacementSpec::HotRing(HotRingSpec::default()),
-    ] {
-        let sequential = scaled_faulted_traced_run(7, placement, ExecMode::Sequential);
-        assert!(
-            sequential.contains("\"kind\":\"crash\"")
-                && sequential.contains("\"kind\":\"restart\""),
-            "both crash and restart must appear"
-        );
-        for workers in [2, 4] {
-            let windowed = scaled_faulted_traced_run(7, placement, ExecMode::Windowed { workers });
-            assert_eq!(
-                sequential.as_bytes(),
-                windowed.as_bytes(),
-                "windowed ({workers} workers) faulted trace diverged ({placement:?})"
-            );
-        }
-    }
-}
-
-#[test]
 fn hot_ring_traces_are_byte_identical_per_seed_and_differ_from_static() {
     let hot = PlacementSpec::HotRing(HotRingSpec::default());
-    let a = scaled_traced_run(7, hot, ExecMode::Sequential);
-    let b = scaled_traced_run(7, hot, ExecMode::Sequential);
+    let a = scaled_traced_run(7, hot);
+    let b = scaled_traced_run(7, hot);
     assert_eq!(a.as_bytes(), b.as_bytes(), "same seed, same bytes");
-    assert_ne!(a, scaled_traced_run(8, hot, ExecMode::Sequential));
+    assert_ne!(a, scaled_traced_run(8, hot));
     // The scheme must actually change placement: a static round-robin run
     // of the same seed routes differently and leaves different bytes.
-    let static_rr = scaled_traced_run(7, PlacementSpec::RoundRobin, ExecMode::Sequential);
+    let static_rr = scaled_traced_run(7, PlacementSpec::RoundRobin);
     assert_ne!(a, static_rr, "hot ring must change the trace");
+    for doc in [&a, &static_rr] {
+        assert!(
+            doc.contains("\"type\":\"home_load\""),
+            "home_load records missing"
+        );
+    }
 }
 
 #[test]
@@ -361,6 +294,17 @@ fn faulted_traces_are_byte_identical_per_seed() {
         "both crash and restart must appear"
     );
     assert!(a != traced_run(7), "faults must change the trace");
+    // The N = 16 faulted runs trace both transitions under either placement.
+    for placement in [
+        PlacementSpec::RoundRobin,
+        PlacementSpec::HotRing(HotRingSpec::default()),
+    ] {
+        let scaled = scaled_faulted_traced_run(7, placement);
+        assert!(
+            scaled.contains("\"kind\":\"crash\"") && scaled.contains("\"kind\":\"restart\""),
+            "both crash and restart must appear ({placement:?})"
+        );
+    }
 }
 
 #[test]
@@ -968,10 +912,9 @@ fn replay_round_trips_spanned_recordings_on_control_records() {
 }
 
 #[test]
-fn watch_snapshot_is_byte_stable_across_runs_and_exec_modes() {
-    // The snapshot renderer is a pure function of the record stream, and
-    // the record stream is execution-substrate invariant: same bytes
-    // across repeated runs, scheduler backends, and worker counts.
+fn watch_snapshot_is_byte_stable_across_runs() {
+    // The snapshot renderer is a pure function of the record stream: same
+    // seed, same frames.
     let doc = spanned_traced_run(7, 16);
     let trace = dmm_trace::read_str(&doc).expect("valid trace");
     let frames = dmm_trace::snapshot(&trace, 4);
@@ -984,14 +927,4 @@ fn watch_snapshot_is_byte_stable_across_runs_and_exec_modes() {
         4,
     );
     assert_eq!(frames, again, "same seed, same frames");
-
-    let seq = scaled_traced_run(7, PlacementSpec::RoundRobin, ExecMode::Sequential);
-    for workers in [2, 4] {
-        let win = scaled_traced_run(7, PlacementSpec::RoundRobin, ExecMode::Windowed { workers });
-        assert_eq!(
-            dmm_trace::snapshot(&dmm_trace::read_str(&seq).expect("valid"), 3),
-            dmm_trace::snapshot(&dmm_trace::read_str(&win).expect("valid"), 3),
-            "workers={workers}: snapshot must not depend on thread count"
-        );
-    }
 }

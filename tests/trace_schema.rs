@@ -13,8 +13,8 @@ use dmm::core::{calibrate_goal_range, ProbeSpec, Simulation, SystemConfig};
 use dmm::obs::{SpanMode, VecSink};
 use dmm::prelude::TierSpec;
 use dmm_trace::{
-    expected_fields, expected_fields_ext, expected_fields_for, read_str, Trace, RECORD_TYPES,
-    SPAN_STAGE_FIELDS,
+    expected_fields, expected_fields_ext, expected_fields_for, read_str, validate_record, Trace,
+    RECORD_TYPES, SPAN_STAGE_FIELDS,
 };
 
 /// Goal-schedule run with span sampling at the paper's base scale, goals
@@ -480,4 +480,44 @@ fn run_config_quantile_and_tier_closures_reflect_the_builder() {
             .and_then(dmm::obs::Json::as_u64),
         Some(2_000_000_000)
     );
+}
+
+/// Committed artefacts must keep working with the current tools: every
+/// record of the three committed traces validates against the published
+/// schema, the replayable recordings re-run to byte-identical control
+/// records, and the metrics sidecars load and render.
+#[test]
+fn committed_results_still_validate_replay_and_render() {
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    // workload_shift assembles its workload outside the builder, so its
+    // recording is marked non-replayable; the refusal is part of the contract.
+    for (name, replayable) in [
+        ("fig2_base", true),
+        ("overhead", true),
+        ("workload_shift", false),
+    ] {
+        let text = std::fs::read_to_string(results.join(format!("{name}.jsonl")))
+            .unwrap_or_else(|e| panic!("{name}.jsonl: {e}"));
+        let trace = read_str(&text).unwrap_or_else(|e| panic!("{name}.jsonl: {e:?}"));
+        assert_eq!(trace.records[0].kind, "run_config", "{name}");
+        for record in &trace.records {
+            validate_record(record).unwrap_or_else(|e| panic!("{name}.jsonl: {e}"));
+        }
+        let replay = dmm::core::replay::verify_jsonl(&text, 3);
+        if replayable {
+            let report = replay.unwrap_or_else(|e| panic!("{name}.jsonl: {e}"));
+            assert!(report.identical(), "{name}: {:?}", report.divergences);
+        } else {
+            let err = replay.expect_err("hand-assembled workloads refuse to replay");
+            assert!(err.contains("not replayable"), "{name}: {err}");
+        }
+
+        let sidecar = std::fs::read_to_string(results.join(format!("{name}_metrics.json")))
+            .unwrap_or_else(|e| panic!("{name}_metrics.json: {e}"));
+        let json = dmm::obs::Json::parse(sidecar.trim()).expect("sidecar is JSON");
+        let snapshot = dmm::obs::MetricsSnapshot::from_json(&json).expect("sidecar is a snapshot");
+        let section = dmm_trace::report::executor(&snapshot);
+        assert!(section.contains("sim.sched.pushes"), "{name}: {section}");
+        assert!(section.contains("sim.events"), "{name}: {section}");
+    }
 }

@@ -8,45 +8,63 @@
 //! while some node in the system holds a dedicated buffer for that class and
 //! the class has actually touched the page.
 
+use std::num::NonZeroU8;
+
 use dmm_sim::SimTime;
 
-use crate::page::{ClassId, IdHashMap};
+use crate::page::ClassId;
+
+/// Largest supported LRU-K window. The paper runs k = 2–3; the bound lets
+/// an estimator keep its window inline instead of on the heap.
+pub const HEAT_K_MAX: usize = 4;
 
 /// Sliding window of the last `k` access instants of one page (for one
-/// class, or accumulated over all classes).
-#[derive(Debug, Clone)]
+/// class, or accumulated over all classes). Plain data: creating, copying
+/// and recording never touch the heap.
+#[derive(Debug, Clone, Copy)]
 pub struct HeatEstimator {
-    k: usize,
-    /// Newest last; at most `k` entries.
-    times: Vec<SimTime>,
+    /// Never zero; the niche keeps [`PageHeat`]'s optional inline record
+    /// (and with it every entry of a node's heat table) 8 bytes smaller.
+    k: NonZeroU8,
+    len: u8,
+    /// Oldest first; `times[..len]` are the remembered accesses.
+    times: [SimTime; HEAT_K_MAX],
 }
 
 impl HeatEstimator {
-    /// Estimator with window `k ≥ 1`.
+    /// Estimator with window `k`, `1 ≤ k ≤ HEAT_K_MAX`.
     pub fn new(k: usize) -> Self {
-        assert!(k >= 1);
+        assert!(
+            (1..=HEAT_K_MAX).contains(&k),
+            "heat window k must be in 1..={HEAT_K_MAX}, got {k}"
+        );
         HeatEstimator {
-            k,
-            times: Vec::with_capacity(k),
+            k: NonZeroU8::new(k as u8).expect("k ≥ 1 was just checked"),
+            len: 0,
+            times: [SimTime::ZERO; HEAT_K_MAX],
         }
     }
 
     /// Records one access at `now`.
     pub fn record(&mut self, now: SimTime) {
-        if self.times.len() == self.k {
-            self.times.remove(0); // k is tiny (2–3)
+        let k = usize::from(self.k.get());
+        if self.len == self.k.get() {
+            self.times.copy_within(1..k, 0);
+            self.times[k - 1] = now;
+        } else {
+            self.times[usize::from(self.len)] = now;
+            self.len += 1;
         }
-        self.times.push(now);
     }
 
     /// Number of accesses remembered (≤ k).
     pub fn count(&self) -> usize {
-        self.times.len()
+        usize::from(self.len)
     }
 
     /// Instant of the most recent access.
     pub fn last_access(&self) -> Option<SimTime> {
-        self.times.last().copied()
+        self.count().checked_sub(1).map(|i| self.times[i])
     }
 
     /// Heat in accesses per millisecond at instant `now`:
@@ -55,35 +73,46 @@ impl HeatEstimator {
     /// a deliberately conservative heat (its window is measured from that
     /// single access to `now`).
     pub fn heat_per_ms(&self, now: SimTime) -> f64 {
-        let Some(&oldest) = self.times.first() else {
+        if self.len == 0 {
             return 0.0;
-        };
-        let span_ms = now.since(oldest).as_millis_f64();
+        }
+        let span_ms = now.since(self.times[0]).as_millis_f64();
         // Guard division for a just-touched page: treat the window as at
         // least one microsecond.
         let span_ms = span_ms.max(1e-3);
-        self.times.len() as f64 / span_ms
+        self.count() as f64 / span_ms
     }
 }
 
 /// Heat bookkeeping for one page on one node: the accumulated heat over all
-/// accesses plus on-demand per-class heats.
+/// accesses plus on-demand per-class heats. A page is touched by very few
+/// tracked classes — one, in every shipped workload — so the first per-class
+/// record lives inline and a table of these entries owns no heap of its own;
+/// only a second tracked class on the same page spills into `rest`.
 #[derive(Debug, Clone)]
 pub struct PageHeat {
-    k: usize,
     /// Heat over every access regardless of class (§6 "accumulated heat").
     pub accumulated: HeatEstimator,
-    per_class: IdHashMap<ClassId, HeatEstimator>,
+    first: Option<(ClassId, HeatEstimator)>,
+    rest: Vec<(ClassId, HeatEstimator)>,
 }
 
 impl PageHeat {
     /// New bookkeeping with LRU-K window `k`.
     pub fn new(k: usize) -> Self {
         PageHeat {
-            k,
             accumulated: HeatEstimator::new(k),
-            per_class: IdHashMap::default(),
+            first: None,
+            rest: Vec::new(),
         }
+    }
+
+    fn class_record(&self, class: ClassId) -> Option<&HeatEstimator> {
+        self.first
+            .iter()
+            .chain(&self.rest)
+            .find(|(c, _)| *c == class)
+            .map(|(_, e)| e)
     }
 
     /// Records an access by `class` at `now`. `track_class` says whether a
@@ -91,24 +120,32 @@ impl PageHeat {
     /// then is the per-class record created (§6 overhead reduction).
     pub fn record(&mut self, class: ClassId, now: SimTime, track_class: bool) {
         self.accumulated.record(now);
-        if track_class {
-            self.per_class
-                .entry(class)
-                .or_insert_with(|| HeatEstimator::new(self.k))
-                .record(now);
-        } else if let Some(est) = self.per_class.get_mut(&class) {
-            // Keep an existing record warm even if tracking toggled off
+        let existing = self
+            .first
+            .iter_mut()
+            .chain(&mut self.rest)
+            .find(|(c, _)| *c == class);
+        match existing {
+            // An existing record is kept warm even if tracking toggled off
             // between accesses; deletion is explicit via `drop_class`.
-            est.record(now);
+            Some((_, est)) => est.record(now),
+            None if track_class => {
+                let mut est = HeatEstimator::new(usize::from(self.accumulated.k.get()));
+                est.record(now);
+                if self.first.is_none() {
+                    self.first = Some((class, est));
+                } else {
+                    self.rest.push((class, est));
+                }
+            }
+            None => {}
         }
     }
 
     /// Per-class heat at `now` (0 when the class never touched the page or
     /// its record was deleted).
     pub fn class_heat_per_ms(&self, class: ClassId, now: SimTime) -> f64 {
-        self.per_class
-            .get(&class)
-            .map_or(0.0, |e| e.heat_per_ms(now))
+        self.class_record(class).map_or(0.0, |e| e.heat_per_ms(now))
     }
 
     /// Accumulated heat at `now`.
@@ -119,12 +156,16 @@ impl PageHeat {
     /// Deletes the per-class record (invoked when the last dedicated buffer
     /// of a class disappears system-wide).
     pub fn drop_class(&mut self, class: ClassId) {
-        self.per_class.remove(&class);
+        if self.first.is_some_and(|(c, _)| c == class) {
+            self.first = self.rest.pop();
+        } else {
+            self.rest.retain(|(c, _)| *c != class);
+        }
     }
 
     /// Number of per-class records currently held.
     pub fn tracked_classes(&self) -> usize {
-        self.per_class.len()
+        usize::from(self.first.is_some()) + self.rest.len()
     }
 }
 
@@ -198,5 +239,41 @@ mod tests {
         e.record(ms(5));
         let h = e.heat_per_ms(ms(5));
         assert!(h.is_finite() && h > 0.0);
+    }
+
+    #[test]
+    fn further_tracked_classes_spill_and_drop_class_compacts() {
+        let mut h = PageHeat::new(2);
+        for (c, at) in [(1, 0), (2, 1), (3, 2), (2, 3)] {
+            h.record(ClassId(c), ms(at), true);
+        }
+        assert_eq!(h.tracked_classes(), 3);
+        // Class 2 was touched twice 2 ms apart, the others once.
+        assert!((h.class_heat_per_ms(ClassId(2), ms(3)) - 1.0).abs() < 1e-9);
+        // Dropping the inline record pulls a spilled one in; none is lost.
+        h.drop_class(ClassId(1));
+        assert_eq!(h.tracked_classes(), 2);
+        assert_eq!(h.class_heat_per_ms(ClassId(1), ms(4)), 0.0);
+        assert!(h.class_heat_per_ms(ClassId(2), ms(4)) > 0.0);
+        assert!(h.class_heat_per_ms(ClassId(3), ms(4)) > 0.0);
+        h.drop_class(ClassId(2));
+        h.drop_class(ClassId(3));
+        assert_eq!(h.tracked_classes(), 0);
+        // An untracked access keeps only the accumulated heat warm.
+        h.record(ClassId(3), ms(5), false);
+        assert_eq!(h.tracked_classes(), 0);
+        assert_eq!(h.accumulated.last_access(), Some(ms(5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "heat window k must be in 1..=4, got 5")]
+    fn window_beyond_the_inline_capacity_is_rejected() {
+        HeatEstimator::new(HEAT_K_MAX + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "heat window k must be in 1..=4, got 0")]
+    fn empty_window_is_rejected() {
+        HeatEstimator::new(0);
     }
 }

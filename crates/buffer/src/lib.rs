@@ -29,7 +29,7 @@ pub mod policy;
 pub mod pool;
 pub mod tiered;
 
-pub use heat::{HeatEstimator, PageHeat};
+pub use heat::{HeatEstimator, PageHeat, HEAT_K_MAX};
 pub use indexed_heap::IndexedMinHeap;
 pub use page::{ClassId, IdHashMap, IdHashSet, PageId, NO_GOAL};
 pub use partition::{InstallOutcome, LocalAccess, PartitionedBuffer};
@@ -37,4 +37,4 @@ pub use policy::{
     ClockPolicy, CostBasedPolicy, FifoPolicy, LruKPolicy, LruPolicy, Policy, PolicyKind, PolicySpec,
 };
 pub use pool::{Pool, PoolStats};
-pub use tiered::{TierPolicy, TieredAccess, TieredBuffer, TieredInstall};
+pub use tiered::{Demoted, TierPolicy, TieredAccess, TieredBuffer, TieredInstall, MAX_TIERS};

@@ -24,7 +24,7 @@ use crate::policy::PolicySpec;
 use crate::pool::{Pool, PoolStats};
 
 /// Result of a local access attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalAccess {
     /// The page was found; `pool` is the pool that satisfied the hit.
     Hit {
@@ -33,22 +33,24 @@ pub enum LocalAccess {
     },
     /// The page was found in the no-goal pool and migrated into the
     /// requesting class's dedicated pool. Still a hit (no I/O); `evicted`
-    /// pages were displaced from the dedicated pool and left the node.
+    /// is the page the migration displaced from the dedicated pool, if it
+    /// was full — that page left the node.
     MovedToDedicated {
-        /// Pages displaced by the migration.
-        evicted: Vec<PageId>,
+        /// Page displaced by the migration.
+        evicted: Option<PageId>,
     },
     /// The page is not resident on this node.
     Miss,
 }
 
 /// Result of installing a freshly fetched page.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstallOutcome {
     /// False when no frame was available (the page passed through uncached).
     pub cached: bool,
-    /// Pages displaced to make room; they have left the node.
-    pub evicted: Vec<PageId>,
+    /// The page displaced to make room, if the pool was full; it has left
+    /// the node.
+    pub evicted: Option<PageId>,
 }
 
 /// Per-node partitioned buffer: pools indexed by class id (0 = no-goal).
@@ -185,7 +187,7 @@ impl PartitionedBuffer {
         if self.pools[target.index()].capacity() == 0 {
             return InstallOutcome {
                 cached: false,
-                evicted: Vec::new(),
+                evicted: None,
             };
         }
         let evicted = self.install_in(target, page, now);
@@ -253,10 +255,10 @@ impl PartitionedBuffer {
         evicted
     }
 
-    fn install_in(&mut self, target: ClassId, page: PageId, now: SimTime) -> Vec<PageId> {
+    fn install_in(&mut self, target: ClassId, page: PageId, now: SimTime) -> Option<PageId> {
         let evicted = self.pools[target.index()].insert(page, now);
-        for p in &evicted {
-            self.owner.remove(p);
+        if let Some(p) = evicted {
+            self.owner.remove(&p);
         }
         self.owner.insert(page, target);
         evicted
@@ -319,7 +321,7 @@ mod tests {
         let mut b = buf();
         assert_eq!(b.access(ClassId(1), PageId(5), t(0)), LocalAccess::Miss);
         let out = b.install(ClassId(1), PageId(5), t(1));
-        assert!(out.cached && out.evicted.is_empty());
+        assert!(out.cached && out.evicted.is_none());
         assert_eq!(b.lookup(PageId(5)), Some(NO_GOAL));
         b.check_invariants();
     }
@@ -346,7 +348,7 @@ mod tests {
         // Class 1 gets a pool, then touches the page: it migrates.
         b.set_dedicated(ClassId(1), 2);
         match b.access(ClassId(1), PageId(7), t(2)) {
-            LocalAccess::MovedToDedicated { evicted } => assert!(evicted.is_empty()),
+            LocalAccess::MovedToDedicated { evicted } => assert_eq!(evicted, None),
             other => panic!("expected migration, got {other:?}"),
         }
         assert_eq!(b.lookup(PageId(7)), Some(ClassId(1)));
@@ -419,7 +421,7 @@ mod tests {
             b.access(ClassId(1), PageId(i), t(i as u64));
             let out = b.install(ClassId(1), PageId(i), t(i as u64));
             if i == 2 {
-                assert_eq!(out.evicted, vec![PageId(0)]);
+                assert_eq!(out.evicted, Some(PageId(0)));
             }
         }
         assert!(!b.resident(PageId(0)), "victim left the node entirely");

@@ -116,18 +116,19 @@ impl Pool {
         self.stats.misses += 1;
     }
 
-    /// Inserts a page, evicting as needed to respect capacity. Returns the
-    /// evicted pages. Panics if the pool has zero capacity or the page is
+    /// Inserts a page, evicting to respect capacity. A pool never holds
+    /// more than `capacity` pages, so at most one page has to leave; it is
+    /// returned. Panics if the pool has zero capacity or the page is
     /// already resident.
-    pub fn insert(&mut self, page: PageId, now: SimTime) -> Vec<PageId> {
+    pub fn insert(&mut self, page: PageId, now: SimTime) -> Option<PageId> {
         assert!(self.capacity > 0, "insert into zero-capacity pool");
         assert!(!self.resident.contains(&page), "page already resident");
-        let mut evicted = Vec::new();
-        while self.resident.len() >= self.capacity {
+        debug_assert!(self.resident.len() <= self.capacity, "pool over capacity");
+        let evicted = (self.resident.len() >= self.capacity).then(|| {
             let victim = self.policy.victim().expect("non-empty pool has victim");
             self.evict(victim);
-            evicted.push(victim);
-        }
+            victim
+        });
         self.resident.insert(page);
         self.policy.on_insert(page, now);
         self.stats.insertions += 1;
@@ -191,10 +192,10 @@ mod tests {
     #[test]
     fn insert_until_eviction() {
         let mut pool = Pool::new(2, PolicySpec::Lru);
-        assert!(pool.insert(PageId(1), t(0)).is_empty());
-        assert!(pool.insert(PageId(2), t(1)).is_empty());
+        assert_eq!(pool.insert(PageId(1), t(0)), None);
+        assert_eq!(pool.insert(PageId(2), t(1)), None);
         let evicted = pool.insert(PageId(3), t(2));
-        assert_eq!(evicted, vec![PageId(1)]);
+        assert_eq!(evicted, Some(PageId(1)));
         assert_eq!(pool.len(), 2);
         assert!(pool.contains(PageId(2)));
         assert!(pool.contains(PageId(3)));
@@ -208,7 +209,7 @@ mod tests {
         pool.insert(PageId(2), t(1));
         pool.on_hit(PageId(1), t(2));
         let evicted = pool.insert(PageId(3), t(3));
-        assert_eq!(evicted, vec![PageId(2)]);
+        assert_eq!(evicted, Some(PageId(2)));
         assert_eq!(pool.stats().hits, 1);
     }
 
@@ -255,8 +256,8 @@ mod tests {
     #[test]
     fn capacity_one_churns() {
         let mut pool = Pool::new(1, PolicySpec::Fifo);
-        assert!(pool.insert(PageId(1), t(0)).is_empty());
-        assert_eq!(pool.insert(PageId(2), t(1)), vec![PageId(1)]);
-        assert_eq!(pool.insert(PageId(3), t(2)), vec![PageId(2)]);
+        assert_eq!(pool.insert(PageId(1), t(0)), None);
+        assert_eq!(pool.insert(PageId(2), t(1)), Some(PageId(1)));
+        assert_eq!(pool.insert(PageId(3), t(2)), Some(PageId(2)));
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! * under [`TierPolicy::Hotness`] a page evicted from tier `t` is
 //!   **demoted**: it is re-installed in the first deeper tier with room for
-//!   its pool, displacing that tier's victims downward in turn; only pages
-//!   falling off the last memory tier leave the node. A hit in tier `t > 0`
+//!   its pool, displacing that tier's victim downward in turn — one page
+//!   per rung, a chain; only a page falling off the last memory tier leaves
+//!   the node. A hit in tier `t > 0`
 //!   **promotes** the page into the fastest tier with capacity for its
 //!   class, cascading demotions to make room. Fresh installs take a free
 //!   frame in the fastest tier that has one, but once every tier is full
@@ -44,8 +45,59 @@ pub enum TierPolicy {
     StaticHash,
 }
 
+/// Most memory tiers a [`TieredBuffer`] stacks; bounds the inline
+/// [`Demoted`] list a displacement reports.
+pub const MAX_TIERS: usize = 16;
+
+/// The pages one displacement pushed into deeper tiers, in ladder order
+/// (the page that left the shallowest tier first). A displacement carries
+/// one page downward at a time, so it demotes fewer pages than there are
+/// tiers and the list lives inline; it derefs to `[PageId]`.
+#[derive(Clone, Copy)]
+pub struct Demoted {
+    len: u8,
+    pages: [PageId; MAX_TIERS],
+}
+
+impl Default for Demoted {
+    fn default() -> Self {
+        Demoted {
+            len: 0,
+            pages: [PageId(0); MAX_TIERS],
+        }
+    }
+}
+
+impl Demoted {
+    fn push(&mut self, page: PageId) {
+        self.pages[usize::from(self.len)] = page;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Demoted {
+    type Target = [PageId];
+    fn deref(&self) -> &[PageId] {
+        &self.pages[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Demoted {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Demoted {}
+
+impl std::fmt::Debug for Demoted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Result of a local access against the tier stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TieredAccess {
     /// The page was found in memory tier `tier`.
     Hit {
@@ -57,27 +109,27 @@ pub enum TieredAccess {
         /// dedicated migration, or a cross-tier promotion. The page was
         /// freshly inserted and needs repricing.
         moved: bool,
-        /// Pages displaced off the node entirely.
-        evicted: Vec<PageId>,
+        /// The page displaced off the node entirely, if any.
+        evicted: Option<PageId>,
         /// Pages displaced into a deeper tier (still on the node; freshly
         /// inserted there and in need of repricing).
-        demoted: Vec<PageId>,
+        demoted: Demoted,
     },
     /// The page is not resident in any memory tier of this node.
     Miss,
 }
 
 /// Result of installing a freshly fetched page into the tier stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TieredInstall {
     /// False when no frame was available (the page passed through uncached).
     pub cached: bool,
     /// Tier the page landed in (meaningful when `cached`).
     pub tier: usize,
-    /// Pages displaced off the node entirely.
-    pub evicted: Vec<PageId>,
+    /// The page displaced off the node entirely, if any.
+    pub evicted: Option<PageId>,
     /// Pages displaced into a deeper tier.
-    pub demoted: Vec<PageId>,
+    pub demoted: Demoted,
 }
 
 /// A node's local memory: one [`PartitionedBuffer`] per memory tier.
@@ -93,7 +145,8 @@ pub struct TieredBuffer {
 
 impl TieredBuffer {
     /// Builds a tier stack with `frames[t]` frames in tier `t` (fastest
-    /// first; every tier nonzero), each supporting goal classes
+    /// first; every tier nonzero; at most [`MAX_TIERS`] tiers), each
+    /// supporting goal classes
     /// `1..=num_goal_classes` under replacement policy `spec`.
     pub fn new(
         frames: &[usize],
@@ -102,6 +155,11 @@ impl TieredBuffer {
         policy: TierPolicy,
     ) -> Self {
         assert!(!frames.is_empty(), "need at least one memory tier");
+        assert!(
+            frames.len() <= MAX_TIERS,
+            "at most {MAX_TIERS} memory tiers, got {}",
+            frames.len()
+        );
         let tiers = frames
             .iter()
             .map(|&f| PartitionedBuffer::new(f, num_goal_classes, spec))
@@ -355,14 +413,14 @@ impl TieredBuffer {
                 tier: t,
                 pool,
                 moved: false,
-                evicted: Vec::new(),
-                demoted: Vec::new(),
+                evicted: None,
+                demoted: Demoted::default(),
             },
             LocalAccess::MovedToDedicated { evicted } => {
                 let pool = self.tiers[t].target_pool(class);
                 let (evicted, demoted) = match self.policy {
                     TierPolicy::Hotness => self.demote_chain(t, pool, evicted, now),
-                    TierPolicy::StaticHash => (evicted, Vec::new()),
+                    TierPolicy::StaticHash => (evicted, Demoted::default()),
                 };
                 TieredAccess::Hit {
                     tier: t,
@@ -392,8 +450,8 @@ impl TieredBuffer {
             return TieredInstall {
                 cached: false,
                 tier: 0,
-                evicted: Vec::new(),
-                demoted: Vec::new(),
+                evicted: None,
+                demoted: Demoted::default(),
             };
         };
         let out = self.tiers[t].install(class, page, now);
@@ -401,7 +459,7 @@ impl TieredBuffer {
         let target = self.tiers[t].target_pool(class);
         let (evicted, demoted) = match self.policy {
             TierPolicy::Hotness => self.demote_chain(t, target, out.evicted, now),
-            TierPolicy::StaticHash => (out.evicted, Vec::new()),
+            TierPolicy::StaticHash => (out.evicted, Demoted::default()),
         };
         TieredInstall {
             cached: true,
@@ -411,43 +469,36 @@ impl TieredBuffer {
         }
     }
 
-    /// Re-homes pages displaced from tier `from` (pool `pool`) into deeper
-    /// tiers, cascading further displacements downward. Returns the pages
-    /// that fell off the node entirely and those that were demoted in
-    /// place. Terminates because every queued page sits strictly deeper
-    /// than its predecessor.
+    /// Re-homes the page displaced from tier `from` (pool `pool`) into the
+    /// next deeper tier with room for its pool, carrying whatever that
+    /// install displaces further down in turn. Returns the page that fell
+    /// off the node entirely, if any, and those demoted in place. Each
+    /// carried page lands strictly deeper than its predecessor, so the walk
+    /// ends within the ladder.
     fn demote_chain(
         &mut self,
         from: usize,
         pool: ClassId,
-        displaced: Vec<PageId>,
+        displaced: Option<PageId>,
         now: SimTime,
-    ) -> (Vec<PageId>, Vec<PageId>) {
-        let mut evicted = Vec::new();
-        let mut demoted = Vec::new();
-        let mut queue: Vec<(usize, ClassId, PageId)> =
-            displaced.into_iter().map(|p| (from, pool, p)).collect();
-        let mut i = 0;
-        while i < queue.len() {
-            let (t, pc, p) = queue[i];
-            i += 1;
+    ) -> (Option<PageId>, Demoted) {
+        let mut demoted = Demoted::default();
+        let (mut t, mut pc, mut carried) = (from, pool, displaced);
+        while let Some(p) = carried {
             let dest = (t + 1..self.tiers.len()).find(|&u| {
                 let target = self.tiers[u].target_pool(pc);
                 self.tiers[u].pool(target).capacity() > 0
             });
-            match dest {
-                None => evicted.push(p),
-                Some(u) => {
-                    let out = self.tiers[u].install(pc, p, now);
-                    debug_assert!(out.cached);
-                    self.demotions[t] += 1;
-                    demoted.push(p);
-                    let target = self.tiers[u].target_pool(pc);
-                    queue.extend(out.evicted.into_iter().map(|v| (u, target, v)));
-                }
-            }
+            let Some(u) = dest else {
+                return (Some(p), demoted);
+            };
+            let out = self.tiers[u].install(pc, p, now);
+            debug_assert!(out.cached);
+            self.demotions[t] += 1;
+            demoted.push(p);
+            (t, pc, carried) = (u, self.tiers[u].target_pool(pc), out.evicted);
         }
-        (evicted, demoted)
+        (None, demoted)
     }
 
     /// Drops `page` from whatever tier holds it. Returns true if resident.
@@ -553,7 +604,7 @@ mod tests {
         // probation, displacing only the bottom rung — never tier 0.
         let out = tb.install(NO_GOAL, PageId(5), t(5));
         assert!(out.cached && out.tier == 1, "probationary install: {out:?}");
-        assert_eq!(out.evicted.len(), 1, "bottom rung spills off the node");
+        assert!(out.evicted.is_some(), "bottom rung spills off the node");
         assert!(out.demoted.is_empty());
         assert_eq!(tb.locate(PageId(0)), Some((0, NO_GOAL)), "tier 0 untouched");
         tb.check_invariants();
@@ -575,8 +626,8 @@ mod tests {
                 demoted,
                 ..
             } => {
-                assert!(evicted.is_empty(), "nothing left the node");
-                assert_eq!(demoted, vec![PageId(0)]);
+                assert_eq!(evicted, None, "nothing left the node");
+                assert_eq!(*demoted, [PageId(0)]);
             }
             other => panic!("expected promoting hit, got {other:?}"),
         }
@@ -592,10 +643,10 @@ mod tests {
         let mut tb = stack(TierPolicy::Hotness);
         for i in 0..5u32 {
             let out = tb.install(NO_GOAL, PageId(i), t(i as u64));
-            assert!(out.evicted.is_empty(), "5 frames total, no overflow yet");
+            assert_eq!(out.evicted, None, "5 frames total, no overflow yet");
         }
         let out = tb.install(NO_GOAL, PageId(5), t(5));
-        assert_eq!(out.evicted.len(), 1, "6th page overflows the stack");
+        assert!(out.evicted.is_some(), "6th page overflows the stack");
         assert_eq!(tb.total_resident(), 5);
         tb.check_invariants();
     }
@@ -615,9 +666,9 @@ mod tests {
                 demoted,
                 ..
             } => {
-                assert!(evicted.is_empty());
+                assert_eq!(evicted, None);
                 // Promotion displaced tier 0's LRU page downward.
-                assert_eq!(demoted, vec![PageId(0)]);
+                assert_eq!(*demoted, [PageId(0)]);
             }
             other => panic!("expected promoting hit, got {other:?}"),
         }
@@ -678,8 +729,8 @@ mod tests {
                 demoted,
                 ..
             } => {
-                assert!(evicted.is_empty(), "every drop lands one rung down");
-                assert_eq!(demoted, vec![PageId(10), PageId(11), PageId(12)]);
+                assert_eq!(evicted, None, "every drop lands one rung down");
+                assert_eq!(*demoted, [PageId(10), PageId(11), PageId(12)]);
             }
             other => panic!("expected promoting hit, got {other:?}"),
         }
@@ -689,7 +740,7 @@ mod tests {
         assert_eq!(tb.demotions(), &[1, 1, 1, 0]);
         // A probationary install displaces only the last rung off the node.
         let out = tb.install(NO_GOAL, PageId(14), t(11));
-        assert_eq!(out.evicted, vec![PageId(12)], "only the last rung spills");
+        assert_eq!(out.evicted, Some(PageId(12)), "only the last rung spills");
         assert!(out.demoted.is_empty());
         tb.check_invariants();
     }
@@ -734,7 +785,7 @@ mod tests {
                 ..
             } => {
                 assert_eq!(pool, ClassId(1));
-                assert_eq!(demoted, vec![PageId(0)]);
+                assert_eq!(*demoted, [PageId(0)]);
             }
             other => panic!("expected promoting hit, got {other:?}"),
         }

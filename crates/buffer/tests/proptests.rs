@@ -4,8 +4,8 @@
 //! for reproducibility.
 
 use dmm_buffer::{
-    ClassId, IndexedMinHeap, LocalAccess, PageId, PartitionedBuffer, Policy, PolicySpec, Pool,
-    NO_GOAL,
+    ClassId, HeatEstimator, IndexedMinHeap, LocalAccess, PageId, PartitionedBuffer, Policy,
+    PolicySpec, Pool, TierPolicy, TieredAccess, TieredBuffer, HEAT_K_MAX, NO_GOAL,
 };
 use dmm_sim::{SimRng, SimTime};
 
@@ -178,6 +178,114 @@ fn partition_invariants() {
             assert!(b.total_resident() <= total, "seed {seed}");
         }
     }
+}
+
+/// The inline heat window against the historical `Vec` window (push at the
+/// back, `remove(0)` when full): every reading bit-equal, for every k the
+/// inline capacity admits.
+#[test]
+fn inline_heat_window_matches_vec_window() {
+    for k in 1..=HEAT_K_MAX {
+        for seed in 0..32u64 {
+            let mut rng = SimRng::seed_from_u64(700 + seed);
+            let mut inline = HeatEstimator::new(k);
+            let mut reference: Vec<SimTime> = Vec::new();
+            let mut now = 0u64;
+            for _ in 0..1 + rng.index(40) {
+                // Gaps from zero (same-instant re-access) to ~50 ms.
+                now += rng.index(4) as u64 * rng.index(12_500_000) as u64;
+                if rng.index(4) > 0 {
+                    if reference.len() == k {
+                        reference.remove(0);
+                    }
+                    reference.push(t(now));
+                    inline.record(t(now));
+                }
+                let heat = reference.first().map_or(0.0, |&oldest| {
+                    let span_ms = t(now).since(oldest).as_millis_f64().max(1e-3);
+                    reference.len() as f64 / span_ms
+                });
+                let ctx = format!("k {k} seed {seed} t {now}");
+                assert_eq!(
+                    inline.heat_per_ms(t(now)).to_bits(),
+                    heat.to_bits(),
+                    "{ctx}"
+                );
+                assert_eq!(inline.last_access(), reference.last().copied(), "{ctx}");
+                assert_eq!(inline.count(), reference.len(), "{ctx}");
+            }
+        }
+    }
+}
+
+/// The structural bounds the tiered result types state, on 1–6 memory tiers
+/// under both tier policies: a displacing call reports at most one off-node
+/// page (by type) and fewer demotions than tiers, each demoted page landing
+/// strictly deeper than the one before it; residency is conserved and the
+/// invariants hold after every call.
+#[test]
+fn tiered_displacement_is_a_chain() {
+    let longest = std::cell::Cell::new(0);
+    for seed in 0..96u64 {
+        let mut rng = SimRng::seed_from_u64(800 + seed);
+        let tiers = 1 + rng.index(6);
+        let frames: Vec<usize> = (0..tiers).map(|_| 1 + rng.index(6)).collect();
+        let policy = [TierPolicy::Hotness, TierPolicy::StaticHash][rng.index(2)];
+        let spec = [PolicySpec::Lru, PolicySpec::Fifo, PolicySpec::LruK(2)][rng.index(3)];
+        let mut b = TieredBuffer::new(&frames, 2, spec, policy);
+        let ctx = format!("seed {seed}: {frames:?} {policy:?} {spec:?}");
+        // `from`: the tier the displacement started in (the page's own
+        // destination); the chain must begin strictly below it.
+        let check_chain = |b: &TieredBuffer, from: usize, demoted: &[PageId]| {
+            assert!(demoted.len() < tiers, "{ctx}: {demoted:?}");
+            longest.set(demoted.len().max(longest.get()));
+            let mut above = from;
+            for &d in demoted {
+                let (at, _) = b.locate(d).expect("a demoted page stays on the node");
+                assert!(at > above, "{ctx}: {demoted:?} not deepening at {d}");
+                above = at;
+            }
+        };
+        for i in 0..1 + rng.index(300) {
+            let now = t(i as u64);
+            let class = ClassId(rng.index(3) as u16);
+            let page = PageId(rng.index(60) as u32);
+            if rng.index(8) == 0 {
+                let goal = ClassId(1 + rng.index(2) as u16);
+                b.set_dedicated(goal, rng.index(12));
+            } else {
+                let before = b.total_resident();
+                match b.access(class, page, now) {
+                    TieredAccess::Hit {
+                        evicted, demoted, ..
+                    } => {
+                        let (at, _) = b.locate(page).expect("a hit page stays resident");
+                        check_chain(&b, at, &demoted);
+                        assert_eq!(
+                            b.total_resident() + usize::from(evicted.is_some()),
+                            before,
+                            "{ctx}"
+                        );
+                    }
+                    TieredAccess::Miss => {
+                        let out = b.install(class, page, now);
+                        check_chain(&b, out.tier, &out.demoted);
+                        assert!(out.cached || (out.evicted.is_none() && out.demoted.is_empty()));
+                        assert_eq!(
+                            b.total_resident() + usize::from(out.evicted.is_some()),
+                            before + usize::from(out.cached),
+                            "{ctx}"
+                        );
+                        if let Some(gone) = out.evicted {
+                            assert!(!b.resident(gone), "{ctx}");
+                        }
+                    }
+                }
+            }
+            b.check_invariants();
+        }
+    }
+    assert!(longest.get() >= 3, "the cases never walked a long chain");
 }
 
 /// After installing, a page is resident exactly once and a re-access is a

@@ -11,24 +11,34 @@
 //! whether a local copy is the system-wide last one — the two inputs of the
 //! §6 benefit formula.
 
-use dmm_buffer::{ClassId, HeatEstimator, IdHashMap, PageId};
+use dmm_buffer::{ClassId, HeatEstimator, PageId};
 use dmm_sim::SimTime;
 
 use crate::ids::NodeId;
 
-/// Exact global cache state plus heat-dissemination bookkeeping.
+/// Everything the directory knows about one page.
+#[derive(Debug, Clone)]
+struct PageEntry {
+    /// Nodes currently caching a copy, in the order the copies appeared
+    /// (small, usually ≤ N). The storage survives the list emptying, so a
+    /// page that cycles in and out of memory allocates once.
+    holders: Vec<NodeId>,
+    /// Global (system-wide) heat estimator; empty until the first access.
+    heat: HeatEstimator,
+    /// Heat value as of the last dissemination message (0 before the
+    /// first).
+    published: f64,
+}
+
+/// Exact global cache state plus heat-dissemination bookkeeping, one dense
+/// entry per database page: every query is an indexed load. Page ids must be
+/// below the `db_pages` the directory was built for.
 #[derive(Debug, Clone)]
 pub struct Directory {
-    /// page → nodes currently caching a copy (small, usually ≤ N).
-    holders: IdHashMap<PageId, Vec<NodeId>>,
-    /// page → global (system-wide) heat estimator.
-    global_heat: IdHashMap<PageId, HeatEstimator>,
-    /// page → heat value as of its last dissemination message.
-    published: IdHashMap<PageId, f64>,
+    pages: Vec<PageEntry>,
     /// Per goal class: number of dedicated pools in the whole system. A
     /// class's heat is tracked only while this is non-zero (§6).
     dedicated_pools: Vec<u32>,
-    heat_k: usize,
     publish_threshold: f64,
     /// Control messages the coherence protocol generated (charged by the
     /// data plane).
@@ -36,22 +46,25 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Empty directory for `goal_classes` goal classes.
-    pub fn new(goal_classes: usize, heat_k: usize, publish_threshold: f64) -> Self {
+    /// Empty directory over pages `0..db_pages` for `goal_classes` goal
+    /// classes.
+    pub fn new(db_pages: u32, goal_classes: usize, heat_k: usize, publish_threshold: f64) -> Self {
+        let entry = PageEntry {
+            holders: Vec::new(),
+            heat: HeatEstimator::new(heat_k),
+            published: 0.0,
+        };
         Directory {
-            holders: IdHashMap::default(),
-            global_heat: IdHashMap::default(),
-            published: IdHashMap::default(),
+            pages: vec![entry; db_pages as usize],
             dedicated_pools: vec![0; goal_classes + 1],
-            heat_k,
             publish_threshold,
             publish_events: 0,
         }
     }
 
-    /// Nodes currently caching `page`.
+    /// Nodes currently caching `page`, in the order their copies appeared.
     pub fn holders(&self, page: PageId) -> &[NodeId] {
-        self.holders.get(&page).map_or(&[], Vec::as_slice)
+        &self.pages[page.index()].holders
     }
 
     /// Number of cached copies of `page`.
@@ -61,8 +74,7 @@ impl Directory {
 
     /// True if `node` holds the only cached copy of `page`.
     pub fn is_last_copy(&self, page: PageId, node: NodeId) -> bool {
-        let h = self.holders(page);
-        h.len() == 1 && h[0] == node
+        self.holders(page) == [node]
     }
 
     /// A caching node other than `requester`, preferring the one listed
@@ -73,7 +85,7 @@ impl Directory {
 
     /// Registers a copy of `page` at `node`. Idempotent.
     pub fn add_copy(&mut self, page: PageId, node: NodeId) {
-        let h = self.holders.entry(page).or_default();
+        let h = &mut self.pages[page.index()].holders;
         if !h.contains(&node) {
             h.push(node);
         }
@@ -81,33 +93,21 @@ impl Directory {
 
     /// Removes `node`'s copy. Returns the remaining copy count.
     pub fn remove_copy(&mut self, page: PageId, node: NodeId) -> usize {
-        if let Some(h) = self.holders.get_mut(&page) {
-            h.retain(|&n| n != node);
-            let left = h.len();
-            if left == 0 {
-                self.holders.remove(&page);
-            }
-            left
-        } else {
-            0
-        }
+        let h = &mut self.pages[page.index()].holders;
+        h.retain(|&n| n != node);
+        h.len()
     }
 
     /// Records a system-wide access to `page` at `now`. Returns `true` when
     /// the threshold protocol would publish the new heat (the caller charges
     /// one control message to the page's home).
     pub fn record_access(&mut self, page: PageId, now: SimTime) -> bool {
-        let k = self.heat_k;
-        let est = self
-            .global_heat
-            .entry(page)
-            .or_insert_with(|| HeatEstimator::new(k));
-        est.record(now);
-        let heat = est.heat_per_ms(now);
-        let published = self.published.get(&page).copied().unwrap_or(0.0);
-        let drift = (heat - published).abs();
-        if drift > self.publish_threshold * published.max(1e-9) {
-            self.published.insert(page, heat);
+        let entry = &mut self.pages[page.index()];
+        entry.heat.record(now);
+        let heat = entry.heat.heat_per_ms(now);
+        let drift = (heat - entry.published).abs();
+        if drift > self.publish_threshold * entry.published.max(1e-9) {
+            entry.published = heat;
             self.publish_events += 1;
             true
         } else {
@@ -117,9 +117,7 @@ impl Directory {
 
     /// Global heat of `page` in accesses/ms.
     pub fn global_heat_per_ms(&self, page: PageId, now: SimTime) -> f64 {
-        self.global_heat
-            .get(&page)
-            .map_or(0.0, |e| e.heat_per_ms(now))
+        self.pages[page.index()].heat.heat_per_ms(now)
     }
 
     /// Number of dissemination messages generated so far.
@@ -149,11 +147,15 @@ impl Directory {
 
     /// Debug invariant: no duplicate holders.
     pub fn check_invariants(&self) {
-        for (page, h) in &self.holders {
-            let mut sorted: Vec<NodeId> = h.clone();
+        for (page, entry) in self.pages.iter().enumerate() {
+            let mut sorted = entry.holders.clone();
             sorted.sort();
             sorted.dedup();
-            assert_eq!(sorted.len(), h.len(), "duplicate holders for {page}");
+            assert_eq!(
+                sorted.len(),
+                entry.holders.len(),
+                "duplicate holders for p{page}"
+            );
         }
     }
 }
@@ -169,7 +171,7 @@ mod tests {
 
     #[test]
     fn copy_tracking_and_last_copy() {
-        let mut d = Directory::new(2, 2, 0.2);
+        let mut d = Directory::new(8, 2, 2, 0.2);
         d.add_copy(PageId(1), NodeId(0));
         assert!(d.is_last_copy(PageId(1), NodeId(0)));
         d.add_copy(PageId(1), NodeId(2));
@@ -187,14 +189,14 @@ mod tests {
 
     #[test]
     fn first_access_publishes() {
-        let mut d = Directory::new(1, 2, 0.2);
+        let mut d = Directory::new(8, 1, 2, 0.2);
         assert!(d.record_access(PageId(1), ms(1)));
         assert_eq!(d.publish_events(), 1);
     }
 
     #[test]
     fn steady_heat_stops_publishing() {
-        let mut d = Directory::new(1, 2, 0.5);
+        let mut d = Directory::new(8, 1, 2, 0.5);
         // Perfectly regular accesses: after the window fills, heat is
         // constant and no further publishes occur.
         let mut publishes = 0;
@@ -209,7 +211,7 @@ mod tests {
 
     #[test]
     fn class_tracking_counts_pools() {
-        let mut d = Directory::new(2, 2, 0.2);
+        let mut d = Directory::new(8, 2, 2, 0.2);
         assert!(!d.class_tracked(ClassId(1)));
         assert!(!d.class_tracked(NO_GOAL));
         d.dedicated_pool_changed(ClassId(1), 1);

@@ -53,7 +53,7 @@ pub use fault::{DiskStall, FaultKind, FaultPlan, ScheduledFault};
 pub use homes::{Homes, HotRingSpec, PlacementError, PlacementSpec};
 pub use ids::{NodeId, OpId};
 pub use network::{LinkUtilization, Network};
-pub use op::{OpCompletion, Operation};
+pub use op::{OpCompletion, Operation, PageList};
 pub use params::{
     ClusterParams, CpuParams, DiskParams, FabricSpec, NetParams, RepricingMode, PAGE_BYTES,
 };

@@ -26,7 +26,7 @@
 
 use dmm_buffer::{
     ClassId, IdHashMap, PageHeat, PageId, PolicySpec, PoolStats, TierPolicy, TieredAccess,
-    TieredBuffer, NO_GOAL,
+    TieredBuffer, HEAT_K_MAX, NO_GOAL,
 };
 use dmm_obs::{Histogram, Stage, StageNanos, STAGES};
 use dmm_sim::{Facility, SimDuration, SimTime, SlotArena};
@@ -278,9 +278,16 @@ pub struct DataPlane {
 }
 
 impl DataPlane {
-    /// Builds an idle cluster from `params`.
+    /// Builds an idle cluster from `params`. Panics on a configuration no
+    /// run could survive: no nodes, an invalid placement, or a heat window
+    /// outside `1..=HEAT_K_MAX`.
     pub fn new(params: ClusterParams) -> Self {
         assert!(params.nodes > 0);
+        assert!(
+            (1..=HEAT_K_MAX).contains(&params.heat_k),
+            "heat_k must be in 1..={HEAT_K_MAX}, got {}",
+            params.heat_k
+        );
         let homes = Homes::from_spec(&params.placement, params.nodes, params.db_pages)
             .expect("invalid placement configuration");
         let tier_frames = params.memory_tier_frames();
@@ -308,6 +315,7 @@ impl DataPlane {
             tier_service,
             network: Network::new(params.net, params.nodes),
             directory: Directory::new(
+                params.db_pages,
                 params.goal_classes,
                 params.heat_k,
                 params.heat_publish_threshold,
@@ -890,9 +898,17 @@ impl DataPlane {
         self.fault_stats.restarts += 1;
     }
 
-    /// Begins executing `op`. Returns the first event to schedule.
+    /// Begins executing `op`. Returns the first event to schedule. Panics
+    /// if the operation names no page or a page outside the database — the
+    /// per-page tables are indexed by page id from here on.
     pub fn start_operation(&mut self, op: Operation, now: SimTime) -> StepOutput {
         assert!(!op.pages.is_empty(), "operation must access pages");
+        if let Some(page) = op.pages.iter().find(|p| p.0 >= self.params.db_pages) {
+            panic!(
+                "operation {} accesses {page}, outside the {}-page database",
+                op.id.0, self.params.db_pages
+            );
+        }
         let id = op.id;
         let span_slot = if self.spans_on() {
             self.span_arena.alloc()
@@ -1077,11 +1093,11 @@ impl DataPlane {
                 ..
             } => {
                 self.span_lookup_outcome(op, true);
-                self.on_evicted(origin, &evicted, now);
+                self.on_evicted(origin, evicted.as_slice(), now);
                 // Every page that changed pools re-entered at ∞ benefit;
                 // price them now in both modes so none can sit unevictable
                 // forever.
-                for &d in &demoted {
+                for &d in demoted.iter() {
                     self.reprice(origin, d, now);
                 }
                 self.reprice(origin, page, now);
@@ -1288,8 +1304,8 @@ impl DataPlane {
                     demoted,
                     ..
                 } => {
-                    self.on_evicted(origin, &evicted, now);
-                    for &d in &demoted {
+                    self.on_evicted(origin, evicted.as_slice(), now);
+                    for &d in demoted.iter() {
                         self.reprice(origin, d, now);
                     }
                     freshly_pooled = true;
@@ -1299,8 +1315,8 @@ impl DataPlane {
             }
         } else {
             let outcome = self.nodes[origin.index()].buffer.install(class, page, now);
-            self.on_evicted(origin, &outcome.evicted, now);
-            for &d in &outcome.demoted {
+            self.on_evicted(origin, outcome.evicted.as_slice(), now);
+            for &d in outcome.demoted.iter() {
                 self.reprice(origin, d, now);
             }
             if outcome.cached {
@@ -1753,6 +1769,22 @@ mod tests {
 
     fn plane() -> DataPlane {
         DataPlane::new(ClusterParams::default())
+    }
+
+    #[test]
+    #[should_panic(expected = "heat_k must be in 1..=4, got 0")]
+    fn zero_heat_window_is_rejected_when_the_plane_is_built() {
+        DataPlane::new(ClusterParams {
+            heat_k: 0,
+            ..ClusterParams::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "operation 9 accesses p2000, outside the 2000-page database")]
+    fn operation_naming_a_page_outside_the_database_is_rejected_at_the_boundary() {
+        let mut p = plane();
+        p.start_operation(op(9, 0, 0, &[0, 2000], SimTime::ZERO), SimTime::ZERO);
     }
 
     #[test]

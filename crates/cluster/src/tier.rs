@@ -92,8 +92,9 @@ impl TierSpec {
 }
 
 /// Hard cap on the ladder length: cost slots index with a `u8` and every
-/// per-tier structure is sized by this.
-pub const MAX_TIERS: usize = 16;
+/// per-tier structure is sized by this — the buffer's inline demotion list
+/// included, which is why the two crates share one constant.
+pub const MAX_TIERS: usize = dmm_buffer::MAX_TIERS;
 
 /// A validated, ordered storage hierarchy.
 #[derive(Debug, Clone, PartialEq)]

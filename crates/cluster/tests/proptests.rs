@@ -5,9 +5,11 @@
 
 use dmm_buffer::{ClassId, PageId, PolicySpec};
 use dmm_cluster::{
-    ClusterParams, DataPlane, HashRing, NodeId, OpCompletion, OpId, Operation, MAX_RING_REPLICAS,
+    ClusterParams, DataPlane, Directory, HashRing, NodeId, OpCompletion, OpId, Operation,
+    MAX_RING_REPLICAS,
 };
 use dmm_sim::{SimRng, SimTime};
+use std::collections::BTreeMap;
 
 /// Drives all pending events to quiescence, returning completions (the
 /// shared engine-backed loop; panics on event storms).
@@ -105,6 +107,132 @@ fn random_sequences_hold_invariants() {
         }
         assert_eq!(issued, completed, "every operation completes (seed {seed})");
         assert_eq!(plane.inflight_ops(), 0, "seed {seed}");
+    }
+}
+
+/// The directory as it was before it went dense: three page-keyed maps and
+/// a `Vec` heat window. The model the dense table must match bit for bit.
+struct MapDirectory {
+    holders: BTreeMap<PageId, Vec<NodeId>>,
+    accesses: BTreeMap<PageId, Vec<SimTime>>,
+    published: BTreeMap<PageId, f64>,
+    heat_k: usize,
+    publish_threshold: f64,
+}
+
+impl MapDirectory {
+    fn holders(&self, page: PageId) -> &[NodeId] {
+        self.holders.get(&page).map_or(&[], Vec::as_slice)
+    }
+
+    fn add_copy(&mut self, page: PageId, node: NodeId) {
+        let h = self.holders.entry(page).or_default();
+        if !h.contains(&node) {
+            h.push(node);
+        }
+    }
+
+    fn remove_copy(&mut self, page: PageId, node: NodeId) -> usize {
+        let Some(h) = self.holders.get_mut(&page) else {
+            return 0;
+        };
+        h.retain(|&n| n != node);
+        let left = h.len();
+        if left == 0 {
+            self.holders.remove(&page);
+        }
+        left
+    }
+
+    fn heat_per_ms(&self, page: PageId, now: SimTime) -> f64 {
+        let Some(times) = self.accesses.get(&page) else {
+            return 0.0;
+        };
+        let span_ms = now.since(times[0]).as_millis_f64().max(1e-3);
+        times.len() as f64 / span_ms
+    }
+
+    fn record_access(&mut self, page: PageId, now: SimTime) -> bool {
+        let times = self.accesses.entry(page).or_default();
+        if times.len() == self.heat_k {
+            times.remove(0);
+        }
+        times.push(now);
+        let heat = self.heat_per_ms(page, now);
+        let published = self.published.get(&page).copied().unwrap_or(0.0);
+        let publish = (heat - published).abs() > self.publish_threshold * published.max(1e-9);
+        if publish {
+            self.published.insert(page, heat);
+        }
+        publish
+    }
+}
+
+#[test]
+fn dense_directory_matches_the_map_model() {
+    const PAGES: u32 = 24;
+    const NODES: usize = 6;
+    for seed in 0..64u64 {
+        let mut rng = SimRng::seed_from_u64(0xD1 + seed);
+        let heat_k = 1 + rng.index(4);
+        let threshold = [0.0, 0.2, 0.5][rng.index(3)];
+        let mut dense = Directory::new(PAGES, 2, heat_k, threshold);
+        let mut model = MapDirectory {
+            holders: BTreeMap::new(),
+            accesses: BTreeMap::new(),
+            published: BTreeMap::new(),
+            heat_k,
+            publish_threshold: threshold,
+        };
+        let mut now = SimTime::ZERO;
+        let mut publishes = 0u64;
+        for step in 0..1 + rng.index(400) {
+            let ctx = format!("seed {seed} step {step}");
+            now += dmm_sim::SimDuration::from_nanos(rng.index(3) as u64 * 2_500_000);
+            let page = PageId(rng.index(PAGES as usize) as u32);
+            let node = NodeId(rng.index(NODES) as u16);
+            match rng.index(4) {
+                0 | 1 => {
+                    dense.add_copy(page, node);
+                    model.add_copy(page, node);
+                }
+                2 => assert_eq!(
+                    dense.remove_copy(page, node),
+                    model.remove_copy(page, node),
+                    "{ctx}"
+                ),
+                _ => {
+                    let published = model.record_access(page, now);
+                    assert_eq!(dense.record_access(page, now), published, "{ctx}");
+                    publishes += u64::from(published);
+                }
+            }
+            // Holder *order* is behaviour: `pick_holder` and the last-copy
+            // repricing read the first entry.
+            for p in (0..PAGES).map(PageId) {
+                assert_eq!(dense.holders(p), model.holders(p), "{ctx}: {p}");
+                assert_eq!(dense.copies(p), model.holders(p).len(), "{ctx}: {p}");
+                assert_eq!(
+                    dense.global_heat_per_ms(p, now).to_bits(),
+                    model.heat_per_ms(p, now).to_bits(),
+                    "{ctx}: {p}"
+                );
+                for n in (0..NODES).map(|n| NodeId(n as u16)) {
+                    assert_eq!(
+                        dense.pick_holder(p, n),
+                        model.holders(p).iter().copied().find(|&h| h != n),
+                        "{ctx}: {p} {n}"
+                    );
+                    assert_eq!(
+                        dense.is_last_copy(p, n),
+                        model.holders(p) == [n],
+                        "{ctx}: {p} {n}"
+                    );
+                }
+            }
+            assert_eq!(dense.publish_events(), publishes, "{ctx}");
+        }
+        dense.check_invariants();
     }
 }
 
@@ -208,7 +336,7 @@ fn repeated_access_eventually_hits() {
                 id: OpId(i + 1),
                 class: ClassId(class),
                 origin: NodeId(node),
-                pages: vec![PageId(page)],
+                pages: [PageId(page)].into_iter().collect(),
                 arrival: t,
             };
             let out = plane.start_operation(op, t);

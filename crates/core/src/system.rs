@@ -495,6 +495,8 @@ struct SimState {
     agents: Vec<Vec<LocalAgent>>,
     /// `coordinators[class]`; `None` for the no-goal class.
     coordinators: Vec<Option<Coordinator>>,
+    /// The classes that have a coordinator, ascending; fixed for the run.
+    goal_ids: Vec<ClassId>,
     schedules: Vec<Option<GoalSchedule>>,
     convergence: Vec<ConvergenceStats>,
     records: Vec<Vec<IntervalRecord>>,
@@ -524,15 +526,6 @@ impl SimState {
         self.coordinators[class.index()]
             .as_mut()
             .expect("goal class has a coordinator")
-    }
-
-    fn goal_class_ids(&self) -> Vec<ClassId> {
-        self.coordinators
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_some())
-            .map(|(i, _)| ClassId(i as u16))
-            .collect()
     }
 
     fn schedule_plane(
@@ -590,20 +583,18 @@ impl SimState {
         // Per-interval storage-level shares from the cost estimator's
         // observation counters (tagged finished requests, §6), one slot per
         // rung of the configured ladder.
-        let mut deltas = vec![0u64; self.last_level_obs.len()];
         let mut total = 0u64;
-        for (i, delta) in deltas.iter_mut().enumerate() {
+        for (i, share) in self.level_share.iter_mut().enumerate() {
             let seen = self.plane.costs().observations(CostSlot(i as u8));
-            *delta = seen - self.last_level_obs[i];
+            let delta = seen - self.last_level_obs[i];
             self.last_level_obs[i] = seen;
-            total += *delta;
+            total += delta;
+            *share = delta as f64;
         }
-        for (share, delta) in self.level_share.iter_mut().zip(deltas) {
-            *share = if total == 0 {
-                0.0
-            } else {
-                delta as f64 / total as f64
-            };
+        if total > 0 {
+            for share in &mut self.level_share {
+                *share /= total as f64;
+            }
         }
         // Per-node home-load snapshot: how placement is spreading home
         // duty (pages owned, home reads served, remote fan-in) across the
@@ -646,7 +637,6 @@ impl SimState {
             }
         }
         let interval_ms = self.interval.as_millis_f64();
-        let goal_ids = self.goal_class_ids();
 
         for class_agents in &mut self.agents {
             for agent in class_agents {
@@ -664,25 +654,26 @@ impl SimState {
                 }
                 // Goal-class reports go to their coordinator; no-goal
                 // reports fan out to every goal coordinator (§5(a)).
-                let targets: Vec<ClassId> = if class.is_no_goal() {
-                    goal_ids.clone()
+                let targets = if class.is_no_goal() {
+                    self.goal_ids.as_slice()
                 } else {
-                    vec![class]
+                    std::slice::from_ref(&class)
                 };
-                for to in targets {
+                let Some((&last, rest)) = targets.split_last() else {
+                    continue;
+                };
+                let mut report = |to: ClassId, obs: AgentObservation| {
                     let home = self.coord_home[to.index()];
                     let delivered = self.plane.send_control(node, home, self.report_bytes, now);
-                    sched.at(
-                        delivered,
-                        SysEvent::Report {
-                            to,
-                            obs: obs.clone(),
-                        },
-                    );
+                    sched.at(delivered, SysEvent::Report { to, obs });
+                };
+                for &to in rest {
+                    report(to, obs.clone());
                 }
+                report(last, obs);
             }
         }
-        for class in goal_ids {
+        for &class in &self.goal_ids {
             sched.after(CHECK_DELAY, SysEvent::CoordCheck { class });
         }
 
@@ -910,7 +901,8 @@ impl SimState {
                 }
                 self.plane.crash_node(node, now);
                 let measuring = self.interval_idx > self.warmup_intervals;
-                for class in self.goal_class_ids() {
+                for i in 0..self.goal_ids.len() {
+                    let class = self.goal_ids[i];
                     if self.coord_home[class.index()] == node {
                         // Failover: the coordinator's volatile state is
                         // modeled as replicated, so the lowest-indexed
@@ -943,7 +935,8 @@ impl SimState {
                     return; // already up
                 }
                 self.plane.restart_node(node);
-                for class in self.goal_class_ids() {
+                for i in 0..self.goal_ids.len() {
+                    let class = self.goal_ids[i];
                     self.coord_mut(class).node_up(node);
                 }
                 self.emit_fault_record("restart", node, now);
@@ -1146,6 +1139,7 @@ impl Simulation {
             plane,
             gen,
             agents,
+            goal_ids: (1..coordinators.len()).map(|i| ClassId(i as u16)).collect(),
             coordinators,
             schedules,
             convergence: vec![ConvergenceStats::new(); goal_classes + 1],

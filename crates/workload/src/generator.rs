@@ -1,7 +1,7 @@
 //! Per-(node, class) arrival and operation generation.
 
 use dmm_buffer::ClassId;
-use dmm_cluster::{NodeId, OpId, Operation};
+use dmm_cluster::{NodeId, OpId, Operation, PageList};
 use dmm_sim::dist::{Exponential, Zipf};
 use dmm_sim::{SimDuration, SimRng, SimTime};
 
@@ -12,8 +12,9 @@ use crate::class::WorkloadSpec;
 struct Stream {
     class: ClassId,
     node: NodeId,
-    /// Interarrival distribution for the *base* rates; streams with rate
-    /// shifts rebuild the distribution per draw from the rates in force.
+    /// Interarrival distribution for the *base* rates (`None` for a zero
+    /// rate); a class with rate shifts builds the distribution per draw
+    /// from the rates in force instead.
     interarrival: Option<Exponential>,
     rng: SimRng,
 }
@@ -24,7 +25,9 @@ struct Stream {
 pub struct WorkloadGenerator {
     spec: WorkloadSpec,
     zipf: Vec<Zipf>, // per class
+    /// One stream per (class, node), at `class.index() * nodes + node`.
     streams: Vec<Stream>,
+    nodes: usize,
     next_op: u64,
 }
 
@@ -38,7 +41,7 @@ impl WorkloadGenerator {
             .iter()
             .map(|c| Zipf::new(c.pages.len(), c.zipf_theta))
             .collect();
-        let mut streams = Vec::new();
+        let mut streams = Vec::with_capacity(spec.classes.len() * nodes);
         for c in &spec.classes {
             for node in 0..nodes {
                 let rate = c.arrival_per_ms[node];
@@ -61,6 +64,7 @@ impl WorkloadGenerator {
             spec,
             zipf,
             streams,
+            nodes,
             next_op: 0,
         }
     }
@@ -88,18 +92,19 @@ impl WorkloadGenerator {
     /// rate shift in force at `now` (§1's evolving workloads). A stream whose
     /// current rate is zero sleeps for one long beat and re-checks.
     pub fn next_gap(&mut self, node: NodeId, class: ClassId, now: SimTime) -> SimDuration {
+        let i = self.stream_index(node, class);
         let spec = &self.spec.classes[class.index()];
-        let rate = if spec.rate_shifts.is_empty() {
-            spec.arrival_per_ms[node.index()]
+        let s = &mut self.streams[i];
+        let dist = if spec.rate_shifts.is_empty() {
+            s.interarrival
         } else {
-            spec.rates_at(now)[node.index()]
+            let rate = spec.rates_at(now)[node.index()];
+            (rate > 0.0).then(|| Exponential::from_mean(SimDuration::from_millis_f64(1.0 / rate)))
         };
-        let s = self.stream_mut(node, class);
-        if rate <= 0.0 {
+        let Some(dist) = dist else {
             debug_assert!(s.interarrival.is_some(), "stream never active");
             return SimDuration::from_secs(10);
-        }
-        let dist = Exponential::from_mean(SimDuration::from_millis_f64(1.0 / rate));
+        };
         dist.sample(&mut s.rng)
     }
 
@@ -108,15 +113,12 @@ impl WorkloadGenerator {
     pub fn make_op(&mut self, node: NodeId, class: ClassId, now: SimTime) -> Operation {
         self.next_op += 1;
         let id = OpId(self.next_op);
+        let i = self.stream_index(node, class);
         let n_pages = self.spec.class(class).pages_per_op;
         let zipf = &self.zipf[class.index()];
         let class_pages = &self.spec.classes[class.index()].pages;
-        let mut pages = Vec::with_capacity(n_pages);
-        let s = self
-            .streams
-            .iter_mut()
-            .find(|s| s.node == node && s.class == class)
-            .expect("unknown stream");
+        let mut pages = PageList::new();
+        let s = &mut self.streams[i];
         // Rejection-sample distinct pages; fall back to sequential ranks if
         // the set is smaller than the op (degenerate configs in tests).
         let mut guard = 0;
@@ -144,11 +146,13 @@ impl WorkloadGenerator {
         }
     }
 
-    fn stream_mut(&mut self, node: NodeId, class: ClassId) -> &mut Stream {
-        self.streams
-            .iter_mut()
-            .find(|s| s.node == node && s.class == class)
-            .expect("unknown stream")
+    /// Position of the `(node, class)` stream: `new` pushes the streams
+    /// class by class, node by node.
+    fn stream_index(&self, node: NodeId, class: ClassId) -> usize {
+        assert!(node.index() < self.nodes, "unknown stream: {node}");
+        let i = class.index() * self.nodes + node.index();
+        debug_assert!(self.streams[i].node == node && self.streams[i].class == class);
+        i
     }
 }
 
@@ -228,7 +232,7 @@ mod tests {
         let mut counts = vec![0u32; 1000];
         for _ in 0..2000 {
             let op = skewed.make_op(NodeId(0), ClassId(1), SimTime::ZERO);
-            for p in op.pages {
+            for p in &op.pages {
                 counts[p.index()] += 1;
             }
         }

@@ -43,7 +43,7 @@ fn main() {
         .goal_ms(15.0)
         .build()
         .expect("valid base config");
-    let range = calibrate_goal_range(&base, class, 6, 6);
+    let range = calibrate_goal_range(&base, class, 6, 6).expect("calibrate the goal range");
     eprintln!("goal range [{:.2}, {:.2}]", range.min_ms, range.max_ms);
 
     let mut builder = SystemConfig::builder()

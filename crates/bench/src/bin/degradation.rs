@@ -50,7 +50,8 @@ fn main() {
         .build()
         .expect("valid base config");
     let (settle, measure) = if quick { (3, 3) } else { (6, 6) };
-    let range = calibrate_goal_range(&base, class, settle, measure);
+    let range =
+        calibrate_goal_range(&base, class, settle, measure).expect("calibrate the goal range");
     let goal_ms = range.max_ms * 0.8;
 
     // Crash and restart land mid-interval (x.5 intervals) so fault events

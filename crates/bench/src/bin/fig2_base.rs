@@ -32,7 +32,7 @@ fn main() {
         .goal_ms(15.0)
         .build()
         .expect("valid base config");
-    let range = calibrate_goal_range(&base, class, 6, 6);
+    let range = calibrate_goal_range(&base, class, 6, 6).expect("calibrate the goal range");
 
     let cfg = SystemConfig::builder()
         .seed(seed)

@@ -83,7 +83,7 @@ fn disjoint() {
     let base = config(0.0, 11);
     let mut rows = Vec::new();
     for class in [ClassId(1), ClassId(2)] {
-        let range = calibrate_goal_range(&base, class, 6, 6);
+        let range = calibrate_goal_range(&base, class, 6, 6).expect("calibrate the goal range");
         let mut episodes = dmm::core::ConvergenceStats::new();
         for seed in 1..=6u64 {
             let mut cfg = config(0.0, 5000 + seed);

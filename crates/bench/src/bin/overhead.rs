@@ -6,136 +6,13 @@
 //! experiment with the goal schedule active (worst case: the coordinator
 //! keeps reallocating) and report the control-plane share of network bytes,
 //! message counts, and the dissemination traffic of the caching substrate
-//! for context.
-//!
-//! The second half measures the *observability* overhead of operation-level
-//! span tracing on the same configuration — spans off, histogram
-//! aggregation only, and deterministic 1-in-{1,16,256} sampling with the
-//! records serialized to a discarding writer — and writes the interleaved
-//! min-of-N wall-clocks to `BENCH_obs.json` at the workspace root. The off
-//! mode is the baseline the "≈zero cost when disabled" claim is judged
-//! against. A final comparison times the bounded [`StreamSink`] a live
-//! `dmm-trace watch --follow` consumes against the JSONL sink on the same
-//! worst-case span flood and asserts the streaming path stays within a 5 %
-//! budget. `--quick` shrinks the runs for CI smoke use.
-
-use std::time::Instant;
+//! for context. `--json` writes the trace to `results/overhead.jsonl` and
+//! the numbers to `results/overhead_summary.json` (plus the metrics
+//! snapshot); `--quick` runs 24 intervals instead of 120.
 
 use dmm::buffer::ClassId;
 use dmm::core::{calibrate_goal_range, Simulation, SystemConfig};
-use dmm::obs::{Json, JsonLinesSink, SpanMode, StreamSink};
-
-/// Span-tracing modes measured, worst first in the emission sense: every
-/// operation sampled, then thinner samples, then aggregation only, then off.
-const SPAN_MODES: [(&str, SpanMode); 5] = [
-    ("off", SpanMode::Off),
-    ("histograms", SpanMode::Histograms),
-    ("sampled_256", SpanMode::Sampled { every: 256 }),
-    ("sampled_16", SpanMode::Sampled { every: 16 }),
-    ("sampled_1", SpanMode::Sampled { every: 1 }),
-];
-
-struct SpanRun {
-    label: &'static str,
-    secs: f64,
-}
-
-/// Interleaved min-of-N wall-clock per span mode (A/B/C… per rep, so a host
-/// load spike hits every mode alike). Sampled modes serialize their span
-/// records through a `JsonLinesSink` into `io::sink()`: the full format+emit
-/// cost without disk noise.
-fn span_overhead(cfg: &SystemConfig, intervals: u32, reps: u32) -> Vec<SpanRun> {
-    let timed = |mode: SpanMode| -> f64 {
-        let mut cfg = cfg.clone();
-        cfg.cluster.spans = mode;
-        let mut sim = Simulation::new(cfg);
-        if mode.sample_every().is_some() {
-            sim.set_trace_sink(Box::new(JsonLinesSink::new(Box::new(std::io::sink()))));
-        }
-        let start = Instant::now();
-        sim.run_intervals(intervals);
-        start.elapsed().as_secs_f64()
-    };
-    let mut best = vec![f64::INFINITY; SPAN_MODES.len()];
-    for _ in 0..reps {
-        for (i, (_, mode)) in SPAN_MODES.iter().enumerate() {
-            best[i] = best[i].min(timed(*mode));
-        }
-    }
-    SPAN_MODES
-        .iter()
-        .zip(best)
-        .map(|((label, _), secs)| SpanRun { label, secs })
-        .collect()
-}
-
-/// The streaming-sink ring capacity used for the sink comparison: ample
-/// headroom for one interval's worth of records between consumer polls, so
-/// a healthy run delivers everything (0 drops).
-const STREAM_CAPACITY: usize = 1 << 16;
-
-struct SinkRun {
-    label: &'static str,
-    secs: f64,
-    dropped: u64,
-}
-
-/// Interleaved min-of-N wall-clock of the full emission path (spans at
-/// 1-in-1, the worst case) through each sink: `JsonLinesSink` recording to
-/// an actual file — what a tracing run really pays — vs the bounded
-/// [`StreamSink`] ring with a consumer draining it once per interval, the
-/// cadence a live `dmm-trace watch --follow` poll loop settles into. The
-/// streaming sink must stay within a few percent of JSONL — it shares the
-/// serialize cost and trades the buffered write for a lock + ring push.
-fn sink_overhead(cfg: &SystemConfig, intervals: u32, reps: u32) -> Vec<SinkRun> {
-    let jsonl_path =
-        std::env::temp_dir().join(format!("dmm_overhead_sink_{}.jsonl", std::process::id()));
-    let timed = |which: usize| -> (f64, u64) {
-        let mut cfg = cfg.clone();
-        cfg.cluster.spans = SpanMode::Sampled { every: 1 };
-        let mut sim = Simulation::new(cfg);
-        let stream = StreamSink::bounded(STREAM_CAPACITY);
-        match which {
-            0 => {
-                let sink = JsonLinesSink::create(&jsonl_path).expect("create sink bench trace");
-                sim.set_trace_sink(Box::new(sink));
-            }
-            _ => sim.set_trace_sink(Box::new(stream.handle())),
-        }
-        let start = Instant::now();
-        for _ in 0..intervals {
-            sim.run_intervals(1);
-            if which == 1 {
-                // The consumer side of the live pipeline: drain and discard,
-                // inside the timed region so its cost is charged to the
-                // streaming mode.
-                drop(stream.drain());
-            }
-        }
-        (start.elapsed().as_secs_f64(), stream.dropped_records())
-    };
-    let labels = ["jsonl", "stream"];
-    let mut best = [f64::INFINITY; 2];
-    let mut dropped = [0u64; 2];
-    for _ in 0..reps {
-        for i in 0..2 {
-            let (secs, drops) = timed(i);
-            best[i] = best[i].min(secs);
-            dropped[i] = drops;
-        }
-    }
-    let _ = std::fs::remove_file(&jsonl_path);
-    labels
-        .iter()
-        .zip(best)
-        .zip(dropped)
-        .map(|((label, secs), dropped)| SinkRun {
-            label,
-            secs,
-            dropped,
-        })
-        .collect()
-}
+use dmm::obs::{Json, JsonLinesSink};
 
 fn main() {
     let args = dmm_bench::BenchArgs::parse();
@@ -146,7 +23,7 @@ fn main() {
         .goal_ms(15.0)
         .build()
         .expect("valid base config");
-    let range = calibrate_goal_range(&base, class, 6, 6);
+    let range = calibrate_goal_range(&base, class, 6, 6).expect("calibrate the goal range");
     let cfg = SystemConfig::builder()
         .seed(13)
         .goal_ms(range.max_ms)
@@ -154,7 +31,7 @@ fn main() {
         .build()
         .expect("valid overhead config");
     let intervals = if quick { 24 } else { 120 };
-    let mut sim = Simulation::new(cfg.clone());
+    let mut sim = Simulation::new(cfg);
     if json {
         let sink =
             JsonLinesSink::create("results/overhead.jsonl").expect("create results/overhead.jsonl");
@@ -223,79 +100,4 @@ fn main() {
     } else {
         println!("NOTE: control traffic above the paper's 0.1 % bound.");
     }
-
-    println!("\n== span-tracing overhead (same config, wall-clock) ==");
-    let reps = if quick { 2 } else { 5 };
-    let runs = span_overhead(&cfg, intervals, reps);
-    let off_secs = runs
-        .iter()
-        .find(|r| r.label == "off")
-        .expect("off mode measured")
-        .secs;
-    for run in &runs {
-        let pct = 100.0 * (run.secs - off_secs) / off_secs;
-        println!(
-            "{:<12} {:.3} s  ({:+.2} % vs off)",
-            run.label, run.secs, pct
-        );
-    }
-    println!("\n== streaming-sink overhead vs JSONL (spans sampled_1) ==");
-    let sinks = sink_overhead(&cfg, intervals, reps);
-    let jsonl_secs = sinks
-        .iter()
-        .find(|r| r.label == "jsonl")
-        .expect("jsonl sink measured")
-        .secs;
-    for run in &sinks {
-        let pct = 100.0 * (run.secs - jsonl_secs) / jsonl_secs;
-        println!(
-            "{:<12} {:.3} s  ({:+.2} % vs jsonl, {} records dropped)",
-            run.label, run.secs, pct, run.dropped
-        );
-    }
-    let stream_pct = sinks
-        .iter()
-        .find(|r| r.label == "stream")
-        .map(|r| 100.0 * (r.secs - jsonl_secs) / jsonl_secs)
-        .expect("stream sink measured");
-    assert!(
-        stream_pct <= 5.0,
-        "streaming sink overhead {stream_pct:.2} % exceeds the 5 % budget vs JSONL"
-    );
-    println!("PASS: streaming sink within the 5 % budget vs JSONL.");
-
-    let doc = Json::obj()
-        .field("bench", "obs")
-        .field("quick", quick)
-        .field("intervals", intervals as u64)
-        .field("reps", reps as u64)
-        .field(
-            "span_modes",
-            Json::Arr(
-                runs.iter()
-                    .map(|r| {
-                        Json::obj()
-                            .field("mode", r.label)
-                            .field("secs", r.secs)
-                            .field("overhead_pct", 100.0 * (r.secs - off_secs) / off_secs)
-                    })
-                    .collect(),
-            ),
-        )
-        .field(
-            "sink_modes",
-            Json::Arr(
-                sinks
-                    .iter()
-                    .map(|r| {
-                        Json::obj()
-                            .field("mode", r.label)
-                            .field("secs", r.secs)
-                            .field("overhead_pct", 100.0 * (r.secs - jsonl_secs) / jsonl_secs)
-                            .field("dropped_records", r.dropped)
-                    })
-                    .collect(),
-            ),
-        );
-    dmm_bench::cli::write_bench_doc("BENCH_obs.json", &doc);
 }

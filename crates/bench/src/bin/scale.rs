@@ -2,29 +2,22 @@
 //! switched fabric and batched probing, from the paper's N = 3 up to
 //! N = 64 nodes.
 //!
-//! Layers of evidence, written to `BENCH_scale.json` at the workspace
-//! root:
+//! Four asserting sections, each printed to stdout and selectable with
+//! `--only <section>`:
 //!
-//! 1. **Balance**: at N = 16 under a hard Zipf skew (θ = 1.2), the static
+//! 1. **`balance`**: at N = 16 under a hard Zipf skew (θ = 1.2), the static
 //!    hash placement concentrates home reads on whichever nodes the hot
 //!    pages land on, while the hot ring replicates hot pages across several
 //!    homes — the max/mean per-node home-read ratio is the figure of merit.
-//! 2. **Replication**: end-to-end wall-clock of a batch of independent
-//!    N = 16 experiments (different seeds) replicated on 1 versus 4 pool
-//!    workers with a deterministic fold — where the wall-clock of a
-//!    scale-out *study* actually goes.
-//! 3. **Sweep**: event throughput and goal-convergence intervals for
-//!    N ∈ {4, 8, 16, 32, 64}, plus a dedicated long N = 64 convergence run
-//!    (the hyperplane controller needs ~N+1 probe intervals before its
-//!    first optimization).
-//! 4. **Fabric** and **probe**: shared medium vs switched links at N = 64,
-//!    and the batched Hadamard probe plan with a cross-scale warm start.
+//! 2. **`fabric`** and **`probe`**: shared medium vs switched links at
+//!    N = 64, and the batched Hadamard probe plan with a cross-scale warm
+//!    start.
+//! 3. **`n64`**: a long N = 64 goal-convergence run (the hyperplane
+//!    controller needs ~N+1 probe intervals before its first optimization).
 //!
-//! `--quick` shrinks node counts, intervals and replication width for CI
-//! smoke use; the acceptance numbers quoted in the README come from the
-//! full run.
+//! `--quick` shrinks intervals for CI smoke use; the acceptance numbers
+//! quoted in the README come from the full run.
 
-use std::ops::ControlFlow;
 use std::time::Instant;
 
 use dmm::buffer::ClassId;
@@ -32,20 +25,16 @@ use dmm::cluster::{FabricSpec, HotRingSpec, PlacementSpec};
 use dmm::core::{
     calibrate_goal_range, upsample_planes, ProbeSpec, SatisfactionMode, Simulation, SystemConfig,
 };
-use dmm::obs::Json;
-use dmm_bench::pool::replicate_in_order;
 
-/// One scale-out experiment configuration: N nodes, database and load
-/// scaled with N so per-node pressure stays comparable across the sweep.
 /// The §7.1 shared medium (100 Mbit/s) and a switched-era fabric. The
-/// sweep runs on the paper's fabric to *show* the shared-medium wall (net
-/// utilization grows linearly with N while the medium's capacity does
-/// not); the N = 64 convergence run needs the faster fabric, because at
-/// that scale the 1999 medium is past saturation and no memory controller
-/// can meet a response-time goal on an unstable queue.
+/// N = 64 convergence run needs the faster fabric, because at that scale
+/// the 1999 medium is past saturation and no memory controller can meet a
+/// response-time goal on an unstable queue.
 const PAPER_FABRIC: u64 = 100_000_000;
 const GBIT_FABRIC: u64 = 1_000_000_000;
 
+/// One scale-out experiment configuration: N nodes, database and load
+/// scaled with N so per-node pressure stays comparable across node counts.
 fn scale_config(
     nodes: usize,
     theta: f64,
@@ -70,8 +59,7 @@ fn scale_config(
 }
 
 /// The scale configuration on a chosen network fabric and probe plan —
-/// identical per-node load, so fabric and probe rows compare directly
-/// against the sweep's shared-medium rows.
+/// identical per-node load to [`scale_config`] at θ = 0.8 on the hot ring.
 fn fabric_config(
     nodes: usize,
     fabric: FabricSpec,
@@ -121,15 +109,6 @@ fn satisfied_tail(sim: &Simulation, n: usize) -> f64 {
     tail.iter().filter(|r| r.satisfied == Some(true)).count() as f64 / tail.len() as f64
 }
 
-/// Host parallelism actually available to the pool workers. Wall-clock
-/// speedup claims are only meaningful (and only asserted) when the host
-/// has enough cores to run the workers concurrently.
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// Max/mean per-node home reads: 1.0 is a perfectly balanced home load.
 fn imbalance(reads: &[u64]) -> f64 {
     let total: u64 = reads.iter().sum();
@@ -141,7 +120,7 @@ fn imbalance(reads: &[u64]) -> f64 {
 }
 
 /// Balance experiment: N = 16 under hard skew, static hash vs hot ring.
-fn balance(quick: bool) -> Json {
+fn balance(quick: bool) {
     println!("== balance: static hash vs hot ring (N = 16, zipf θ = 1.2) ==");
     let intervals = if quick { 6 } else { 12 };
     let run = |placement: PlacementSpec| {
@@ -166,137 +145,6 @@ fn balance(quick: bool) -> Json {
         "hot ring must beat static placement under skew \
          ({ring_ratio:.2} vs {static_ratio:.2})"
     );
-    Json::obj()
-        .field("theta", 1.2)
-        .field("nodes", 16u64)
-        .field("intervals", intervals as u64)
-        .field("static_hash_imbalance", static_ratio)
-        .field("hot_ring_imbalance", ring_ratio)
-        .field(
-            "static_hash_reads",
-            Json::from(static_load.home_reads.as_slice()),
-        )
-        .field(
-            "hot_ring_reads",
-            Json::from(ring_load.home_reads.as_slice()),
-        )
-}
-
-/// Replication speedup: a batch of independent N = 16 experiments on 1 vs
-/// 4 pool workers, deterministic fold cross-checked bit-identical.
-fn replication(quick: bool) -> Json {
-    println!("\n== replication: N = 16 experiment batch on 1 vs 4 workers ==");
-    let (n_seeds, intervals) = if quick { (4u64, 6u32) } else { (8, 16) };
-    let seeds: Vec<u64> = (0..n_seeds).map(|s| 7_000 + s).collect();
-    let job = |seed: &u64| -> (u64, u64) {
-        let cfg = scale_config(
-            16,
-            0.8,
-            PlacementSpec::HotRing(HotRingSpec::default()),
-            PAPER_FABRIC,
-            *seed,
-        );
-        let mut sim = Simulation::new(cfg);
-        sim.run_intervals(intervals);
-        (
-            sim.plane().completions(),
-            sim.plane().network().data_bytes(),
-        )
-    };
-    let timed = |threads: usize| -> (f64, Vec<(u64, u64)>) {
-        let mut folded = Vec::new();
-        let begin = Instant::now();
-        replicate_in_order(&seeds, threads, job, |_, r| {
-            folded.push(r);
-            ControlFlow::Continue(())
-        });
-        (begin.elapsed().as_secs_f64(), folded)
-    };
-    let (one_secs, one) = timed(1);
-    let (four_secs, four) = timed(4);
-    assert_eq!(one, four, "replication fold must be thread-count invariant");
-    let speedup = one_secs / four_secs;
-    println!(
-        "{} seeds × {} intervals: 1 worker {:.2} s, 4 workers {:.2} s, speedup {:.2}x",
-        seeds.len(),
-        intervals,
-        one_secs,
-        four_secs,
-        speedup
-    );
-    if !quick && cores() >= 4 {
-        assert!(
-            speedup >= 3.0,
-            "expected ≥3x end-to-end speedup with 4 workers, got {speedup:.2}x"
-        );
-    } else if cores() < 4 {
-        println!(
-            "(host has {} core(s): speedup is informational only)",
-            cores()
-        );
-    }
-    Json::obj()
-        .field("seeds", seeds.len() as u64)
-        .field("intervals", intervals as u64)
-        .field("one_worker_secs", one_secs)
-        .field("four_worker_secs", four_secs)
-        .field("speedup", speedup)
-}
-
-/// Node-count sweep: event throughput and goal convergence per N.
-fn sweep(quick: bool) -> Json {
-    println!("\n== sweep: N ∈ {{4..64}} ==");
-    let node_counts: &[usize] = if quick {
-        &[4, 8, 16]
-    } else {
-        &[4, 8, 16, 32, 64]
-    };
-    let intervals = if quick { 8 } else { 24 };
-    let mut rows = Vec::new();
-    for &n in node_counts {
-        let cfg = scale_config(
-            n,
-            0.8,
-            PlacementSpec::HotRing(HotRingSpec::default()),
-            PAPER_FABRIC,
-            42,
-        );
-        let mut sim = Simulation::new(cfg);
-        let begin = Instant::now();
-        sim.run_intervals(intervals);
-        let secs = begin.elapsed().as_secs_f64();
-        let events = sim
-            .metrics_snapshot()
-            .get_counter("sim.events")
-            .unwrap_or(0);
-        let now = sim.now();
-        let conv = converged_at(&sim);
-        let tail = satisfied_tail(&sim, 6);
-        let net_util = sim.plane().network().utilization(now);
-        let disk_util = sim.plane().max_disk_utilization(now);
-        println!(
-            "N = {n:>2}: {events:>8} events  {:>7.0} ev/s  \
-             net {:.0} %  disk {:.0} %  converged at {:?}  tail satisfied {:.0} %",
-            events as f64 / secs,
-            net_util * 100.0,
-            disk_util * 100.0,
-            conv,
-            tail * 100.0
-        );
-        rows.push(
-            Json::obj()
-                .field("nodes", n as u64)
-                .field("intervals", intervals as u64)
-                .field("events", events)
-                .field("sequential_secs", secs)
-                .field("sequential_events_per_sec", events as f64 / secs)
-                .field("converged_at", Json::from(conv.map(|c| c as u64)))
-                .field("satisfied_tail", tail)
-                .field("net_utilization", net_util)
-                .field("max_disk_utilization", disk_util),
-        );
-    }
-    Json::Arr(rows)
 }
 
 /// Fabric experiment: N = 64 on the paper's 100 Mbit/s line rate, shared
@@ -304,7 +152,7 @@ fn sweep(quick: bool) -> Json {
 /// shared medium carries all N nodes' traffic on one facility and is past
 /// saturation at this scale; the switch gives every node a full-duplex
 /// line of the *same* rate, so the per-link budget stays flat as N grows.
-fn fabric(quick: bool) -> Json {
+fn fabric(quick: bool) {
     println!("\n== fabric: shared medium vs switched links (N = 64, 100 Mbit line rate) ==");
     let intervals = if quick { 6 } else { 24 };
     let nodes = 64usize;
@@ -366,16 +214,6 @@ fn fabric(quick: bool) -> Json {
         "the switched fabric must complete at least the shared medium's \
          operations ({switched_done} vs {shared_done})"
     );
-    Json::obj()
-        .field("nodes", nodes as u64)
-        .field("intervals", intervals as u64)
-        .field("line_bits_per_sec", PAPER_FABRIC)
-        .field("shared_utilization", shared_util)
-        .field("shared_completions", shared_done)
-        .field("switched_max_link_utilization", max_link)
-        .field("switched_completions", switched_done)
-        .field("tx_utilization", Json::from(tx.as_slice()))
-        .field("rx_utilization", Json::from(rx.as_slice()))
 }
 
 /// Probe experiment: how fast the hyperplane controller reaches a
@@ -384,7 +222,7 @@ fn fabric(quick: bool) -> Json {
 /// optimization); the batched plan perturbs Hadamard-orthogonal groups so
 /// no probe is ever redundant, and the warm start skips the ramp entirely
 /// by stretching a converged N = 8 fit across the 64-node topology.
-fn probe(quick: bool) -> Json {
+fn probe(quick: bool) {
     println!("\n== probe: batched Hadamard plan + cross-scale warm start (N = 64, switched) ==");
     let switched = FabricSpec::Switched {
         bisection_bits_per_sec: None,
@@ -413,7 +251,7 @@ fn probe(quick: bool) -> Json {
     let nodes = 64usize;
     let target = |probe: ProbeSpec, intervals: u32, warm: Option<&dmm::core::Planes>| {
         let mut cfg = fabric_config(nodes, switched, probe, PAPER_FABRIC, 42);
-        let range = calibrate_goal_range(&cfg, ClassId(1), 4, 4);
+        let range = calibrate_goal_range(&cfg, ClassId(1), 4, 4).expect("calibrate the goal range");
         let goal = (range.min_ms + range.max_ms) / 2.0;
         cfg.workload.classes[1].goal_ms = Some(goal);
         let mut sim = Simulation::new(cfg);
@@ -441,16 +279,9 @@ fn probe(quick: bool) -> Json {
     // The CI smoke gate: the warm-started N = 64 switched row converges
     // even in the shrunken run.
     let warm_conv = warm_conv.expect("warm-started N = 64 run must converge within the horizon");
-    let mut doc = Json::obj()
-        .field("nodes", nodes as u64)
-        .field("donor_nodes", donor_nodes as u64)
-        .field("goal_ms", goal)
-        .field("warm_intervals", warm_intervals as u64)
-        .field("warm_converged_at", warm_conv as u64)
-        .field("warm_satisfied_tail", warm_tail);
     if quick {
         println!("(quick: sequential-probe baseline skipped)");
-        return doc;
+        return;
     }
     // Full mode: the PR 7 protocol — cold start, one probe per interval.
     let base_intervals = 256u32;
@@ -467,26 +298,16 @@ fn probe(quick: bool) -> Json {
         "warm start must cut N = 64 convergence at least in half \
          ({base_conv} vs {warm_conv} intervals)"
     );
-    doc = doc
-        .field("baseline_intervals", base_intervals as u64)
-        .field("baseline_converged_at", base_conv as u64)
-        .field("baseline_satisfied_tail", base_tail)
-        .field(
-            "convergence_speedup",
-            f64::from(base_conv) / f64::from(warm_conv),
-        );
-    doc
 }
 
 /// Long N = 64 convergence run on the gigabit fabric: the hyperplane
 /// controller probes ~N+1 intervals before its first optimization, so the
-/// goal-convergence story at this scale needs a longer horizon than the
-/// sweep grants — and a network that is not already past saturation. The
+/// goal-convergence story at this scale needs a long horizon — and a network that is not already past saturation. The
 /// goal follows the paper's §7.3 protocol: calibrate the feasible band
 /// (settled response at 2/3 vs 1/3 of memory dedicated) and target its
 /// midpoint — reachable by construction, but only through controller
 /// action.
-fn n64_convergence(quick: bool) -> Json {
+fn n64_convergence(quick: bool) {
     println!("\n== N = 64 goal convergence (1 Gbit fabric) ==");
     // ~3 intervals per independent probe point (probe + settling shadow)
     // × 65 points for a rank-65 fit, plus the optimize/settle episodes
@@ -499,7 +320,7 @@ fn n64_convergence(quick: bool) -> Json {
         GBIT_FABRIC,
         42,
     );
-    let range = calibrate_goal_range(&cfg, ClassId(1), 4, 4);
+    let range = calibrate_goal_range(&cfg, ClassId(1), 4, 4).expect("calibrate the goal range");
     let goal = (range.min_ms + range.max_ms) / 2.0;
     println!(
         "calibrated band [{:.2}, {:.2}] ms, goal = midpoint {goal:.2} ms",
@@ -540,52 +361,28 @@ fn n64_convergence(quick: bool) -> Json {
             "goal class must settle into satisfaction at N = 64 (tail {tail:.2})"
         );
     }
-    Json::obj()
-        .field("nodes", 64u64)
-        .field("intervals", intervals as u64)
-        .field("secs", secs)
-        .field("converged_at", Json::from(conv.map(|c| c as u64)))
-        .field("satisfied_tail", tail)
-        .field("settled_ms", Json::from(observed))
-        .field("goal_ms", goal)
 }
+
+/// The sections `--only` can select, in run order.
+const SECTIONS: [&str; 4] = ["balance", "fabric", "probe", "n64"];
 
 fn main() {
     let args = dmm_bench::BenchArgs::parse();
-    let quick = args.quick;
-    let only = args.only.clone();
-    let wants = |name: &str| args.wants(name);
-
-    let balance = wants("balance").then(|| balance(quick));
-    let replication = wants("replication").then(|| replication(quick));
-    let sweep = wants("sweep").then(|| sweep(quick));
-    let fabric = wants("fabric").then(|| fabric(quick));
-    let probe = wants("probe").then(|| probe(quick));
-    let n64 = wants("n64").then(|| n64_convergence(quick));
-    if !only.is_empty() {
-        // Partial runs are for iterating on one section; don't clobber the
-        // full BENCH_scale.json with a document full of holes.
-        println!("\n(--only run: BENCH_scale.json not written)");
-        return;
+    if let Err(e) = args.check_only(&SECTIONS) {
+        eprintln!("scale: {e}");
+        std::process::exit(2);
     }
-    let (balance, replication, sweep, fabric, probe, n64) = (
-        balance.expect("ran"),
-        replication.expect("ran"),
-        sweep.expect("ran"),
-        fabric.expect("ran"),
-        probe.expect("ran"),
-        n64.expect("ran"),
-    );
-
-    let doc = Json::obj()
-        .field("bench", "scale")
-        .field("quick", quick)
-        .field("host_cores", cores() as u64)
-        .field("balance", balance)
-        .field("replication", replication)
-        .field("sweep", sweep)
-        .field("fabric", fabric)
-        .field("probe", probe)
-        .field("n64", n64);
-    dmm_bench::cli::write_bench_doc("BENCH_scale.json", &doc);
+    let quick = args.quick;
+    if args.wants("balance") {
+        balance(quick);
+    }
+    if args.wants("fabric") {
+        fabric(quick);
+    }
+    if args.wants("probe") {
+        probe(quick);
+    }
+    if args.wants("n64") {
+        n64_convergence(quick);
+    }
 }

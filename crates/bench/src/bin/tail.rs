@@ -58,7 +58,8 @@ fn main() {
         .goal_quantile(Q)
         .build()
         .expect("valid base config");
-    let range = calibrate_goal_range(&base, class, settle, measure);
+    let range =
+        calibrate_goal_range(&base, class, settle, measure).expect("calibrate the goal range");
     let goal_ms = 0.5 * (range.min_ms + range.max_ms);
 
     // SLA reading: the p95 goal is an upper bound. The controller still

@@ -75,6 +75,19 @@ impl BenchArgs {
         self.only.is_empty() || self.only.iter().any(|s| s == section)
     }
 
+    /// Rejects an `--only` name outside `known`, so a misspelled or retired
+    /// section fails loudly instead of silently running nothing. The error
+    /// names the offender and lists the valid sections.
+    pub fn check_only(&self, known: &[&str]) -> Result<(), String> {
+        match self.only.iter().find(|s| !known.contains(&s.as_str())) {
+            Some(unknown) => Err(format!(
+                "unknown --only section `{unknown}`; expected one of: {}",
+                known.join(", ")
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// The base seed: the `--seed` override or the binary's default.
     pub fn seed_or(&self, default: u64) -> u64 {
         self.seed.unwrap_or(default)
@@ -130,6 +143,19 @@ mod tests {
         assert_eq!(args, BenchArgs::default());
         assert!(args.wants("anything"));
         assert_eq!(args.seed_or(42), 42);
+    }
+
+    #[test]
+    fn unknown_only_sections_are_rejected_with_the_valid_list() {
+        let known = ["balance", "fabric", "probe", "n64"];
+        let args = BenchArgs::parse_from(strings(&["--only", "fabric", "--only", "probe"]));
+        assert_eq!(args.check_only(&known), Ok(()));
+        assert_eq!(BenchArgs::default().check_only(&known), Ok(()));
+        let err = BenchArgs::parse_from(strings(&["--only", "probe", "--only", "sweep"]))
+            .check_only(&known)
+            .unwrap_err();
+        assert!(err.contains("`sweep`"), "{err}");
+        assert!(err.contains("balance, fabric, probe, n64"), "{err}");
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub fn convergence_speed(
         .goal_ms(15.0)
         .build()
         .expect("valid base config");
-    let goal_range = calibrate_goal_range(&base, class, 6, 6);
+    let goal_range = calibrate_goal_range(&base, class, 6, 6).expect("calibrate the goal range");
 
     let run_seed = |seed: u64| -> dmm::core::ConvergenceStats {
         let cfg = SystemConfig::builder()

@@ -907,9 +907,9 @@ fn distribute_delta(current: &[f64], avail: &[f64], delta: f64) -> Vec<f64> {
 /// SLA is being missed) and may jump, but releasing it is charity for the
 /// no-goal class — and the linear plane extrapolates poorly far below the
 /// operating point on a convex response-time curve. Release at most 15 %
-/// per step: with the two-consecutive-checks release hysteresis this bounds
-/// the grow/release limit-cycle amplitude around tight goals well below the
-/// memory difference that separates neighbouring goal levels.
+/// per step, which bounds the grow/release limit-cycle amplitude around
+/// tight goals well below the memory difference that separates neighbouring
+/// goal levels.
 fn release_trust_region(lp_alloc: Vec<f64>, current: &[f64]) -> Vec<f64> {
     let cur_total: f64 = current.iter().sum();
     let new_total: f64 = lp_alloc.iter().sum();

@@ -17,12 +17,11 @@
 //! `fault` trace records alone don't carry drop probabilities or disk-stall
 //! windows, so the plan rides in the closure).
 //!
-//! It deliberately *excludes* the execution-substrate toggles that are
-//! proven trace-invariant by the determinism suite: span mode (non-span
-//! records are byte-identical with sampling on or off) and scheduler
-//! backend (wheel and heap deliver identically). Including them would
-//! break the cross-substrate byte-identity contract those tests pin;
-//! excluding them means a replay reproduces the *system*, not the observer.
+//! It deliberately *excludes* the span mode, an observer toggle proven
+//! trace-invariant by the determinism suite (non-span records are
+//! byte-identical with sampling on or off). Including it would break the
+//! byte-identity contract those tests pin; excluding it means a replay
+//! reproduces the *system*, not the observer.
 //! Replays therefore run with spans off and compare *control records* —
 //! every record type except `span`.
 

@@ -14,9 +14,7 @@ use dmm_cluster::{
     PlacementSpec, RepricingMode, TierLadder, TierSpec,
 };
 use dmm_obs::{Json, MetricsSnapshot, NoopSink, SpanMode, Stage, TraceSink};
-use dmm_sim::{
-    Engine, ExecMode, Handler, Scheduler, SchedulerBackend, SimDuration, SimParams, SimTime,
-};
+use dmm_sim::{Engine, ExecMode, Handler, Scheduler, SimDuration, SimParams, SimTime};
 use dmm_workload::{GoalRange, GoalSchedule, WorkloadGenerator, WorkloadSpec};
 
 use crate::agent::{AgentObservation, LocalAgent};
@@ -67,8 +65,9 @@ pub struct SystemConfig {
     /// Warm-up probing scheme of the hyperplane coordinators (default:
     /// the paper's sequential one-node-per-step probes).
     pub probe: ProbeSpec,
-    /// Simulation-kernel parameters (event-queue backend). Both backends
-    /// deliver identically; the heap exists for differential testing.
+    // Fieldless: kept only because `benchmark/src/shadow.rs` (frozen) reads
+    // `config.sim`; remove with that call site.
+    #[doc(hidden)]
     pub sim: SimParams,
 }
 
@@ -329,13 +328,6 @@ impl SystemConfigBuilder {
     /// the default ladder.
     pub fn tier_policy(mut self, policy: TierPolicy) -> Self {
         self.tier_policy = policy;
-        self
-    }
-
-    /// Selects the event-queue backend (default: the timing wheel; the
-    /// binary heap remains available as a reference for differential runs).
-    pub fn scheduler(mut self, backend: SchedulerBackend) -> Self {
-        self.sim.scheduler = backend;
         self
     }
 
@@ -1462,34 +1454,6 @@ mod tests {
             .warmup_intervals(2)
             .build()
             .expect("valid test config")
-    }
-
-    #[test]
-    fn scheduler_backends_produce_identical_runs() {
-        let mut records = Vec::new();
-        for backend in [SchedulerBackend::Wheel, SchedulerBackend::Heap] {
-            let config = SystemConfig::builder()
-                .seed(11)
-                .goal_ms(8.0)
-                .db_pages(400)
-                .buffer_pages_per_node(96)
-                .goal_rate_per_ms(0.008)
-                .warmup_intervals(2)
-                .scheduler(backend)
-                .build()
-                .expect("valid test config");
-            assert_eq!(config.sim.scheduler, backend);
-            let mut sim = Simulation::new(config);
-            sim.run_intervals(10);
-            records.push((
-                sim.records(ClassId(0)).to_vec(),
-                sim.metrics_snapshot().to_json().to_string(),
-            ));
-        }
-        assert_eq!(records[0].0, records[1].0, "interval records diverged");
-        // Full metrics agree except the scheduler's own counters
-        // (cascades/level occupancy are wheel-specific by design).
-        assert_ne!(records[0].1, records[1].1);
     }
 
     #[test]

@@ -69,6 +69,6 @@ pub mod prelude {
         ControllerKind, Error, SatisfactionMode, Simulation, SystemConfig, SystemConfigBuilder,
     };
     pub use dmm_obs::{JsonLinesSink, StreamSink, TraceSink, VecSink};
-    pub use dmm_sim::{ExecMode, SchedulerBackend, SimDuration, SimTime};
+    pub use dmm_sim::{ExecMode, SimDuration, SimTime};
     pub use dmm_workload::{GoalMetric, GoalRange};
 }

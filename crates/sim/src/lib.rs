@@ -30,7 +30,7 @@ pub mod time;
 pub mod wheel;
 
 pub use arena::SlotArena;
-pub use engine::{Engine, ExecMode, Handler, SchedStats, Scheduler, SchedulerBackend, SimParams};
+pub use engine::{Engine, ExecMode, Handler, SchedStats, Scheduler, SimParams};
 pub use facility::Facility;
 pub use rng::SimRng;
 pub use series::Series;

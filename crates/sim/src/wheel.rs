@@ -29,8 +29,9 @@
 //! are a pure function of its time and the current position* — two events
 //! scheduled for the same instant always sit in the same chain, in
 //! insertion order, no matter how far apart they were scheduled. Delivery
-//! order is therefore exactly (time, seq): identical to the binary-heap
-//! reference, which the differential tests in `tests/` assert.
+//! order is therefore exactly (time, seq): identical to a binary-heap
+//! reference, which the differential tests at the end of this module
+//! assert.
 
 use crate::time::SimTime;
 
@@ -448,5 +449,237 @@ mod tests {
             while w.pop_next_before(u64::MAX).is_some() {}
         }
         assert!(w.arena.len() <= 100, "arena grew past peak pending");
+    }
+}
+
+/// Differential tests: the wheel must deliver the exact same (time, event)
+/// sequence as a binary-heap reference for arbitrary schedules — including
+/// clustered near-future delays, far-future outliers that land in the
+/// overflow chain, same-instant bursts, horizon boundary probes, and delays
+/// sized to straddle wheel level boundaries and force cascades.
+#[cfg(test)]
+mod differential {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use super::*;
+    use crate::SimRng;
+
+    /// The operations the chaos workload needs from an event queue.
+    trait Queue: Default {
+        fn push(&mut self, time: u64, seq: u64, event: u32);
+        fn pop_next_before(&mut self, limit: u64) -> Option<(u64, u32)>;
+        fn len(&self) -> usize;
+    }
+
+    impl Default for TimingWheel<u32> {
+        fn default() -> Self {
+            Self::new()
+        }
+    }
+
+    impl Queue for TimingWheel<u32> {
+        fn push(&mut self, time: u64, seq: u64, event: u32) {
+            TimingWheel::push(self, time, seq, event);
+        }
+        fn pop_next_before(&mut self, limit: u64) -> Option<(u64, u32)> {
+            TimingWheel::pop_next_before(self, limit).map(|(t, e)| (t.as_nanos(), e))
+        }
+        fn len(&self) -> usize {
+            TimingWheel::len(self)
+        }
+    }
+
+    /// The reference: a min-heap on (time, seq), O(log n) per operation.
+    /// `seq` is unique, so the event never takes part in the ordering.
+    #[derive(Default)]
+    struct Heap(BinaryHeap<Reverse<(u64, u64, u32)>>);
+
+    impl Queue for Heap {
+        fn push(&mut self, time: u64, seq: u64, event: u32) {
+            self.0.push(Reverse((time, seq, event)));
+        }
+        fn pop_next_before(&mut self, limit: u64) -> Option<(u64, u32)> {
+            match self.0.peek() {
+                Some(Reverse((t, _, _))) if *t <= limit => {
+                    self.0.pop().map(|Reverse((t, _, e))| (t, e))
+                }
+                _ => None,
+            }
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    /// Delivered (time, event) pairs, in delivery order.
+    type Log = Vec<(u64, u32)>;
+
+    /// A chaos workload over queue `Q`, driven with the engine's clock
+    /// rules: each delivered event logs itself and (driven by a per-run
+    /// deterministic RNG) schedules up to two follow-ups with delays drawn
+    /// from magnitude classes that cover every wheel level plus the
+    /// overflow, with frequent zero delays to create same-instant bursts.
+    struct Chaos<Q> {
+        queue: Q,
+        now: u64,
+        next_seq: u64,
+        delivered: u64,
+        rng: SimRng,
+        log: Log,
+        next_id: u32,
+        spawned: u32,
+        budget: u32,
+    }
+
+    impl<Q: Queue> Chaos<Q> {
+        fn new(seed: u64, budget: u32) -> Self {
+            let mut chaos = Chaos {
+                queue: Q::default(),
+                now: 0,
+                next_seq: 0,
+                delivered: 0,
+                rng: SimRng::seed_from_u64(seed),
+                log: Vec::new(),
+                next_id: 1_000,
+                spawned: 0,
+                budget,
+            };
+            let mut rng = SimRng::seed_from_u64(seed ^ 0xA5A5_A5A5);
+            for id in 0..32u32 {
+                let t = rng.next_u64() % 10_000;
+                chaos.at(t, id);
+            }
+            // Same-instant burst at a fixed tick and near a level boundary.
+            for id in 100..108u32 {
+                chaos.at(4_096, id);
+            }
+            chaos
+        }
+
+        fn at(&mut self, time: u64, event: u32) {
+            assert!(time >= self.now, "cannot schedule into the past");
+            self.queue.push(time, self.next_seq, event);
+            self.next_seq += 1;
+        }
+
+        fn delay(&mut self) -> u64 {
+            // Magnitude classes: 0 = same instant, then per-wheel-level
+            // ranges (6 bits each), then far-future outliers past the
+            // 48-bit span.
+            let class = self.rng.index(11);
+            match class {
+                0 => 0,
+                1..=8 => {
+                    let bits = 6 * class as u32;
+                    let lo = 1u64 << (bits - 6);
+                    lo + self.rng.next_u64() % (1u64 << bits).saturating_sub(lo).max(1)
+                }
+                9 => 1u64 << 48, // exactly the wheel span: first overflow tick
+                _ => (1u64 << 48) + self.rng.next_u64() % (1u64 << 52),
+            }
+        }
+
+        /// Delivers every event up to `horizon`, then advances the clock to
+        /// it (unless it is the end of time), like `Engine::run_until`.
+        fn run_until(&mut self, horizon: u64) -> u64 {
+            let mut n = 0;
+            while let Some((now, event)) = self.queue.pop_next_before(horizon) {
+                assert!(now >= self.now, "time went backwards");
+                self.now = now;
+                self.log.push((now, event));
+                n += 1;
+                for _ in 0..self.rng.index(3) {
+                    if self.spawned >= self.budget {
+                        break;
+                    }
+                    self.spawned += 1;
+                    let id = self.next_id;
+                    self.next_id += 1;
+                    let d = self.delay();
+                    self.at(now.saturating_add(d), id);
+                }
+            }
+            self.delivered += n;
+            if self.now < horizon && horizon != u64::MAX {
+                self.now = horizon;
+            }
+            n
+        }
+    }
+
+    #[test]
+    fn wheel_and_heap_deliver_identical_sequences() {
+        for seed in 0..48u64 {
+            let mut wheel = Chaos::<TimingWheel<u32>>::new(seed, 4_000);
+            let mut heap = Chaos::<Heap>::new(seed, 4_000);
+            wheel.run_until(u64::MAX);
+            heap.run_until(u64::MAX);
+            assert_eq!(
+                wheel.delivered, heap.delivered,
+                "delivered count diverged (seed {seed})"
+            );
+            assert_eq!(wheel.now, heap.now, "final clock diverged (seed {seed})");
+            assert_eq!(
+                wheel.log, heap.log,
+                "delivery sequence diverged (seed {seed})"
+            );
+            // Sanity: the schedule actually exercised interesting territory.
+            assert!(wheel.log.len() > 100, "degenerate schedule (seed {seed})");
+        }
+    }
+
+    /// Steps `chaos` through 64 random horizons, then drains it; returns
+    /// the delivery log and a (delivered, clock, pending) checkpoint per
+    /// step.
+    fn stepped<Q: Queue>(seed: u64) -> (Log, Vec<(u64, u64, usize)>) {
+        let mut chaos = Chaos::<Q>::new(seed, 2_000);
+        let mut horizon_rng = SimRng::seed_from_u64(seed ^ 0x5151);
+        let mut horizon = 0u64;
+        let mut checkpoints = Vec::new();
+        for _ in 0..64 {
+            // Mixed step sizes: some smaller than typical event gaps (empty
+            // intervals), some spanning cascade boundaries.
+            let step = 1 + horizon_rng.next_u64() % (1u64 << (6 + horizon_rng.index(10) * 3));
+            horizon = horizon.saturating_add(step);
+            let n = chaos.run_until(horizon);
+            checkpoints.push((n, chaos.now, chaos.queue.len()));
+        }
+        chaos.run_until(u64::MAX);
+        checkpoints.push((chaos.delivered, chaos.now, 0));
+        (chaos.log, checkpoints)
+    }
+
+    #[test]
+    fn wheel_and_heap_agree_across_random_horizon_steps() {
+        // Stepping at arbitrary horizons exercises the bounded-probe path
+        // (failed peeks must not advance the wheel past the horizon) and
+        // the drained-queue clock advance.
+        for seed in 0..24u64 {
+            let wheel = stepped::<TimingWheel<u32>>(seed);
+            let heap = stepped::<Heap>(seed);
+            assert_eq!(wheel.1, heap.1, "checkpoints diverged (seed {seed})");
+            assert_eq!(wheel.0, heap.0, "delivery diverged (seed {seed})");
+        }
+    }
+
+    fn saturated<Q: Queue>() -> Log {
+        let mut q = Q::default();
+        for (seq, (t, e)) in [(u64::MAX - 1, 0), (u64::MAX, 1), (3, 2), (u64::MAX, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            q.push(t, seq as u64, e);
+        }
+        std::iter::from_fn(|| q.pop_next_before(u64::MAX)).collect()
+    }
+
+    #[test]
+    fn wheel_and_heap_agree_on_saturated_far_future() {
+        // Events at (or saturated to) the end of time must come out last,
+        // in scheduling order.
+        let expected = vec![(3, 2), (u64::MAX - 1, 0), (u64::MAX, 1), (u64::MAX, 3)];
+        assert_eq!(saturated::<TimingWheel<u32>>(), expected);
+        assert_eq!(saturated::<Heap>(), expected);
     }
 }

@@ -475,8 +475,7 @@ pub fn residuals(trace: &Trace) -> String {
 /// (exported by `Simulation::metrics_snapshot`, serialized with
 /// `MetricsSnapshot::to_json`): event-wheel work (`sim.sched.*`) and
 /// trace-sink health (`obs.sink.*`). These counters never ride in the trace
-/// itself — they vary across scheduler backends, which traces are
-/// byte-identical over — so the report takes the snapshot as a sidecar
+/// itself — they describe the substrate, not the model — so the report takes the snapshot as a sidecar
 /// (`dmm-trace report --metrics <file>`).
 pub fn executor(snapshot: &dmm_obs::MetricsSnapshot) -> String {
     let mut out = String::from("== executor (metrics sidecar) ==\n");

@@ -44,7 +44,7 @@ pub fn expected_fields(kind: &str) -> Option<&'static [&'static str]> {
         // The replay closure: the first record of every trace, carrying
         // every builder parameter that shapes the byte stream (see
         // `dmm_core::replay`). Execution-substrate toggles (span mode,
-        // scheduler backend, exec mode) are trace-invariant and excluded.
+        // exec mode) are trace-invariant and excluded.
         "run_config" => &[
             "type",
             "seed",

@@ -209,7 +209,7 @@ fn operation_path_allocates_nothing_once_every_node_has_seen_every_page() {
             .plane
             .apply_allocation(NodeId(n as u16), ClassId(1), 12, SimTime::ZERO);
     }
-    let mut engine: Engine<Ev> = Engine::with_params(config.sim);
+    let mut engine: Engine<Ev> = Engine::new();
     for (node, class) in state.gen.active_streams() {
         let gap = state.gen.next_gap(node, class, SimTime::ZERO);
         engine

@@ -84,7 +84,7 @@ fn fencing_baselines_also_approach_goals() {
 #[test]
 fn calibrated_range_is_ordered_and_spanned() {
     let cfg = small(5, 0.0, 8.0);
-    let range = calibrate_goal_range(&cfg, ClassId(1), 3, 4);
+    let range = calibrate_goal_range(&cfg, ClassId(1), 3, 4).expect("calibrate the goal range");
     assert!(range.min_ms > 0.0);
     assert!(range.max_ms > range.min_ms, "more memory must be faster");
 }

@@ -27,7 +27,7 @@ fn goal_schedule_trace(seed: u64) -> Trace {
         .goal_ms(15.0)
         .build()
         .expect("valid base config");
-    let range = calibrate_goal_range(&base, ClassId(1), 6, 6);
+    let range = calibrate_goal_range(&base, ClassId(1), 6, 6).expect("calibrate the goal range");
     let cfg = SystemConfig::builder()
         .seed(seed)
         .theta(0.5)
@@ -108,7 +108,7 @@ fn quantile_goal_trace(seed: u64) -> Trace {
         .goal_quantile(0.95)
         .build()
         .expect("valid base config");
-    let range = calibrate_goal_range(&base, ClassId(1), 6, 6);
+    let range = calibrate_goal_range(&base, ClassId(1), 6, 6).expect("calibrate the goal range");
     let cfg = SystemConfig::builder()
         .seed(seed)
         .theta(0.5)

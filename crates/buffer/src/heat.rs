@@ -3,10 +3,11 @@
 //! Paper §6: "the heat being defined as the number of accesses (locally resp.
 //! globally) per time unit. In the implementation the LRU-k algorithm \[21\] is
 //! used to approximate the heat." A page's heat estimate is `k` divided by
-//! the span back to its k-th most recent access. Per-class heat records are
-//! "dynamically created and deleted on demand": a class heat exists only
-//! while some node in the system holds a dedicated buffer for that class and
-//! the class has actually touched the page.
+//! the span back to its k-th most recent access. The paper's per-class heat
+//! records are "dynamically created and deleted on demand". Here a class heat
+//! is created the first time the class touches the page while some node in
+//! the system holds a dedicated buffer for that class, and is then kept for
+//! the rest of the run (DESIGN.md §3).
 
 use std::num::NonZeroU8;
 
@@ -89,12 +90,18 @@ impl HeatEstimator {
 /// tracked classes — one, in every shipped workload — so the first per-class
 /// record lives inline and a table of these entries owns no heap of its own;
 /// only a second tracked class on the same page spills into `rest`.
+///
+/// Every node keeps one entry per database page, so the entry's size is
+/// every node's table size per page: it stays within 96 bytes.
 #[derive(Debug, Clone)]
 pub struct PageHeat {
     /// Heat over every access regardless of class (§6 "accumulated heat").
     pub accumulated: HeatEstimator,
     first: Option<(ClassId, HeatEstimator)>,
-    rest: Vec<(ClassId, HeatEstimator)>,
+    /// Behind a thin pointer: a `Vec` inline would cost every entry 16
+    /// more bytes for a spill no shipped workload makes.
+    #[allow(clippy::box_collection)]
+    rest: Option<Box<Vec<(ClassId, HeatEstimator)>>>,
 }
 
 impl PageHeat {
@@ -103,14 +110,18 @@ impl PageHeat {
         PageHeat {
             accumulated: HeatEstimator::new(k),
             first: None,
-            rest: Vec::new(),
+            rest: None,
         }
+    }
+
+    fn spilled(&self) -> &[(ClassId, HeatEstimator)] {
+        self.rest.as_deref().map_or(&[], Vec::as_slice)
     }
 
     fn class_record(&self, class: ClassId) -> Option<&HeatEstimator> {
         self.first
             .iter()
-            .chain(&self.rest)
+            .chain(self.spilled())
             .find(|(c, _)| *c == class)
             .map(|(_, e)| e)
     }
@@ -123,11 +134,11 @@ impl PageHeat {
         let existing = self
             .first
             .iter_mut()
-            .chain(&mut self.rest)
+            .chain(self.rest.iter_mut().flat_map(|r| r.iter_mut()))
             .find(|(c, _)| *c == class);
         match existing {
             // An existing record is kept warm even if tracking toggled off
-            // between accesses; deletion is explicit via `drop_class`.
+            // between accesses; records are never deleted.
             Some((_, est)) => est.record(now),
             None if track_class => {
                 let mut est = HeatEstimator::new(usize::from(self.accumulated.k.get()));
@@ -135,15 +146,17 @@ impl PageHeat {
                 if self.first.is_none() {
                     self.first = Some((class, est));
                 } else {
-                    self.rest.push((class, est));
+                    self.rest
+                        .get_or_insert_with(Box::default)
+                        .push((class, est));
                 }
             }
             None => {}
         }
     }
 
-    /// Per-class heat at `now` (0 when the class never touched the page or
-    /// its record was deleted).
+    /// Per-class heat at `now` (0 when the class has no record on the
+    /// page).
     pub fn class_heat_per_ms(&self, class: ClassId, now: SimTime) -> f64 {
         self.class_record(class).map_or(0.0, |e| e.heat_per_ms(now))
     }
@@ -153,19 +166,9 @@ impl PageHeat {
         self.accumulated.heat_per_ms(now)
     }
 
-    /// Deletes the per-class record (invoked when the last dedicated buffer
-    /// of a class disappears system-wide).
-    pub fn drop_class(&mut self, class: ClassId) {
-        if self.first.is_some_and(|(c, _)| c == class) {
-            self.first = self.rest.pop();
-        } else {
-            self.rest.retain(|(c, _)| *c != class);
-        }
-    }
-
     /// Number of per-class records currently held.
     pub fn tracked_classes(&self) -> usize {
-        usize::from(self.first.is_some()) + self.rest.len()
+        usize::from(self.first.is_some()) + self.spilled().len()
     }
 }
 
@@ -228,9 +231,6 @@ mod tests {
         assert_eq!(h.class_heat_per_ms(NO_GOAL, ms(2)), 0.0);
         // Accumulated heat counts both accesses.
         assert!(h.accumulated_heat_per_ms(ms(2)) > h.class_heat_per_ms(ClassId(1), ms(2)));
-        h.drop_class(ClassId(1));
-        assert_eq!(h.tracked_classes(), 0);
-        assert_eq!(h.class_heat_per_ms(ClassId(1), ms(3)), 0.0);
     }
 
     #[test]
@@ -242,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn further_tracked_classes_spill_and_drop_class_compacts() {
+    fn further_tracked_classes_spill() {
         let mut h = PageHeat::new(2);
         for (c, at) in [(1, 0), (2, 1), (3, 2), (2, 3)] {
             h.record(ClassId(c), ms(at), true);
@@ -250,19 +250,27 @@ mod tests {
         assert_eq!(h.tracked_classes(), 3);
         // Class 2 was touched twice 2 ms apart, the others once.
         assert!((h.class_heat_per_ms(ClassId(2), ms(3)) - 1.0).abs() < 1e-9);
-        // Dropping the inline record pulls a spilled one in; none is lost.
-        h.drop_class(ClassId(1));
-        assert_eq!(h.tracked_classes(), 2);
-        assert_eq!(h.class_heat_per_ms(ClassId(1), ms(4)), 0.0);
-        assert!(h.class_heat_per_ms(ClassId(2), ms(4)) > 0.0);
+        assert!(h.class_heat_per_ms(ClassId(1), ms(4)) > 0.0);
         assert!(h.class_heat_per_ms(ClassId(3), ms(4)) > 0.0);
-        h.drop_class(ClassId(2));
-        h.drop_class(ClassId(3));
-        assert_eq!(h.tracked_classes(), 0);
-        // An untracked access keeps only the accumulated heat warm.
+        // A spilled record stays warm even once tracking is off.
         h.record(ClassId(3), ms(5), false);
-        assert_eq!(h.tracked_classes(), 0);
-        assert_eq!(h.accumulated.last_access(), Some(ms(5)));
+        assert_eq!(h.class_heat_per_ms(ClassId(3), ms(5)), 2.0 / 3.0);
+        // An untracked access by a new class keeps only the accumulated
+        // heat warm.
+        h.record(ClassId(4), ms(6), false);
+        assert_eq!(h.tracked_classes(), 3);
+        assert_eq!(h.class_heat_per_ms(ClassId(4), ms(6)), 0.0);
+        assert_eq!(h.accumulated.last_access(), Some(ms(6)));
+    }
+
+    #[test]
+    fn page_heat_fits_its_size_budget() {
+        let size = std::mem::size_of::<PageHeat>();
+        assert!(
+            size <= 96,
+            "PageHeat is {size} bytes, over its 96-byte budget: every node \
+             keeps one entry per database page"
+        );
     }
 
     #[test]

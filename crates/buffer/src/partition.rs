@@ -19,7 +19,7 @@
 
 use dmm_sim::SimTime;
 
-use crate::page::{ClassId, IdHashMap, PageId, NO_GOAL};
+use crate::page::{ClassId, PageId, NO_GOAL};
 use crate::policy::PolicySpec;
 use crate::pool::{Pool, PoolStats};
 
@@ -53,21 +53,38 @@ pub struct InstallOutcome {
     pub evicted: Option<PageId>,
 }
 
+/// [`PartitionedBuffer::owner`] entry of a page no pool holds.
+const NOT_RESIDENT: u16 = u16::MAX;
+
 /// Per-node partitioned buffer: pools indexed by class id (0 = no-goal).
 #[derive(Debug, Clone)]
 pub struct PartitionedBuffer {
     total_pages: usize,
     pools: Vec<Pool>,
-    /// page → class of the pool currently holding it.
-    owner: IdHashMap<PageId, ClassId>,
+    /// Class of the pool holding each page, indexed densely by page id;
+    /// [`NOT_RESIDENT`] for a page on no pool. Sized once for the database;
+    /// a page id past the end grows it on install.
+    owner: Vec<u16>,
+    /// Pages with an owner entry — `total_resident` without a scan.
+    resident_pages: usize,
 }
 
 impl PartitionedBuffer {
     /// Creates a buffer of `total_pages` frames supporting goal classes
-    /// `1..=num_goal_classes`. Initially everything belongs to the no-goal
-    /// pool.
-    pub fn new(total_pages: usize, num_goal_classes: usize, spec: PolicySpec) -> Self {
+    /// `1..=num_goal_classes`, for a database of page ids `0..db_pages`.
+    /// Initially everything belongs to the no-goal pool.
+    pub fn new(
+        total_pages: usize,
+        num_goal_classes: usize,
+        spec: PolicySpec,
+        db_pages: usize,
+    ) -> Self {
         assert!(total_pages > 0, "node must have at least one frame");
+        assert!(
+            num_goal_classes < usize::from(NOT_RESIDENT),
+            "at most {} goal classes, got {num_goal_classes}",
+            NOT_RESIDENT - 1
+        );
         let mut pools = Vec::with_capacity(num_goal_classes + 1);
         pools.push(Pool::new(total_pages, spec));
         for _ in 0..num_goal_classes {
@@ -76,7 +93,8 @@ impl PartitionedBuffer {
         PartitionedBuffer {
             total_pages,
             pools,
-            owner: IdHashMap::default(),
+            owner: vec![NOT_RESIDENT; db_pages],
+            resident_pages: 0,
         }
     }
 
@@ -117,17 +135,20 @@ impl PartitionedBuffer {
 
     /// Which pool holds `page`, if any.
     pub fn lookup(&self, page: PageId) -> Option<ClassId> {
-        self.owner.get(&page).copied()
+        match self.owner.get(page.index()) {
+            Some(&c) if c != NOT_RESIDENT => Some(ClassId(c)),
+            _ => None,
+        }
     }
 
     /// True if the page is resident anywhere on this node.
     pub fn resident(&self, page: PageId) -> bool {
-        self.owner.contains_key(&page)
+        self.lookup(page).is_some()
     }
 
     /// Total resident pages across pools.
     pub fn total_resident(&self) -> usize {
-        self.owner.len()
+        self.resident_pages
     }
 
     /// Pool accounting for `class`'s pool (class 0 = no-goal pool).
@@ -162,7 +183,7 @@ impl PartitionedBuffer {
                 self.pools[0].on_hit(page, now);
                 let removed = self.pools[0].remove(page);
                 debug_assert!(removed);
-                self.owner.remove(&page);
+                self.clear_owner(page);
                 let evicted = self.install_in(target, page, now);
                 LocalAccess::MovedToDedicated { evicted }
             }
@@ -200,10 +221,11 @@ impl PartitionedBuffer {
     /// Drops `page` from whatever pool holds it. Returns true if it was
     /// resident.
     pub fn drop_page(&mut self, page: PageId) -> bool {
-        match self.owner.remove(&page) {
+        match self.lookup(page) {
             Some(holder) => {
                 let removed = self.pools[holder.index()].remove(page);
                 debug_assert!(removed);
+                self.clear_owner(page);
                 true
             }
             None => false,
@@ -249,8 +271,8 @@ impl PartitionedBuffer {
 
     fn shrink(&mut self, pool_idx: usize, cap: usize) -> Vec<PageId> {
         let evicted = self.pools[pool_idx].set_capacity(cap);
-        for p in &evicted {
-            self.owner.remove(p);
+        for &p in &evicted {
+            self.clear_owner(p);
         }
         evicted
     }
@@ -258,10 +280,23 @@ impl PartitionedBuffer {
     fn install_in(&mut self, target: ClassId, page: PageId, now: SimTime) -> Option<PageId> {
         let evicted = self.pools[target.index()].insert(page, now);
         if let Some(p) = evicted {
-            self.owner.remove(&p);
+            self.clear_owner(p);
         }
-        self.owner.insert(page, target);
+        let i = page.index();
+        if i >= self.owner.len() {
+            self.owner.resize(i + 1, NOT_RESIDENT);
+        }
+        debug_assert_eq!(self.owner[i], NOT_RESIDENT);
+        self.owner[i] = target.0;
+        self.resident_pages += 1;
         evicted
+    }
+
+    /// Forgets the owner of a page that just left its pool.
+    fn clear_owner(&mut self, page: PageId) {
+        debug_assert!(self.resident(page), "{page} has no owner to clear");
+        self.owner[page.index()] = NOT_RESIDENT;
+        self.resident_pages -= 1;
     }
 
     /// The pool an access by `class` targets: the class's dedicated pool if
@@ -274,7 +309,7 @@ impl PartitionedBuffer {
         }
     }
 
-    /// Debug invariant: owner map and pool contents agree, and no pool
+    /// Debug invariant: owner table and pool contents agree, and no pool
     /// exceeds its capacity; capacities sum to the node total.
     pub fn check_invariants(&self) {
         let cap_sum: usize = self.pools.iter().map(Pool::capacity).sum();
@@ -284,14 +319,16 @@ impl PartitionedBuffer {
             assert!(pool.len() <= pool.capacity(), "pool over capacity");
             for page in pool.pages() {
                 assert_eq!(
-                    self.owner.get(&page),
-                    Some(&ClassId(i as u16)),
-                    "owner map out of sync"
+                    self.lookup(page),
+                    Some(ClassId(i as u16)),
+                    "owner table out of sync"
                 );
                 counted += 1;
             }
         }
-        assert_eq!(counted, self.owner.len(), "stray owner entries");
+        let owned = self.owner.iter().filter(|&&c| c != NOT_RESIDENT).count();
+        assert_eq!(counted, owned, "stray owner entries");
+        assert_eq!(counted, self.resident_pages, "resident counter out of sync");
     }
 }
 
@@ -304,7 +341,7 @@ mod tests {
     }
 
     fn buf() -> PartitionedBuffer {
-        PartitionedBuffer::new(8, 2, PolicySpec::Lru)
+        PartitionedBuffer::new(8, 2, PolicySpec::Lru, 16)
     }
 
     #[test]

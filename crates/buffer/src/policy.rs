@@ -352,15 +352,13 @@ impl Policy for LruKPolicy {
 /// stale heap minima. [`Self::invalidate`] marks a single page stale in
 /// O(1), and [`Self::scale_benefits`] applies the per-epoch multiplicative
 /// decay that keeps stale over-estimates from pinning cold pages in memory.
+///
+/// The stamp rides in the page's heap entry next to its benefit, so a
+/// pool's stamps cost memory only for its resident pages, and a page
+/// that leaves the pool takes its stamp with it.
 #[derive(Debug, Clone)]
 pub struct CostBasedPolicy {
-    heap: IndexedMinHeap<PageId, f64>,
-    /// `epoch + 1` a page's benefit was computed at, indexed densely by page
-    /// id; 0 (never priced, explicitly invalidated, or evicted) is stale at
-    /// every epoch. A dense vector, not a hash map: the stamp is read on
-    /// every lazy victim probe and written on every access-path
-    /// invalidation, both too hot for hashing.
-    priced_epoch: Vec<u64>,
+    heap: IndexedMinHeap<PageId, Priced>,
     /// Implicit multiplier on every stored priority. [`Self::scale_benefits`]
     /// only updates this factor — O(1), not O(pool) — because a common
     /// positive multiplier never changes the heap order. New prices are
@@ -370,11 +368,33 @@ pub struct CostBasedPolicy {
     scale: f64,
 }
 
+/// A cost-based heap entry. Only the benefit orders it; the stamp rides
+/// along, so rewriting the stamp never moves the entry.
+#[derive(Debug, Clone, Copy)]
+struct Priced {
+    /// The benefit divided by the policy's implicit `scale`.
+    benefit: f64,
+    /// `epoch + 1` the benefit was computed at; 0 (never priced or
+    /// explicitly invalidated) is stale at every epoch.
+    stamp: u64,
+}
+
+impl PartialEq for Priced {
+    fn eq(&self, other: &Self) -> bool {
+        self.benefit == other.benefit
+    }
+}
+
+impl PartialOrd for Priced {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        self.benefit.partial_cmp(&other.benefit)
+    }
+}
+
 impl Default for CostBasedPolicy {
     fn default() -> Self {
         CostBasedPolicy {
             heap: IndexedMinHeap::new(),
-            priced_epoch: Vec::new(),
             scale: 1.0,
         }
     }
@@ -386,43 +406,36 @@ impl CostBasedPolicy {
         Self::default()
     }
 
-    fn stamp(&self, page: PageId) -> u64 {
-        self.priced_epoch.get(page.index()).copied().unwrap_or(0)
-    }
-
-    fn set_stamp(&mut self, page: PageId, stamp: u64) {
-        let i = page.index();
-        if i >= self.priced_epoch.len() {
-            self.priced_epoch.resize(i + 1, 0);
-        }
-        self.priced_epoch[i] = stamp;
-    }
-
     /// Sets the benefit of a tracked page, stamping it as priced at `epoch`.
     /// Ignored for untracked pages (the page may have been evicted between
     /// pricing and delivery).
     pub fn set_benefit(&mut self, page: PageId, benefit: f64, epoch: u64) {
         assert!(!benefit.is_nan());
         if self.heap.contains(&page) {
-            self.heap.update(page, benefit / self.scale);
-            self.set_stamp(page, epoch + 1);
+            let priced = Priced {
+                benefit: benefit / self.scale,
+                stamp: epoch + 1,
+            };
+            self.heap.update(page, priced);
         }
     }
 
     /// Current benefit of a tracked page.
     pub fn benefit(&self, page: PageId) -> Option<f64> {
-        self.heap.priority(&page).map(|p| p * self.scale)
+        self.heap.priority(&page).map(|p| p.benefit * self.scale)
     }
 
     /// Marks a tracked page's benefit stale (O(1)); its next appearance as
     /// heap minimum forces a recompute. No-op for untracked pages.
     pub fn invalidate(&mut self, page: PageId) {
-        self.set_stamp(page, 0);
+        self.heap.modify_in_place(&page, |p| p.stamp = 0);
     }
 
     /// True if `page`'s benefit was computed at `epoch`.
     pub fn is_fresh(&self, page: PageId, epoch: u64) -> bool {
-        self.stamp(page) == epoch + 1
+        self.heap
+            .priority(&page)
+            .is_some_and(|p| p.stamp == epoch + 1)
     }
 
     /// The current heap minimum together with whether its benefit is fresh
@@ -438,9 +451,8 @@ impl CostBasedPolicy {
     /// freshness instead forces a wave of recomputes at the start of every
     /// interval for near-zero ranking change.
     pub fn min_with_freshness(&self, epoch: u64) -> Option<(PageId, bool)> {
-        self.heap.peek_min().map(|(&page, _)| {
-            let stamp = self.stamp(page);
-            let fresh = stamp != 0 && (epoch + 1).saturating_sub(stamp) <= 1;
+        self.heap.peek_min().map(|(&page, p)| {
+            let fresh = p.stamp != 0 && (epoch + 1).saturating_sub(p.stamp) <= 1;
             (page, fresh)
         })
     }
@@ -463,7 +475,10 @@ impl CostBasedPolicy {
         self.scale *= factor;
         if self.scale < 1e-120 {
             let s = self.scale;
-            self.heap.map_priorities(|b| b * s);
+            self.heap.map_priorities(|p| Priced {
+                benefit: p.benefit * s,
+                ..p
+            });
             self.scale = 1.0;
         }
     }
@@ -471,14 +486,18 @@ impl CostBasedPolicy {
 
 impl Policy for CostBasedPolicy {
     fn on_insert(&mut self, page: PageId, _now: SimTime) {
-        self.heap.insert(page, f64::INFINITY);
+        // Unpriced and stale: infinite benefit until the first pricing.
+        let unpriced = Priced {
+            benefit: f64::INFINITY,
+            stamp: 0,
+        };
+        self.heap.insert(page, unpriced);
     }
     fn on_access(&mut self, _page: PageId, _now: SimTime) {
         // Benefit changes are driven by the heat bookkeeping outside.
     }
     fn on_remove(&mut self, page: PageId) {
         self.heap.remove(&page);
-        self.invalidate(page);
     }
     fn victim(&mut self) -> Option<PageId> {
         self.heap.peek_min().map(|(p, _)| *p)

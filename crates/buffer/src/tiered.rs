@@ -147,12 +147,27 @@ impl TieredBuffer {
     /// Builds a tier stack with `frames[t]` frames in tier `t` (fastest
     /// first; every tier nonzero; at most [`MAX_TIERS`] tiers), each
     /// supporting goal classes
-    /// `1..=num_goal_classes` under replacement policy `spec`.
+    /// `1..=num_goal_classes` under replacement policy `spec`. The page
+    /// ownership tables grow with the largest page id installed; a caller
+    /// that knows the database size sizes them once with
+    /// [`Self::with_db_pages`].
     pub fn new(
         frames: &[usize],
         num_goal_classes: usize,
         spec: PolicySpec,
         policy: TierPolicy,
+    ) -> Self {
+        Self::with_db_pages(frames, num_goal_classes, spec, policy, 0)
+    }
+
+    /// [`Self::new`] for a database of page ids `0..db_pages`: every
+    /// tier's page ownership table is sized for it up front.
+    pub fn with_db_pages(
+        frames: &[usize],
+        num_goal_classes: usize,
+        spec: PolicySpec,
+        policy: TierPolicy,
+        db_pages: usize,
     ) -> Self {
         assert!(!frames.is_empty(), "need at least one memory tier");
         assert!(
@@ -162,7 +177,7 @@ impl TieredBuffer {
         );
         let tiers = frames
             .iter()
-            .map(|&f| PartitionedBuffer::new(f, num_goal_classes, spec))
+            .map(|&f| PartitionedBuffer::new(f, num_goal_classes, spec, db_pages))
             .collect::<Vec<_>>();
         TieredBuffer {
             promotions: vec![0; tiers.len()],

@@ -148,7 +148,7 @@ fn partition_invariants() {
         let mut rng = SimRng::seed_from_u64(500 + seed);
         let total = 4 + rng.index(20);
         let steps = 1 + rng.index(149);
-        let mut b = PartitionedBuffer::new(total, 2, PolicySpec::Lru);
+        let mut b = PartitionedBuffer::new(total, 2, PolicySpec::Lru, 40);
         for i in 0..steps {
             let now = t(i as u64);
             let page = rng.index(40) as u32;
@@ -288,6 +288,199 @@ fn tiered_displacement_is_a_chain() {
     assert!(longest.get() >= 3, "the cases never walked a long chain");
 }
 
+/// The dense per-tier owner tables against a map model of page →
+/// (tier, pool) rebuilt from the pools' own membership after every step, on
+/// 1–6 memory tiers under both tier policies: `locate`, `resident` and
+/// `total_resident` agree for every page id, the last one included. Half the
+/// cases size the tables up front, half let them grow with the page ids
+/// installed.
+#[test]
+fn dense_owner_matches_the_map_model() {
+    use std::collections::BTreeMap;
+    for seed in 0..96u64 {
+        let mut rng = SimRng::seed_from_u64(0x0D0E + seed);
+        let tiers = 1 + rng.index(6);
+        let frames: Vec<usize> = (0..tiers).map(|_| 1 + rng.index(6)).collect();
+        let policy = [TierPolicy::Hotness, TierPolicy::StaticHash][rng.index(2)];
+        let db_pages = 8 + rng.index(40);
+        let presized = rng.index(2) == 0;
+        let mut b = if presized {
+            TieredBuffer::with_db_pages(&frames, 2, PolicySpec::Lru, policy, db_pages)
+        } else {
+            TieredBuffer::new(&frames, 2, PolicySpec::Lru, policy)
+        };
+        for step in 0..1 + rng.index(300) {
+            let ctx = format!("seed {seed} step {step}: {frames:?} {policy:?} presized {presized}");
+            let now = t(step as u64);
+            // Every fourth draw is the last page id.
+            let page = PageId(if rng.index(4) == 0 {
+                db_pages - 1
+            } else {
+                rng.index(db_pages)
+            } as u32);
+            match rng.index(8) {
+                0 => {
+                    let goal = ClassId(1 + rng.index(2) as u16);
+                    b.set_dedicated(goal, rng.index(12));
+                }
+                1 => {
+                    b.drop_page(page);
+                }
+                _ => {
+                    let class = ClassId(rng.index(3) as u16);
+                    if b.access(class, page, now) == TieredAccess::Miss {
+                        b.install(class, page, now);
+                    }
+                }
+            }
+            let mut model = BTreeMap::new();
+            for tier in 0..tiers {
+                for class in (0..=2).map(ClassId) {
+                    for p in b.pool_at(tier, class).pages() {
+                        assert_eq!(model.insert(p, (tier, class)), None, "{ctx}: {p} twice");
+                    }
+                }
+            }
+            for p in (0..db_pages as u32).map(PageId) {
+                assert_eq!(b.locate(p), model.get(&p).copied(), "{ctx}: {p}");
+                assert_eq!(b.resident(p), model.contains_key(&p), "{ctx}: {p}");
+            }
+            assert_eq!(b.total_resident(), model.len(), "{ctx}");
+        }
+        b.check_invariants();
+    }
+}
+
+/// The historical cost-based policy: benefits in the heap, `epoch + 1`
+/// stamps in a dense vector indexed by page id, 0 on removal.
+struct DenseStampPolicy {
+    heap: IndexedMinHeap<PageId, f64>,
+    priced_epoch: Vec<u64>,
+    scale: f64,
+}
+
+impl DenseStampPolicy {
+    fn stamp(&self, page: PageId) -> u64 {
+        self.priced_epoch.get(page.index()).copied().unwrap_or(0)
+    }
+
+    fn set_stamp(&mut self, page: PageId, stamp: u64) {
+        let i = page.index();
+        if i >= self.priced_epoch.len() {
+            self.priced_epoch.resize(i + 1, 0);
+        }
+        self.priced_epoch[i] = stamp;
+    }
+
+    fn set_benefit(&mut self, page: PageId, benefit: f64, epoch: u64) {
+        if self.heap.contains(&page) {
+            self.heap.update(page, benefit / self.scale);
+            self.set_stamp(page, epoch + 1);
+        }
+    }
+
+    fn min_with_freshness(&self, epoch: u64) -> Option<(PageId, bool)> {
+        self.heap.peek_min().map(|(&page, _)| {
+            let stamp = self.stamp(page);
+            (page, stamp != 0 && (epoch + 1).saturating_sub(stamp) <= 1)
+        })
+    }
+
+    fn scale_benefits(&mut self, factor: f64) {
+        self.scale *= factor;
+        if self.scale < 1e-120 {
+            let s = self.scale;
+            self.heap.map_priorities(|b| b * s);
+            self.scale = 1.0;
+        }
+    }
+}
+
+/// `CostBasedPolicy`, whose stamps ride in its heap entries, against the
+/// dense stamp vector it replaced: through random inserts, removals,
+/// pricings, invalidations and decays — factors small enough to force the
+/// physical renormalisation included — every step agrees on the fresh-aware
+/// minimum, freshness at this and the previous epoch, and every benefit.
+#[test]
+fn cost_based_stamps_match_the_dense_epoch_model() {
+    use dmm_buffer::CostBasedPolicy;
+    const PAGES: u32 = 24;
+    let mut renormalised = 0;
+    for seed in 0..64u64 {
+        let mut rng = SimRng::seed_from_u64(0x57A4 + seed);
+        let mut policy = CostBasedPolicy::new();
+        let mut reference = DenseStampPolicy {
+            heap: IndexedMinHeap::new(),
+            priced_epoch: Vec::new(),
+            scale: 1.0,
+        };
+        let mut epoch = 0u64;
+        for step in 0..1 + rng.index(400) {
+            let ctx = format!("seed {seed} step {step}");
+            let page = PageId(rng.index(PAGES as usize) as u32);
+            let tracked = reference.heap.contains(&page);
+            match rng.index(7) {
+                0 if !tracked => {
+                    policy.on_insert(page, t(step as u64));
+                    reference.heap.insert(page, f64::INFINITY);
+                }
+                1 => {
+                    policy.on_remove(page);
+                    reference.heap.remove(&page);
+                    reference.set_stamp(page, 0);
+                }
+                2 | 3 => {
+                    // Few distinct benefits, so the heap meets ties.
+                    let benefit = rng.index(5) as f64 * 0.5;
+                    let at = epoch.saturating_sub(rng.index(3) as u64);
+                    policy.set_benefit(page, benefit, at);
+                    reference.set_benefit(page, benefit, at);
+                }
+                4 => {
+                    policy.invalidate(page);
+                    reference.set_stamp(page, 0);
+                }
+                5 => {
+                    let factor = [1.0, 0.9, 0.5, 1e-70][rng.index(4)];
+                    let before = reference.scale;
+                    policy.scale_benefits(factor);
+                    reference.scale_benefits(factor);
+                    renormalised += usize::from(reference.scale > before);
+                }
+                _ => epoch += 1,
+            }
+            for e in [epoch, epoch.saturating_sub(1)] {
+                assert_eq!(
+                    policy.min_with_freshness(e),
+                    reference.min_with_freshness(e),
+                    "{ctx} epoch {e}"
+                );
+            }
+            for p in (0..PAGES).map(PageId) {
+                let benefit = reference.heap.priority(&p).map(|b| b * reference.scale);
+                assert_eq!(
+                    policy.benefit(p).map(f64::to_bits),
+                    benefit.map(f64::to_bits),
+                    "{ctx}: {p}"
+                );
+                for e in [epoch, epoch.saturating_sub(1)] {
+                    assert_eq!(
+                        policy.is_fresh(p, e),
+                        reference.stamp(p) == e + 1,
+                        "{ctx}: {p} epoch {e}"
+                    );
+                }
+            }
+            assert_eq!(
+                policy.victim(),
+                reference.heap.peek_min().map(|(&p, _)| p),
+                "{ctx}"
+            );
+        }
+    }
+    assert!(renormalised > 0, "no case forced a renormalisation");
+}
+
 /// After installing, a page is resident exactly once and a re-access is a
 /// hit.
 #[test]
@@ -297,7 +490,7 @@ fn install_then_hit() {
         let total = 2 + rng.index(14);
         let page = rng.index(100) as u32;
         let class = ClassId(rng.index(3) as u16);
-        let mut b = PartitionedBuffer::new(total, 2, PolicySpec::Lru);
+        let mut b = PartitionedBuffer::new(total, 2, PolicySpec::Lru, 100);
         assert_eq!(b.access(class, PageId(page), t(0)), LocalAccess::Miss);
         b.install(class, PageId(page), t(1));
         match b.access(class, PageId(page), t(2)) {
@@ -311,7 +504,7 @@ fn install_then_hit() {
 /// residency uniqueness even under pool churn.
 #[test]
 fn migration_churn() {
-    let mut b = PartitionedBuffer::new(6, 2, PolicySpec::Lru);
+    let mut b = PartitionedBuffer::new(6, 2, PolicySpec::Lru, 6);
     for i in 0..6u32 {
         b.access(NO_GOAL, PageId(i), t(i as u64));
         b.install(NO_GOAL, PageId(i), t(i as u64));

@@ -127,7 +127,9 @@ struct NodeState {
     cpu: Facility,
     disk: Disk,
     buffer: TieredBuffer,
-    heat: IdHashMap<PageId, PageHeat>,
+    /// Heat bookkeeping of every database page, indexed by page id; an
+    /// untouched page's entry reads 0.
+    heat: Vec<PageHeat>,
     /// One FCFS facility per memory tier beyond tier 0, modelling the
     /// tier's (possibly bandwidth-capped) transfer channel. Empty for the
     /// default single-memory-tier ladder.
@@ -299,13 +301,14 @@ impl DataPlane {
             .map(|_| NodeState {
                 cpu: Facility::new("cpu"),
                 disk: Disk::new(params.disk),
-                buffer: TieredBuffer::new(
+                buffer: TieredBuffer::with_db_pages(
                     &tier_frames,
                     params.goal_classes,
                     params.policy,
                     params.tier_policy,
+                    params.db_pages as usize,
                 ),
-                heat: IdHashMap::default(),
+                heat: vec![PageHeat::new(params.heat_k); params.db_pages as usize],
                 tier_fac: (1..tier_frames.len())
                     .map(|_| Facility::new("tier"))
                     .collect(),
@@ -864,7 +867,9 @@ impl DataPlane {
             debug_assert_eq!(granted, 0);
             debug_assert!(evicted.is_empty(), "pools were already drained");
         }
-        self.nodes[node.index()].heat.clear();
+        self.nodes[node.index()]
+            .heat
+            .fill(PageHeat::new(self.params.heat_k));
 
         // Abort in-flight operations that originated at the dead node;
         // their orphaned events are swallowed by `handle`'s guard. Sorted
@@ -1403,12 +1408,7 @@ impl DataPlane {
 
     fn record_heat(&mut self, node: NodeId, class: ClassId, page: PageId, now: SimTime) {
         let tracked = self.directory.class_tracked(class);
-        let k = self.params.heat_k;
-        self.nodes[node.index()]
-            .heat
-            .entry(page)
-            .or_insert_with(|| PageHeat::new(k))
-            .record(class, now, tracked);
+        self.nodes[node.index()].heat[page.index()].record(class, now, tracked);
         if self.directory.record_access(page, now) {
             // Threshold crossed: the heat update is published to the page's
             // home — coherence traffic of the caching substrate, accounted
@@ -1599,11 +1599,11 @@ impl DataPlane {
             return;
         };
         let ranking_heat = {
-            let heat = self.nodes[node.index()].heat.get(&page);
-            match heat {
-                Some(h) if pool_class.is_no_goal() => h.accumulated_heat_per_ms(now),
-                Some(h) => h.class_heat_per_ms(pool_class, now),
-                None => 0.0,
+            let heat = &self.nodes[node.index()].heat[page.index()];
+            if pool_class.is_no_goal() {
+                heat.accumulated_heat_per_ms(now)
+            } else {
+                heat.class_heat_per_ms(pool_class, now)
             }
         };
         let lazy = self.lazy_cost();

@@ -16,11 +16,11 @@ const ABSENT: u32 = u32::MAX;
 /// O(1) membership and peek. Priorities must not be NaN.
 ///
 /// The position map is a dense vector indexed by [`DenseId::dense_index`]
-/// rather than a hash map: every sift level swaps two entries and must
-/// update both their positions, so re-keying one page in a pool of n pages
-/// costs up to 2·log₂ n position writes — on the repricing hot path those
-/// writes are the bulk of the work, and an array store beats even a cheap
-/// hash probe several-fold. Memory is one `u32` per page id ever seen.
+/// rather than a hash map: every sift level moves one entry and must
+/// update its position, so re-keying one page in a pool of n pages costs up
+/// to log₂ n + 1 position writes — on the repricing hot path those writes
+/// are the bulk of the work, and an array store beats even a cheap hash
+/// probe several-fold. Memory is one `u32` per page id ever seen.
 #[derive(Debug, Clone)]
 pub struct IndexedMinHeap<I, P> {
     /// Heap array of (priority, item).
@@ -162,7 +162,7 @@ where
         for i in 1..self.heap.len() {
             let parent = (i - 1) / 2;
             debug_assert!(
-                !self.less(i, parent),
+                !Self::lt(&self.heap[i].0, &self.heap[parent].0),
                 "map_priorities callback was not order-preserving"
             );
         }
@@ -193,49 +193,60 @@ where
         (item, p)
     }
 
-    fn less(&self, a: usize, b: usize) -> bool {
-        self.heap[a]
-            .0
-            .partial_cmp(&self.heap[b].0)
-            .expect("NaN priority")
-            .is_lt()
+    fn lt(a: &P, b: &P) -> bool {
+        a.partial_cmp(b).expect("NaN priority").is_lt()
     }
 
-    fn swap_entries(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        // Both items are already present, so their dense slots exist: plain
-        // stores, no growth check needed.
-        self.pos[self.heap[a].1.dense_index()] = a as u32;
-        self.pos[self.heap[b].1.dense_index()] = b as u32;
+    /// Stores `entry` at heap slot `i` and records its position. The item
+    /// is already present, so its dense slot exists: a plain store.
+    fn place(&mut self, i: usize, entry: (P, I)) {
+        self.pos[entry.1.dense_index()] = i as u32;
+        self.heap[i] = entry;
     }
 
-    fn sift_up(&mut self, mut i: usize) {
+    // Both sifts carry the moving entry in hand and shift the entries it
+    // passes into the hole it leaves: one position write per level instead
+    // of a swap's two, with the same comparisons and the same final layout.
+
+    fn sift_up(&mut self, start: usize) {
+        let entry = self.heap[start];
+        let mut i = start;
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.less(i, parent) {
-                self.swap_entries(i, parent);
-                i = parent;
-            } else {
+            if !Self::lt(&entry.0, &self.heap[parent].0) {
                 break;
             }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        if i != start {
+            self.place(i, entry);
         }
     }
 
-    fn sift_down(&mut self, mut i: usize) {
+    fn sift_down(&mut self, start: usize) {
+        let entry = self.heap[start];
+        let len = self.heap.len();
+        let mut i = start;
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < self.heap.len() && self.less(l, smallest) {
-                smallest = l;
+            let mut smallest = None;
+            let mut key = &entry.0;
+            if l < len && Self::lt(&self.heap[l].0, key) {
+                smallest = Some(l);
+                key = &self.heap[l].0;
             }
-            if r < self.heap.len() && self.less(r, smallest) {
-                smallest = r;
+            if r < len && Self::lt(&self.heap[r].0, key) {
+                smallest = Some(r);
             }
-            if smallest == i {
+            let Some(child) = smallest else {
                 break;
-            }
-            self.swap_entries(i, smallest);
-            i = smallest;
+            };
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        if i != start {
+            self.place(i, entry);
         }
     }
 }

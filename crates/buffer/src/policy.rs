@@ -344,18 +344,18 @@ impl Policy for LruKPolicy {
 /// benefit until the cluster layer prices them, so a page is never evicted
 /// in the instant between fetch and pricing.
 ///
-/// Every benefit is stamped with the *epoch* (observation-interval sequence
-/// number) it was computed at. The lazy maintenance mode of the cluster
-/// layer uses the stamps for bounded lazy invalidation: instead of
-/// re-pricing every page per interval, it consults
+/// Every benefit carries a *fresh* flag: set when the benefit is priced,
+/// cleared by [`Self::invalidate`] when one of its inputs changes. The lazy
+/// maintenance mode of the cluster layer uses the flags for lazy
+/// invalidation: instead of re-pricing every page per interval, it consults
 /// [`Self::min_with_freshness`] right before an eviction and recomputes only
-/// stale heap minima. [`Self::invalidate`] marks a single page stale in
-/// O(1), and [`Self::scale_benefits`] applies the per-epoch multiplicative
-/// decay that keeps stale over-estimates from pinning cold pages in memory.
+/// stale heap minima. The policy keeps no age: a benefit stays fresh until
+/// it is invalidated, and [`Self::scale_benefits`] applies the per-epoch
+/// multiplicative decay that stands in for the passage of time.
 ///
-/// The stamp rides in the page's heap entry next to its benefit, so a
-/// pool's stamps cost memory only for its resident pages, and a page
-/// that leaves the pool takes its stamp with it.
+/// The flag rides in the page's heap entry next to its benefit, so a pool's
+/// flags cost memory only for its resident pages, and a page that leaves
+/// the pool takes its flag with it.
 #[derive(Debug, Clone)]
 pub struct CostBasedPolicy {
     heap: IndexedMinHeap<PageId, Priced>,
@@ -368,15 +368,14 @@ pub struct CostBasedPolicy {
     scale: f64,
 }
 
-/// A cost-based heap entry. Only the benefit orders it; the stamp rides
-/// along, so rewriting the stamp never moves the entry.
+/// A cost-based heap entry. Only the benefit orders it; the flag rides
+/// along, so rewriting the flag never moves the entry.
 #[derive(Debug, Clone, Copy)]
 struct Priced {
     /// The benefit divided by the policy's implicit `scale`.
     benefit: f64,
-    /// `epoch + 1` the benefit was computed at; 0 (never priced or
-    /// explicitly invalidated) is stale at every epoch.
-    stamp: u64,
+    /// Priced, and not invalidated since; false for a never-priced page.
+    fresh: bool,
 }
 
 impl PartialEq for Priced {
@@ -406,15 +405,15 @@ impl CostBasedPolicy {
         Self::default()
     }
 
-    /// Sets the benefit of a tracked page, stamping it as priced at `epoch`.
-    /// Ignored for untracked pages (the page may have been evicted between
-    /// pricing and delivery).
-    pub fn set_benefit(&mut self, page: PageId, benefit: f64, epoch: u64) {
+    /// Sets the benefit of a tracked page and marks it fresh. Ignored for
+    /// untracked pages (the page may have been evicted between pricing and
+    /// delivery).
+    pub fn set_benefit(&mut self, page: PageId, benefit: f64) {
         assert!(!benefit.is_nan());
         if self.heap.contains(&page) {
             let priced = Priced {
                 benefit: benefit / self.scale,
-                stamp: epoch + 1,
+                fresh: true,
             };
             self.heap.update(page, priced);
         }
@@ -428,40 +427,28 @@ impl CostBasedPolicy {
     /// Marks a tracked page's benefit stale (O(1)); its next appearance as
     /// heap minimum forces a recompute. No-op for untracked pages.
     pub fn invalidate(&mut self, page: PageId) {
-        self.heap.modify_in_place(&page, |p| p.stamp = 0);
+        self.heap.modify_in_place(&page, |p| p.fresh = false);
     }
 
-    /// True if `page`'s benefit was computed at `epoch`.
-    pub fn is_fresh(&self, page: PageId, epoch: u64) -> bool {
-        self.heap
-            .priority(&page)
-            .is_some_and(|p| p.stamp == epoch + 1)
+    /// True if `page`'s benefit was priced and not invalidated since.
+    pub fn is_fresh(&self, page: PageId) -> bool {
+        self.heap.priority(&page).is_some_and(|p| p.fresh)
     }
 
-    /// The current heap minimum together with whether its benefit is fresh
-    /// *enough* at `epoch`: priced at the current or the previous epoch.
-    /// The lazy victim loop calls this, re-prices the page when stale, and
-    /// retries until the minimum is fresh.
-    ///
-    /// Accepting the previous epoch matters for cost: pages touched since
-    /// pricing are explicitly [`Self::invalidate`]d (stale at any age), so a
-    /// one-epoch-old stamp can only belong to an *untouched* page — whose
-    /// benefit the per-epoch decay already aged — and re-pricing it would
-    /// mostly reproduce the decayed estimate. Requiring exact-epoch
-    /// freshness instead forces a wave of recomputes at the start of every
-    /// interval for near-zero ranking change.
-    pub fn min_with_freshness(&self, epoch: u64) -> Option<(PageId, bool)> {
-        self.heap.peek_min().map(|(&page, p)| {
-            let fresh = p.stamp != 0 && (epoch + 1).saturating_sub(p.stamp) <= 1;
-            (page, fresh)
-        })
+    /// The current heap minimum together with whether its benefit is
+    /// fresh. The lazy victim loop calls this, re-prices the page when
+    /// stale, and retries until the minimum is fresh. Age alone never makes
+    /// a benefit stale here; a caller for whom age matters checks it
+    /// itself.
+    pub fn min_with_freshness(&self) -> Option<(PageId, bool)> {
+        self.heap.peek_min().map(|(&page, p)| (page, p.fresh))
     }
 
     /// Multiplies every benefit by `factor` (0 < factor ≤ 1) without
-    /// touching the epoch stamps. Scaling preserves the heap order, keeps
+    /// touching the fresh flags. Scaling preserves the heap order, keeps
     /// `∞` (unpriced) entries at `∞`, and drives pages that stopped being
-    /// re-priced toward the heap minimum, where the lazy victim loop gives
-    /// them a fresh price before any eviction decision.
+    /// re-priced toward the heap minimum, where they are evicted on the
+    /// decayed estimate unless they are stale.
     ///
     /// O(1): only the implicit `scale` factor changes, so the lazy
     /// mode's per-interval maintenance does no per-page work at all — the
@@ -489,7 +476,7 @@ impl Policy for CostBasedPolicy {
         // Unpriced and stale: infinite benefit until the first pricing.
         let unpriced = Priced {
             benefit: f64::INFINITY,
-            stamp: 0,
+            fresh: false,
         };
         self.heap.insert(page, unpriced);
     }
@@ -605,34 +592,37 @@ mod tests {
         p.on_insert(PageId(1), t(0));
         p.on_insert(PageId(2), t(0));
         // Unpriced pages are never victims ahead of priced ones.
-        p.set_benefit(PageId(1), 5.0, 0);
+        p.set_benefit(PageId(1), 5.0);
         assert_eq!(p.victim(), Some(PageId(1)));
-        p.set_benefit(PageId(2), 1.0, 0);
+        p.set_benefit(PageId(2), 1.0);
         assert_eq!(p.victim(), Some(PageId(2)));
         // Pricing an evicted page is a no-op.
         p.on_remove(PageId(2));
-        p.set_benefit(PageId(2), 0.0, 0);
+        p.set_benefit(PageId(2), 0.0);
         assert_eq!(p.victim(), Some(PageId(1)));
     }
 
     #[test]
-    fn cost_based_tracks_freshness_per_epoch() {
+    fn cost_based_freshness_lasts_until_invalidated() {
         let mut p = CostBasedPolicy::new();
         p.on_insert(PageId(1), t(0));
-        // Unpriced pages are stale at every epoch.
-        assert_eq!(p.min_with_freshness(0), Some((PageId(1), false)));
-        p.set_benefit(PageId(1), 2.0, 3);
-        assert!(p.is_fresh(PageId(1), 3));
-        assert!(!p.is_fresh(PageId(1), 4));
-        assert_eq!(p.min_with_freshness(3), Some((PageId(1), true)));
+        // Unpriced pages are stale.
+        assert_eq!(p.min_with_freshness(), Some((PageId(1), false)));
+        p.set_benefit(PageId(1), 2.0);
+        assert!(p.is_fresh(PageId(1)));
+        // Decay ages the benefit without making it stale.
+        for _ in 0..5 {
+            p.scale_benefits(0.65);
+        }
+        assert_eq!(p.min_with_freshness(), Some((PageId(1), true)));
         // O(1) invalidation forces a recompute at the next victim check.
         p.invalidate(PageId(1));
-        assert_eq!(p.min_with_freshness(3), Some((PageId(1), false)));
-        // Removal drops the stamp too: a re-inserted page starts stale.
-        p.set_benefit(PageId(1), 2.0, 3);
+        assert_eq!(p.min_with_freshness(), Some((PageId(1), false)));
+        // Removal drops the flag too: a re-inserted page starts stale.
+        p.set_benefit(PageId(1), 2.0);
         p.on_remove(PageId(1));
         p.on_insert(PageId(1), t(1));
-        assert!(!p.is_fresh(PageId(1), 3));
+        assert!(!p.is_fresh(PageId(1)));
     }
 
     #[test]
@@ -641,15 +631,16 @@ mod tests {
         p.on_insert(PageId(1), t(0));
         p.on_insert(PageId(2), t(0));
         p.on_insert(PageId(3), t(0));
-        p.set_benefit(PageId(1), 8.0, 0);
-        p.set_benefit(PageId(2), 2.0, 0);
+        p.set_benefit(PageId(1), 8.0);
+        p.set_benefit(PageId(2), 2.0);
         p.scale_benefits(0.5);
         assert_eq!(p.benefit(PageId(1)), Some(4.0));
         assert_eq!(p.benefit(PageId(2)), Some(1.0));
         assert_eq!(p.benefit(PageId(3)), Some(f64::INFINITY));
         assert_eq!(p.victim(), Some(PageId(2)));
-        // Decay does not touch freshness stamps.
-        assert!(p.is_fresh(PageId(1), 0));
+        // Decay does not touch the fresh flags.
+        assert!(p.is_fresh(PageId(1)));
+        assert!(!p.is_fresh(PageId(3)));
     }
 
     #[test]
@@ -665,11 +656,8 @@ mod tests {
         c.on_insert(PageId(9), t(0));
         c.as_cost_based_mut()
             .expect("cost based")
-            .set_benefit(PageId(9), 2.0, 0);
-        assert!(c
-            .as_cost_based()
-            .expect("cost based")
-            .is_fresh(PageId(9), 0));
+            .set_benefit(PageId(9), 2.0);
+        assert!(c.as_cost_based().expect("cost based").is_fresh(PageId(9)));
         assert_eq!(c.victim(), Some(PageId(9)));
     }
 }

@@ -351,39 +351,32 @@ fn dense_owner_matches_the_map_model() {
     }
 }
 
-/// The historical cost-based policy: benefits in the heap, `epoch + 1`
-/// stamps in a dense vector indexed by page id, 0 on removal.
-struct DenseStampPolicy {
+/// The cost-based policy's contract as a plain model: benefits in a heap
+/// of their own, and one fresh flag per page id — set by pricing, cleared
+/// by invalidation, removal or insertion, and untouched by decay, however
+/// many decays pass.
+struct FreshFlagModel {
     heap: IndexedMinHeap<PageId, f64>,
-    priced_epoch: Vec<u64>,
+    fresh: Vec<bool>,
     scale: f64,
 }
 
-impl DenseStampPolicy {
-    fn stamp(&self, page: PageId) -> u64 {
-        self.priced_epoch.get(page.index()).copied().unwrap_or(0)
+impl FreshFlagModel {
+    fn is_fresh(&self, page: PageId) -> bool {
+        self.heap.contains(&page) && self.fresh[page.index()]
     }
 
-    fn set_stamp(&mut self, page: PageId, stamp: u64) {
-        let i = page.index();
-        if i >= self.priced_epoch.len() {
-            self.priced_epoch.resize(i + 1, 0);
-        }
-        self.priced_epoch[i] = stamp;
-    }
-
-    fn set_benefit(&mut self, page: PageId, benefit: f64, epoch: u64) {
+    fn set_benefit(&mut self, page: PageId, benefit: f64) {
         if self.heap.contains(&page) {
             self.heap.update(page, benefit / self.scale);
-            self.set_stamp(page, epoch + 1);
+            self.fresh[page.index()] = true;
         }
     }
 
-    fn min_with_freshness(&self, epoch: u64) -> Option<(PageId, bool)> {
-        self.heap.peek_min().map(|(&page, _)| {
-            let stamp = self.stamp(page);
-            (page, stamp != 0 && (epoch + 1).saturating_sub(stamp) <= 1)
-        })
+    fn min_with_freshness(&self) -> Option<(PageId, bool)> {
+        self.heap
+            .peek_min()
+            .map(|(&page, _)| (page, self.fresh[page.index()]))
     }
 
     fn scale_benefits(&mut self, factor: f64) {
@@ -396,89 +389,89 @@ impl DenseStampPolicy {
     }
 }
 
-/// `CostBasedPolicy`, whose stamps ride in its heap entries, against the
-/// dense stamp vector it replaced: through random inserts, removals,
-/// pricings, invalidations and decays — factors small enough to force the
-/// physical renormalisation included — every step agrees on the fresh-aware
-/// minimum, freshness at this and the previous epoch, and every benefit.
+/// `CostBasedPolicy`, whose fresh flags ride in its heap entries, against
+/// the flag model: through random inserts, removals, pricings,
+/// invalidations and decays — factors small enough to force the physical
+/// renormalisation included, and long runs of decays with no pricing in
+/// between — every step agrees on the fresh-aware minimum, every page's
+/// freshness and every benefit.
 #[test]
-fn cost_based_stamps_match_the_dense_epoch_model() {
+fn cost_based_freshness_matches_the_flag_model() {
     use dmm_buffer::CostBasedPolicy;
     const PAGES: u32 = 24;
     let mut renormalised = 0;
+    let mut aged_fresh = 0;
     for seed in 0..64u64 {
         let mut rng = SimRng::seed_from_u64(0x57A4 + seed);
         let mut policy = CostBasedPolicy::new();
-        let mut reference = DenseStampPolicy {
+        let mut model = FreshFlagModel {
             heap: IndexedMinHeap::new(),
-            priced_epoch: Vec::new(),
+            fresh: vec![false; PAGES as usize],
             scale: 1.0,
         };
-        let mut epoch = 0u64;
+        // Decays applied since each page was last priced.
+        let mut decays_since_priced = [0u32; PAGES as usize];
         for step in 0..1 + rng.index(400) {
             let ctx = format!("seed {seed} step {step}");
             let page = PageId(rng.index(PAGES as usize) as u32);
-            let tracked = reference.heap.contains(&page);
+            let tracked = model.heap.contains(&page);
             match rng.index(7) {
                 0 if !tracked => {
                     policy.on_insert(page, t(step as u64));
-                    reference.heap.insert(page, f64::INFINITY);
+                    model.heap.insert(page, f64::INFINITY);
+                    model.fresh[page.index()] = false;
                 }
                 1 => {
                     policy.on_remove(page);
-                    reference.heap.remove(&page);
-                    reference.set_stamp(page, 0);
+                    model.heap.remove(&page);
+                    model.fresh[page.index()] = false;
                 }
                 2 | 3 => {
                     // Few distinct benefits, so the heap meets ties.
                     let benefit = rng.index(5) as f64 * 0.5;
-                    let at = epoch.saturating_sub(rng.index(3) as u64);
-                    policy.set_benefit(page, benefit, at);
-                    reference.set_benefit(page, benefit, at);
+                    policy.set_benefit(page, benefit);
+                    model.set_benefit(page, benefit);
+                    decays_since_priced[page.index()] = 0;
                 }
                 4 => {
                     policy.invalidate(page);
-                    reference.set_stamp(page, 0);
+                    model.fresh[page.index()] = false;
                 }
-                5 => {
-                    let factor = [1.0, 0.9, 0.5, 1e-70][rng.index(4)];
-                    let before = reference.scale;
+                _ => {
+                    let factor = [1.0, 0.9, 0.65, 0.5, 1e-70][rng.index(5)];
+                    let before = model.scale;
                     policy.scale_benefits(factor);
-                    reference.scale_benefits(factor);
-                    renormalised += usize::from(reference.scale > before);
+                    model.scale_benefits(factor);
+                    renormalised += usize::from(model.scale > before);
+                    for d in &mut decays_since_priced {
+                        *d += 1;
+                    }
                 }
-                _ => epoch += 1,
             }
-            for e in [epoch, epoch.saturating_sub(1)] {
-                assert_eq!(
-                    policy.min_with_freshness(e),
-                    reference.min_with_freshness(e),
-                    "{ctx} epoch {e}"
-                );
-            }
+            assert_eq!(
+                policy.min_with_freshness(),
+                model.min_with_freshness(),
+                "{ctx}"
+            );
             for p in (0..PAGES).map(PageId) {
-                let benefit = reference.heap.priority(&p).map(|b| b * reference.scale);
+                let benefit = model.heap.priority(&p).map(|b| b * model.scale);
                 assert_eq!(
                     policy.benefit(p).map(f64::to_bits),
                     benefit.map(f64::to_bits),
                     "{ctx}: {p}"
                 );
-                for e in [epoch, epoch.saturating_sub(1)] {
-                    assert_eq!(
-                        policy.is_fresh(p, e),
-                        reference.stamp(p) == e + 1,
-                        "{ctx}: {p} epoch {e}"
-                    );
-                }
+                assert_eq!(policy.is_fresh(p), model.is_fresh(p), "{ctx}: {p}");
+                aged_fresh += usize::from(model.is_fresh(p) && decays_since_priced[p.index()] >= 2);
             }
             assert_eq!(
                 policy.victim(),
-                reference.heap.peek_min().map(|(&p, _)| p),
+                model.heap.peek_min().map(|(&p, _)| p),
                 "{ctx}"
             );
         }
     }
     assert!(renormalised > 0, "no case forced a renormalisation");
+    assert!(aged_fresh > 0, "no page stayed unpriced across two decays");
 }
 
 /// After installing, a page is resident exactly once and a re-access is a

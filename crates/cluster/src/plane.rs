@@ -43,6 +43,17 @@ use crate::op::{OpCompletion, Operation};
 use crate::params::{ClusterParams, RepricingMode};
 use crate::ring::MAX_RING_REPLICAS;
 
+/// Epochs a lazily maintained last copy's benefit stays fresh without an
+/// invalidation. Heat decays hyperbolically between touches — slower than
+/// the per-epoch 0.65 benefit decay once a page's heat window is long — so
+/// an untouched page's decayed benefit drifts below its true value. Only a
+/// last copy's drift is costly: evicting it turns other nodes' remote hits
+/// into disk reads, where a replicated copy costs one remote hit. So only a
+/// last copy is re-priced for age. On `large_pool` (seed 42) four epochs
+/// hold the disk fraction at 0.2388 against 0.2383 with a two-epoch window
+/// for every page; 8 epochs read 0.2446, and no horizon at all 0.2907.
+const LAST_COPY_HORIZON: u64 = 4;
+
 /// Events of the access protocol. The embedding simulator schedules these at
 /// the instants returned in [`StepOutput::schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -233,7 +244,7 @@ pub struct DataPlane {
     inflight: IdHashMap<OpId, OpState>,
     completions: u64,
     accesses: u64,
-    /// Observation-interval sequence number; stamps every computed benefit.
+    /// Observation-interval sequence number; keys the global-heat cache.
     epoch: u64,
     /// Per-epoch memo of `Directory::global_heat_per_ms`, indexed densely by
     /// page id: `[page] = (epoch + 1, heat)` (0 = never cached). Only
@@ -752,7 +763,10 @@ impl DataPlane {
         // Resizing evicts in bulk through the replacement policy, so in lazy
         // mode the pool that is about to shrink gets one fresh pricing walk
         // first — bounded, and rare (resizes happen at most once per check
-        // phase per class), unlike the every-interval eager sweep.
+        // phase per class), unlike the every-interval eager sweep. The walk
+        // re-prices every entry, fresh ones included: a bulk eviction picks
+        // many victims at once on decayed estimates, with no victim loop to
+        // re-check them.
         if self.lazy_cost() {
             let buf = &self.nodes[node.index()].buffer;
             // Mirror set_dedicated's grant arithmetic to find the shrinker.
@@ -1476,6 +1490,24 @@ impl DataPlane {
         heat
     }
 
+    /// True when the lazy victim loop must re-price `page`'s copy in memory
+    /// tier `tier` of `node` before evicting on it: the policy flags it
+    /// stale (an input changed since pricing), or it is a last copy on the
+    /// last memory tier — where a drop loses the copy — priced with a
+    /// global heat read [`LAST_COPY_HORIZON`] or more epochs ago. The
+    /// memo's stamp is that read's epoch: only the page's holders price it,
+    /// and a copy that becomes the last one is invalidated, so for a fresh
+    /// last copy no later read can have refreshed the memo.
+    fn needs_reprice(&self, node: NodeId, page: PageId, tier: usize, fresh: bool) -> bool {
+        if !fresh {
+            return true;
+        }
+        let read = self.heat_cache.get(page.index()).map_or(0, |&(e, _)| e);
+        self.epoch + 1 - read >= LAST_COPY_HORIZON
+            && tier + 1 == self.nodes[node.index()].buffer.num_tiers()
+            && self.directory.is_last_copy(page, node)
+    }
+
     /// Marks `page`'s benefit at `node` stale in O(1); the lazy victim loop
     /// re-prices it if it ever becomes a heap minimum.
     fn mark_stale(&mut self, node: NodeId, page: PageId) {
@@ -1553,12 +1585,12 @@ impl DataPlane {
     }
 
     /// The lazy victim loop (the classic stale-priority-queue trick): peek
-    /// the heap minimum; if its benefit is stale, re-price it — the entry
-    /// sifts to its true position — and retry until the minimum is fresh.
-    /// Each retry freshens one page, so the loop is bounded by the pool
-    /// size; in practice a handful of retries suffice because decay has
-    /// already pushed stale entries near the minimum close to their true
-    /// rank.
+    /// the heap minimum; if [`Self::needs_reprice`] says so, re-price it —
+    /// the entry sifts to its true position — and retry until the minimum
+    /// needs none. Each retry freshens one page, so the loop is bounded by
+    /// the pool size; a retry needs an invalidation since the page was last
+    /// priced, or a last copy past its horizon, so in practice a handful
+    /// suffice.
     fn ensure_fresh_victim(
         &mut self,
         node: NodeId,
@@ -1566,7 +1598,6 @@ impl DataPlane {
         pool_class: ClassId,
         now: SimTime,
     ) {
-        let epoch = self.epoch;
         for _ in 0..=self.nodes[node.index()]
             .buffer
             .pool_at(tier, pool_class)
@@ -1577,20 +1608,20 @@ impl DataPlane {
                 .pool_at(tier, pool_class)
                 .policy()
                 .as_cost_based()
-                .and_then(|p| p.min_with_freshness(epoch));
+                .and_then(|p| p.min_with_freshness());
             match min {
-                None | Some((_, true)) => return,
-                Some((page, false)) => {
+                Some((page, fresh)) if self.needs_reprice(node, page, tier, fresh) => {
                     self.reprice_stats.heap_retries += 1;
-                    self.reprice(node, page, now);
+                    self.reprice_at(node, page, tier, pool_class, now);
                 }
+                _ => return,
             }
         }
         debug_assert!(false, "lazy victim loop failed to converge");
     }
 
     /// Recomputes the §6 benefit of `page`'s copy at `node` if the pools use
-    /// the cost-based policy, stamping it fresh at the current epoch.
+    /// the cost-based policy, marking it fresh.
     fn reprice(&mut self, node: NodeId, page: PageId, now: SimTime) {
         if self.params.policy != PolicySpec::CostBased {
             return;
@@ -1598,6 +1629,19 @@ impl DataPlane {
         let Some((tier, pool_class)) = self.nodes[node.index()].buffer.locate(page) else {
             return;
         };
+        self.reprice_at(node, page, tier, pool_class, now);
+    }
+
+    /// [`Self::reprice`] for a page the caller already located in
+    /// `(tier, pool_class)` of `node`'s cost-based buffer.
+    fn reprice_at(
+        &mut self,
+        node: NodeId,
+        page: PageId,
+        tier: usize,
+        pool_class: ClassId,
+        now: SimTime,
+    ) {
         let ranking_heat = {
             let heat = &self.nodes[node.index()].heat[page.index()];
             if pool_class.is_no_goal() {
@@ -1620,14 +1664,13 @@ impl DataPlane {
             mem_tier: tier as u8,
         };
         let b = benefit_ms(inputs, &self.costs);
-        let epoch = self.epoch;
         if let Some(cost_policy) = self.nodes[node.index()]
             .buffer
             .pool_mut_at(tier, pool_class)
             .policy_mut()
             .as_cost_based_mut()
         {
-            cost_policy.set_benefit(page, b, epoch);
+            cost_policy.set_benefit(page, b);
             self.reprice_stats.recomputes += 1;
             if lazy {
                 self.reprice_stats.lazy_recomputes += 1;
@@ -1659,17 +1702,21 @@ impl DataPlane {
     /// Decays every benefit in every cost-based pool. Scaling is
     /// order-preserving per pool (and O(1) per pool — only the policy's
     /// implicit scale factor moves), so victim order within an epoch is
-    /// untouched; across epochs it drives pages that stopped being re-priced
-    /// (stale over-estimates) below freshly priced entries and into the lazy
-    /// victim loop, which re-prices before evicting. The factor trades
-    /// freshness against work: too aggressive and fresh-priced pages are
-    /// *under*-cut by decayed stale ones, flooding the victim loop with
-    /// retries; too gentle and stale over-estimates pin cold pages for many
-    /// epochs. 0.65 per 5-second interval is the sweet spot measured at the
-    /// paper-scale base run: it matches the eager baseline's disk I/O within
-    /// a few percent while keeping victim-loop retries a small fraction of
-    /// what the sweep would visit (0.5 floods the loop with retries, 0.7
-    /// already lets over-estimates linger enough to lift disk I/O).
+    /// untouched. It is the lazy mode's model of the passage of time: a
+    /// touch invalidates a benefit, so an untouched page is never
+    /// re-priced for age alone (a last copy past [`LAST_COPY_HORIZON`]
+    /// excepted) — the decay ages its estimate instead, sinking pages that
+    /// stopped being touched toward the heap minimum, below recently priced
+    /// entries, where they are evicted on the decayed estimate.
+    /// 0.65 per 5-second interval was tuned at the paper-scale base run
+    /// while every benefit also went stale two epochs after pricing (0.5
+    /// then flooded the victim loop with age retries; 0.7 let
+    /// over-estimates lift disk I/O). Re-measured with freshness keyed to
+    /// invalidations (before the last-copy horizon was added): 0.8 lifts
+    /// paper-scale disk I/O to +26 % over eager (0.65: +11 %), and 0.5
+    /// lifts `large_pool`'s disk fraction by 0.02. So the factor stays;
+    /// both rows of `lazy_matches_eager_at_a_fixed_allocation` hold it to
+    /// the eager baseline's hit rates and disk I/O.
     fn decay_benefits(&mut self) {
         const DECAY: f64 = 0.65;
         for node in &mut self.nodes {
@@ -1688,22 +1735,23 @@ impl DataPlane {
         }
     }
 
-    /// Re-prices every page of one pool, reusing the scratch buffer instead
-    /// of collecting a fresh `Vec` per pool per sweep.
+    /// Re-prices every page of one pool class across every tier, reusing
+    /// the scratch buffer instead of collecting a fresh `Vec` per pool per
+    /// sweep.
     fn reprice_pool(&mut self, node: NodeId, pool_class: ClassId, now: SimTime) {
         let mut scratch = std::mem::take(&mut self.sweep_scratch);
-        scratch.clear();
         for t in 0..self.nodes[node.index()].buffer.num_tiers() {
+            scratch.clear();
             scratch.extend(
                 self.nodes[node.index()]
                     .buffer
                     .pool_at(t, pool_class)
                     .pages(),
             );
-        }
-        self.reprice_stats.sweep_pages += scratch.len() as u64;
-        for &page in &scratch {
-            self.reprice(node, page, now);
+            self.reprice_stats.sweep_pages += scratch.len() as u64;
+            for &page in &scratch {
+                self.reprice_at(node, page, t, pool_class, now);
+            }
         }
         self.sweep_scratch = scratch;
     }

@@ -152,23 +152,6 @@ impl CpuParams {
     }
 }
 
-/// How the §6 cost-based benefits are kept current as heat decays between
-/// accesses. Irrelevant for the other policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepricingMode {
-    /// Re-price every resident page on every node once per observation
-    /// interval (the original reference implementation): simple, always
-    /// current, O(total resident pages · log pool) per interval.
-    Eager,
-    /// Epoch-based lazy invalidation: benefits carry the epoch they were
-    /// priced at, hits invalidate in O(1), and only stale heap minima are
-    /// re-priced right before an eviction decision. A per-epoch
-    /// multiplicative decay keeps stale over-estimates from pinning cold
-    /// pages. Per-interval cost drops to O(evictions · log pool).
-    #[default]
-    Lazy,
-}
-
 /// Full cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterParams {
@@ -182,8 +165,6 @@ pub struct ClusterParams {
     pub goal_classes: usize,
     /// Replacement policy for every pool.
     pub policy: PolicySpec,
-    /// Benefit maintenance strategy for the cost-based policy.
-    pub repricing: RepricingMode,
     /// LRU-K window used for heat estimation (§6 uses LRU-k).
     pub heat_k: usize,
     /// Relative change of a page's global heat that triggers a dissemination
@@ -218,7 +199,6 @@ impl Default for ClusterParams {
             db_pages: 2000,
             goal_classes: 1,
             policy: PolicySpec::CostBased,
-            repricing: RepricingMode::default(),
             heat_k: 2,
             heat_publish_threshold: 0.2,
             disk: DiskParams::default(),

@@ -62,8 +62,8 @@ pub use dmm_workload as workload;
 pub mod prelude {
     pub use dmm_buffer::{ClassId, PolicySpec, TierPolicy, NO_GOAL};
     pub use dmm_cluster::{
-        CostSlot, DiskStall, FaultKind, FaultPlan, HotRingSpec, NodeId, PlacementSpec,
-        RepricingMode, TierId, TierLadder, TierSpec,
+        CostSlot, DiskStall, FaultKind, FaultPlan, HotRingSpec, NodeId, PlacementSpec, TierId,
+        TierLadder, TierSpec,
     };
     pub use dmm_core::{
         ControllerKind, Error, SatisfactionMode, Simulation, SystemConfig, SystemConfigBuilder,

@@ -22,7 +22,8 @@ fn main() {
                 spans = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .expect("--spans needs a sampling divisor"),
+                        .filter(|&every: &u32| every > 0)
+                        .expect("--spans needs a sampling divisor of at least 1"),
                 )
             }
             _ => positional.push(arg),

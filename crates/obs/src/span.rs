@@ -105,7 +105,8 @@ pub enum SpanMode {
     /// sequence number so traces stay byte-identical per seed.
     Sampled {
         /// Emit a record for ops whose sequence number is divisible by
-        /// this (`every == 1` records every operation). Must be ≥ 1.
+        /// this (`every == 1` records every operation). Must be ≥ 1: the
+        /// config builder and the data plane reject 0.
         every: u32,
     },
 }
@@ -119,7 +120,7 @@ impl SpanMode {
     /// The sampling modulus, when per-operation records are requested.
     pub fn sample_every(&self) -> Option<u32> {
         match self {
-            SpanMode::Sampled { every } => Some((*every).max(1)),
+            SpanMode::Sampled { every } => Some(*every),
             _ => None,
         }
     }
@@ -158,8 +159,8 @@ mod tests {
         let s = SpanMode::Sampled { every: 16 };
         assert_eq!(s.sample_every(), Some(16));
         assert!(s.samples(0) && s.samples(32) && !s.samples(17));
-        // every == 0 is clamped to 1 rather than dividing by zero.
-        assert!(SpanMode::Sampled { every: 0 }.samples(7));
+        // No clamp: a zero divisor is rejected where a config is built.
+        assert_eq!(SpanMode::Sampled { every: 0 }.sample_every(), Some(0));
         assert!(!SpanMode::Off.samples(0));
     }
 }

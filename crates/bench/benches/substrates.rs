@@ -7,10 +7,10 @@ use std::hint::black_box;
 
 use dmm::buffer::{PageId, PolicySpec, Pool};
 use dmm::core::{Simulation, SystemConfig};
-use dmm::lp::{Problem, Relation};
 use dmm::sim::dist::Zipf;
 use dmm::sim::{SimRng, SimTime};
 use dmm_bench::micro::{bench_micro, maybe_write_json};
+use dmm_lp::{Problem, Relation};
 
 fn main() {
     let mut results = Vec::new();

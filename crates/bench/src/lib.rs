@@ -6,9 +6,11 @@ use std::ops::ControlFlow;
 
 pub mod cli;
 pub mod micro;
+pub mod partition_simplex;
 pub mod pool;
 
 pub use cli::BenchArgs;
+pub use partition_simplex::solve_partitioning_simplex;
 
 use dmm::buffer::ClassId;
 use dmm::core::{calibrate_goal_range, ControllerKind, Simulation, SystemConfig};

@@ -42,7 +42,7 @@ pub use coordinator::{Coordinator, SatisfactionMode, Strategy};
 pub use error::Error;
 pub use measure::{MeasurePoint, MeasureStore};
 pub use metrics::{ConvergenceStats, IntervalRecord};
-pub use optimize::{solve_partitioning, Objective, PartitionProblem};
+pub use optimize::{solve_partitioning, Objective, PartitionError, PartitionProblem};
 pub use probe::{apply_probe_delta, batched_probe_deltas, ProbeSpec};
 pub use replay::{
     config_from_record, recorded_run_from_jsonl, rerun_lines, run_config_record, verify_jsonl,

@@ -12,8 +12,14 @@
 //! The paper links against `lp-solve` \[3\]; this crate is a from-scratch dense
 //! implementation of the same algorithm family: a two-phase primal simplex
 //! with Dantzig pricing and a Bland's-rule fallback for anti-cycling.
-//! Problem sizes here are tiny (≤ 50 variables, ≤ 100 rows), so a dense
-//! tableau is the right tool.
+//!
+//! It is the *reference oracle*, not the production solver. The program
+//! above has one coupling equality and separable costs, so `dmm-core`
+//! solves it in closed form by a sorted Lagrange threshold, and the `dmm`
+//! library does not link this crate. The simplex formulation lives on in
+//! `dmm-bench` (`solve_partitioning_simplex`), which the differential test
+//! `tests/partition_oracle.rs` and the paper-faithful column of the
+//! `table1` bin use.
 //!
 //! ```
 //! use dmm_lp::{Problem, Relation};

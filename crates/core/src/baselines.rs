@@ -19,6 +19,7 @@
 //! the computed aggregate buffer equally across nodes — the natural naive
 //! lift, and the thing the paper's per-node LP improves on.
 
+use crate::coordinator::distribute_delta;
 use crate::optimize::Objective;
 
 /// Which controller a simulation runs (per goal class).
@@ -48,34 +49,6 @@ impl Default for ControllerKind {
             objective: Objective::MinNoGoalRt,
         }
     }
-}
-
-/// Shared helper: equal split of an aggregate MB target across nodes,
-/// clamped to per-node availability (overflow spills to nodes with room).
-fn equal_split(total_mb: f64, avail: &[f64]) -> Vec<f64> {
-    let n = avail.len();
-    let mut alloc = vec![0.0; n];
-    let mut remaining = total_mb.max(0.0);
-    let mut open: Vec<usize> = (0..n).collect();
-    // Waterfill: distribute evenly, clamping full nodes and re-spreading.
-    while remaining > 1e-9 && !open.is_empty() {
-        let share = remaining / open.len() as f64;
-        let mut still_open = Vec::with_capacity(open.len());
-        for &i in &open {
-            let room = avail[i] - alloc[i];
-            let take = share.min(room);
-            alloc[i] += take;
-            remaining -= take;
-            if alloc[i] < avail[i] - 1e-12 {
-                still_open.push(i);
-            }
-        }
-        if still_open.len() == open.len() {
-            break; // nobody clamped: distribution complete
-        }
-        open = still_open;
-    }
-    alloc
 }
 
 /// Two-point linear model through the most recent distinct observations.
@@ -139,7 +112,11 @@ impl FragmentFencingState {
         };
         let needed = total + (goal_ms - rt_ms) / slope;
         let needed = bounded_step(total, needed, avail_mb, node_size_mb);
-        Some(equal_split(needed, avail_mb))
+        Some(distribute_delta(
+            &vec![0.0; avail_mb.len()],
+            avail_mb,
+            needed,
+        ))
     }
 }
 
@@ -187,7 +164,11 @@ impl ClassFencingState {
         };
         let needed = total + (target_miss - miss) / miss_slope;
         let needed = bounded_step(total, needed, avail_mb, node_size_mb);
-        Some(equal_split(needed, avail_mb))
+        Some(distribute_delta(
+            &vec![0.0; avail_mb.len()],
+            avail_mb,
+            needed,
+        ))
     }
 }
 
@@ -208,17 +189,20 @@ mod tests {
 
     #[test]
     fn equal_split_waterfills() {
-        let alloc = equal_split(3.0, &[2.0, 2.0, 2.0]);
+        // The fencing baselines' equal split: the water-fill from nothing.
+        let split =
+            |total: f64, avail: &[f64]| distribute_delta(&vec![0.0; avail.len()], avail, total);
+        let alloc = split(3.0, &[2.0, 2.0, 2.0]);
         for a in &alloc {
             assert!((a - 1.0).abs() < 1e-9);
         }
         // Clamped node spills to the others.
-        let alloc = equal_split(3.0, &[0.5, 2.0, 2.0]);
+        let alloc = split(3.0, &[0.5, 2.0, 2.0]);
         assert!((alloc[0] - 0.5).abs() < 1e-9);
         assert!((alloc[1] - 1.25).abs() < 1e-9);
         assert!((alloc[2] - 1.25).abs() < 1e-9);
         // Demand beyond capacity saturates.
-        let alloc = equal_split(100.0, &[1.0, 1.0]);
+        let alloc = split(100.0, &[1.0, 1.0]);
         assert!((alloc.iter().sum::<f64>() - 2.0).abs() < 1e-9);
     }
 

@@ -886,8 +886,9 @@ fn monotone_guard(lp_alloc: Vec<f64>, current: &[f64], avail: &[f64], too_slow: 
 
 /// Adds `delta` MB (possibly negative) to `current`, spread equally over the
 /// nodes that have headroom (growing) or allocation (shrinking), waterfilled
-/// against the per-node bounds.
-fn distribute_delta(current: &[f64], avail: &[f64], delta: f64) -> Vec<f64> {
+/// against the per-node bounds. Never shrinks a node below 0 or grows it
+/// past its bound, so a negative `delta` from an empty allocation is a no-op.
+pub(crate) fn distribute_delta(current: &[f64], avail: &[f64], delta: f64) -> Vec<f64> {
     let mut alloc = current.to_vec();
     let mut remaining = delta.abs();
     for _ in 0..current.len() {

@@ -413,8 +413,8 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
         builder = builder.fault_plan(plan);
     }
     let mut config = builder.build().map_err(|e| e.to_string())?;
-    // The builder's interval setter is millisecond-granular; restore the
-    // recorded interval exactly.
+    // The builder always starts from the §7.1 interval; restore the
+    // recorded one exactly.
     config.interval = SimDuration::from_nanos(int(record, "", "interval_ns")?);
     Ok(config)
 }

@@ -26,6 +26,17 @@ use crate::measure::MeasureStore;
 use crate::metrics::{ConvergenceStats, IntervalRecord};
 use crate::probe::ProbeSpec;
 
+/// Observation-interval length a built configuration starts with (§7.1).
+/// A replayed trace restores its recorded interval into
+/// [`SystemConfig::interval`] directly.
+const INTERVAL_MS: u64 = 5_000;
+/// Agent significance threshold for reporting (fractional RT change).
+const AGENT_SIGNIFICANCE: f64 = 0.05;
+/// Size of an agent report message in bytes.
+const REPORT_BYTES: u64 = 64;
+/// Size of an allocation, grant or coordinator-migration message in bytes.
+const ALLOC_MSG_BYTES: u64 = 64;
+
 /// Full experiment configuration.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -45,12 +56,6 @@ pub struct SystemConfig {
     /// When set, every goal class re-randomizes its goal per the §7.1
     /// protocol within this range.
     pub goal_range: Option<GoalRange>,
-    /// Agent significance threshold for reporting (fractional RT change).
-    pub agent_significance: f64,
-    /// Size of an agent report message in bytes.
-    pub report_bytes: u64,
-    /// Size of an allocation/grant message in bytes.
-    pub alloc_msg_bytes: u64,
     /// How goal satisfaction is judged (the paper's experiments use the
     /// two-sided band; production SLAs read the goal as an upper bound).
     pub satisfaction: SatisfactionMode,
@@ -99,7 +104,6 @@ impl SystemConfig {
             buffer_pages_per_node: cluster.buffer_pages_per_node,
             goal_rate_per_ms: 0.006,
             goal_quantile: None,
-            interval: SimDuration::from_millis(5_000),
             warmup_intervals: 4,
             controller: ControllerKind::default(),
             goal_range: None,
@@ -142,7 +146,6 @@ pub struct SystemConfigBuilder {
     buffer_pages_per_node: usize,
     goal_rate_per_ms: f64,
     goal_quantile: Option<f64>,
-    interval: SimDuration,
     warmup_intervals: u32,
     controller: ControllerKind,
     goal_range: Option<GoalRange>,
@@ -239,12 +242,6 @@ impl SystemConfigBuilder {
     /// byte-identical whether or not this code path exists.
     pub fn goal_quantile(mut self, q: f64) -> Self {
         self.goal_quantile = Some(q);
-        self
-    }
-
-    /// Observation-interval length in milliseconds (§7.1: 5000).
-    pub fn interval_ms(mut self, ms: u64) -> Self {
-        self.interval = SimDuration::from_millis(ms);
         self
     }
 
@@ -364,11 +361,6 @@ impl SystemConfigBuilder {
         if !(self.release_floor_mb >= 0.0 && self.release_floor_mb.is_finite()) {
             return Err(Error::InvalidConfig("release floor must be finite and ≥ 0"));
         }
-        if self.interval.is_zero() {
-            return Err(Error::InvalidConfig(
-                "the observation interval must be positive",
-            ));
-        }
         if self.spans.sample_every() == Some(0) {
             return Err(Error::InvalidConfig(
                 "the span sampling divisor must be at least 1",
@@ -423,13 +415,10 @@ impl SystemConfigBuilder {
             cluster,
             workload,
             seed: self.seed,
-            interval: self.interval,
+            interval: SimDuration::from_millis(INTERVAL_MS),
             warmup_intervals: self.warmup_intervals,
             controller: self.controller,
             goal_range: self.goal_range,
-            agent_significance: 0.05,
-            report_bytes: 64,
-            alloc_msg_bytes: 64,
             satisfaction: self.satisfaction,
             release_floor_mb: self.release_floor_mb,
             fault_plan: self.fault_plan,
@@ -492,8 +481,6 @@ struct SimState {
     interval_idx: u32,
     interval: SimDuration,
     warmup_intervals: u32,
-    report_bytes: u64,
-    alloc_msg_bytes: u64,
     /// Structured trace receiver (§5 phases). NoopSink by default.
     sink: Box<dyn TraceSink>,
     /// Per-slot access-cost observation counts at the previous interval
@@ -651,7 +638,7 @@ impl SimState {
                 };
                 let mut report = |to: ClassId, obs: AgentObservation| {
                     let home = self.coord_home[to.index()];
-                    let delivered = self.plane.send_control(node, home, self.report_bytes, now);
+                    let delivered = self.plane.send_control(node, home, REPORT_BYTES, now);
                     sched.at(delivered, SysEvent::Report { to, obs });
                 };
                 for &to in rest {
@@ -850,9 +837,7 @@ impl SimState {
                 if pages == self.plane.dedicated_pages(node, class) {
                     continue; // nothing to change on this node
                 }
-                let delivered = self
-                    .plane
-                    .send_control(home, node, self.alloc_msg_bytes, now);
+                let delivered = self.plane.send_control(home, node, ALLOC_MSG_BYTES, now);
                 sched.at(delivered, SysEvent::Alloc { class, node, pages });
             }
         }
@@ -869,10 +854,9 @@ impl SimState {
         broadcast_from: NodeId,
         now: SimTime,
     ) {
-        let bytes = self.alloc_msg_bytes;
         for n in 0..self.plane.num_nodes() {
             self.plane
-                .send_control(broadcast_from, NodeId(n as u16), bytes, now);
+                .send_control(broadcast_from, NodeId(n as u16), ALLOC_MSG_BYTES, now);
         }
         self.coord_home[class.index()] = to;
         self.coord_mut(class).migrate(to);
@@ -978,9 +962,7 @@ impl Handler<SysEvent> for SimState {
                 let granted = self.plane.apply_allocation(node, class, pages, now);
                 let avail = self.plane.avail_pages(node, class);
                 let home = self.coord_home[class.index()];
-                let delivered = self
-                    .plane
-                    .send_control(node, home, self.alloc_msg_bytes, now);
+                let delivered = self.plane.send_control(node, home, ALLOC_MSG_BYTES, now);
                 sched.at(
                     delivered,
                     SysEvent::Granted {
@@ -1054,7 +1036,7 @@ impl Simulation {
             let class_agents = (0..cluster.nodes)
                 .map(|n| {
                     let mut agent =
-                        LocalAgent::new(NodeId(n as u16), spec.class, config.agent_significance);
+                        LocalAgent::new(NodeId(n as u16), spec.class, AGENT_SIGNIFICANCE);
                     // Quantile-goal classes collect per-interval RT
                     // histograms; everyone else keeps the cheap mean-only
                     // path (and mean-goal traces stay byte-identical).
@@ -1135,8 +1117,6 @@ impl Simulation {
             interval_idx: 0,
             interval: config.interval,
             warmup_intervals: config.warmup_intervals,
-            report_bytes: config.report_bytes,
-            alloc_msg_bytes: config.alloc_msg_bytes,
             sink: Box::new(NoopSink),
             last_level_obs: vec![0; cluster.tiers.num_slots()],
             level_share: vec![0.0; cluster.tiers.num_slots()],

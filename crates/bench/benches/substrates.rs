@@ -9,10 +9,11 @@ use dmm::buffer::{PageId, PolicySpec, Pool};
 use dmm::core::{Simulation, SystemConfig};
 use dmm::sim::dist::Zipf;
 use dmm::sim::{SimRng, SimTime};
-use dmm_bench::micro::{bench_micro, maybe_write_json};
+use dmm_bench::micro::{bench_micro, json_requested, write_json};
 use dmm_lp::{Problem, Relation};
 
 fn main() {
+    let json = json_requested();
     let mut results = Vec::new();
 
     for (name, spec) in [
@@ -73,5 +74,7 @@ fn main() {
         }));
     }
 
-    maybe_write_json(&results, "substrates.jsonl");
+    if json {
+        write_json(&results, "substrates.jsonl");
+    }
 }

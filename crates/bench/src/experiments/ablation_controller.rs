@@ -8,9 +8,9 @@
 //! N-dimensional LP spends the no-goal class's response time more carefully
 //! than the equal-split fencing baselines.
 
+use crate::{render_table, steady_state, BenchArgs};
 use dmm::buffer::ClassId;
 use dmm::core::{ControllerKind, Objective, Simulation, SystemConfig};
-use dmm_bench::{render_table, steady_state};
 
 fn scenario(cfg: &mut SystemConfig, skewed_nodes: bool) {
     if skewed_nodes {
@@ -84,7 +84,7 @@ fn run_table(goal_ms: f64, skewed_nodes: bool) {
     println!();
 }
 
-fn main() {
+pub fn run(_: &BenchArgs) {
     let goal_ms = 8.0;
     run_table(goal_ms, false);
     run_table(goal_ms, true);

@@ -6,12 +6,12 @@
 //! globally hot last copies cached, cutting both classes' response times at
 //! identical memory.
 
+use crate::{render_table, steady_state, BenchArgs};
 use dmm::buffer::{ClassId, PolicySpec};
 use dmm::cluster::NodeId;
 use dmm::core::{Simulation, SystemConfig};
-use dmm_bench::{render_table, steady_state};
 
-fn main() {
+pub fn run(_: &BenchArgs) {
     let goal_ms = 8.0;
     let policies: [(&str, PolicySpec); 4] = [
         ("cost-based (§6)", PolicySpec::CostBased),

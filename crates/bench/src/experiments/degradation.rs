@@ -17,6 +17,8 @@ use dmm::core::calibrate_goal_range;
 use dmm::obs::Json;
 use dmm::prelude::*;
 
+use crate::BenchArgs;
+
 /// Intervals from `after` (exclusive) until the goal is satisfied for
 /// `streak` consecutive checks; `None` if it never re-converges.
 fn intervals_to_reconverge(
@@ -38,8 +40,7 @@ fn intervals_to_reconverge(
     None
 }
 
-fn main() {
-    let args = dmm_bench::BenchArgs::parse();
+pub fn run(args: &BenchArgs) {
     let quick = args.quick;
     let class = ClassId(1);
     let seed = args.seed_or(42);
@@ -142,7 +143,7 @@ fn main() {
         .field("ops_aborted", counter("cluster.fault.ops_aborted"))
         .field("mirror_reads", counter("cluster.fault.mirror_reads"))
         .field("goal_episodes", sim.convergence(class).episodes());
-    dmm_bench::cli::write_bench_doc("BENCH_degradation.json", &doc);
+    crate::cli::write_bench_doc("BENCH_degradation.json", &doc);
 
     assert_eq!(counter("cluster.fault.crashes"), 1);
     assert_eq!(counter("cluster.fault.restarts"), 1);

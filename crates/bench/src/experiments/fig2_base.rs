@@ -9,53 +9,31 @@
 //! and rapid goal changes cause the mild oscillation the paper discusses
 //! (the tolerance cannot calibrate between changes).
 //!
-//! Pass `--csv` to emit machine-readable output, or `--json` to stream the
-//! full structured trace (one record per observation interval, one per
-//! optimize phase, plus grants and goal changes) to
-//! `results/fig2_base.jsonl` and a closing metrics snapshot to
+//! Pass `--csv` to emit machine-readable output, `--seed` to change the
+//! seed, or `--json` to stream the full structured trace (one record per
+//! observation interval, one per optimize phase, plus grants and goal
+//! changes) to `results/fig2_base.jsonl` and a closing metrics snapshot to
 //! `results/fig2_base_metrics.json`.
 
 use dmm::buffer::ClassId;
-use dmm::core::{calibrate_goal_range, Simulation, SystemConfig};
-use dmm::obs::JsonLinesSink;
+use dmm::core::{Simulation, SystemConfig};
 
-fn main() {
-    let args = dmm_bench::BenchArgs::parse();
+use crate::BenchArgs;
+
+pub fn run(args: &BenchArgs) {
     let (csv, json) = (args.csv, args.json);
     let class = ClassId(1);
     let theta = 0.0;
     let seed = args.seed_or(42);
 
-    let base = SystemConfig::builder()
-        .seed(seed)
-        .theta(theta)
-        .goal_ms(15.0)
-        .build()
-        .expect("valid base config");
-    let range = calibrate_goal_range(&base, class, 6, 6).expect("calibrate the goal range");
-
-    let cfg = SystemConfig::builder()
-        .seed(seed)
-        .theta(theta)
+    let (range, schedule) =
+        crate::calibrated_goal_schedule(SystemConfig::builder().seed(seed).theta(theta));
+    let cfg = schedule
         .goal_ms(range.max_ms * 0.8)
-        .goal_range(range)
         .build()
         .expect("valid fig2 config");
     let mut sim = Simulation::new(cfg);
-    if json {
-        let sink = JsonLinesSink::create("results/fig2_base.jsonl")
-            .expect("create results/fig2_base.jsonl");
-        sim.set_trace_sink(Box::new(sink));
-    }
-    sim.run_intervals(84);
-    if json {
-        std::fs::write(
-            "results/fig2_base_metrics.json",
-            sim.metrics_snapshot().to_json().to_string(),
-        )
-        .expect("write results/fig2_base_metrics.json");
-        eprintln!("trace: results/fig2_base.jsonl, metrics: results/fig2_base_metrics.json");
-    }
+    crate::run_traced(&mut sim, "fig2_base", json, |sim| sim.run_intervals(84));
 
     if csv {
         println!("interval,observed_ms,goal_ms,dedicated_bytes,satisfied");

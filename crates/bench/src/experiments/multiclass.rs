@@ -1,11 +1,14 @@
 //! **§7.4** — multiple goal classes.
 //!
-//! `disjoint` mode: two goal classes with disjoint page sets and twice the
+//! Two sections, selectable with `--only`; with no `--only` both run,
+//! `disjoint` first.
+//!
+//! `disjoint`: two goal classes with disjoint page sets and twice the
 //! per-node memory. The paper observed the same convergence speed as the
 //! single-class Table 2 ("the amount of memory dedicated to one class does
 //! not influence the performance of the other").
 //!
-//! `sharing` mode: sweep the fraction of pages class k2 shares with the
+//! `sharing`: sweep the fraction of pages class k2 shares with the
 //! tighter class k1. "Raising the percentage of sharing we have observed
 //! that the size of the dedicated buffers of the class k2 decreases
 //! gradually … Further increases in the sharing leads to a complete removal
@@ -13,10 +16,10 @@
 //! dedicated buffers — class k2 exceeds its goal solely by accessing pages
 //! from the buffers of class k1" (the §3 Example 2 effect).
 
+use crate::{render_table, BenchArgs};
 use dmm::buffer::ClassId;
 use dmm::core::{Simulation, SystemConfig};
 use dmm::workload::WorkloadSpec;
-use dmm_bench::render_table;
 
 fn config(sharing: f64, seed: u64) -> SystemConfig {
     // §7.4: "twice the amount of cache buffer memory at each node"; a larger
@@ -126,14 +129,14 @@ fn mean_dedicated(sim: &Simulation, class: ClassId, tail: usize) -> f64 {
     t.iter().map(|r| r.dedicated_bytes as f64).sum::<f64>() / t.len() as f64 / (1024.0 * 1024.0)
 }
 
-fn main() {
-    let mode = std::env::args().nth(1).unwrap_or_else(|| "sharing".into());
-    match mode.as_str() {
-        "disjoint" => disjoint(),
-        "sharing" => sharing_sweep(),
-        other => {
-            eprintln!("unknown mode {other}; use `disjoint` or `sharing`");
-            std::process::exit(2);
-        }
+/// The sections `--only` can select, in run order.
+pub const SECTIONS: [&str; 2] = ["disjoint", "sharing"];
+
+pub fn run(args: &BenchArgs) {
+    if args.wants("disjoint") {
+        disjoint();
+    }
+    if args.wants("sharing") {
+        sharing_sweep();
     }
 }

@@ -5,12 +5,12 @@
 //! against minimizing total dedicated memory and balancing the per-node
 //! allocations.
 
+use crate::{render_table, steady_state, BenchArgs};
 use dmm::buffer::ClassId;
 use dmm::cluster::NodeId;
 use dmm::core::{ControllerKind, Objective, Simulation, SystemConfig};
-use dmm_bench::{render_table, steady_state};
 
-fn main() {
+pub fn run(_: &BenchArgs) {
     let goal_ms = 8.0;
     let objectives: [(&str, Objective); 3] = [
         ("min no-goal RT (paper)", Objective::MinNoGoalRt),

@@ -11,33 +11,21 @@
 //! snapshot); `--quick` runs 24 intervals instead of 120.
 
 use dmm::buffer::ClassId;
-use dmm::core::{calibrate_goal_range, Simulation, SystemConfig};
-use dmm::obs::{Json, JsonLinesSink};
+use dmm::core::{Simulation, SystemConfig};
+use dmm::obs::Json;
 
-fn main() {
-    let args = dmm_bench::BenchArgs::parse();
+use crate::BenchArgs;
+
+pub fn run(args: &BenchArgs) {
     let (json, quick) = (args.json, args.quick);
     let class = ClassId(1);
-    let base = SystemConfig::builder()
-        .seed(13)
-        .goal_ms(15.0)
-        .build()
-        .expect("valid base config");
-    let range = calibrate_goal_range(&base, class, 6, 6).expect("calibrate the goal range");
-    let cfg = SystemConfig::builder()
-        .seed(13)
-        .goal_ms(range.max_ms)
-        .goal_range(range)
-        .build()
-        .expect("valid overhead config");
+    let (_, schedule) = crate::calibrated_goal_schedule(SystemConfig::builder().seed(13));
+    let cfg = schedule.build().expect("valid overhead config");
     let intervals = if quick { 24 } else { 120 };
     let mut sim = Simulation::new(cfg);
-    if json {
-        let sink =
-            JsonLinesSink::create("results/overhead.jsonl").expect("create results/overhead.jsonl");
-        sim.set_trace_sink(Box::new(sink));
-    }
-    sim.run_intervals(intervals);
+    crate::run_traced(&mut sim, "overhead", json, |sim| {
+        sim.run_intervals(intervals)
+    });
 
     let net = sim.plane().network();
     if json {
@@ -52,14 +40,10 @@ fn main() {
             .field("control_messages", control_msgs)
             .field("control_fraction", net.control_fraction())
             .field("net_utilization", net.utilization(sim.now()));
-        std::fs::write("results/overhead_summary.json", summary.to_string())
-            .expect("write results/overhead_summary.json");
-        std::fs::write(
-            "results/overhead_metrics.json",
-            sim.metrics_snapshot().to_json().to_string(),
-        )
-        .expect("write results/overhead_metrics.json");
-        eprintln!("trace: results/overhead.jsonl, summary: results/overhead_summary.json");
+        let path = crate::cli::results_path("overhead_summary.json");
+        std::fs::write(&path, summary.to_string())
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        eprintln!("summary: results/overhead_summary.json");
     }
     let (data_msgs, control_msgs) = net.message_counts();
     let secs = sim.now().as_millis_f64() / 1000.0;

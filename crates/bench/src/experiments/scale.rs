@@ -26,6 +26,8 @@ use dmm::core::{
     calibrate_goal_range, upsample_planes, ProbeSpec, SatisfactionMode, Simulation, SystemConfig,
 };
 
+use crate::BenchArgs;
+
 /// The §7.1 shared medium (100 Mbit/s) and a switched-era fabric. The
 /// N = 64 convergence run needs the faster fabric, because at that scale
 /// the 1999 medium is past saturation and no memory controller can meet a
@@ -364,14 +366,9 @@ fn n64_convergence(quick: bool) {
 }
 
 /// The sections `--only` can select, in run order.
-const SECTIONS: [&str; 4] = ["balance", "fabric", "probe", "n64"];
+pub const SECTIONS: [&str; 4] = ["balance", "fabric", "probe", "n64"];
 
-fn main() {
-    let args = dmm_bench::BenchArgs::parse();
-    if let Err(e) = args.check_only(&SECTIONS) {
-        eprintln!("scale: {e}");
-        std::process::exit(2);
-    }
+pub fn run(args: &BenchArgs) {
     let quick = args.quick;
     if args.wants("balance") {
         balance(quick);

@@ -14,12 +14,12 @@
 
 use std::time::Instant;
 
+use crate::{render_table, solve_partitioning_simplex, BenchArgs};
 use dmm::core::{
     fit_planes, solve_partitioning, MeasurePoint, MeasureStore, Objective, PartitionProblem,
 };
 use dmm::linalg::IndependenceTracker;
 use dmm::sim::{SimRng, SimTime};
-use dmm_bench::{render_table, solve_partitioning_simplex};
 
 fn synthetic_points(n: usize, rng: &mut SimRng) -> Vec<MeasurePoint> {
     // n+1 points: a base plus one perturbed coordinate each, with a linear
@@ -65,7 +65,7 @@ fn time_us<F: FnMut()>(mut f: F) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / reps as f64
 }
 
-fn main() {
+pub fn run(_: &BenchArgs) {
     let mut rows = Vec::new();
     for &n in &[5usize, 10, 20, 30, 40, 50] {
         let mut rng = SimRng::seed_from_u64(n as u64);

@@ -12,12 +12,12 @@
 //! 0.75 → 3.88, 1.0 → 3.95. The reproduction target is the monotone
 //! increase with θ and the "< 4 iterations even at θ=1" headline.
 
+use crate::{convergence_speed, render_table, BenchArgs};
 use dmm::core::ControllerKind;
 use dmm::obs::Json;
-use dmm_bench::{convergence_speed, render_table};
 
-fn main() {
-    let json = dmm_bench::BenchArgs::parse().json;
+pub fn run(args: &BenchArgs) {
+    let json = args.json;
     let thetas = [0.0, 0.25, 0.5, 0.75, 1.0];
     let seeds: Vec<u64> = (1..=8).map(|s| 1000 + s).collect();
     let threads = std::thread::available_parallelism()
@@ -65,7 +65,7 @@ fn main() {
     );
     println!("paper:  0 → 1.84, 0.25 → 2.41, 0.5 → 3.55, 0.75 → 3.88, 1.0 → 3.95");
     if json {
-        let path = dmm_bench::cli::results_path("table2_skew.jsonl");
+        let path = crate::cli::results_path("table2_skew.jsonl");
         std::fs::write(&path, json_lines).expect("write results/table2_skew.jsonl");
         eprintln!("rows: {}", path.display());
     }

@@ -22,11 +22,13 @@ use dmm::core::calibrate_goal_range;
 use dmm::obs::Json;
 use dmm::prelude::*;
 
+use crate::BenchArgs;
+
 const Q: f64 = 0.95;
 
 /// Runs `total` intervals, recording the batch class's cumulative
 /// completion count at every interval boundary.
-fn run(cfg: SystemConfig, total: u32) -> (Simulation, Vec<u64>) {
+fn run_counting(cfg: SystemConfig, total: u32) -> (Simulation, Vec<u64>) {
     let mut sim = Simulation::new(cfg);
     let mut batch_cum = Vec::with_capacity(total as usize);
     for _ in 0..total {
@@ -41,8 +43,7 @@ fn makespan_intervals(cum: &[u64], target: u64) -> Option<u32> {
     cum.iter().position(|&c| c >= target).map(|i| i as u32 + 1)
 }
 
-fn main() {
-    let args = dmm_bench::BenchArgs::parse();
+pub fn run(args: &BenchArgs) {
     let quick = args.quick;
     let class = ClassId(1);
     let seed = args.seed_or(42);
@@ -76,8 +77,8 @@ fn main() {
     let mut baseline_cfg = flagship_cfg.clone();
     baseline_cfg.controller = ControllerKind::None;
 
-    let (sim, flag_cum) = run(flagship_cfg, total);
-    let (_, base_cum) = run(baseline_cfg, total);
+    let (sim, flag_cum) = run_counting(flagship_cfg, total);
+    let (_, base_cum) = run_counting(baseline_cfg, total);
 
     // Batch budget: 90 % of what the uncontrolled baseline completed, so
     // both runs cross it comfortably before the horizon.
@@ -171,7 +172,7 @@ fn main() {
         .field("baseline_makespan_intervals", base_makespan.map(u64::from))
         .field("makespan_ratio", makespan_ratio)
         .field("goal_episodes", sim.convergence(class).episodes());
-    dmm_bench::cli::write_bench_doc("BENCH_tail.json", &doc);
+    crate::cli::write_bench_doc("BENCH_tail.json", &doc);
 
     // Tail compliance (SLA reading): the settled p95 must not exceed the
     // goal by more than the controller's (quantile-widened) tolerance.

@@ -19,10 +19,10 @@
 //! goal-class response time. Results land in `BENCH_tiering.json` at the
 //! workspace root; `--quick` shrinks the run for CI smoke use.
 
+use crate::{render_table, BenchArgs};
 use dmm::core::ControllerKind;
 use dmm::obs::Json;
 use dmm::prelude::*;
-use dmm_bench::render_table;
 
 /// Total local frames per node, split between DRAM and the second tier.
 const TOTAL_FRAMES: usize = 96;
@@ -77,8 +77,7 @@ fn run_split(policy: TierPolicy, dram_frames: usize, quick: bool, seed: u64) -> 
     }
 }
 
-fn main() {
-    let args = dmm_bench::BenchArgs::parse();
+pub fn run(args: &BenchArgs) {
     let quick = args.quick;
     let seed = args.seed_or(42);
     let splits = [TOTAL_FRAMES / 4, TOTAL_FRAMES / 2, 3 * TOTAL_FRAMES / 4];
@@ -158,7 +157,7 @@ fn main() {
         )
         .field("best_static_ms", best_static)
         .field("best_hotness_ms", best_hotness);
-    dmm_bench::cli::write_bench_doc("BENCH_tiering.json", &doc);
+    crate::cli::write_bench_doc("BENCH_tiering.json", &doc);
 
     // The headline: at equal total capacity, concentrating the Zipf hot set
     // in DRAM must beat the best hash-pinned split.

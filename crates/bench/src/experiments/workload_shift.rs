@@ -4,15 +4,17 @@
 //! arrival rate jumps 30 % mid-run. The goal class's hit-rate economics change
 //! (more competition in the shared pools, more disk contention), so the
 //! coordinator must re-converge onto the same goal with a new partitioning.
+//! `--json` streams the trace to `results/workload_shift.jsonl` and the
+//! closing metrics snapshot to `results/workload_shift_metrics.json`.
 
 use dmm::buffer::{ClassId, NO_GOAL};
 use dmm::core::{Simulation, SystemConfig};
-use dmm::obs::JsonLinesSink;
 use dmm::sim::SimTime;
 use dmm::workload::RateShift;
 
-fn main() {
-    let json = dmm_bench::BenchArgs::parse().json;
+use crate::BenchArgs;
+
+pub fn run(args: &BenchArgs) {
     let goal_ms = 9.0;
     let mut cfg = SystemConfig::builder()
         .seed(19)
@@ -26,28 +28,25 @@ fn main() {
         arrival_per_ms: vec![0.018 * 1.3; nodes],
     }];
     let mut sim = Simulation::new(cfg);
-    if json {
-        let sink = JsonLinesSink::create("results/workload_shift.jsonl")
-            .expect("create results/workload_shift.jsonl");
-        sim.set_trace_sink(Box::new(sink));
-    }
 
     println!("goal {goal_ms} ms; no-goal arrival rate x1.3 at interval 60\n");
     println!("interval  observed_ms  dedicated_MB  satisfied");
-    for _ in 0..170 {
-        sim.run_intervals(1);
-        let r = *sim.records(ClassId(1)).last().expect("record");
-        if r.interval.is_multiple_of(4) || (55..75).contains(&r.interval) {
-            println!(
-                "{:>8}  {:>11}  {:>12.2}  {:>9}",
-                r.interval,
-                r.observed_ms
-                    .map_or_else(|| "-".into(), |v| format!("{v:.2}")),
-                r.dedicated_bytes as f64 / (1024.0 * 1024.0),
-                r.satisfied.map_or("-", |s| if s { "yes" } else { "NO" }),
-            );
+    crate::run_traced(&mut sim, "workload_shift", args.json, |sim| {
+        for _ in 0..170 {
+            sim.run_intervals(1);
+            let r = *sim.records(ClassId(1)).last().expect("record");
+            if r.interval.is_multiple_of(4) || (55..75).contains(&r.interval) {
+                println!(
+                    "{:>8}  {:>11}  {:>12.2}  {:>9}",
+                    r.interval,
+                    r.observed_ms
+                        .map_or_else(|| "-".into(), |v| format!("{v:.2}")),
+                    r.dedicated_bytes as f64 / (1024.0 * 1024.0),
+                    r.satisfied.map_or("-", |s| if s { "yes" } else { "NO" }),
+                );
+            }
         }
-    }
+    });
     let before: Vec<_> = sim
         .records(ClassId(1))
         .iter()
@@ -70,12 +69,4 @@ fn main() {
         "\nbefore shift: {:.2} MB dedicated, {:.0}% satisfied;  after re-convergence: {:.2} MB, {:.0}% satisfied",
         ded(&before), sat(&before), ded(&after), sat(&after)
     );
-    if json {
-        std::fs::write(
-            "results/workload_shift_metrics.json",
-            sim.metrics_snapshot().to_json().to_string(),
-        )
-        .expect("write results/workload_shift_metrics.json");
-        eprintln!("trace: results/workload_shift.jsonl");
-    }
 }

@@ -1,10 +1,12 @@
-//! Shared helpers for the experiment harnesses (one binary per paper table
-//! or figure) and the microbenchmarks.
+//! The paper's §7 experiments behind the `dmm-repro` binary (one module per
+//! table, figure or ablation, named in [`experiments::EXPERIMENTS`]), their
+//! shared helpers, and the microbenchmark harness.
 
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 
 pub mod cli;
+pub mod experiments;
 pub mod micro;
 pub mod partition_simplex;
 pub mod pool;
@@ -13,7 +15,10 @@ pub use cli::BenchArgs;
 pub use partition_simplex::solve_partitioning_simplex;
 
 use dmm::buffer::ClassId;
-use dmm::core::{calibrate_goal_range, ControllerKind, Simulation, SystemConfig};
+use dmm::core::{
+    calibrate_goal_range, ControllerKind, Simulation, SystemConfig, SystemConfigBuilder,
+};
+use dmm::obs::JsonLinesSink;
 use dmm::sim::stats::Welford;
 use dmm::workload::GoalRange;
 
@@ -50,6 +55,45 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// The §7.3 goal-schedule setup the goal-walk experiments share: calibrates
+/// class 1's attainable `[goal_min, goal_max]` on `base` under a 15 ms
+/// placeholder goal (6 settling + 6 measured intervals per end), then
+/// returns the range and `base` set up for the schedule run — goal at
+/// `goal_max`, re-drawn within the range after every satisfied streak.
+pub fn calibrated_goal_schedule(base: SystemConfigBuilder) -> (GoalRange, SystemConfigBuilder) {
+    let config = base
+        .clone()
+        .goal_ms(15.0)
+        .build()
+        .expect("valid base config");
+    let range = calibrate_goal_range(&config, ClassId(1), 6, 6).expect("calibrate the goal range");
+    (range, base.goal_ms(range.max_ms).goal_range(range))
+}
+
+/// Runs `body` on `sim`. With `json`, the run's structured trace streams to
+/// `results/<name>.jsonl` and its closing metrics snapshot is written to
+/// `results/<name>_metrics.json`, both at the workspace root.
+pub fn run_traced(
+    sim: &mut Simulation,
+    name: &str,
+    json: bool,
+    body: impl FnOnce(&mut Simulation),
+) {
+    if json {
+        let trace = cli::results_path(&format!("{name}.jsonl"));
+        let sink = JsonLinesSink::create(&trace)
+            .unwrap_or_else(|e| panic!("create {}: {e}", trace.display()));
+        sim.set_trace_sink(Box::new(sink));
+    }
+    body(sim);
+    if json {
+        let metrics = cli::results_path(&format!("{name}_metrics.json"));
+        std::fs::write(&metrics, sim.metrics_snapshot().to_json().to_string())
+            .unwrap_or_else(|e| panic!("write {}: {e}", metrics.display()));
+        eprintln!("wrote results/{name}.jsonl and results/{name}_metrics.json");
+    }
+}
+
 /// Result of one convergence-speed measurement (a Table 2 cell).
 #[derive(Debug, Clone, Copy)]
 pub struct ConvergenceResult {
@@ -84,20 +128,13 @@ pub fn convergence_speed(
 ) -> ConvergenceResult {
     assert!(!seeds.is_empty(), "need at least one seed");
     let class = ClassId(1);
-    let base = SystemConfig::builder()
-        .seed(seeds[0])
-        .theta(theta)
-        .goal_ms(15.0)
-        .build()
-        .expect("valid base config");
-    let goal_range = calibrate_goal_range(&base, class, 6, 6).expect("calibrate the goal range");
+    let (goal_range, schedule) =
+        calibrated_goal_schedule(SystemConfig::builder().seed(seeds[0]).theta(theta));
 
     let run_seed = |seed: u64| -> dmm::core::ConvergenceStats {
-        let cfg = SystemConfig::builder()
+        let cfg = schedule
+            .clone()
             .seed(seed)
-            .theta(theta)
-            .goal_ms(goal_range.max_ms)
-            .goal_range(goal_range)
             .controller(controller)
             .build()
             .expect("valid replication config");

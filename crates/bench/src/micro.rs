@@ -7,6 +7,8 @@
 
 use std::time::Instant;
 
+use crate::cli::{BenchArgs, Flag};
+
 /// Result of one microbenchmark: best observed per-iteration time.
 #[derive(Debug, Clone)]
 pub struct MicroResult {
@@ -70,13 +72,22 @@ pub fn bench_micro<F: FnMut()>(name: &str, mut f: F) -> MicroResult {
     r
 }
 
-/// Writes one JSON line per result into the workspace-root `results/<file>`
-/// when `--json` was passed on the command line (cargo forwards args after
-/// `--`; see [`crate::cli`] for the shared flag set).
-pub fn maybe_write_json(results: &[MicroResult], file: &str) {
-    if !crate::cli::BenchArgs::parse().json {
-        return;
+/// Whether `--json` was passed, the harness's only flag. `cargo bench`
+/// adds its own `--bench`, which is skipped; anything else is refused with
+/// exit code 2, as `dmm-repro` refuses it.
+pub fn json_requested() -> bool {
+    let args = std::env::args().skip(1).filter(|a| a != "--bench");
+    match BenchArgs::parse_from(args, &[Flag::Json], &[]) {
+        Ok(parsed) => parsed.json,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     }
+}
+
+/// Writes one JSON line per result into the workspace-root `results/<file>`.
+pub fn write_json(results: &[MicroResult], file: &str) {
     let path = crate::cli::results_path(file);
     let body: String = results.iter().map(|r| r.json_line() + "\n").collect();
     std::fs::write(&path, body).expect("write bench json");

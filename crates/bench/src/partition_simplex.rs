@@ -5,7 +5,7 @@
 //! ([`dmm::core::solve_partitioning`]). This formulation is kept as the
 //! single reference for that solver: the differential test
 //! `tests/partition_oracle.rs` checks the two against each other, and the
-//! `table1` bin times it as the paper-faithful optimization column.
+//! `table1` experiment times it as the paper-faithful optimization column.
 
 use dmm::core::optimize::{Objective, PartitionProblem, Partitioning, EPS_TIEBREAK};
 use dmm_lp::{LpError, Problem, Relation};

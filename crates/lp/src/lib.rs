@@ -19,7 +19,7 @@
 //! library does not link this crate. The simplex formulation lives on in
 //! `dmm-bench` (`solve_partitioning_simplex`), which the differential test
 //! `tests/partition_oracle.rs` and the paper-faithful column of the
-//! `table1` bin use.
+//! `table1` experiment of `dmm-repro` use.
 //!
 //! ```
 //! use dmm_lp::{Problem, Relation};

@@ -7,11 +7,11 @@
 
 use std::collections::HashSet;
 
-use dmm::buffer::ClassId;
 use dmm::cluster::{FabricSpec, FaultPlan, NodeId};
-use dmm::core::{calibrate_goal_range, ProbeSpec, Simulation, SystemConfig};
+use dmm::core::{ProbeSpec, Simulation, SystemConfig};
 use dmm::obs::{SpanMode, VecSink};
 use dmm::prelude::TierSpec;
+use dmm_bench::calibrated_goal_schedule;
 use dmm_trace::{
     expected_fields, expected_fields_ext, expected_fields_for, read_str, validate_record, Trace,
     RECORD_TYPES, SPAN_STAGE_FIELDS,
@@ -21,18 +21,8 @@ use dmm_trace::{
 /// drawn from a calibrated attainable range so satisfied streaks complete:
 /// interval, optimize, grant, goal_change and span records.
 fn goal_schedule_trace(seed: u64) -> Trace {
-    let base = SystemConfig::builder()
-        .seed(seed)
-        .theta(0.5)
-        .goal_ms(15.0)
-        .build()
-        .expect("valid base config");
-    let range = calibrate_goal_range(&base, ClassId(1), 6, 6).expect("calibrate the goal range");
-    let cfg = SystemConfig::builder()
-        .seed(seed)
-        .theta(0.5)
-        .goal_ms(range.max_ms)
-        .goal_range(range)
+    let (_, schedule) = calibrated_goal_schedule(SystemConfig::builder().seed(seed).theta(0.5));
+    let cfg = schedule
         .warmup_intervals(2)
         .spans(SpanMode::Sampled { every: 16 })
         .build()
@@ -101,20 +91,13 @@ fn switched_trace(seed: u64) -> Trace {
 /// stream, plus the quantile extension fields on interval / optimize /
 /// goal_change records.
 fn quantile_goal_trace(seed: u64) -> Trace {
-    let base = SystemConfig::builder()
-        .seed(seed)
-        .theta(0.5)
-        .goal_ms(15.0)
-        .goal_quantile(0.95)
-        .build()
-        .expect("valid base config");
-    let range = calibrate_goal_range(&base, ClassId(1), 6, 6).expect("calibrate the goal range");
-    let cfg = SystemConfig::builder()
-        .seed(seed)
-        .theta(0.5)
-        .goal_ms(range.max_ms)
-        .goal_range(range)
-        .goal_quantile(0.95)
+    let (_, schedule) = calibrated_goal_schedule(
+        SystemConfig::builder()
+            .seed(seed)
+            .theta(0.5)
+            .goal_quantile(0.95),
+    );
+    let cfg = schedule
         .warmup_intervals(2)
         .spans(SpanMode::Sampled { every: 16 })
         .build()

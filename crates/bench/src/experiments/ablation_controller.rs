@@ -8,9 +8,10 @@
 //! N-dimensional LP spends the no-goal class's response time more carefully
 //! than the equal-split fencing baselines.
 
-use crate::{render_table, steady_state, BenchArgs};
 use dmm::buffer::ClassId;
 use dmm::core::{ControllerKind, Objective, Simulation, SystemConfig};
+
+use crate::{render_table, steady_state, BenchArgs};
 
 fn scenario(cfg: &mut SystemConfig, skewed_nodes: bool) {
     if skewed_nodes {

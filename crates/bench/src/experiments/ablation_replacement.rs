@@ -6,10 +6,11 @@
 //! globally hot last copies cached, cutting both classes' response times at
 //! identical memory.
 
-use crate::{render_table, steady_state, BenchArgs};
 use dmm::buffer::{ClassId, PolicySpec};
 use dmm::cluster::NodeId;
 use dmm::core::{Simulation, SystemConfig};
+
+use crate::{render_table, steady_state, BenchArgs};
 
 pub fn run(_: &BenchArgs) {
     let goal_ms = 8.0;

@@ -16,10 +16,11 @@
 //! dedicated buffers — class k2 exceeds its goal solely by accessing pages
 //! from the buffers of class k1" (the §3 Example 2 effect).
 
-use crate::{render_table, BenchArgs};
 use dmm::buffer::ClassId;
 use dmm::core::{Simulation, SystemConfig};
 use dmm::workload::WorkloadSpec;
+
+use crate::{render_table, BenchArgs};
 
 fn config(sharing: f64, seed: u64) -> SystemConfig {
     // §7.4: "twice the amount of cache buffer memory at each node"; a larger

@@ -5,10 +5,11 @@
 //! against minimizing total dedicated memory and balancing the per-node
 //! allocations.
 
-use crate::{render_table, steady_state, BenchArgs};
 use dmm::buffer::ClassId;
 use dmm::cluster::NodeId;
 use dmm::core::{ControllerKind, Objective, Simulation, SystemConfig};
+
+use crate::{render_table, steady_state, BenchArgs};
 
 pub fn run(_: &BenchArgs) {
     let goal_ms = 8.0;

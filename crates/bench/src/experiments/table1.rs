@@ -14,12 +14,13 @@
 
 use std::time::Instant;
 
-use crate::{render_table, solve_partitioning_simplex, BenchArgs};
 use dmm::core::{
     fit_planes, solve_partitioning, MeasurePoint, MeasureStore, Objective, PartitionProblem,
 };
 use dmm::linalg::IndependenceTracker;
 use dmm::sim::{SimRng, SimTime};
+
+use crate::{render_table, solve_partitioning_simplex, BenchArgs};
 
 fn synthetic_points(n: usize, rng: &mut SimRng) -> Vec<MeasurePoint> {
     // n+1 points: a base plus one perturbed coordinate each, with a linear

@@ -12,9 +12,10 @@
 //! 0.75 → 3.88, 1.0 → 3.95. The reproduction target is the monotone
 //! increase with θ and the "< 4 iterations even at θ=1" headline.
 
-use crate::{convergence_speed, render_table, BenchArgs};
 use dmm::core::ControllerKind;
 use dmm::obs::Json;
+
+use crate::{convergence_speed, render_table, BenchArgs};
 
 pub fn run(args: &BenchArgs) {
     let json = args.json;

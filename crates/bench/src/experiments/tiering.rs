@@ -19,10 +19,11 @@
 //! goal-class response time. Results land in `BENCH_tiering.json` at the
 //! workspace root; `--quick` shrinks the run for CI smoke use.
 
-use crate::{render_table, BenchArgs};
 use dmm::core::ControllerKind;
 use dmm::obs::Json;
 use dmm::prelude::*;
+
+use crate::{render_table, BenchArgs};
 
 /// Total local frames per node, split between DRAM and the second tier.
 const TOTAL_FRAMES: usize = 96;

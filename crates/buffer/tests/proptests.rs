@@ -3,9 +3,11 @@
 //! operation sequences. Cases are generated from seeded [`SimRng`] streams
 //! for reproducibility.
 
+use std::collections::BTreeMap;
+
 use dmm_buffer::{
-    ClassId, HeatEstimator, IndexedMinHeap, LocalAccess, PageId, PartitionedBuffer, Policy,
-    PolicySpec, Pool, TierPolicy, TieredAccess, TieredBuffer, HEAT_K_MAX, NO_GOAL,
+    ClassId, HeatEstimator, IndexedMinHeap, LocalAccess, PageHeat, PageId, PartitionedBuffer,
+    Policy, PolicySpec, Pool, TierPolicy, TieredAccess, TieredBuffer, HEAT_K, NO_GOAL,
 };
 use dmm_sim::{SimRng, SimTime};
 
@@ -180,39 +182,91 @@ fn partition_invariants() {
     }
 }
 
-/// The inline heat window against the historical `Vec` window (push at the
-/// back, `remove(0)` when full): every reading bit-equal, for every k the
-/// inline capacity admits.
+/// The historical `Vec` heat window: push at the back, `remove(0)` when
+/// full.
+fn vec_window_record(window: &mut Vec<SimTime>, now: SimTime) {
+    if window.len() == HEAT_K {
+        window.remove(0);
+    }
+    window.push(now);
+}
+
+fn vec_window_heat(window: &[SimTime], now: SimTime) -> f64 {
+    window.first().map_or(0.0, |&oldest| {
+        let span_ms = now.since(oldest).as_millis_f64().max(1e-3);
+        window.len() as f64 / span_ms
+    })
+}
+
+/// The inline heat window against the historical `Vec` window: every
+/// reading bit-equal.
 #[test]
 fn inline_heat_window_matches_vec_window() {
-    for k in 1..=HEAT_K_MAX {
-        for seed in 0..32u64 {
-            let mut rng = SimRng::seed_from_u64(700 + seed);
-            let mut inline = HeatEstimator::new(k);
-            let mut reference: Vec<SimTime> = Vec::new();
-            let mut now = 0u64;
-            for _ in 0..1 + rng.index(40) {
-                // Gaps from zero (same-instant re-access) to ~50 ms.
-                now += rng.index(4) as u64 * rng.index(12_500_000) as u64;
-                if rng.index(4) > 0 {
-                    if reference.len() == k {
-                        reference.remove(0);
-                    }
-                    reference.push(t(now));
-                    inline.record(t(now));
-                }
-                let heat = reference.first().map_or(0.0, |&oldest| {
-                    let span_ms = t(now).since(oldest).as_millis_f64().max(1e-3);
-                    reference.len() as f64 / span_ms
-                });
-                let ctx = format!("k {k} seed {seed} t {now}");
+    for seed in 0..128u64 {
+        let mut rng = SimRng::seed_from_u64(700 + seed);
+        let mut inline = HeatEstimator::new();
+        let mut reference: Vec<SimTime> = Vec::new();
+        let mut now = 0u64;
+        for _ in 0..1 + rng.index(40) {
+            // Gaps from zero (same-instant re-access) to ~50 ms.
+            now += rng.index(4) as u64 * rng.index(12_500_000) as u64;
+            if rng.index(4) > 0 {
+                vec_window_record(&mut reference, t(now));
+                inline.record(t(now));
+            }
+            let ctx = format!("seed {seed} t {now}");
+            assert_eq!(
+                inline.heat_per_ms(t(now)).to_bits(),
+                vec_window_heat(&reference, t(now)).to_bits(),
+                "{ctx}"
+            );
+            assert_eq!(inline.last_access(), reference.last().copied(), "{ctx}");
+            assert_eq!(inline.count(), reference.len(), "{ctx}");
+        }
+    }
+}
+
+/// A page's packed heat entry against one `Vec` window per tracked class
+/// plus an accumulated one, over classes 0–3 with tracking toggled,
+/// same-instant re-accesses and up to three tracked classes (the second and
+/// third spill): accumulated and class heats bit-equal, and the same
+/// classes tracked.
+#[test]
+fn page_heat_matches_per_class_vec_windows() {
+    for seed in 0..128u64 {
+        let mut rng = SimRng::seed_from_u64(900 + seed);
+        let mut heat = PageHeat::new();
+        let mut accumulated: Vec<SimTime> = Vec::new();
+        let mut classes: BTreeMap<ClassId, Vec<SimTime>> = BTreeMap::new();
+        let mut now = 0u64;
+        for _ in 0..1 + rng.index(60) {
+            // Gaps from zero (same-instant re-access) to ~25 ms.
+            now += rng.index(3) as u64 * rng.index(12_500_000) as u64;
+            let class = ClassId(rng.index(4) as u16);
+            let track = rng.index(3) > 0 && classes.len() < 3;
+            heat.record(class, t(now), track);
+            vec_window_record(&mut accumulated, t(now));
+            if let Some(window) = classes.get_mut(&class) {
+                vec_window_record(window, t(now));
+            } else if track {
+                classes.insert(class, vec![t(now)]);
+            }
+            let ctx = format!("seed {seed} t {now} {class:?}");
+            assert_eq!(heat.tracked_classes(), classes.len(), "{ctx}");
+            for at in [t(now), t(now + 1_000_000)] {
                 assert_eq!(
-                    inline.heat_per_ms(t(now)).to_bits(),
-                    heat.to_bits(),
+                    heat.accumulated_heat_per_ms(at).to_bits(),
+                    vec_window_heat(&accumulated, at).to_bits(),
                     "{ctx}"
                 );
-                assert_eq!(inline.last_access(), reference.last().copied(), "{ctx}");
-                assert_eq!(inline.count(), reference.len(), "{ctx}");
+                for c in (0..4).map(ClassId) {
+                    let expected = classes.get(&c).map_or(0.0, |w| vec_window_heat(w, at));
+                    assert_eq!(
+                        heat.class_heat_per_ms(c, at).to_bits(),
+                        expected.to_bits(),
+                        "{ctx} reading {c:?}"
+                    );
+                }
             }
         }
     }

@@ -48,10 +48,10 @@ pub struct Directory {
 impl Directory {
     /// Empty directory over pages `0..db_pages` for `goal_classes` goal
     /// classes.
-    pub fn new(db_pages: u32, goal_classes: usize, heat_k: usize, publish_threshold: f64) -> Self {
+    pub fn new(db_pages: u32, goal_classes: usize, publish_threshold: f64) -> Self {
         let entry = PageEntry {
             holders: Vec::new(),
-            heat: HeatEstimator::new(heat_k),
+            heat: HeatEstimator::new(),
             published: 0.0,
         };
         Directory {
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn copy_tracking_and_last_copy() {
-        let mut d = Directory::new(8, 2, 2, 0.2);
+        let mut d = Directory::new(8, 2, 0.2);
         d.add_copy(PageId(1), NodeId(0));
         assert!(d.is_last_copy(PageId(1), NodeId(0)));
         d.add_copy(PageId(1), NodeId(2));
@@ -189,14 +189,14 @@ mod tests {
 
     #[test]
     fn first_access_publishes() {
-        let mut d = Directory::new(8, 1, 2, 0.2);
+        let mut d = Directory::new(8, 1, 0.2);
         assert!(d.record_access(PageId(1), ms(1)));
         assert_eq!(d.publish_events(), 1);
     }
 
     #[test]
     fn steady_heat_stops_publishing() {
-        let mut d = Directory::new(8, 1, 2, 0.5);
+        let mut d = Directory::new(8, 1, 0.5);
         // Perfectly regular accesses: after the window fills, heat is
         // constant and no further publishes occur.
         let mut publishes = 0;
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn class_tracking_counts_pools() {
-        let mut d = Directory::new(8, 2, 2, 0.2);
+        let mut d = Directory::new(8, 2, 0.2);
         assert!(!d.class_tracked(ClassId(1)));
         assert!(!d.class_tracked(NO_GOAL));
         d.dedicated_pool_changed(ClassId(1), 1);

@@ -165,8 +165,6 @@ pub struct ClusterParams {
     pub goal_classes: usize,
     /// Replacement policy for every pool.
     pub policy: PolicySpec,
-    /// LRU-K window used for heat estimation (§6 uses LRU-k).
-    pub heat_k: usize,
     /// Relative change of a page's global heat that triggers a dissemination
     /// message (threshold-based protocol of \[27, 26\]).
     pub heat_publish_threshold: f64,
@@ -199,7 +197,6 @@ impl Default for ClusterParams {
             db_pages: 2000,
             goal_classes: 1,
             policy: PolicySpec::CostBased,
-            heat_k: 2,
             heat_publish_threshold: 0.2,
             disk: DiskParams::default(),
             net: NetParams::default(),

@@ -26,7 +26,7 @@
 
 use dmm_buffer::{
     ClassId, IdHashMap, PageHeat, PageId, PolicySpec, PoolStats, TieredAccess, TieredBuffer,
-    HEAT_K_MAX, NO_GOAL,
+    NO_GOAL,
 };
 use dmm_obs::{Histogram, Stage, StageNanos, STAGES};
 use dmm_sim::{Facility, SimDuration, SimTime, SlotArena};
@@ -252,15 +252,10 @@ pub struct DataPlane {
 
 impl DataPlane {
     /// Builds an idle cluster from `params`. Panics on a configuration no
-    /// run could survive: no nodes, an invalid placement, a heat window
-    /// outside `1..=HEAT_K_MAX`, or a span sampling divisor of 0.
+    /// run could survive: no nodes, an invalid placement, or a span sampling
+    /// divisor of 0.
     pub fn new(params: ClusterParams) -> Self {
         assert!(params.nodes > 0);
-        assert!(
-            (1..=HEAT_K_MAX).contains(&params.heat_k),
-            "heat_k must be in 1..={HEAT_K_MAX}, got {}",
-            params.heat_k
-        );
         assert!(
             params.spans.sample_every() != Some(0),
             "span sampling divisor must be at least 1, got 0"
@@ -283,7 +278,7 @@ impl DataPlane {
                     params.tier_policy,
                     params.db_pages as usize,
                 ),
-                heat: vec![PageHeat::new(params.heat_k); params.db_pages as usize],
+                heat: vec![PageHeat::new(); params.db_pages as usize],
                 tier_fac: (1..tier_frames.len())
                     .map(|_| Facility::new("tier"))
                     .collect(),
@@ -295,7 +290,6 @@ impl DataPlane {
             directory: Directory::new(
                 params.db_pages,
                 params.goal_classes,
-                params.heat_k,
                 params.heat_publish_threshold,
             ),
             costs: AccessCosts::for_ladder(0.05, &params.tiers),
@@ -833,9 +827,7 @@ impl DataPlane {
             debug_assert_eq!(granted, 0);
             debug_assert!(evicted.is_empty(), "pools were already drained");
         }
-        self.nodes[node.index()]
-            .heat
-            .fill(PageHeat::new(self.params.heat_k));
+        self.nodes[node.index()].heat.fill(PageHeat::new());
 
         // Abort in-flight operations that originated at the dead node;
         // their orphaned events are swallowed by `handle`'s guard. Sorted
@@ -1470,15 +1462,6 @@ mod tests {
 
     fn plane() -> DataPlane {
         DataPlane::new(ClusterParams::default())
-    }
-
-    #[test]
-    #[should_panic(expected = "heat_k must be in 1..=4, got 0")]
-    fn zero_heat_window_is_rejected_when_the_plane_is_built() {
-        DataPlane::new(ClusterParams {
-            heat_k: 0,
-            ..ClusterParams::default()
-        });
     }
 
     #[test]

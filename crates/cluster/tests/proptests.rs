@@ -3,7 +3,7 @@
 //! allocations and cluster shapes. Cases are generated from seeded
 //! [`SimRng`] streams for reproducibility.
 
-use dmm_buffer::{ClassId, PageId, PolicySpec};
+use dmm_buffer::{ClassId, PageId, PolicySpec, HEAT_K};
 use dmm_cluster::{
     ClusterParams, DataPlane, Directory, HashRing, NodeId, OpCompletion, OpId, Operation,
     MAX_RING_REPLICAS,
@@ -116,7 +116,6 @@ struct MapDirectory {
     holders: BTreeMap<PageId, Vec<NodeId>>,
     accesses: BTreeMap<PageId, Vec<SimTime>>,
     published: BTreeMap<PageId, f64>,
-    heat_k: usize,
     publish_threshold: f64,
 }
 
@@ -154,7 +153,7 @@ impl MapDirectory {
 
     fn record_access(&mut self, page: PageId, now: SimTime) -> bool {
         let times = self.accesses.entry(page).or_default();
-        if times.len() == self.heat_k {
+        if times.len() == HEAT_K {
             times.remove(0);
         }
         times.push(now);
@@ -174,14 +173,12 @@ fn dense_directory_matches_the_map_model() {
     const NODES: usize = 6;
     for seed in 0..64u64 {
         let mut rng = SimRng::seed_from_u64(0xD1 + seed);
-        let heat_k = 1 + rng.index(4);
         let threshold = [0.0, 0.2, 0.5][rng.index(3)];
-        let mut dense = Directory::new(PAGES, 2, heat_k, threshold);
+        let mut dense = Directory::new(PAGES, 2, threshold);
         let mut model = MapDirectory {
             holders: BTreeMap::new(),
             accesses: BTreeMap::new(),
             published: BTreeMap::new(),
-            heat_k,
             publish_threshold: threshold,
         };
         let mut now = SimTime::ZERO;

@@ -4,8 +4,8 @@
 //!   assumed to be exponentially distributed").
 //! * [`Zipf`] — page identities (§7.1: access frequency of page `p` is
 //!   `C · 1/p^θ` with `C = 1/Σ_{q=1..M} q^{-θ}`). Implemented by inverse
-//!   transform over a precomputed CDF (O(M) setup, O(log M) per sample),
-//!   which is exact for any skew including θ = 0.
+//!   transform over a precomputed CDF with a guide table (O(M) setup, O(1)
+//!   expected per sample), which is exact for any skew including θ = 0.
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -45,6 +45,11 @@ impl Exponential {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// Guide table (Chen–Asau indexed search): `guide[j]` is the first
+    /// index whose CDF exceeds `j / m`, so a draw `u` starts its scan at
+    /// `guide[⌊u·m⌋]` and takes one probe per item in its bucket — one in
+    /// expectation.
+    guide: Vec<u32>,
     theta: f64,
 }
 
@@ -66,7 +71,16 @@ impl Zipf {
         }
         // Guard against FP slop at the top end.
         *cdf.last_mut().expect("non-empty") = 1.0;
-        Zipf { cdf, theta }
+        let mut guide = Vec::with_capacity(m);
+        let mut i = 0;
+        for j in 0..m {
+            // The last CDF value is 1 > j / m, so the scan stops in range.
+            while cdf[i] <= j as f64 / m as f64 {
+                i += 1;
+            }
+            guide.push(u32::try_from(i).expect("Zipf items fit in u32"));
+        }
+        Zipf { cdf, guide, theta }
     }
 
     /// Number of items.
@@ -90,15 +104,22 @@ impl Zipf {
 
     /// Draws one 0-based index.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.uniform01();
-        // First index whose CDF value exceeds u.
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("no NaN in CDF"))
-        {
-            Ok(i) => (i + 1).min(self.cdf.len() - 1),
-            Err(i) => i,
+        self.index_of(rng.uniform01())
+    }
+
+    /// The first index whose CDF value exceeds `u ∈ [0, 1)`.
+    fn index_of(&self, u: f64) -> usize {
+        let m = self.cdf.len();
+        let mut i = self.guide[((u * m as f64) as usize).min(m - 1)] as usize;
+        // `u · m` can round across a bucket edge: step back while the CDF
+        // just below still exceeds `u`, then forward past every value ≤ `u`.
+        while i > 0 && self.cdf[i - 1] > u {
+            i -= 1;
         }
+        while self.cdf[i] <= u {
+            i += 1;
+        }
+        i
     }
 }
 
@@ -152,6 +173,47 @@ mod tests {
         assert!(counts[0] > counts[m / 2]);
         // CDF coverage: every index reachable.
         assert!(counts.iter().filter(|&&c| c > 0).count() > m / 2);
+    }
+
+    /// The binary search the guide table replaced: on a strictly
+    /// increasing CDF, the first index whose value exceeds `u`.
+    fn binary_search_index(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN in CDF")) {
+            Ok(i) => (i + 1).min(cdf.len() - 1),
+            Err(i) => i,
+        }
+    }
+
+    #[test]
+    fn guide_table_matches_binary_search() {
+        let mut rng = SimRng::seed_from_u64(0x2199);
+        let mut draws = 0;
+        for m in [1, 2, 7, 400, 1_000, 3_200, 12_000] {
+            for theta in [0.0, 0.5, 0.8, 1.0, 2.0] {
+                let z = Zipf::new(m, theta);
+                assert!(
+                    z.cdf.windows(2).all(|w| w[0] < w[1]),
+                    "m {m} θ {theta}: CDF not strictly increasing"
+                );
+                // Each bucket edge and its neighbours, where `u · m` rounds.
+                let edges = (0..m).flat_map(|j| {
+                    let u = j as f64 / m as f64;
+                    [u.next_down().max(0.0), u, u.next_up()]
+                });
+                // Exact CDF values are the binary search's `Ok` branch.
+                let cdf_values = z.cdf[..m - 1].iter().copied();
+                let random = (0..30_000).map(|_| rng.uniform01());
+                for u in edges.chain(cdf_values).chain(random) {
+                    assert_eq!(
+                        z.index_of(u),
+                        binary_search_index(&z.cdf, u),
+                        "m {m} θ {theta} u {u}"
+                    );
+                    draws += 1;
+                }
+            }
+        }
+        assert!(draws >= 1_000_000, "{draws} draws");
     }
 
     #[test]

@@ -4,52 +4,69 @@
 //! globally) per time unit. In the implementation the LRU-k algorithm \[21\] is
 //! used to approximate the heat." A page's heat estimate is `k` divided by
 //! the span back to its k-th most recent access, with `k` fixed at
-//! [`HEAT_K`]. Every window is exactly `HEAT_K` instants wide, so a node's
-//! heat entry for one page is 48 bytes and owns no heap. The paper's
-//! per-class heat records are "dynamically created and deleted on demand".
-//! Here a class heat is created the first time the class touches the page
-//! while some node in the system holds a dedicated buffer for that class,
-//! and is then kept for the rest of the run (DESIGN.md §3).
+//! [`HEAT_K`]. Every window is exactly `HEAT_K` instants wide and marks its
+//! empty slots with [`SimTime::MAX`], so it stores no fill count and owns no
+//! heap. The paper's per-class heat records are "dynamically created and
+//! deleted on demand". Here a class heat is created the first time the
+//! class touches the page while some node in the system holds a dedicated
+//! buffer for that class, and is then kept for the rest of the run
+//! (DESIGN.md §3).
+//!
+//! A node keeps all its page heats in one [`NodeHeat`]: per database page a
+//! 32-byte entry with the accumulated window and the first tracked class's
+//! window, plus that class's 2-byte id in a parallel array — 34 bytes per
+//! page. A second tracked class on one page, which only the §7.4 sharing
+//! runs make, goes to a per-node side map.
 
 use dmm_sim::SimTime;
 
-use crate::page::{ClassId, NO_GOAL};
+use crate::page::{ClassId, IdHashMap, PageId, NO_GOAL};
 
 /// The LRU-K window of every heat estimate. The paper runs k = 2–3; every
 /// experiment here runs 2, and a constant lets each window be exactly that
 /// wide.
 pub const HEAT_K: usize = 2;
 
-/// The last [`HEAT_K`] access instants, oldest first. The fill count lives
-/// with the owner, so [`PageHeat`] can pack two windows around one pair of
-/// count bytes.
+/// The last [`HEAT_K`] access instants, oldest first. The filled slots are
+/// a prefix and the rest hold [`SimTime::MAX`], an instant no access is
+/// ever recorded at, so the fill count is the length of that prefix.
 #[derive(Debug, Clone, Copy)]
 struct Window([SimTime; HEAT_K]);
 
 impl Window {
-    const EMPTY: Window = Window([SimTime::ZERO; HEAT_K]);
+    const EMPTY: Window = Window([SimTime::MAX; HEAT_K]);
 
-    /// Records one access at `now` into a window holding `len` instants.
-    fn record(&mut self, len: &mut u8, now: SimTime) {
-        if usize::from(*len) == HEAT_K {
+    fn is_empty(&self) -> bool {
+        self.0[0] == SimTime::MAX
+    }
+
+    /// Number of instants held (≤ [`HEAT_K`]).
+    fn len(&self) -> usize {
+        self.0.iter().take_while(|&&t| t != SimTime::MAX).count()
+    }
+
+    /// Records one access at `now`.
+    fn record(&mut self, now: SimTime) {
+        debug_assert!(now != SimTime::MAX, "access recorded at the sentinel");
+        let len = self.len();
+        if len == HEAT_K {
             self.0.copy_within(1.., 0);
             self.0[HEAT_K - 1] = now;
         } else {
-            self.0[usize::from(*len)] = now;
-            *len += 1;
+            self.0[len] = now;
         }
     }
 
     /// `len / (now − oldest)` in accesses per millisecond; 0 when empty.
-    fn heat_per_ms(&self, len: u8, now: SimTime) -> f64 {
-        if len == 0 {
+    fn heat_per_ms(&self, now: SimTime) -> f64 {
+        if self.is_empty() {
             return 0.0;
         }
         let span_ms = now.since(self.0[0]).as_millis_f64();
         // Guard division for a just-touched page: treat the window as at
         // least one microsecond.
         let span_ms = span_ms.max(1e-3);
-        f64::from(len) / span_ms
+        self.len() as f64 / span_ms
     }
 }
 
@@ -57,10 +74,7 @@ impl Window {
 /// one class, or accumulated over all classes). Plain data: creating,
 /// copying and recording never touch the heap.
 #[derive(Debug, Clone, Copy)]
-pub struct HeatEstimator {
-    len: u8,
-    times: Window,
-}
+pub struct HeatEstimator(Window);
 
 impl Default for HeatEstimator {
     fn default() -> Self {
@@ -71,25 +85,22 @@ impl Default for HeatEstimator {
 impl HeatEstimator {
     /// Estimator that has seen no access yet.
     pub const fn new() -> Self {
-        HeatEstimator {
-            len: 0,
-            times: Window::EMPTY,
-        }
+        HeatEstimator(Window::EMPTY)
     }
 
-    /// Records one access at `now`.
+    /// Records one access at `now`, which must precede [`SimTime::MAX`].
     pub fn record(&mut self, now: SimTime) {
-        self.times.record(&mut self.len, now);
+        self.0.record(now);
     }
 
     /// Number of accesses remembered (≤ [`HEAT_K`]).
     pub fn count(&self) -> usize {
-        usize::from(self.len)
+        self.0.len()
     }
 
     /// Instant of the most recent access.
     pub fn last_access(&self) -> Option<SimTime> {
-        self.count().checked_sub(1).map(|i| self.times.0[i])
+        self.count().checked_sub(1).map(|i| self.0 .0[i])
     }
 
     /// Heat in accesses per millisecond at instant `now`:
@@ -98,118 +109,140 @@ impl HeatEstimator {
     /// a deliberately conservative heat (its window is measured from that
     /// single access to `now`).
     pub fn heat_per_ms(&self, now: SimTime) -> f64 {
-        self.times.heat_per_ms(self.len, now)
+        self.0.heat_per_ms(now)
     }
 }
 
-/// Heat bookkeeping for one page on one node: the accumulated heat over all
-/// accesses plus on-demand per-class heats. A page is touched by very few
-/// tracked classes — one, in every shipped workload but the §7.4 sharing
-/// runs — so the first per-class window lives inline next to the
-/// accumulated one and a table of these entries owns no heap of its own;
-/// only a second tracked class on the same page spills into `rest`.
-///
-/// Every node keeps one entry per database page, so the entry's size is
-/// every node's table size per page: it stays within 48 bytes.
-#[derive(Debug, Clone)]
-pub struct PageHeat {
-    /// Window over every access regardless of class (§6 "accumulated
-    /// heat").
+/// One page's inline windows on one node. Aligned to its own size, so an
+/// entry never straddles a cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
+struct PageWindows {
+    /// Every access regardless of class (§6 "accumulated heat").
     accumulated: Window,
-    /// Window of the first tracked class, `first_class`.
-    first: Window,
-    first_class: ClassId,
-    accumulated_len: u8,
-    /// 0 until the first per-class record exists.
-    first_len: u8,
-    /// Behind a thin pointer: a `Vec` inline would cost every entry 16
-    /// more bytes for a spill almost no workload makes.
-    #[allow(clippy::box_collection)]
-    rest: Option<Box<Vec<(ClassId, HeatEstimator)>>>,
+    /// The first tracked class's accesses; empty until that record exists.
+    class: Window,
 }
 
-impl Default for PageHeat {
-    fn default() -> Self {
-        Self::new()
-    }
+impl PageWindows {
+    const EMPTY: PageWindows = PageWindows {
+        accumulated: Window::EMPTY,
+        class: Window::EMPTY,
+    };
 }
 
-impl PageHeat {
-    /// Bookkeeping for a page no class has touched yet.
-    pub const fn new() -> Self {
-        PageHeat {
-            accumulated: Window::EMPTY,
-            first: Window::EMPTY,
-            first_class: NO_GOAL,
-            accumulated_len: 0,
-            first_len: 0,
-            rest: None,
+/// Heat bookkeeping of every database page on one node, indexed by page
+/// id: the accumulated heat over all accesses plus on-demand per-class
+/// heats. An untouched page reads 0.
+///
+/// A page is touched by very few tracked classes — one, in every shipped
+/// workload but the §7.4 sharing runs — so the first per-class window lives
+/// inline next to the accumulated one, with its class id in a parallel
+/// array; only a second tracked class on the same page goes to `spill`.
+/// The no-goal class never holds a per-class record (it is never tracked:
+/// its ranking heat is the accumulated one), so a no-goal access touches
+/// only the page's 32-byte entry.
+#[derive(Debug, Clone)]
+pub struct NodeHeat {
+    windows: Vec<PageWindows>,
+    /// The class whose record `windows[p].class` holds; meaningless while
+    /// that window is empty.
+    first_class: Vec<ClassId>,
+    /// Second and later tracked classes per page. A page has an entry only
+    /// once its inline class window is filled.
+    spill: IdHashMap<PageId, Vec<(ClassId, HeatEstimator)>>,
+}
+
+impl NodeHeat {
+    /// Bookkeeping for pages `0..db_pages`, none touched yet.
+    pub fn new(db_pages: usize) -> Self {
+        NodeHeat {
+            windows: vec![PageWindows::EMPTY; db_pages],
+            first_class: vec![NO_GOAL; db_pages],
+            spill: IdHashMap::default(),
         }
     }
 
-    fn spilled(&self) -> &[(ClassId, HeatEstimator)] {
-        self.rest.as_deref().map_or(&[], Vec::as_slice)
+    /// Forgets every access in place, keeping the tables allocated.
+    pub fn reset(&mut self) {
+        self.windows.fill(PageWindows::EMPTY);
+        self.first_class.fill(NO_GOAL);
+        self.spill.clear();
     }
 
-    fn holds_first(&self, class: ClassId) -> bool {
-        self.first_len > 0 && self.first_class == class
-    }
-
-    /// Records an access by `class` at `now`. `track_class` says whether a
-    /// dedicated buffer for this class exists anywhere in the system — only
-    /// then is the per-class record created (§6 overhead reduction).
-    pub fn record(&mut self, class: ClassId, now: SimTime, track_class: bool) {
-        self.accumulated.record(&mut self.accumulated_len, now);
-        // An existing record is kept warm even if tracking toggled off
-        // between accesses; records are never deleted.
-        if self.holds_first(class) {
-            self.first.record(&mut self.first_len, now);
-        } else if let Some((_, est)) = self
-            .rest
-            .iter_mut()
-            .flat_map(|r| r.iter_mut())
-            .find(|(c, _)| *c == class)
-        {
+    /// Records an access to `page` by `class` at `now`. `track_class` says
+    /// whether a dedicated buffer for this class exists anywhere in the
+    /// system — only then is the per-class record created (§6 overhead
+    /// reduction). It is ignored for the no-goal class. An existing record
+    /// is kept warm even if tracking toggled off between accesses; records
+    /// are never deleted.
+    pub fn record(&mut self, page: PageId, class: ClassId, now: SimTime, track_class: bool) {
+        let p = page.index();
+        let windows = &mut self.windows[p];
+        windows.accumulated.record(now);
+        if class.is_no_goal() {
+            return;
+        }
+        if windows.class.is_empty() {
+            // No first record, hence no spilled ones either.
+            if track_class {
+                windows.class.record(now);
+                self.first_class[p] = class;
+            }
+            return;
+        }
+        if self.first_class[p] == class {
+            windows.class.record(now);
+            return;
+        }
+        let spilled = self
+            .spill
+            .get_mut(&page)
+            .and_then(|rest| rest.iter_mut().find(|(c, _)| *c == class));
+        if let Some((_, est)) = spilled {
             est.record(now);
-        } else if track_class && self.first_len == 0 {
-            self.first_class = class;
-            self.first.record(&mut self.first_len, now);
         } else if track_class {
             let mut est = HeatEstimator::new();
             est.record(now);
-            self.rest
-                .get_or_insert_with(Box::default)
-                .push((class, est));
+            self.spill.entry(page).or_default().push((class, est));
         }
     }
 
-    /// Per-class heat at `now` (0 when the class has no record on the
-    /// page).
-    pub fn class_heat_per_ms(&self, class: ClassId, now: SimTime) -> f64 {
-        if self.holds_first(class) {
-            return self.first.heat_per_ms(self.first_len, now);
+    /// Per-class heat of `page` at `now` (0 when the class has no record
+    /// on the page).
+    pub fn class_heat_per_ms(&self, page: PageId, class: ClassId, now: SimTime) -> f64 {
+        let p = page.index();
+        let windows = &self.windows[p];
+        if class.is_no_goal() || windows.class.is_empty() {
+            return 0.0;
         }
-        self.spilled()
+        if self.first_class[p] == class {
+            return windows.class.heat_per_ms(now);
+        }
+        self.spilled(page)
             .iter()
             .find(|(c, _)| *c == class)
             .map_or(0.0, |(_, e)| e.heat_per_ms(now))
     }
 
-    /// Accumulated heat at `now`.
-    pub fn accumulated_heat_per_ms(&self, now: SimTime) -> f64 {
-        self.accumulated.heat_per_ms(self.accumulated_len, now)
+    /// Accumulated heat of `page` at `now`.
+    pub fn accumulated_heat_per_ms(&self, page: PageId, now: SimTime) -> f64 {
+        self.windows[page.index()].accumulated.heat_per_ms(now)
     }
 
-    /// Number of per-class records currently held.
-    pub fn tracked_classes(&self) -> usize {
-        usize::from(self.first_len > 0) + self.spilled().len()
+    /// Number of per-class records `page` holds.
+    pub fn tracked_classes(&self, page: PageId) -> usize {
+        usize::from(!self.windows[page.index()].class.is_empty()) + self.spilled(page).len()
+    }
+
+    fn spilled(&self, page: PageId) -> &[(ClassId, HeatEstimator)] {
+        self.spill.get(&page).map_or(&[], Vec::as_slice)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::NO_GOAL;
 
     fn ms(x: u64) -> SimTime {
         SimTime::from_nanos(x * 1_000_000)
@@ -258,14 +291,18 @@ mod tests {
 
     #[test]
     fn per_class_records_on_demand() {
-        let mut h = PageHeat::new();
-        h.record(ClassId(1), ms(0), true);
-        h.record(NO_GOAL, ms(1), false); // no dedicated buffer: not tracked
-        assert_eq!(h.tracked_classes(), 1);
-        assert!(h.class_heat_per_ms(ClassId(1), ms(2)) > 0.0);
-        assert_eq!(h.class_heat_per_ms(NO_GOAL, ms(2)), 0.0);
+        let p = PageId(3);
+        let mut h = NodeHeat::new(4);
+        h.record(p, ClassId(1), ms(0), true);
+        h.record(p, NO_GOAL, ms(1), true); // the no-goal class is never tracked
+        assert_eq!(h.tracked_classes(p), 1);
+        assert!(h.class_heat_per_ms(p, ClassId(1), ms(2)) > 0.0);
+        assert_eq!(h.class_heat_per_ms(p, NO_GOAL, ms(2)), 0.0);
         // Accumulated heat counts both accesses.
-        assert!(h.accumulated_heat_per_ms(ms(2)) > h.class_heat_per_ms(ClassId(1), ms(2)));
+        assert!(h.accumulated_heat_per_ms(p, ms(2)) > h.class_heat_per_ms(p, ClassId(1), ms(2)));
+        // Other pages stay untouched.
+        assert_eq!(h.accumulated_heat_per_ms(PageId(2), ms(2)), 0.0);
+        assert_eq!(h.tracked_classes(PageId(2)), 0);
     }
 
     #[test]
@@ -278,33 +315,47 @@ mod tests {
 
     #[test]
     fn further_tracked_classes_spill() {
-        let mut h = PageHeat::new();
+        let p = PageId(0);
+        let mut h = NodeHeat::new(1);
         for (c, at) in [(1, 0), (2, 1), (3, 2), (2, 3)] {
-            h.record(ClassId(c), ms(at), true);
+            h.record(p, ClassId(c), ms(at), true);
         }
-        assert_eq!(h.tracked_classes(), 3);
+        assert_eq!(h.tracked_classes(p), 3);
         // Class 2 was touched twice 2 ms apart, the others once.
-        assert!((h.class_heat_per_ms(ClassId(2), ms(3)) - 1.0).abs() < 1e-9);
-        assert!(h.class_heat_per_ms(ClassId(1), ms(4)) > 0.0);
-        assert!(h.class_heat_per_ms(ClassId(3), ms(4)) > 0.0);
+        assert!((h.class_heat_per_ms(p, ClassId(2), ms(3)) - 1.0).abs() < 1e-9);
+        assert!(h.class_heat_per_ms(p, ClassId(1), ms(4)) > 0.0);
+        assert!(h.class_heat_per_ms(p, ClassId(3), ms(4)) > 0.0);
         // A spilled record stays warm even once tracking is off.
-        h.record(ClassId(3), ms(5), false);
-        assert_eq!(h.class_heat_per_ms(ClassId(3), ms(5)), 2.0 / 3.0);
+        h.record(p, ClassId(3), ms(5), false);
+        assert_eq!(h.class_heat_per_ms(p, ClassId(3), ms(5)), 2.0 / 3.0);
         // An untracked access by a new class keeps only the accumulated
         // heat warm.
-        h.record(ClassId(4), ms(6), false);
-        assert_eq!(h.tracked_classes(), 3);
-        assert_eq!(h.class_heat_per_ms(ClassId(4), ms(6)), 0.0);
-        assert_eq!(h.accumulated_heat_per_ms(ms(6)), 2.0);
+        h.record(p, ClassId(4), ms(6), false);
+        assert_eq!(h.tracked_classes(p), 3);
+        assert_eq!(h.class_heat_per_ms(p, ClassId(4), ms(6)), 0.0);
+        assert_eq!(h.accumulated_heat_per_ms(p, ms(6)), 2.0);
+        // A reset forgets every record, spilled ones too.
+        h.reset();
+        assert_eq!(h.tracked_classes(p), 0);
+        assert_eq!(h.accumulated_heat_per_ms(p, ms(6)), 0.0);
+        assert_eq!(h.class_heat_per_ms(p, ClassId(3), ms(6)), 0.0);
     }
 
     #[test]
     fn page_heat_fits_its_size_budget() {
-        let size = std::mem::size_of::<PageHeat>();
+        let per_page = std::mem::size_of::<PageWindows>() + std::mem::size_of::<ClassId>();
         assert!(
-            size <= 48,
-            "PageHeat is {size} bytes, over its 48-byte budget: every node \
-             keeps one entry per database page"
+            per_page <= 34,
+            "a page's heat takes {per_page} bytes, over its 34-byte budget: \
+             every node keeps one entry per database page"
+        );
+        assert_eq!(std::mem::size_of::<PageWindows>(), 32);
+        assert_eq!(std::mem::align_of::<PageWindows>(), 32);
+        let heat = NodeHeat::new(3);
+        assert_eq!(
+            heat.windows.as_ptr() as usize % 32,
+            0,
+            "window entries straddle cache lines"
         );
     }
 }

@@ -175,6 +175,12 @@ where
         self.pos.fill(ABSENT);
     }
 
+    /// The item in heap slot `slot < len()`: slots enumerate the items in
+    /// heap-array order.
+    pub(crate) fn item_at(&self, slot: usize) -> I {
+        self.heap[slot].1
+    }
+
     /// Iterates over all entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&I, &P)> {
         self.heap.iter().map(|(p, i)| (i, p))

@@ -29,7 +29,7 @@ pub mod policy;
 pub mod pool;
 pub mod tiered;
 
-pub use heat::{HeatEstimator, PageHeat, HEAT_K};
+pub use heat::{HeatEstimator, NodeHeat, HEAT_K};
 pub use indexed_heap::IndexedMinHeap;
 pub use page::{ClassId, IdHashMap, IdHashSet, PageId, NO_GOAL};
 pub use partition::{InstallOutcome, LocalAccess, PartitionedBuffer};

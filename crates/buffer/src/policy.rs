@@ -12,8 +12,9 @@ use dmm_sim::SimTime;
 use crate::indexed_heap::IndexedMinHeap;
 use crate::page::{IdHashMap, PageId};
 
-/// Behaviour every replacement policy provides. Membership bookkeeping is
-/// done by the owning [`crate::pool::Pool`]; the policy only orders pages.
+/// Behaviour every replacement policy provides. A policy indexes the pages
+/// it tracks, and the owning [`crate::pool::Pool`] answers membership from
+/// that index rather than keeping a set of its own.
 pub trait Policy {
     /// A page was inserted (it was not tracked before).
     fn on_insert(&mut self, page: PageId, now: SimTime);
@@ -25,6 +26,11 @@ pub trait Policy {
     fn victim(&mut self) -> Option<PageId>;
     /// Number of tracked pages.
     fn len(&self) -> usize;
+    /// True if `page` is tracked.
+    fn contains(&self, page: PageId) -> bool;
+    /// The tracked page in storage slot `slot < len()`. The slots list
+    /// every tracked page once, in the policy's own storage order.
+    fn page_at(&self, slot: usize) -> PageId;
     /// True if no pages are tracked.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -124,6 +130,12 @@ impl Policy for PolicyKind {
     fn len(&self) -> usize {
         dispatch!(self, p => p.len())
     }
+    fn contains(&self, page: PageId) -> bool {
+        dispatch!(self, p => p.contains(page))
+    }
+    fn page_at(&self, slot: usize) -> PageId {
+        dispatch!(self, p => p.page_at(slot))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -166,6 +178,12 @@ impl Policy for LruPolicy {
     fn len(&self) -> usize {
         self.heap.len()
     }
+    fn contains(&self, page: PageId) -> bool {
+        self.heap.contains(&page)
+    }
+    fn page_at(&self, slot: usize) -> PageId {
+        self.heap.item_at(slot)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -202,6 +220,12 @@ impl Policy for FifoPolicy {
     }
     fn len(&self) -> usize {
         self.heap.len()
+    }
+    fn contains(&self, page: PageId) -> bool {
+        self.heap.contains(&page)
+    }
+    fn page_at(&self, slot: usize) -> PageId {
+        self.heap.item_at(slot)
     }
 }
 
@@ -270,6 +294,12 @@ impl Policy for ClockPolicy {
     fn len(&self) -> usize {
         self.frames.len()
     }
+    fn contains(&self, page: PageId) -> bool {
+        self.pos.contains_key(&page)
+    }
+    fn page_at(&self, slot: usize) -> PageId {
+        self.frames[slot]
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -331,6 +361,12 @@ impl Policy for LruKPolicy {
     }
     fn len(&self) -> usize {
         self.heap.len()
+    }
+    fn contains(&self, page: PageId) -> bool {
+        self.heap.contains(&page)
+    }
+    fn page_at(&self, slot: usize) -> PageId {
+        self.heap.item_at(slot)
     }
 }
 
@@ -491,6 +527,12 @@ impl Policy for CostBasedPolicy {
     }
     fn len(&self) -> usize {
         self.heap.len()
+    }
+    fn contains(&self, page: PageId) -> bool {
+        self.heap.contains(&page)
+    }
+    fn page_at(&self, slot: usize) -> PageId {
+        self.heap.item_at(slot)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use dmm_sim::SimTime;
 
-use crate::page::{IdHashSet, PageId};
+use crate::page::PageId;
 use crate::policy::{Policy, PolicyKind, PolicySpec};
 
 /// Hit/miss accounting per pool.
@@ -41,11 +41,12 @@ impl PoolStats {
     }
 }
 
-/// A bounded set of resident pages with a replacement policy.
+/// A bounded set of resident pages with a replacement policy. The policy
+/// tracks exactly the resident pages, so its index — a heap's dense
+/// position table, or CLOCK's frame map — is the pool's membership.
 #[derive(Debug, Clone)]
 pub struct Pool {
     capacity: usize,
-    resident: IdHashSet<PageId>,
     policy: PolicyKind,
     spec: PolicySpec,
     stats: PoolStats,
@@ -56,7 +57,6 @@ impl Pool {
     pub fn new(capacity: usize, spec: PolicySpec) -> Self {
         Pool {
             capacity,
-            resident: IdHashSet::default(),
             policy: spec.build(),
             spec,
             stats: PoolStats::default(),
@@ -70,12 +70,12 @@ impl Pool {
 
     /// Resident page count.
     pub fn len(&self) -> usize {
-        self.resident.len()
+        self.policy.len()
     }
 
     /// True if no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
+        self.policy.is_empty()
     }
 
     /// The policy specification this pool was built with.
@@ -85,12 +85,13 @@ impl Pool {
 
     /// True if `page` is resident.
     pub fn contains(&self, page: PageId) -> bool {
-        self.resident.contains(&page)
+        self.policy.contains(page)
     }
 
-    /// Iterates over resident pages (unspecified order).
+    /// Iterates over resident pages in the policy's storage order (heap
+    /// array order for the heap-backed policies). Allocates nothing.
     pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.resident.iter().copied()
+        (0..self.policy.len()).map(|slot| self.policy.page_at(slot))
     }
 
     /// Accounting snapshot.
@@ -105,7 +106,7 @@ impl Pool {
 
     /// Records a hit on a resident page. Panics if the page is absent.
     pub fn on_hit(&mut self, page: PageId, now: SimTime) {
-        assert!(self.resident.contains(&page), "hit on non-resident page");
+        assert!(self.policy.contains(page), "hit on non-resident page");
         self.policy.on_access(page, now);
         self.stats.hits += 1;
     }
@@ -122,14 +123,13 @@ impl Pool {
     /// already resident.
     pub fn insert(&mut self, page: PageId, now: SimTime) -> Option<PageId> {
         assert!(self.capacity > 0, "insert into zero-capacity pool");
-        assert!(!self.resident.contains(&page), "page already resident");
-        debug_assert!(self.resident.len() <= self.capacity, "pool over capacity");
-        let evicted = (self.resident.len() >= self.capacity).then(|| {
+        assert!(!self.policy.contains(page), "page already resident");
+        debug_assert!(self.len() <= self.capacity, "pool over capacity");
+        let evicted = (self.len() >= self.capacity).then(|| {
             let victim = self.policy.victim().expect("non-empty pool has victim");
             self.evict(victim);
             victim
         });
-        self.resident.insert(page);
         self.policy.on_insert(page, now);
         self.stats.insertions += 1;
         evicted
@@ -139,12 +139,11 @@ impl Pool {
     /// page migrates from the no-goal pool into a dedicated pool, §6).
     /// Returns true if the page was resident.
     pub fn remove(&mut self, page: PageId) -> bool {
-        if self.resident.remove(&page) {
+        let resident = self.policy.contains(page);
+        if resident {
             self.policy.on_remove(page);
-            true
-        } else {
-            false
         }
+        resident
     }
 
     /// Shrinks or grows capacity; shrinking evicts overflowing pages, which
@@ -155,7 +154,7 @@ impl Pool {
         }
         self.capacity = capacity;
         let mut evicted = Vec::new();
-        while self.resident.len() > self.capacity {
+        while self.len() > self.capacity {
             let victim = self.policy.victim().expect("non-empty pool has victim");
             self.evict(victim);
             evicted.push(victim);
@@ -174,8 +173,7 @@ impl Pool {
     }
 
     fn evict(&mut self, victim: PageId) {
-        let was_there = self.resident.remove(&victim);
-        debug_assert!(was_there, "victim not resident");
+        debug_assert!(self.policy.contains(victim), "victim not resident");
         self.policy.on_remove(victim);
         self.stats.evictions += 1;
     }

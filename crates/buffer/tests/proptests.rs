@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use dmm_buffer::{
-    ClassId, HeatEstimator, IndexedMinHeap, LocalAccess, PageHeat, PageId, PartitionedBuffer,
+    ClassId, HeatEstimator, IndexedMinHeap, LocalAccess, NodeHeat, PageId, PartitionedBuffer,
     Policy, PolicySpec, Pool, TierPolicy, TieredAccess, TieredBuffer, HEAT_K, NO_GOAL,
 };
 use dmm_sim::{SimRng, SimTime};
@@ -226,50 +226,66 @@ fn inline_heat_window_matches_vec_window() {
     }
 }
 
-/// A page's packed heat entry against one `Vec` window per tracked class
-/// plus an accumulated one, over classes 0–3 with tracking toggled,
-/// same-instant re-accesses and up to three tracked classes (the second and
-/// third spill): accumulated and class heats bit-equal, and the same
-/// classes tracked.
+/// A node's heat table against one `Vec` window per tracked class plus an
+/// accumulated one per page, over classes 0–3 with tracking toggled,
+/// same-instant re-accesses, up to three tracked classes on one page (the
+/// second and third spill) and resets: accumulated and class heats
+/// bit-equal, and the same classes tracked. The no-goal class is never
+/// tracked, whatever the caller passes.
 #[test]
 fn page_heat_matches_per_class_vec_windows() {
+    type PageModel = (Vec<SimTime>, BTreeMap<ClassId, Vec<SimTime>>);
+    const PAGES: usize = 3;
+    let (mut most_tracked, mut resets) = (0, 0);
     for seed in 0..128u64 {
         let mut rng = SimRng::seed_from_u64(900 + seed);
-        let mut heat = PageHeat::new();
-        let mut accumulated: Vec<SimTime> = Vec::new();
-        let mut classes: BTreeMap<ClassId, Vec<SimTime>> = BTreeMap::new();
+        let mut heat = NodeHeat::new(PAGES);
+        let mut model: Vec<PageModel> = vec![Default::default(); PAGES];
         let mut now = 0u64;
-        for _ in 0..1 + rng.index(60) {
+        for _ in 0..1 + rng.index(120) {
+            if rng.index(50) == 0 {
+                heat.reset();
+                model.fill(Default::default());
+                resets += 1;
+            }
             // Gaps from zero (same-instant re-access) to ~25 ms.
             now += rng.index(3) as u64 * rng.index(12_500_000) as u64;
+            let page = PageId(rng.index(PAGES) as u32);
             let class = ClassId(rng.index(4) as u16);
-            let track = rng.index(3) > 0 && classes.len() < 3;
-            heat.record(class, t(now), track);
-            vec_window_record(&mut accumulated, t(now));
+            let track = rng.index(3) > 0;
+            heat.record(page, class, t(now), track);
+            let (accumulated, classes) = &mut model[page.index()];
+            vec_window_record(accumulated, t(now));
             if let Some(window) = classes.get_mut(&class) {
                 vec_window_record(window, t(now));
-            } else if track {
+            } else if track && class != NO_GOAL {
                 classes.insert(class, vec![t(now)]);
             }
-            let ctx = format!("seed {seed} t {now} {class:?}");
-            assert_eq!(heat.tracked_classes(), classes.len(), "{ctx}");
-            for at in [t(now), t(now + 1_000_000)] {
-                assert_eq!(
-                    heat.accumulated_heat_per_ms(at).to_bits(),
-                    vec_window_heat(&accumulated, at).to_bits(),
-                    "{ctx}"
-                );
-                for c in (0..4).map(ClassId) {
-                    let expected = classes.get(&c).map_or(0.0, |w| vec_window_heat(w, at));
+            most_tracked = most_tracked.max(classes.len());
+            let ctx = format!("seed {seed} t {now} {page} {class:?}");
+            for (p, (accumulated, classes)) in model.iter().enumerate() {
+                let p = PageId(p as u32);
+                assert_eq!(heat.tracked_classes(p), classes.len(), "{ctx} on {p}");
+                for at in [t(now), t(now + 1_000_000)] {
                     assert_eq!(
-                        heat.class_heat_per_ms(c, at).to_bits(),
-                        expected.to_bits(),
-                        "{ctx} reading {c:?}"
+                        heat.accumulated_heat_per_ms(p, at).to_bits(),
+                        vec_window_heat(accumulated, at).to_bits(),
+                        "{ctx} on {p}"
                     );
+                    for c in (0..4).map(ClassId) {
+                        let expected = classes.get(&c).map_or(0.0, |w| vec_window_heat(w, at));
+                        assert_eq!(
+                            heat.class_heat_per_ms(p, c, at).to_bits(),
+                            expected.to_bits(),
+                            "{ctx} on {p} reading {c:?}"
+                        );
+                    }
                 }
             }
         }
     }
+    assert_eq!(most_tracked, 3, "no page spilled twice");
+    assert!(resets > 0, "no reset drawn");
 }
 
 /// The structural bounds the tiered result types state, on 1–6 memory tiers
@@ -358,13 +374,23 @@ fn dense_owner_matches_the_map_model() {
         let policy = [TierPolicy::Hotness, TierPolicy::StaticHash][rng.index(2)];
         let db_pages = 8 + rng.index(40);
         let presized = rng.index(2) == 0;
+        // Every policy, so pool membership comes from each kind of index.
+        let spec = [
+            PolicySpec::Lru,
+            PolicySpec::Fifo,
+            PolicySpec::Clock,
+            PolicySpec::LruK(2),
+            PolicySpec::CostBased,
+        ][seed as usize % 5];
         let mut b = if presized {
-            TieredBuffer::with_db_pages(&frames, 2, PolicySpec::Lru, policy, db_pages)
+            TieredBuffer::with_db_pages(&frames, 2, spec, policy, db_pages)
         } else {
-            TieredBuffer::new(&frames, 2, PolicySpec::Lru, policy)
+            TieredBuffer::new(&frames, 2, spec, policy)
         };
         for step in 0..1 + rng.index(300) {
-            let ctx = format!("seed {seed} step {step}: {frames:?} {policy:?} presized {presized}");
+            let ctx = format!(
+                "seed {seed} step {step}: {frames:?} {policy:?} {spec:?} presized {presized}"
+            );
             let now = t(step as u64);
             // Every fourth draw is the last page id.
             let page = PageId(if rng.index(4) == 0 {
@@ -400,6 +426,22 @@ fn dense_owner_matches_the_map_model() {
                 assert_eq!(b.resident(p), model.contains_key(&p), "{ctx}: {p}");
             }
             assert_eq!(b.total_resident(), model.len(), "{ctx}");
+            // Each pool's own membership — its policy's index — agrees too.
+            for tier in 0..tiers {
+                for class in (0..=2).map(ClassId) {
+                    let pool = b.pool_at(tier, class);
+                    let held = model.values().filter(|&&at| at == (tier, class)).count();
+                    assert_eq!(pool.len(), held, "{ctx}: pool {tier}/{class:?}");
+                    assert_eq!(pool.is_empty(), held == 0, "{ctx}: pool {tier}/{class:?}");
+                    for p in (0..db_pages as u32 + 2).map(PageId) {
+                        assert_eq!(
+                            pool.contains(p),
+                            model.get(&p) == Some(&(tier, class)),
+                            "{ctx}: pool {tier}/{class:?} {p}"
+                        );
+                    }
+                }
+            }
         }
         b.check_invariants();
     }

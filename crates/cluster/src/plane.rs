@@ -25,7 +25,7 @@
 //! unconditionally, so every access terminates.
 
 use dmm_buffer::{
-    ClassId, IdHashMap, PageHeat, PageId, PolicySpec, PoolStats, TieredAccess, TieredBuffer,
+    ClassId, IdHashMap, NodeHeat, PageId, PolicySpec, PoolStats, TieredAccess, TieredBuffer,
     NO_GOAL,
 };
 use dmm_obs::{Histogram, Stage, StageNanos, STAGES};
@@ -129,9 +129,8 @@ struct NodeState {
     cpu: Facility,
     disk: Disk,
     buffer: TieredBuffer,
-    /// Heat bookkeeping of every database page, indexed by page id; an
-    /// untouched page's entry reads 0.
-    heat: Vec<PageHeat>,
+    /// Heat bookkeeping of every database page; an untouched page reads 0.
+    heat: NodeHeat,
     /// One FCFS facility per memory tier beyond tier 0, modelling the
     /// tier's (possibly bandwidth-capped) transfer channel. Empty for the
     /// default single-memory-tier ladder.
@@ -278,7 +277,7 @@ impl DataPlane {
                     params.tier_policy,
                     params.db_pages as usize,
                 ),
-                heat: vec![PageHeat::new(); params.db_pages as usize],
+                heat: NodeHeat::new(params.db_pages as usize),
                 tier_fac: (1..tier_frames.len())
                     .map(|_| Facility::new("tier"))
                     .collect(),
@@ -827,7 +826,7 @@ impl DataPlane {
             debug_assert_eq!(granted, 0);
             debug_assert!(evicted.is_empty(), "pools were already drained");
         }
-        self.nodes[node.index()].heat.fill(PageHeat::new());
+        self.nodes[node.index()].heat.reset();
 
         // Abort in-flight operations that originated at the dead node;
         // their orphaned events are swallowed by `handle`'s guard. Sorted
@@ -1361,7 +1360,9 @@ impl DataPlane {
 
     fn record_heat(&mut self, node: NodeId, class: ClassId, page: PageId, now: SimTime) {
         let tracked = self.directory.class_tracked(class);
-        self.nodes[node.index()].heat[page.index()].record(class, now, tracked);
+        self.nodes[node.index()]
+            .heat
+            .record(page, class, now, tracked);
         if self.directory.record_access(page, now) {
             // Threshold crossed: the heat update is published to the page's
             // home — coherence traffic of the caching substrate, accounted

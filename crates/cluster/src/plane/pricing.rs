@@ -272,11 +272,11 @@ impl DataPlane {
         global_heat: f64,
         now: SimTime,
     ) -> f64 {
-        let heat = &self.nodes[node.index()].heat[page.index()];
+        let heat = &self.nodes[node.index()].heat;
         let ranking_heat = if pool_class.is_no_goal() {
-            heat.accumulated_heat_per_ms(now)
+            heat.accumulated_heat_per_ms(page, now)
         } else {
-            heat.class_heat_per_ms(pool_class, now)
+            heat.class_heat_per_ms(page, pool_class, now)
         };
         let inputs = BenefitInputs {
             ranking_heat_per_ms: ranking_heat,

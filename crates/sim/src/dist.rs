@@ -5,7 +5,9 @@
 //! * [`Zipf`] — page identities (§7.1: access frequency of page `p` is
 //!   `C · 1/p^θ` with `C = 1/Σ_{q=1..M} q^{-θ}`). Implemented by inverse
 //!   transform over a precomputed CDF with a guide table (O(M) setup, O(1)
-//!   expected per sample), which is exact for any skew including θ = 0.
+//!   expected per sample), which is exact for any skew. At θ = 0 the CDF
+//!   is `(i + 1) / M` exactly, so it is computed on the fly and neither
+//!   table is built.
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -44,11 +46,13 @@ impl Exponential {
 /// `theta = 0` degenerates to the uniform distribution.
 #[derive(Debug, Clone)]
 pub struct Zipf {
+    m: usize,
+    /// The CDF by index; empty at θ = 0, where it is `(i + 1) / m`.
     cdf: Vec<f64>,
     /// Guide table (Chen–Asau indexed search): `guide[j]` is the first
     /// index whose CDF exceeds `j / m`, so a draw `u` starts its scan at
     /// `guide[⌊u·m⌋]` and takes one probe per item in its bucket — one in
-    /// expectation.
+    /// expectation. Empty at θ = 0, where that index is `j` itself.
     guide: Vec<u32>,
     theta: f64,
 }
@@ -59,6 +63,16 @@ impl Zipf {
     pub fn new(m: usize, theta: f64) -> Self {
         assert!(m > 0, "Zipf needs at least one item");
         assert!(theta >= 0.0, "Zipf skew must be non-negative");
+        if theta == 0.0 {
+            // Every term is 1.0, so the running sums are exact integers and
+            // the normalized CDF is `(i + 1) / m` to the last bit.
+            return Zipf {
+                m,
+                cdf: Vec::new(),
+                guide: Vec::new(),
+                theta,
+            };
+        }
         let mut cdf = Vec::with_capacity(m);
         let mut acc = 0.0;
         for rank in 1..=m {
@@ -80,12 +94,17 @@ impl Zipf {
             }
             guide.push(u32::try_from(i).expect("Zipf items fit in u32"));
         }
-        Zipf { cdf, guide, theta }
+        Zipf {
+            m,
+            cdf,
+            guide,
+            theta,
+        }
     }
 
     /// Number of items.
     pub fn items(&self) -> usize {
-        self.cdf.len()
+        self.m
     }
 
     /// The skew parameter θ.
@@ -96,9 +115,18 @@ impl Zipf {
     /// Probability mass of 0-based index `i`.
     pub fn pmf(&self, i: usize) -> f64 {
         if i == 0 {
-            self.cdf[0]
+            self.cdf_at(0)
         } else {
-            self.cdf[i] - self.cdf[i - 1]
+            self.cdf_at(i) - self.cdf_at(i - 1)
+        }
+    }
+
+    /// CDF value of 0-based index `i < m`.
+    fn cdf_at(&self, i: usize) -> f64 {
+        if self.cdf.is_empty() {
+            (i + 1) as f64 / self.m as f64
+        } else {
+            self.cdf[i]
         }
     }
 
@@ -109,14 +137,18 @@ impl Zipf {
 
     /// The first index whose CDF value exceeds `u ∈ [0, 1)`.
     fn index_of(&self, u: f64) -> usize {
-        let m = self.cdf.len();
-        let mut i = self.guide[((u * m as f64) as usize).min(m - 1)] as usize;
+        let bucket = ((u * self.m as f64) as usize).min(self.m - 1);
+        let mut i = if self.guide.is_empty() {
+            bucket
+        } else {
+            self.guide[bucket] as usize
+        };
         // `u · m` can round across a bucket edge: step back while the CDF
         // just below still exceeds `u`, then forward past every value ≤ `u`.
-        while i > 0 && self.cdf[i - 1] > u {
+        while i > 0 && self.cdf_at(i - 1) > u {
             i -= 1;
         }
-        while self.cdf[i] <= u {
+        while self.cdf_at(i) <= u {
             i += 1;
         }
         i
@@ -184,6 +216,22 @@ mod tests {
         }
     }
 
+    /// The CDF as built by running sum for every skew, θ = 0 included.
+    fn summed_cdf(m: usize, theta: f64) -> Vec<f64> {
+        let mut acc = 0.0;
+        let mut cdf: Vec<f64> = (1..=m)
+            .map(|rank| {
+                acc += 1.0 / (rank as f64).powf(theta);
+                acc
+            })
+            .collect();
+        for c in &mut cdf {
+            *c /= acc;
+        }
+        *cdf.last_mut().expect("non-empty") = 1.0;
+        cdf
+    }
+
     #[test]
     fn guide_table_matches_binary_search() {
         let mut rng = SimRng::seed_from_u64(0x2199);
@@ -191,22 +239,29 @@ mod tests {
         for m in [1, 2, 7, 400, 1_000, 3_200, 12_000] {
             for theta in [0.0, 0.5, 0.8, 1.0, 2.0] {
                 let z = Zipf::new(m, theta);
+                let cdf = summed_cdf(m, theta);
                 assert!(
-                    z.cdf.windows(2).all(|w| w[0] < w[1]),
+                    cdf.windows(2).all(|w| w[0] < w[1]),
                     "m {m} θ {theta}: CDF not strictly increasing"
                 );
+                // θ = 0 builds no tables; its closed form is the summed CDF
+                // to the last bit.
+                assert_eq!(z.cdf.is_empty(), theta == 0.0, "m {m} θ {theta}");
+                for (i, c) in cdf.iter().enumerate() {
+                    assert_eq!(z.cdf_at(i).to_bits(), c.to_bits(), "m {m} θ {theta} i {i}");
+                }
                 // Each bucket edge and its neighbours, where `u · m` rounds.
                 let edges = (0..m).flat_map(|j| {
                     let u = j as f64 / m as f64;
                     [u.next_down().max(0.0), u, u.next_up()]
                 });
                 // Exact CDF values are the binary search's `Ok` branch.
-                let cdf_values = z.cdf[..m - 1].iter().copied();
+                let cdf_values = cdf[..m - 1].iter().copied();
                 let random = (0..30_000).map(|_| rng.uniform01());
                 for u in edges.chain(cdf_values).chain(random) {
                     assert_eq!(
                         z.index_of(u),
-                        binary_search_index(&z.cdf, u),
+                        binary_search_index(&cdf, u),
                         "m {m} θ {theta} u {u}"
                     );
                     draws += 1;

@@ -11,9 +11,35 @@
 use dmm::buffer::ClassId;
 use dmm::core::{ControllerKind, Objective, Simulation, SystemConfig};
 
-use crate::{render_table, steady_state, BenchArgs};
+use crate::{grid, render_table, steady_state, sweep, workers, BenchArgs};
 
-fn scenario(cfg: &mut SystemConfig, skewed_nodes: bool) {
+const CONTROLLERS: [(&str, ControllerKind); 5] = [
+    (
+        "hyperplane+LP (paper)",
+        ControllerKind::Hyperplane {
+            objective: Objective::MinNoGoalRt,
+        },
+    ),
+    ("fragment fencing", ControllerKind::FragmentFencing),
+    ("class fencing", ControllerKind::ClassFencing),
+    (
+        "static 1/3",
+        ControllerKind::Static {
+            fraction: 1.0 / 3.0,
+        },
+    ),
+    ("no partitioning", ControllerKind::None),
+];
+
+/// One controller's table row under goal `goal_ms`, per-node arrivals
+/// uniform or skewed.
+fn row(goal_ms: f64, skewed_nodes: bool, label: &str, controller: ControllerKind) -> Vec<String> {
+    let mut cfg = SystemConfig::builder()
+        .seed(31)
+        .goal_ms(goal_ms)
+        .controller(controller)
+        .build()
+        .expect("valid ablation config");
     if skewed_nodes {
         // Operations of the goal class arrive mostly at node 0: the value of
         // a dedicated frame now differs per node, which is exactly what the
@@ -21,73 +47,50 @@ fn scenario(cfg: &mut SystemConfig, skewed_nodes: bool) {
         // baselines cannot (§2: "designed for a single server").
         cfg.workload.classes[1].arrival_per_ms = vec![0.012, 0.005, 0.001];
     }
-}
-
-fn run_table(goal_ms: f64, skewed_nodes: bool) {
-    let controllers: [(&str, ControllerKind); 5] = [
-        (
-            "hyperplane+LP (paper)",
-            ControllerKind::Hyperplane {
-                objective: Objective::MinNoGoalRt,
-            },
-        ),
-        ("fragment fencing", ControllerKind::FragmentFencing),
-        ("class fencing", ControllerKind::ClassFencing),
-        (
-            "static 1/3",
-            ControllerKind::Static {
-                fraction: 1.0 / 3.0,
-            },
-        ),
-        ("no partitioning", ControllerKind::None),
-    ];
-
-    let title = if skewed_nodes {
-        "skewed per-node arrivals [0.012, 0.005, 0.001]"
-    } else {
-        "uniform per-node arrivals"
-    };
-    println!("Ablation B — controllers, {title} (goal {goal_ms} ms, theta 0)\n");
-    let mut rows = Vec::new();
-    for (label, controller) in controllers {
-        let mut cfg = SystemConfig::builder()
-            .seed(31)
-            .goal_ms(goal_ms)
-            .controller(controller)
-            .build()
-            .expect("valid ablation config");
-        scenario(&mut cfg, skewed_nodes);
-        let mut sim = Simulation::new(cfg);
-        sim.run_intervals(10); // settle
-        let s = steady_state(&mut sim, ClassId(1), 50);
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.2}", s.class_rt_ms),
-            format!("{:.0}", 100.0 * s.satisfied_fraction),
-            format!("{:.2}", s.nogoal_rt_ms),
-            format!("{:.2}", s.dedicated_mb),
-        ]);
-        eprintln!("{label}: done");
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "controller",
-                "goal RT (ms)",
-                "satisfied %",
-                "no-goal RT (ms)",
-                "dedicated (MB)"
-            ],
-            &rows
-        )
-    );
-    println!();
+    let mut sim = Simulation::new(cfg);
+    sim.run_intervals(10); // settle
+    let s = steady_state(&mut sim, ClassId(1), 50);
+    vec![
+        label.to_string(),
+        format!("{:.2}", s.class_rt_ms),
+        format!("{:.0}", 100.0 * s.satisfied_fraction),
+        format!("{:.2}", s.nogoal_rt_ms),
+        format!("{:.2}", s.dedicated_mb),
+    ]
 }
 
 pub fn run(_: &BenchArgs) {
     let goal_ms = 8.0;
-    run_table(goal_ms, false);
-    run_table(goal_ms, true);
+    let rows = sweep(
+        &grid(&[false, true], &CONTROLLERS),
+        workers(),
+        |&(skewed, (label, controller))| row(goal_ms, skewed, label, controller),
+        |(_, (label, _)), _| eprintln!("{label}: done"),
+    );
+    for (skewed_nodes, rows) in [false, true]
+        .into_iter()
+        .zip(rows.chunks(CONTROLLERS.len()))
+    {
+        let title = if skewed_nodes {
+            "skewed per-node arrivals [0.012, 0.005, 0.001]"
+        } else {
+            "uniform per-node arrivals"
+        };
+        println!("Ablation B — controllers, {title} (goal {goal_ms} ms, theta 0)\n");
+        println!(
+            "{}",
+            render_table(
+                &[
+                    "controller",
+                    "goal RT (ms)",
+                    "satisfied %",
+                    "no-goal RT (ms)",
+                    "dedicated (MB)"
+                ],
+                rows
+            )
+        );
+        println!();
+    }
     println!("the goal is a target: 'satisfied' means within the adaptive tolerance band.");
 }

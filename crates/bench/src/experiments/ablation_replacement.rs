@@ -10,7 +10,7 @@ use dmm::buffer::{ClassId, PolicySpec};
 use dmm::cluster::NodeId;
 use dmm::core::{Simulation, SystemConfig};
 
-use crate::{render_table, steady_state, BenchArgs};
+use crate::{render_table, steady_state, sweep, workers, BenchArgs};
 
 pub fn run(_: &BenchArgs) {
     let goal_ms = 8.0;
@@ -22,34 +22,37 @@ pub fn run(_: &BenchArgs) {
     ];
 
     println!("Ablation A — replacement policies (goal {goal_ms} ms, theta 0.6)\n");
-    let mut rows = Vec::new();
-    for (label, policy) in policies {
-        let mut cfg = SystemConfig::builder()
-            .seed(17)
-            .theta(0.6)
-            .goal_ms(goal_ms)
-            .build()
-            .expect("valid ablation config");
-        cfg.cluster.policy = policy;
-        let mut sim = Simulation::new(cfg);
-        sim.run_intervals(10);
-        let before_reads: u64 = disks(&sim);
-        let s = steady_state(&mut sim, ClassId(1), 40);
-        let reads = disks(&sim) - before_reads;
-        let remote = sim
-            .plane()
-            .costs()
-            .observations(sim.plane().costs().remote_hit_slot());
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.2}", s.class_rt_ms),
-            format!("{:.2}", s.nogoal_rt_ms),
-            reads.to_string(),
-            remote.to_string(),
-            format!("{:.2}", s.dedicated_mb),
-        ]);
-        eprintln!("{label}: done");
-    }
+    let rows = sweep(
+        &policies,
+        workers(),
+        |&(label, policy)| {
+            let mut cfg = SystemConfig::builder()
+                .seed(17)
+                .theta(0.6)
+                .goal_ms(goal_ms)
+                .build()
+                .expect("valid ablation config");
+            cfg.cluster.policy = policy;
+            let mut sim = Simulation::new(cfg);
+            sim.run_intervals(10);
+            let before_reads: u64 = disks(&sim);
+            let s = steady_state(&mut sim, ClassId(1), 40);
+            let reads = disks(&sim) - before_reads;
+            let remote = sim
+                .plane()
+                .costs()
+                .observations(sim.plane().costs().remote_hit_slot());
+            vec![
+                label.to_string(),
+                format!("{:.2}", s.class_rt_ms),
+                format!("{:.2}", s.nogoal_rt_ms),
+                reads.to_string(),
+                remote.to_string(),
+                format!("{:.2}", s.dedicated_mb),
+            ]
+        },
+        |(label, _), _| eprintln!("{label}: done"),
+    );
     println!(
         "{}",
         render_table(

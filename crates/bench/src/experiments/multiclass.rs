@@ -17,10 +17,10 @@
 //! from the buffers of class k1" (the §3 Example 2 effect).
 
 use dmm::buffer::ClassId;
-use dmm::core::{Simulation, SystemConfig};
+use dmm::core::{calibrate_goal_range, Simulation, SystemConfig};
 use dmm::workload::WorkloadSpec;
 
-use crate::{render_table, BenchArgs};
+use crate::{render_table, sweep, sweep_until_accurate, workers, BenchArgs};
 
 fn config(sharing: f64, seed: u64) -> SystemConfig {
     // §7.4: "twice the amount of cache buffer memory at each node"; a larger
@@ -46,25 +46,26 @@ fn config(sharing: f64, seed: u64) -> SystemConfig {
 
 fn sharing_sweep() {
     println!("§7.4 — sharing sweep (k1 goal 6 ms, k2 goal 12 ms)\n");
-    let mut rows = Vec::new();
-    for &sharing in &[0.0, 0.25, 0.5, 0.75, 1.0] {
-        let mut cfg = config(sharing, 97);
-        // Pools must be allowed to vanish for the Example-2 effect.
-        cfg.release_floor_mb = 0.0;
-        let mut sim = Simulation::new(cfg);
-        sim.run_intervals(140);
-        let tail = 40usize;
-        let k1_mb = mean_dedicated(&sim, ClassId(1), tail);
-        let k2_mb = mean_dedicated(&sim, ClassId(2), tail);
-        let k2_rt = sim.mean_observed_ms(ClassId(2), tail).unwrap_or(f64::NAN);
-        rows.push(vec![
-            format!("{sharing:.2}"),
-            format!("{k1_mb:.2}"),
-            format!("{k2_mb:.2}"),
-            format!("{k2_rt:.2}"),
-        ]);
-        eprintln!("sharing {sharing}: done");
-    }
+    let tail = 40usize;
+    let runs = sweep(
+        &[0.0, 0.25, 0.5, 0.75, 1.0],
+        workers(),
+        |&sharing| {
+            let mut cfg = config(sharing, 97);
+            // Pools must be allowed to vanish for the Example-2 effect.
+            cfg.release_floor_mb = 0.0;
+            let mut sim = Simulation::new(cfg);
+            sim.run_intervals(140);
+            let k2_rt = sim.mean_observed_ms(ClassId(2), tail).unwrap_or(f64::NAN);
+            vec![
+                format!("{sharing:.2}"),
+                format!("{:.2}", mean_dedicated(&sim, ClassId(1), tail)),
+                format!("{:.2}", mean_dedicated(&sim, ClassId(2), tail)),
+                format!("{k2_rt:.2}"),
+            ]
+        },
+        |sharing, _| eprintln!("sharing {sharing}: done"),
+    );
     println!(
         "{}",
         render_table(
@@ -74,7 +75,7 @@ fn sharing_sweep() {
                 "k2 dedicated (MB)",
                 "k2 observed (ms)"
             ],
-            &rows
+            &runs
         )
     );
     println!("paper: k2's dedicated buffers shrink gradually to 0 as sharing rises;");
@@ -83,22 +84,17 @@ fn sharing_sweep() {
 
 fn disjoint() {
     println!("§7.4 — two disjoint goal classes (2x memory): convergence speed\n");
-    use dmm::core::calibrate_goal_range;
     let base = config(0.0, 11);
     let mut rows = Vec::new();
     for class in [ClassId(1), ClassId(2)] {
         let range = calibrate_goal_range(&base, class, 6, 6).expect("calibrate the goal range");
-        let mut episodes = dmm::core::ConvergenceStats::new();
-        for seed in 1..=6u64 {
-            let mut cfg = config(0.0, 5000 + seed);
-            cfg.goal_range = Some(range);
-            let mut sim = Simulation::new(cfg);
-            sim.run_intervals(300);
-            episodes.merge(sim.convergence(class));
-            if episodes.episodes() >= 20 && episodes.ci99().is_tighter_than(1.0) {
-                break;
-            }
-        }
+        let configs: Vec<SystemConfig> = (1..=6u64)
+            .map(|seed| SystemConfig {
+                goal_range: Some(range),
+                ..config(0.0, 5000 + seed)
+            })
+            .collect();
+        let episodes = sweep_until_accurate(&configs, class, 300, workers());
         rows.push(vec![
             format!("k{}", class.0),
             format!("{:.2}", episodes.mean_iterations()),

@@ -24,9 +24,10 @@ use dmm::buffer::ClassId;
 use dmm::cluster::{FabricSpec, HotRingSpec, PlacementSpec};
 use dmm::core::{
     calibrate_goal_range, upsample_planes, ProbeSpec, SatisfactionMode, Simulation, SystemConfig,
+    SystemConfigBuilder,
 };
 
-use crate::BenchArgs;
+use crate::{sweep, workers, BenchArgs};
 
 /// The §7.1 shared medium (100 Mbit/s) and a switched-era fabric. The
 /// N = 64 convergence run needs the faster fabric, because at that scale
@@ -43,7 +44,7 @@ fn scale_config(
     placement: PlacementSpec,
     net_bits_per_sec: u64,
     seed: u64,
-) -> SystemConfig {
+) -> SystemConfigBuilder {
     SystemConfig::builder()
         .seed(seed)
         .theta(theta)
@@ -56,31 +57,14 @@ fn scale_config(
         .warmup_intervals(2)
         .satisfaction(SatisfactionMode::UpperBound)
         .placement(placement)
-        .build()
-        .expect("valid scale config")
 }
 
 /// The scale configuration on a chosen network fabric and probe plan —
 /// identical per-node load to [`scale_config`] at θ = 0.8 on the hot ring.
-fn fabric_config(
-    nodes: usize,
-    fabric: FabricSpec,
-    probe: ProbeSpec,
-    net_bits_per_sec: u64,
-    seed: u64,
-) -> SystemConfig {
-    SystemConfig::builder()
-        .seed(seed)
-        .theta(0.8)
-        .goal_ms(10.0)
-        .nodes(nodes)
-        .db_pages((100 * nodes) as u32)
-        .buffer_pages_per_node(64)
-        .goal_rate_per_ms(0.004)
-        .net_bits_per_sec(net_bits_per_sec)
-        .warmup_intervals(2)
-        .satisfaction(SatisfactionMode::UpperBound)
-        .placement(PlacementSpec::HotRing(HotRingSpec::default()))
+fn fabric_config(nodes: usize, fabric: FabricSpec, probe: ProbeSpec, seed: u64) -> SystemConfig {
+    let hot_ring = PlacementSpec::HotRing(HotRingSpec::default());
+    let builder = scale_config(nodes, 0.8, hot_ring, PAPER_FABRIC, seed);
+    builder
         .fabric(fabric)
         .probe(probe)
         .build()
@@ -125,15 +109,22 @@ fn imbalance(reads: &[u64]) -> f64 {
 fn balance(quick: bool) {
     println!("== balance: static hash vs hot ring (N = 16, zipf θ = 1.2) ==");
     let intervals = if quick { 6 } else { 12 };
-    let run = |placement: PlacementSpec| {
-        let cfg = scale_config(16, 1.2, placement, PAPER_FABRIC, 21);
-        let mut sim = Simulation::new(cfg);
-        sim.run_intervals(intervals);
-        let load = sim.plane().home_load();
-        (imbalance(&load.home_reads), load)
-    };
-    let (static_ratio, static_load) = run(PlacementSpec::Hash);
-    let (ring_ratio, ring_load) = run(PlacementSpec::HotRing(HotRingSpec::default()));
+    let runs = sweep(
+        &[
+            PlacementSpec::Hash,
+            PlacementSpec::HotRing(HotRingSpec::default()),
+        ],
+        workers(),
+        |&placement| {
+            let cfg = scale_config(16, 1.2, placement, PAPER_FABRIC, 21).build();
+            let mut sim = Simulation::new(cfg.expect("valid scale config"));
+            sim.run_intervals(intervals);
+            let load = sim.plane().home_load();
+            (imbalance(&load.home_reads), load)
+        },
+        |_, _| {},
+    );
+    let ((static_ratio, static_load), (ring_ratio, ring_load)) = (&runs[0], &runs[1]);
     println!(
         "static hash: home-read imbalance {static_ratio:.2}  (reads {:?})",
         static_load.home_reads
@@ -158,14 +149,22 @@ fn fabric(quick: bool) {
     println!("\n== fabric: shared medium vs switched links (N = 64, 100 Mbit line rate) ==");
     let intervals = if quick { 6 } else { 24 };
     let nodes = 64usize;
-    let run = |spec: FabricSpec| {
-        let cfg = fabric_config(nodes, spec, ProbeSpec::Sequential, PAPER_FABRIC, 42);
-        let mut sim = Simulation::new(cfg);
-        let begin = Instant::now();
-        sim.run_intervals(intervals);
-        (sim, begin.elapsed().as_secs_f64())
+    let switched_spec = FabricSpec::Switched {
+        bisection_bits_per_sec: None,
     };
-    let (shared, shared_secs) = run(FabricSpec::SharedMedium);
+    let runs = sweep(
+        &[FabricSpec::SharedMedium, switched_spec],
+        workers(),
+        |&spec| {
+            let cfg = fabric_config(nodes, spec, ProbeSpec::Sequential, 42);
+            let mut sim = Simulation::new(cfg);
+            let begin = Instant::now();
+            sim.run_intervals(intervals);
+            (sim, begin.elapsed().as_secs_f64())
+        },
+        |_, _| {},
+    );
+    let ((shared, shared_secs), (switched, switched_secs)) = (&runs[0], &runs[1]);
     let now = shared.now();
     let shared_util = shared.plane().network().utilization(now);
     let shared_done = shared.plane().completions();
@@ -173,9 +172,6 @@ fn fabric(quick: bool) {
         "shared medium: net {:>5.1} % busy  {shared_done:>6} ops completed  ({shared_secs:.1} s)",
         shared_util * 100.0
     );
-    let (switched, switched_secs) = run(FabricSpec::Switched {
-        bisection_bits_per_sec: None,
-    });
     let now = switched.now();
     let net = switched.plane().network();
     let (mut tx, mut rx) = (Vec::new(), Vec::new());
@@ -232,13 +228,7 @@ fn probe(quick: bool) {
     // Donor: a small-N run to a settled fit, cheap at any scale.
     let donor_nodes = 8usize;
     let donor_intervals = if quick { 40 } else { 60 };
-    let donor_cfg = fabric_config(
-        donor_nodes,
-        switched,
-        ProbeSpec::Sequential,
-        PAPER_FABRIC,
-        42,
-    );
+    let donor_cfg = fabric_config(donor_nodes, switched, ProbeSpec::Sequential, 42);
     let mut donor = Simulation::new(donor_cfg);
     donor.run_intervals(donor_intervals);
     let small_fit = donor
@@ -252,7 +242,7 @@ fn probe(quick: bool) {
     // construction, but only through controller action).
     let nodes = 64usize;
     let target = |probe: ProbeSpec, intervals: u32, warm: Option<&dmm::core::Planes>| {
-        let mut cfg = fabric_config(nodes, switched, probe, PAPER_FABRIC, 42);
+        let mut cfg = fabric_config(nodes, switched, probe, 42);
         let range = calibrate_goal_range(&cfg, ClassId(1), 4, 4).expect("calibrate the goal range");
         let goal = (range.min_ms + range.max_ms) / 2.0;
         cfg.workload.classes[1].goal_ms = Some(goal);
@@ -315,13 +305,10 @@ fn n64_convergence(quick: bool) {
     // × 65 points for a rank-65 fit, plus the optimize/settle episodes
     // after the first full-rank fit.
     let intervals = if quick { 12 } else { 256 };
-    let mut cfg = scale_config(
-        64,
-        0.8,
-        PlacementSpec::HotRing(HotRingSpec::default()),
-        GBIT_FABRIC,
-        42,
-    );
+    let hot_ring = PlacementSpec::HotRing(HotRingSpec::default());
+    let mut cfg = scale_config(64, 0.8, hot_ring, GBIT_FABRIC, 42)
+        .build()
+        .expect("valid scale config");
     let range = calibrate_goal_range(&cfg, ClassId(1), 4, 4).expect("calibrate the goal range");
     let goal = (range.min_ms + range.max_ms) / 2.0;
     println!(

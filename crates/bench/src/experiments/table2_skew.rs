@@ -15,20 +15,16 @@
 use dmm::core::ControllerKind;
 use dmm::obs::Json;
 
-use crate::{convergence_speed, render_table, BenchArgs};
+use crate::{convergence_speed, render_table, workers, BenchArgs};
 
 pub fn run(args: &BenchArgs) {
     let json = args.json;
     let thetas = [0.0, 0.25, 0.5, 0.75, 1.0];
     let seeds: Vec<u64> = (1..=8).map(|s| 1000 + s).collect();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(seeds.len());
     let mut rows = Vec::new();
     let mut json_lines = String::new();
     for &theta in &thetas {
-        let r = convergence_speed(theta, &seeds, 400, ControllerKind::default(), threads);
+        let r = convergence_speed(theta, &seeds, 400, ControllerKind::default(), workers());
         if json {
             let line = Json::obj()
                 .field("bench", "table2_skew")

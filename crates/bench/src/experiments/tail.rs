@@ -22,7 +22,7 @@ use dmm::core::calibrate_goal_range;
 use dmm::obs::Json;
 use dmm::prelude::*;
 
-use crate::BenchArgs;
+use crate::{sweep, workers, BenchArgs};
 
 const Q: f64 = 0.95;
 
@@ -77,14 +77,19 @@ pub fn run(args: &BenchArgs) {
     let mut baseline_cfg = flagship_cfg.clone();
     baseline_cfg.controller = ControllerKind::None;
 
-    let (sim, flag_cum) = run_counting(flagship_cfg, total);
-    let (_, base_cum) = run_counting(baseline_cfg, total);
+    let runs = sweep(
+        &[flagship_cfg, baseline_cfg],
+        workers(),
+        |cfg| run_counting(cfg.clone(), total),
+        |_, _| {},
+    );
+    let ((sim, flag_cum), (_, base_cum)) = (&runs[0], &runs[1]);
 
     // Batch budget: 90 % of what the uncontrolled baseline completed, so
     // both runs cross it comfortably before the horizon.
     let batch_target = base_cum.last().copied().unwrap_or(0) * 9 / 10;
-    let base_makespan = makespan_intervals(&base_cum, batch_target);
-    let flag_makespan = makespan_intervals(&flag_cum, batch_target);
+    let base_makespan = makespan_intervals(base_cum, batch_target);
+    let flag_makespan = makespan_intervals(flag_cum, batch_target);
 
     let records = sim.records(class);
     let measured: Vec<_> = records

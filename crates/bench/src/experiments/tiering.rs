@@ -23,7 +23,7 @@ use dmm::core::ControllerKind;
 use dmm::obs::Json;
 use dmm::prelude::*;
 
-use crate::{render_table, BenchArgs};
+use crate::{grid, render_table, sweep, workers, BenchArgs};
 
 /// Total local frames per node, split between DRAM and the second tier.
 const TOTAL_FRAMES: usize = 96;
@@ -86,17 +86,18 @@ pub fn run(args: &BenchArgs) {
     println!(
         "Tiering — hotness vs static placement (dram + cxl, {TOTAL_FRAMES} frames/node, theta 0.8)\n"
     );
-    let mut runs = Vec::new();
-    for policy in [TierPolicy::StaticHash, TierPolicy::Hotness] {
-        for dram in splits {
-            let run = run_split(policy, dram, quick, seed);
+    let jobs = grid(&[TierPolicy::StaticHash, TierPolicy::Hotness], &splits);
+    let runs = sweep(
+        &jobs,
+        workers(),
+        |&(policy, dram)| run_split(policy, dram, quick, seed),
+        |_, run| {
             eprintln!(
                 "{} dram={} done ({:.2} ms)",
                 run.policy, run.dram_frames, run.mean_rt_ms
-            );
-            runs.push(run);
-        }
-    }
+            )
+        },
+    );
 
     let rows: Vec<Vec<String>> = runs
         .iter()

@@ -9,14 +9,15 @@ pub mod cli;
 pub mod experiments;
 pub mod micro;
 pub mod partition_simplex;
-pub mod pool;
+mod pool;
 
 pub use cli::BenchArgs;
 pub use partition_simplex::solve_partitioning_simplex;
 
 use dmm::buffer::ClassId;
 use dmm::core::{
-    calibrate_goal_range, ControllerKind, Simulation, SystemConfig, SystemConfigBuilder,
+    calibrate_goal_range, ControllerKind, ConvergenceStats, Simulation, SystemConfig,
+    SystemConfigBuilder,
 };
 use dmm::obs::JsonLinesSink;
 use dmm::sim::stats::Welford;
@@ -109,16 +110,9 @@ pub struct ConvergenceResult {
 
 /// Runs the §7.1 convergence protocol for the base two-class workload at
 /// skew `theta`: calibrate `[goal_min, goal_max]`, enable the goal schedule,
-/// and accumulate episodes across `seeds` until the 99 % CI half-width drops
-/// below 1 iteration (or the interval budget is exhausted).
-///
-/// Replication is deterministic in the result regardless of `threads`: each
-/// seed's simulation is independent, per-seed statistics are folded in
-/// **seed order** by [`pool::replicate_in_order`], and the fold cuts at the
-/// first seed whose merge meets the accuracy target — so 1 worker and N
-/// workers produce bit-identical [`ConvergenceResult`]s (idle workers steal
-/// the next seed immediately instead of waiting on a batch barrier, and any
-/// speculative surplus past the cut is discarded identically).
+/// and accumulate episodes across `seeds` with [`sweep_until_accurate`]
+/// until the 99 % CI half-width drops below 1 iteration (or the interval
+/// budget is exhausted). The result is bit-identical for every `threads`.
 pub fn convergence_speed(
     theta: f64,
     seeds: &[u64],
@@ -127,45 +121,82 @@ pub fn convergence_speed(
     threads: usize,
 ) -> ConvergenceResult {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let class = ClassId(1);
     let (goal_range, schedule) =
         calibrated_goal_schedule(SystemConfig::builder().seed(seeds[0]).theta(theta));
-
-    let run_seed = |seed: u64| -> dmm::core::ConvergenceStats {
-        let cfg = schedule
-            .clone()
-            .seed(seed)
-            .controller(controller)
-            .build()
-            .expect("valid replication config");
-        let mut sim = Simulation::new(cfg);
-        sim.run_intervals(max_intervals_per_seed);
-        sim.convergence(class).clone()
-    };
-
-    // Welford merging is order-sensitive in floating point: the pool folds
-    // in seed order and cuts at the accuracy target, independent of worker
-    // count and OS scheduling.
-    let mut merged = dmm::core::ConvergenceStats::new();
-    pool::replicate_in_order(
-        seeds,
-        threads,
-        |&seed| run_seed(seed),
-        |_, r| {
-            merged.merge(&r);
-            if merged.episodes() >= 20 && merged.ci99().is_tighter_than(1.0) {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        },
-    );
+    let configs: Vec<SystemConfig> = seeds
+        .iter()
+        .map(|&seed| {
+            let builder = schedule.clone().seed(seed).controller(controller);
+            builder.build().expect("valid replication config")
+        })
+        .collect();
+    let merged = sweep_until_accurate(&configs, ClassId(1), max_intervals_per_seed, threads);
     ConvergenceResult {
         mean_iterations: merged.mean_iterations(),
         ci99_half_width: merged.ci99().half_width,
         episodes: merged.episodes(),
         goal_range,
     }
+}
+
+/// Worker threads for a sweep: one per available core.
+pub fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Every `(a, b)` pair, `a` major: the job list of a variants × seeds grid.
+pub fn grid<A: Copy, B: Copy>(a: &[A], b: &[B]) -> Vec<(A, B)> {
+    a.iter()
+        .flat_map(|&x| b.iter().map(move |&y| (x, y)))
+        .collect()
+}
+
+/// Runs every job (one independent simulation each, say one cell of a
+/// variants × seeds grid) on `threads` workers and returns the results in
+/// job order; `progress` sees each result in job order as it arrives.
+/// Built on `pool::replicate_in_order`, so the results are bit-identical
+/// for every `threads ≥ 1`.
+pub fn sweep<J: Sync, T: Send>(
+    jobs: &[J],
+    threads: usize,
+    run: impl Fn(&J) -> T + Sync,
+    mut progress: impl FnMut(&J, &T),
+) -> Vec<T> {
+    let mut results = Vec::with_capacity(jobs.len());
+    pool::replicate_in_order(jobs, threads, run, |i, result| {
+        progress(&jobs[i], &result);
+        results.push(result);
+        ControlFlow::Continue(())
+    });
+    results
+}
+
+/// The §7.1 replication: runs each config for `intervals` and merges
+/// `class`'s convergence episodes in config order until the merge is
+/// [`ConvergenceStats::accurate_enough`] with 20 episodes, or the configs
+/// run out. Runs past the cut are never merged, so the result is
+/// bit-identical for every `threads ≥ 1`.
+pub fn sweep_until_accurate(
+    configs: &[SystemConfig],
+    class: ClassId,
+    intervals: u32,
+    threads: usize,
+) -> ConvergenceStats {
+    let mut merged = ConvergenceStats::new();
+    let run = |cfg: &SystemConfig| {
+        let mut sim = Simulation::new(cfg.clone());
+        sim.run_intervals(intervals);
+        sim.convergence(class).clone()
+    };
+    pool::replicate_in_order(configs, threads, run, |_, stats| {
+        merged.merge(&stats);
+        if merged.accurate_enough(20) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    merged
 }
 
 /// Summary statistics of a completed steady-state run (for the ablations).
@@ -185,18 +216,12 @@ pub struct SteadyState {
 pub fn steady_state(sim: &mut Simulation, class: ClassId, intervals: u32) -> SteadyState {
     let warmup = sim.intervals();
     sim.run_intervals(intervals);
-    let records: Vec<_> = sim
-        .records(class)
-        .iter()
-        .filter(|r| r.interval >= warmup)
-        .copied()
-        .collect();
     let mut rt = Welford::new();
     let mut nogoal = Welford::new();
     let mut dedicated = Welford::new();
     let mut satisfied = 0u64;
     let mut checked = 0u64;
-    for r in &records {
+    for r in sim.records(class).iter().filter(|r| r.interval >= warmup) {
         if let Some(v) = r.observed_ms {
             rt.push(v);
         }
@@ -204,9 +229,7 @@ pub fn steady_state(sim: &mut Simulation, class: ClassId, intervals: u32) -> Ste
         dedicated.push(r.dedicated_bytes as f64 / (1024.0 * 1024.0));
         if let Some(s) = r.satisfied {
             checked += 1;
-            if s {
-                satisfied += 1;
-            }
+            satisfied += u64::from(s);
         }
     }
     SteadyState {

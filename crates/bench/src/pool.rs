@@ -1,17 +1,9 @@
-//! A persistent work-stealing replication pool for embarrassingly parallel
-//! benchmark jobs whose *fold* must stay deterministic.
-//!
-//! The previous harness ran replication in batches of `threads` scoped
-//! threads with a join barrier after every batch: the whole batch waited on
-//! its slowest seed before the next batch could start, wasting
-//! `(threads − 1) · (max − mean)` of wall-clock per batch. Here workers pull
-//! the next job index from a shared atomic counter the moment they go idle
-//! (work stealing from a single global queue), stream `(index, result)`
-//! pairs back over a channel, and the caller folds results in **strict
-//! submission order** — so the folded outcome, including any early cut, is
-//! bit-identical no matter how many workers ran or how the OS scheduled
-//! them. Workers merely speculate ahead; results past the cut are discarded
-//! identically in every configuration.
+//! A work-stealing replication pool for independent benchmark jobs whose
+//! *fold* must stay deterministic: idle workers claim the next job index
+//! from a shared counter and stream `(index, result)` pairs back, and the
+//! caller folds them in **strict submission order**, so the outcome, early
+//! cut included, is bit-identical for any worker count. Results speculated
+//! past a cut are discarded identically in every configuration.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -75,7 +67,7 @@ pub fn replicate_in_order<J, T>(
 
         // Fold strictly by index: buffer results that arrive out of order
         // until their predecessors have been folded.
-        let mut pending: Vec<Option<T>> = Vec::new();
+        let mut pending: Vec<Option<T>> = jobs.iter().map(|_| None).collect();
         let mut next_fold = 0usize;
         'folding: while next_fold < jobs.len() {
             let Ok((idx, result)) = rx.recv() else {
@@ -83,14 +75,8 @@ pub fn replicate_in_order<J, T>(
                 // or job exhaustion — every pre-cut result was received).
                 break;
             };
-            if idx >= pending.len() {
-                pending.resize_with(idx + 1, || None);
-            }
             pending[idx] = Some(result);
-            while next_fold < pending.len() {
-                let Some(result) = pending[next_fold].take() else {
-                    break;
-                };
+            while let Some(result) = pending.get_mut(next_fold).and_then(Option::take) {
                 next_fold += 1;
                 if fold(next_fold - 1, result).is_break() {
                     stop.store(true, Ordering::Release);

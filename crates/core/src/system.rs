@@ -1154,24 +1154,6 @@ impl Simulation {
         debug_assert_eq!(self.state.interval_idx, target);
     }
 
-    /// Runs until `class`'s convergence statistic meets the §7.1 accuracy
-    /// target (99 % CI half-width < 1 iteration, at least `min_episodes`
-    /// episodes) or `max_intervals` have elapsed. Returns true on accuracy.
-    pub fn run_until_accurate(
-        &mut self,
-        class: ClassId,
-        min_episodes: u64,
-        max_intervals: u32,
-    ) -> bool {
-        while self.state.interval_idx < max_intervals {
-            self.run_intervals(10);
-            if self.convergence(class).accurate_enough(min_episodes) {
-                return true;
-            }
-        }
-        self.convergence(class).accurate_enough(min_episodes)
-    }
-
     /// Intervals completed so far.
     pub fn intervals(&self) -> u32 {
         self.state.interval_idx

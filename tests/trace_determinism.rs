@@ -2,16 +2,13 @@
 //! traces across runs, and the replicated convergence benchmark must yield
 //! identical results regardless of how many worker threads it uses.
 
-use std::ops::ControlFlow;
-
 use dmm::buffer::ClassId;
 use dmm::cluster::{FabricSpec, FaultPlan, HotRingSpec, NodeId, PlacementSpec};
 use dmm::core::{ControllerKind, ProbeSpec, Simulation, SystemConfig};
 use dmm::obs::{SpanMode, StreamSink, VecSink};
 use dmm::prelude::{TierPolicy, TierSpec};
 use dmm::workload::GoalRange;
-use dmm_bench::convergence_speed;
-use dmm_bench::pool::replicate_in_order;
+use dmm_bench::{convergence_speed, sweep};
 
 /// Runs the base system with the trace enabled and returns the full
 /// JSON-lines document.
@@ -362,14 +359,13 @@ fn span_sampled_traces_are_byte_identical_per_seed() {
 #[test]
 fn span_traces_are_invariant_across_worker_threads() {
     let seeds = [7u64, 8, 9];
-    let run = |seed: &u64| spanned_traced_run(*seed, 16);
-    let collect = |threads: usize| {
-        let mut traces = vec![String::new(); seeds.len()];
-        replicate_in_order(&seeds, threads, run, |i, t| {
-            traces[i] = t;
-            ControlFlow::Continue(())
-        });
-        traces
+    let collect = |threads| {
+        sweep(
+            &seeds,
+            threads,
+            |&seed| spanned_traced_run(seed, 16),
+            |_, _| {},
+        )
     };
     let one = collect(1);
     for threads in [2, 4] {
@@ -734,21 +730,12 @@ fn mean_goal_traces_carry_no_quantile_fields() {
 #[test]
 fn quantile_tail_compliance_is_invariant_across_worker_threads() {
     let seeds = [7u64, 8, 9];
-    let collect = |threads: usize| {
-        let mut results: Vec<(String, u64)> = vec![(String::new(), 0); seeds.len()];
-        replicate_in_order(
-            &seeds,
-            threads,
-            |seed| {
-                let (trace, p95) = quantile_traced_run(*seed);
-                (trace, p95.expect("settled p95").to_bits())
-            },
-            |i, r| {
-                results[i] = r;
-                ControlFlow::Continue(())
-            },
-        );
-        results
+    let collect = |threads| {
+        let run = |&seed: &u64| {
+            let (trace, p95) = quantile_traced_run(seed);
+            (trace, p95.expect("settled p95").to_bits())
+        };
+        sweep(&seeds, threads, run, |_, _| {})
     };
     let one = collect(1);
     for threads in [2, 4] {

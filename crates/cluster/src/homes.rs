@@ -17,6 +17,13 @@
 //!   data plane feeds per-interval home-request counts back through
 //!   [`Homes::retarget_replication`].
 //!
+//! The hot ring is §3's "catalog-driven partitioning function" in the
+//! literal sense: the ring is walked once per page at construction and each
+//! page's first `min(max_replicas, N)` distinct successors are stored in a
+//! flat catalog. A replication degree `r` only ever selects a prefix of that
+//! list, so every query is an indexed load, never a ring search. The ring is
+//! immutable after construction, so the catalog cannot go stale.
+//!
 //! The disk mirror follows the shared-disk assumption the fault layer
 //! already makes (a dead home's pages stay readable elsewhere, DESIGN.md
 //! §6): widening a page's home set never has to ship state, it only widens
@@ -97,6 +104,11 @@ impl std::fmt::Display for PlacementError {
 impl std::error::Error for PlacementError {}
 
 /// Maps pages to their home node(s).
+///
+/// Queries take a page of the database: under the hot ring, `page` must be
+/// below the `db_pages` the placement was built for (the per-page catalog
+/// and degrees are indexed by it; [`crate::DataPlane::start_operation`]
+/// refuses operations on other pages). The static schemes accept any page.
 #[derive(Debug, Clone)]
 pub struct Homes {
     nodes: u16,
@@ -108,11 +120,13 @@ enum Scheme {
     RoundRobin,
     Hash,
     HotRing {
-        ring: HashRing,
-        /// Per-page replication degree, indexed densely by page id; pages
-        /// beyond the tracked range stay at degree 1.
+        /// Page `p`'s first `cap` distinct ring successors, primary first,
+        /// at `succ[p * cap..(p + 1) * cap]`.
+        succ: Vec<u16>,
+        /// Catalog stride: `min(max_replicas, N)`, the degree ceiling.
+        cap: usize,
+        /// Per-page replication degree in `1..=cap`, indexed by page id.
         degree: Vec<u8>,
-        max_replicas: u8,
     },
 }
 
@@ -153,12 +167,21 @@ impl Homes {
         if spec.max_replicas == 0 || spec.max_replicas as usize > MAX_RING_REPLICAS {
             return Err(PlacementError::BadReplicaCap(spec.max_replicas));
         }
+        let ring = HashRing::new(nodes, spec.vnodes, spec.seed);
+        let cap = (spec.max_replicas as usize).min(nodes);
+        let mut succ = Vec::with_capacity(db_pages as usize * cap);
+        let mut buf = [0u16; MAX_RING_REPLICAS];
+        for page in 0..db_pages {
+            let found = ring.replicas(page as u64, cap, &mut buf);
+            debug_assert_eq!(found, cap);
+            succ.extend_from_slice(&buf[..found]);
+        }
         Ok(Homes {
             nodes: n,
             scheme: Scheme::HotRing {
-                ring: HashRing::new(nodes, spec.vnodes, spec.seed),
+                succ,
+                cap,
                 degree: vec![1; db_pages as usize],
-                max_replicas: spec.max_replicas,
             },
         })
     }
@@ -186,9 +209,19 @@ impl Homes {
         match &self.scheme {
             Scheme::RoundRobin | Scheme::Hash => 1,
             Scheme::HotRing { degree, .. } => {
-                degree.get(page.index()).copied().unwrap_or(1).max(1) as usize
+                debug_assert!(page.index() < degree.len(), "{page:?} beyond the database");
+                degree[page.index()] as usize
             }
         }
+    }
+
+    /// The hot ring's current home set of `page`, primary first: the first
+    /// `replication(page)` entries of its catalog row.
+    #[inline]
+    fn ring_homes<'a>(succ: &'a [u16], cap: usize, degree: &[u8], page: PageId) -> &'a [u16] {
+        debug_assert!(page.index() < degree.len(), "{page:?} beyond the database");
+        let base = page.index() * cap;
+        &succ[base..base + degree[page.index()] as usize]
     }
 
     /// The *primary* home of `page` (origin-independent; the node a static
@@ -200,7 +233,7 @@ impl Homes {
                 let h = (page.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
                 NodeId((h % self.nodes as u64) as u16)
             }
-            Scheme::HotRing { ring, .. } => ring.primary(page.0 as u64),
+            Scheme::HotRing { succ, cap, .. } => NodeId(succ[page.index() * cap]),
         }
     }
 
@@ -213,17 +246,12 @@ impl Homes {
     pub fn home_for(&self, page: PageId, origin: NodeId) -> NodeId {
         match &self.scheme {
             Scheme::RoundRobin | Scheme::Hash => self.home(page),
-            Scheme::HotRing { ring, .. } => {
-                let r = self.replication(page);
-                if r == 1 {
-                    return ring.primary(page.0 as u64);
-                }
-                let mut buf = [0u16; MAX_RING_REPLICAS];
-                let found = ring.replicas(page.0 as u64, r, &mut buf);
-                if buf[..found].contains(&origin.0) {
+            Scheme::HotRing { succ, cap, degree } => {
+                let set = Self::ring_homes(succ, *cap, degree, page);
+                if set.contains(&origin.0) {
                     return origin;
                 }
-                NodeId(buf[origin.index() % found])
+                NodeId(set[origin.index() % set.len()])
             }
         }
     }
@@ -236,8 +264,10 @@ impl Homes {
                 buf[0] = self.home(page).0;
                 1
             }
-            Scheme::HotRing { ring, .. } => {
-                ring.replicas(page.0 as u64, self.replication(page), buf)
+            Scheme::HotRing { succ, cap, degree } => {
+                let set = Self::ring_homes(succ, *cap, degree, page);
+                buf[..set.len()].copy_from_slice(set);
+                set.len()
             }
         }
     }
@@ -246,14 +276,8 @@ impl Homes {
     pub fn is_home(&self, page: PageId, node: NodeId) -> bool {
         match &self.scheme {
             Scheme::RoundRobin | Scheme::Hash => self.home(page) == node,
-            Scheme::HotRing { ring, .. } => {
-                let r = self.replication(page);
-                if r == 1 {
-                    return ring.primary(page.0 as u64) == node;
-                }
-                let mut buf = [0u16; MAX_RING_REPLICAS];
-                let found = ring.replicas(page.0 as u64, r, &mut buf);
-                buf[..found].contains(&node.0)
+            Scheme::HotRing { succ, cap, degree } => {
+                Self::ring_homes(succ, *cap, degree, page).contains(&node.0)
             }
         }
     }
@@ -280,21 +304,16 @@ impl Homes {
     /// degree per interval. No-op for the static schemes.
     pub fn retarget_replication(&mut self, counts: &[u32], total: u64) {
         let nodes = self.nodes as u64;
-        let Scheme::HotRing {
-            degree,
-            max_replicas,
-            ..
-        } = &mut self.scheme
-        else {
+        let Scheme::HotRing { cap, degree, .. } = &mut self.scheme else {
             return;
         };
-        let cap = (*max_replicas as u64).min(nodes) as u8;
+        let cap = *cap as u64;
         for (d, &c) in degree.iter_mut().zip(counts) {
             if c == 0 {
                 *d = (*d).saturating_sub(1).max(1);
             } else {
                 let want = (c as u64 * nodes * Self::OVERLOAD).div_ceil(total);
-                *d = want.clamp(1, cap as u64) as u8;
+                *d = want.clamp(1, cap) as u8;
             }
         }
     }

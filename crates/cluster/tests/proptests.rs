@@ -5,8 +5,8 @@
 
 use dmm_buffer::{ClassId, PageId, PolicySpec, HEAT_K};
 use dmm_cluster::{
-    ClusterParams, DataPlane, Directory, HashRing, NodeId, OpCompletion, OpId, Operation,
-    MAX_RING_REPLICAS,
+    ClusterParams, DataPlane, Directory, HashRing, Homes, HotRingSpec, NodeId, OpCompletion, OpId,
+    Operation, MAX_RING_REPLICAS,
 };
 use dmm_sim::{SimRng, SimTime};
 use std::collections::BTreeMap;
@@ -313,6 +313,59 @@ fn ring_replica_sets_are_distinct_and_start_at_the_primary() {
                 set.sort_unstable();
                 set.dedup();
                 assert_eq!(set.len(), found, "duplicate replica (key {key}, r {r})");
+            }
+        }
+    }
+}
+
+#[test]
+fn hot_ring_catalog_answers_exactly_as_the_ring_walk() {
+    // `Homes` resolves the hot ring from a per-page catalog built once;
+    // every query must equal the answer recomputed here from the ring
+    // itself, for every page, degree and origin.
+    const DB: u32 = 2_000;
+    let mut rng = SimRng::seed_from_u64(0xCA7A);
+    for nodes in [1usize, 2, 3, 8, 64] {
+        for (vnodes, seed) in [1u16, 5, 64, 512].map(|v| (v, rng.next_u64())) {
+            let ring = HashRing::new(nodes, vnodes, seed);
+            for max_replicas in 1..=MAX_RING_REPLICAS as u8 {
+                let spec = HotRingSpec {
+                    vnodes,
+                    max_replicas,
+                    seed,
+                };
+                let mut homes = Homes::hot_ring(nodes, DB, spec).expect("valid spec");
+                let cap = (max_replicas as usize).min(nodes);
+                for degree in 1..=cap {
+                    // A page's degree is ⌈count · 4N / total⌉: counts of
+                    // `degree` over a total of 4N set every page to it.
+                    let counts = vec![degree as u32; DB as usize];
+                    homes.retarget_replication(&counts, 4 * nodes as u64);
+                    for p in 0..DB {
+                        let page = PageId(p);
+                        let case = (nodes, vnodes, seed, cap, degree, p);
+                        assert_eq!(homes.replication(page), degree, "{case:?}");
+                        let mut want = [0u16; MAX_RING_REPLICAS];
+                        let found = ring.replicas(p as u64, degree, &mut want);
+                        let want = &want[..found];
+                        let mut got = [0u16; MAX_RING_REPLICAS];
+                        let n = homes.homes_of(page, &mut got);
+                        assert_eq!(&got[..n], want, "{case:?}");
+                        assert_eq!(homes.home(page), ring.primary(p as u64), "{case:?}");
+                        for o in 0..nodes as u16 {
+                            let origin = NodeId(o);
+                            let routed = if degree == 1 {
+                                ring.primary(p as u64)
+                            } else if want.contains(&o) {
+                                origin
+                            } else {
+                                NodeId(want[origin.index() % found])
+                            };
+                            assert_eq!(homes.home_for(page, origin), routed, "{case:?} o {o}");
+                            assert_eq!(homes.is_home(page, origin), want.contains(&o), "{case:?}");
+                        }
+                    }
+                }
             }
         }
     }

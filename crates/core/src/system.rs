@@ -428,7 +428,9 @@ impl SystemConfigBuilder {
     }
 }
 
-/// Events of the closed-loop system.
+/// Events of the closed-loop system. Kept small (≤ 24 B) because every
+/// pending event occupies a wheel node: the rare, bulky agent report parks
+/// its observation in [`ReportSlots`] and travels as a slot index.
 #[derive(Debug, Clone)]
 enum SysEvent {
     Data(ClusterEvent),
@@ -439,7 +441,7 @@ enum SysEvent {
     IntervalEnd,
     Report {
         to: ClassId,
-        obs: AgentObservation,
+        slot: u32,
     },
     CoordCheck {
         class: ClassId,
@@ -452,13 +454,50 @@ enum SysEvent {
     Granted {
         class: ClassId,
         node: NodeId,
-        requested: usize,
-        granted: usize,
-        avail: usize,
+        requested: u32,
+        granted: u32,
+        avail: u32,
     },
     Fault {
         kind: FaultKind,
     },
+}
+
+/// Agent observations in flight to their coordinator, parked by slot so a
+/// [`SysEvent::Report`] stays small. Delivered slots go on a free list and
+/// are reused, so after warm-up parking allocates nothing.
+#[derive(Default)]
+struct ReportSlots {
+    slots: Vec<Option<AgentObservation>>,
+    free: Vec<u32>,
+}
+
+impl ReportSlots {
+    fn park(&mut self, obs: AgentObservation) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(obs);
+                slot
+            }
+            None => {
+                self.slots.push(Some(obs));
+                u32::try_from(self.slots.len() - 1).expect("report slots fit u32")
+            }
+        }
+    }
+
+    fn take(&mut self, slot: u32) -> AgentObservation {
+        let obs = self.slots[slot as usize]
+            .take()
+            .expect("report slot is delivered once");
+        self.free.push(slot);
+        obs
+    }
+}
+
+/// A page count carried by a control message.
+fn msg_pages(pages: usize) -> u32 {
+    u32::try_from(pages).expect("page count fits u32")
 }
 
 /// Delay between the interval boundary and the coordinator check, giving
@@ -475,6 +514,8 @@ struct SimState {
     /// The classes that have a coordinator, ascending; fixed for the run.
     goal_ids: Vec<ClassId>,
     schedules: Vec<Option<GoalSchedule>>,
+    /// Observations of the [`SysEvent::Report`]s in flight.
+    reports: ReportSlots,
     convergence: Vec<ConvergenceStats>,
     records: Vec<Vec<IntervalRecord>>,
     coord_home: Vec<NodeId>,
@@ -639,7 +680,8 @@ impl SimState {
                 let mut report = |to: ClassId, obs: AgentObservation| {
                     let home = self.coord_home[to.index()];
                     let delivered = self.plane.send_control(node, home, REPORT_BYTES, now);
-                    sched.at(delivered, SysEvent::Report { to, obs });
+                    let slot = self.reports.park(obs);
+                    sched.at(delivered, SysEvent::Report { to, slot });
                 };
                 for &to in rest {
                     report(to, obs.clone());
@@ -953,7 +995,10 @@ impl Handler<SysEvent> for SimState {
                 sched.after(gap, SysEvent::Arrival { node, class });
             }
             SysEvent::IntervalEnd => self.end_interval(now, sched),
-            SysEvent::Report { to, obs } => self.coord_mut(to).on_report(obs),
+            SysEvent::Report { to, slot } => {
+                let obs = self.reports.take(slot);
+                self.coord_mut(to).on_report(obs);
+            }
             SysEvent::CoordCheck { class } => self.coord_check(class, now, sched),
             SysEvent::Alloc { class, node, pages } => {
                 if !self.plane.is_up(node) {
@@ -968,9 +1013,9 @@ impl Handler<SysEvent> for SimState {
                     SysEvent::Granted {
                         class,
                         node,
-                        requested: pages,
-                        granted,
-                        avail,
+                        requested: msg_pages(pages),
+                        granted: msg_pages(granted),
+                        avail: msg_pages(avail),
                     },
                 );
             }
@@ -995,7 +1040,8 @@ impl Handler<SysEvent> for SimState {
                         .field("avail_pages", avail as u64);
                     self.sink.emit(&rec);
                 }
-                self.coord_mut(class).on_granted(node, granted, avail);
+                self.coord_mut(class)
+                    .on_granted(node, granted as usize, avail as usize);
             }
             SysEvent::Fault { kind } => self.on_fault(kind, now),
         }
@@ -1111,6 +1157,7 @@ impl Simulation {
             goal_ids: (1..coordinators.len()).map(|i| ClassId(i as u16)).collect(),
             coordinators,
             schedules,
+            reports: ReportSlots::default(),
             convergence: vec![ConvergenceStats::new(); goal_classes + 1],
             records: vec![Vec::new(); goal_classes + 1],
             coord_home,
@@ -1411,6 +1458,40 @@ mod tests {
             .warmup_intervals(2)
             .build()
             .expect("valid test config")
+    }
+
+    #[test]
+    fn sys_event_fits_a_small_wheel_node() {
+        assert!(
+            std::mem::size_of::<SysEvent>() <= 24,
+            "SysEvent is {} B",
+            std::mem::size_of::<SysEvent>()
+        );
+    }
+
+    #[test]
+    fn report_slots_are_reused_after_delivery() {
+        let obs = |completions| AgentObservation {
+            node: NodeId(0),
+            class: ClassId(1),
+            mean_rt_ms: None,
+            rt_hist: None,
+            completions,
+            arrival_rate_per_ms: 0.0,
+            pool_accesses: 0,
+            pool_hits: 0,
+            granted_pages: 0,
+            avail_pages: 0,
+        };
+        let mut slots = ReportSlots::default();
+        let a = slots.park(obs(1));
+        let b = slots.park(obs(2));
+        assert_ne!(a, b);
+        assert_eq!(slots.take(a).completions, 1);
+        assert_eq!(slots.park(obs(3)), a, "a delivered slot is reused");
+        assert_eq!(slots.take(b).completions, 2);
+        assert_eq!(slots.take(a).completions, 3);
+        assert_eq!(slots.slots.len(), 2);
     }
 
     #[test]

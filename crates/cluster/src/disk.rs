@@ -75,7 +75,8 @@ impl Disk {
         self.stalled_reads
     }
 
-    /// Disk utilization over `[0, now]`.
+    /// Disk utilization over the statistics window ending at `now` (see
+    /// [`Facility::utilization`]).
     pub fn utilization(&self, now: SimTime) -> f64 {
         self.facility.utilization(now)
     }
@@ -90,10 +91,11 @@ impl Disk {
         self.facility.wait_histogram()
     }
 
-    /// Resets counters for post-warm-up measurement.
-    pub fn reset_stats(&mut self) {
+    /// Resets counters for post-warm-up measurement, starting the
+    /// statistics window at `now`.
+    pub fn reset_stats(&mut self, now: SimTime) {
         self.reads = 0;
-        self.facility.reset_stats();
+        self.facility.reset_stats(now);
     }
 }
 

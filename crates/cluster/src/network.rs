@@ -65,7 +65,8 @@ enum Links {
     Switched {
         tx: Vec<Facility>,
         rx: Vec<Facility>,
-        bisection: Option<Facility>,
+        /// Boxed so the enum stays near the shared variant's size.
+        bisection: Option<Box<Facility>>,
         /// Combined TX + RX queueing wait per message, in nanoseconds
         /// (the switched analogue of the shared medium's wait histogram).
         wait: Histogram,
@@ -95,7 +96,7 @@ impl Network {
             } => Links::Switched {
                 tx: (0..nodes).map(|_| Facility::new("tx")).collect(),
                 rx: (0..nodes).map(|_| Facility::new("rx")).collect(),
-                bisection: bisection_bits_per_sec.map(|_| Facility::new("bisection")),
+                bisection: bisection_bits_per_sec.map(|_| Box::new(Facility::new("bisection"))),
                 wait: Histogram::exponential(1_000, 21),
             },
         };
@@ -269,8 +270,10 @@ impl Network {
         }
     }
 
-    /// Network utilization over `[0, now]`: the medium's busy fraction, or —
-    /// switched — the busiest individual facility (the binding constraint).
+    /// Network utilization over the statistics window ending at `now` (from
+    /// 0 or the last [`reset_stats`](Self::reset_stats)): the medium's busy
+    /// fraction, or — switched — the busiest individual facility (the
+    /// binding constraint).
     pub fn utilization(&self, now: SimTime) -> f64 {
         match &self.links {
             Links::Shared(medium) => medium.utilization(now),
@@ -279,14 +282,14 @@ impl Network {
             } => tx
                 .iter()
                 .chain(rx.iter())
-                .chain(bisection.iter())
+                .chain(bisection.as_deref())
                 .map(|f| f.utilization(now))
                 .fold(0.0, f64::max),
         }
     }
 
-    /// TX/RX busy fractions of `node`'s link over `[0, now]`; `None` on the
-    /// shared medium (there are no per-node links).
+    /// TX/RX busy fractions of `node`'s link over the statistics window;
+    /// `None` on the shared medium (there are no per-node links).
     pub fn link_utilization(&self, node: usize, now: SimTime) -> Option<LinkUtilization> {
         match &self.links {
             Links::Shared(_) => None,
@@ -297,8 +300,8 @@ impl Network {
         }
     }
 
-    /// Busy fraction of the switch core over `[0, now]`; `None` unless a
-    /// bisection capacity was configured.
+    /// Busy fraction of the switch core over the statistics window; `None`
+    /// unless a bisection capacity was configured.
     pub fn bisection_utilization(&self, now: SimTime) -> Option<f64> {
         match &self.links {
             Links::Switched {
@@ -319,14 +322,14 @@ impl Network {
     }
 
     /// Resets byte/message counters and busy accounting (not the facility
-    /// horizons).
-    pub fn reset_stats(&mut self) {
+    /// horizons), starting the statistics window at `now`.
+    pub fn reset_stats(&mut self, now: SimTime) {
         self.data_bytes = 0;
         self.control_bytes = 0;
         self.data_messages = 0;
         self.control_messages = 0;
         match &mut self.links {
-            Links::Shared(medium) => medium.reset_stats(),
+            Links::Shared(medium) => medium.reset_stats(now),
             Links::Switched {
                 tx,
                 rx,
@@ -336,11 +339,11 @@ impl Network {
                 for f in tx
                     .iter_mut()
                     .chain(rx.iter_mut())
-                    .chain(bisection.iter_mut())
+                    .chain(bisection.as_deref_mut())
                 {
-                    f.reset_stats();
+                    f.reset_stats(now);
                 }
-                *wait = Histogram::exponential(1_000, 21);
+                wait.reset();
             }
         }
     }

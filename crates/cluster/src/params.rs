@@ -175,8 +175,8 @@ pub struct ClusterParams {
     /// CPU model.
     pub cpu: CpuParams,
     /// Operation-level span accumulation (per-class × per-stage response
-    /// time attribution). [`SpanMode::Off`] by default: no arena traffic,
-    /// one branch per attribution point.
+    /// time attribution). [`SpanMode::Off`] by default: no stage sums, one
+    /// branch per attribution point.
     pub spans: SpanMode,
     /// Page-home placement scheme.
     pub placement: PlacementSpec,

@@ -25,11 +25,10 @@
 //! unconditionally, so every access terminates.
 
 use dmm_buffer::{
-    ClassId, IdHashMap, NodeHeat, PageId, PolicySpec, PoolStats, TieredAccess, TieredBuffer,
-    NO_GOAL,
+    ClassId, NodeHeat, PageId, PolicySpec, PoolStats, TieredAccess, TieredBuffer, NO_GOAL,
 };
 use dmm_obs::{Histogram, Stage, StageNanos, STAGES};
-use dmm_sim::{Facility, SimDuration, SimTime, SlotArena};
+use dmm_sim::{Facility, SimDuration, SimTime, SlotArena, SlotKey};
 
 use crate::costs::{AccessCosts, CostSlot};
 use crate::directory::Directory;
@@ -47,54 +46,59 @@ pub use pricing::{RepriceStats, VictimAudit};
 
 /// Events of the access protocol. The embedding simulator schedules these at
 /// the instants returned in [`StepOutput::schedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+///
+/// Each names its operation by the key of the operation's slot in the
+/// plane's in-flight arena, so every protocol step reaches the operation's
+/// state by indexing. An event whose operation was aborted meanwhile carries
+/// an outdated generation and is swallowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterEvent {
     /// Lookup CPU finished at the origin; consult the local buffer.
     Lookup {
-        /// Operation.
-        op: OpId,
+        /// Operation's in-flight slot.
+        op: SlotKey,
     },
     /// Request message delivered at the page's home node.
     ReqAtHome {
-        /// Operation.
-        op: OpId,
+        /// Operation's in-flight slot.
+        op: SlotKey,
     },
     /// Home CPU finished; decide serve / forward / disk.
     ServeAtHome {
-        /// Operation.
-        op: OpId,
+        /// Operation's in-flight slot.
+        op: SlotKey,
     },
     /// Forward delivered at a caching holder.
     ReqAtHolder {
-        /// Operation.
-        op: OpId,
+        /// Operation's in-flight slot.
+        op: SlotKey,
         /// The node the forward targeted.
         holder: NodeId,
     },
     /// Holder CPU finished; ship the page or bounce to home.
     ServeAtHolder {
-        /// Operation.
-        op: OpId,
+        /// Operation's in-flight slot.
+        op: SlotKey,
         /// The serving node.
         holder: NodeId,
     },
     /// Home disk read finished; ship the page to the origin.
     DiskDone {
-        /// Operation.
-        op: OpId,
+        /// Operation's in-flight slot.
+        op: SlotKey,
     },
     /// Page delivered at the origin; reserve install CPU.
     PageArrived {
-        /// Operation.
-        op: OpId,
+        /// Operation's in-flight slot.
+        op: SlotKey,
         /// Cost slot of the storage level that served this access (for
         /// cost estimation).
         level: CostSlot,
     },
     /// Install CPU finished; install the page and advance the operation.
     AccessDone {
-        /// Operation.
-        op: OpId,
+        /// Operation's in-flight slot.
+        op: SlotKey,
         /// Cost slot of the storage level that served this access.
         level: CostSlot,
     },
@@ -146,9 +150,9 @@ struct OpState {
     /// Home node the current access was routed to, fixed at lookup time so
     /// a mid-flight replication retarget cannot redirect the protocol.
     home: NodeId,
-    /// Span-arena slot accumulating this op's per-stage nanoseconds
-    /// ([`SlotArena::NONE`] when spans are off).
-    span_slot: u32,
+    /// Per-stage nanoseconds accumulated so far (all zero when spans are
+    /// off).
+    stages: StageNanos,
     /// FCFS wait of the current access's lookup reservation; attributed to
     /// a stage only once the hit/miss outcome is known at lookup time.
     lookup_wait_ns: u64,
@@ -201,7 +205,8 @@ pub struct DataPlane {
     directory: Directory,
     homes: Homes,
     costs: AccessCosts,
-    inflight: IdHashMap<OpId, OpState>,
+    /// Operations in flight, addressed by the keys their events carry.
+    inflight: SlotArena<OpState>,
     completions: u64,
     accesses: u64,
     /// Observation-interval sequence number; keys the global-heat cache.
@@ -228,9 +233,6 @@ pub struct DataPlane {
     up: Vec<bool>,
     /// Degradation counters.
     fault_stats: FaultStats,
-    /// Pooled per-op span storage (allocation-free after ramp-up). Only
-    /// touched when `params.spans` is enabled.
-    span_arena: SlotArena<StageNanos>,
     /// Per-class (index 0 = no-goal) × per-stage response-time histograms,
     /// nanoseconds. Empty unless spans are enabled.
     span_hists: Vec<[Histogram; STAGES]>,
@@ -292,7 +294,7 @@ impl DataPlane {
                 params.heat_publish_threshold,
             ),
             costs: AccessCosts::for_ladder(0.05, &params.tiers),
-            inflight: IdHashMap::default(),
+            inflight: SlotArena::new(),
             completions: 0,
             accesses: 0,
             epoch: 0,
@@ -310,7 +312,6 @@ impl DataPlane {
             homes,
             up: vec![true; params.nodes],
             fault_stats: FaultStats::default(),
-            span_arena: SlotArena::new(),
             span_hists: if params.spans.enabled() {
                 (0..=params.goal_classes)
                     .map(|_| std::array::from_fn(|_| Histogram::exponential(1_000, 24)))
@@ -463,7 +464,8 @@ impl DataPlane {
         self.nodes[node.index()].disk.reads()
     }
 
-    /// The busiest disk's utilization over `[0, now]` — with the shared
+    /// The busiest disk's utilization over the statistics window (from 0 or
+    /// the last [`reset_stats`](Self::reset_stats)) — with the shared
     /// LAN's [`Network::utilization`], the two capacity dials that decide
     /// whether a scaled-out configuration is feasible at all.
     pub fn max_disk_utilization(&self, now: SimTime) -> f64 {
@@ -496,31 +498,27 @@ impl DataPlane {
 
     /// Adds `ns` to `stage` of `op`'s span. No-op when spans are off.
     #[inline]
-    fn span_add(&mut self, op: OpId, stage: Stage, ns: u64) {
+    fn span_add(&mut self, op: SlotKey, stage: Stage, ns: u64) {
         if !self.spans_on() {
             return;
         }
-        let slot = self.inflight[&op].span_slot;
-        self.span_arena.get_mut(slot)[stage.index()] += ns;
+        self.inflight[op].stages[stage.index()] += ns;
     }
 
     /// Attributes the deferred lookup segment once the hit/miss outcome is
     /// known: a hit's whole segment (queue + service) is the local-hit
     /// stage; a miss splits into pool-queue wait and CPU service.
-    fn span_lookup_outcome(&mut self, op: OpId, hit: bool) {
+    fn span_lookup_outcome(&mut self, op: SlotKey, hit: bool) {
         if !self.spans_on() {
             return;
         }
-        let (slot, wait, total) = {
-            let s = &self.inflight[&op];
-            (s.span_slot, s.lookup_wait_ns, s.lookup_total_ns)
-        };
-        let cell = self.span_arena.get_mut(slot);
+        let s = &mut self.inflight[op];
+        let (wait, total) = (s.lookup_wait_ns, s.lookup_total_ns);
         if hit {
-            cell[Stage::LocalHit.index()] += total;
+            s.stages[Stage::LocalHit.index()] += total;
         } else {
-            cell[Stage::PoolQueue.index()] += wait;
-            cell[Stage::Cpu.index()] += total - wait;
+            s.stages[Stage::PoolQueue.index()] += wait;
+            s.stages[Stage::Cpu.index()] += total - wait;
         }
     }
 
@@ -664,14 +662,19 @@ impl DataPlane {
         }
     }
 
-    /// Resets all measurement counters (pool stats, network bytes, disk
-    /// stats) after warm-up; simulation state is untouched.
-    pub fn reset_stats(&mut self) {
+    /// Resets all measurement counters (pool stats, network bytes, disk,
+    /// CPU and tier facility stats) after warm-up and starts the facilities'
+    /// statistics window at `now`; simulation state is untouched.
+    pub fn reset_stats(&mut self, now: SimTime) {
         for n in &mut self.nodes {
             n.buffer.reset_stats();
-            n.disk.reset_stats();
+            n.disk.reset_stats(now);
+            n.cpu.reset_stats(now);
+            for f in &mut n.tier_fac {
+                f.reset_stats(now);
+            }
         }
-        self.network.reset_stats();
+        self.network.reset_stats(now);
         self.home_reads.fill(0);
         self.home_remote_reads.fill(0);
         for hists in &mut self.span_hists {
@@ -829,22 +832,19 @@ impl DataPlane {
         self.nodes[node.index()].heat.reset();
 
         // Abort in-flight operations that originated at the dead node;
-        // their orphaned events are swallowed by `handle`'s guard. Sorted
-        // for a deterministic abort order regardless of map iteration.
-        let mut doomed: Vec<OpId> = self
+        // their orphaned events carry a generation the freed slots no
+        // longer have, so `handle` swallows them. Aborted in operation-id
+        // order, so the freed slots are reused in an order independent of
+        // where the operations happened to sit.
+        let mut doomed: Vec<(OpId, SlotKey)> = self
             .inflight
             .iter()
             .filter(|(_, s)| s.op.origin == node)
-            .map(|(&id, _)| id)
+            .map(|(key, s)| (s.op.id, key))
             .collect();
-        doomed.sort_unstable();
-        for id in doomed {
-            let state = self.inflight.remove(&id).expect("doomed op in flight");
-            if state.span_slot != SlotArena::<StageNanos>::NONE {
-                // Aborted ops never complete: recycle their span slot so
-                // the arena's footprint stays bounded by live operations.
-                self.span_arena.release(state.span_slot);
-            }
+        doomed.sort_unstable_by_key(|&(id, _)| id);
+        for (_, key) in doomed {
+            self.inflight.remove(key).expect("doomed op in flight");
             self.fault_stats.ops_aborted += 1;
         }
     }
@@ -871,31 +871,23 @@ impl DataPlane {
                 op.id.0, self.params.db_pages
             );
         }
-        let id = op.id;
-        let span_slot = if self.spans_on() {
-            self.span_arena.alloc()
-        } else {
-            SlotArena::<StageNanos>::NONE
-        };
-        let state = OpState {
+        let key = self.inflight.insert(OpState {
             // Placeholder until the first lookup routes the access.
             home: op.origin,
             op,
             next_idx: 0,
             access_start: now,
             bounced: false,
-            span_slot,
+            stages: [0; STAGES],
             lookup_wait_ns: 0,
             lookup_total_ns: 0,
-        };
-        let prev = self.inflight.insert(id, state);
-        assert!(prev.is_none(), "duplicate operation id");
-        self.begin_access(id, now)
+        });
+        self.begin_access(key, now)
     }
 
     /// Handles one protocol event.
     pub fn handle(&mut self, now: SimTime, event: ClusterEvent) -> StepOutput {
-        let id = match event {
+        let key = match event {
             ClusterEvent::Lookup { op }
             | ClusterEvent::ReqAtHome { op }
             | ClusterEvent::ServeAtHome { op }
@@ -905,7 +897,7 @@ impl DataPlane {
             | ClusterEvent::PageArrived { op, .. }
             | ClusterEvent::AccessDone { op, .. } => op,
         };
-        if !self.inflight.contains_key(&id) {
+        if !self.inflight.contains(key) {
             // Orphaned event: its operation was aborted when the origin
             // node crashed while this protocol step was in flight.
             return StepOutput::default();
@@ -913,7 +905,7 @@ impl DataPlane {
         match event {
             ClusterEvent::Lookup { op } => self.on_lookup(op, now),
             ClusterEvent::ReqAtHome { op } => {
-                let home = self.inflight[&op].home;
+                let home = self.inflight[op].home;
                 if !self.up[home.index()] {
                     // The home died while the request was in flight.
                     return self.mirror_read(op, now);
@@ -938,7 +930,7 @@ impl DataPlane {
             }
             ClusterEvent::ServeAtHolder { op, holder } => self.on_serve_at_holder(op, holder, now),
             ClusterEvent::DiskDone { op } => {
-                let home = self.inflight[&op].home;
+                let home = self.inflight[op].home;
                 if !self.up[home.index()] {
                     // The home's disk read completed but the node died
                     // before shipping: read the mirror instead.
@@ -946,7 +938,7 @@ impl DataPlane {
                 }
                 // Disk read finished at the home; ship the page to the origin
                 // (the local-disk case never raises DiskDone).
-                let origin = self.inflight[&op].op.origin;
+                let origin = self.inflight[op].op.origin;
                 let delivered = self.network.send_page(now, home, origin);
                 self.span_add(op, Stage::NetTransfer, delivered.since(now).as_nanos());
                 StepOutput::default().at(
@@ -958,7 +950,7 @@ impl DataPlane {
                 )
             }
             ClusterEvent::PageArrived { op, level } => {
-                let origin = self.inflight[&op].op.origin;
+                let origin = self.inflight[op].op.origin;
                 let (done, wait) = self.nodes[origin.index()]
                     .cpu
                     .reserve_split(now, self.params.cpu.install());
@@ -972,15 +964,15 @@ impl DataPlane {
 
     // -- access pipeline ---------------------------------------------------
 
-    fn current_page(&self, op: OpId) -> PageId {
-        let s = &self.inflight[&op];
+    fn current_page(&self, op: SlotKey) -> PageId {
+        let s = &self.inflight[op];
         s.op.pages[s.next_idx]
     }
 
-    fn begin_access(&mut self, op: OpId, now: SimTime) -> StepOutput {
+    fn begin_access(&mut self, op: SlotKey, now: SimTime) -> StepOutput {
         self.accesses += 1;
         let origin = {
-            let s = self.inflight.get_mut(&op).expect("op in flight");
+            let s = &mut self.inflight[op];
             s.access_start = now;
             s.bounced = false;
             s.op.origin
@@ -991,16 +983,16 @@ impl DataPlane {
         if self.spans_on() {
             // The segment's stage depends on the hit/miss outcome, which is
             // only known when the Lookup event fires: park both components.
-            let s = self.inflight.get_mut(&op).expect("op in flight");
+            let s = &mut self.inflight[op];
             s.lookup_wait_ns = wait.as_nanos();
             s.lookup_total_ns = done.since(now).as_nanos();
         }
         StepOutput::default().at(done, ClusterEvent::Lookup { op })
     }
 
-    fn on_lookup(&mut self, op: OpId, now: SimTime) -> StepOutput {
+    fn on_lookup(&mut self, op: SlotKey, now: SimTime) -> StepOutput {
         let (origin, class, page) = {
-            let s = &self.inflight[&op];
+            let s = &self.inflight[op];
             (s.op.origin, s.op.class, s.op.pages[s.next_idx])
         };
         self.record_heat(origin, class, page, now);
@@ -1063,7 +1055,7 @@ impl DataPlane {
             TieredAccess::Miss => {
                 self.span_lookup_outcome(op, false);
                 let home = self.homes.home_for(page, origin);
-                self.inflight.get_mut(&op).expect("op in flight").home = home;
+                self.inflight[op].home = home;
                 self.note_home_read(home, origin, page);
                 if home == origin {
                     if let Some(holder) = self.directory.pick_holder(page, origin) {
@@ -1118,8 +1110,8 @@ impl DataPlane {
     /// Error path for a dead home: the page's disk image is reachable
     /// through the origin's local disk (dual-ported / shared-disk
     /// assumption), at local-disk cost.
-    fn mirror_read(&mut self, op: OpId, now: SimTime) -> StepOutput {
-        let origin = self.inflight[&op].op.origin;
+    fn mirror_read(&mut self, op: SlotKey, now: SimTime) -> StepOutput {
+        let origin = self.inflight[op].op.origin;
         self.fault_stats.mirror_reads += 1;
         let (done, wait) = self.nodes[origin.index()].disk.read_page_split(now);
         self.span_add(op, Stage::DiskQueue, wait.as_nanos());
@@ -1140,8 +1132,8 @@ impl DataPlane {
     /// Error path for a vanished or dead holder: bounce the request back to
     /// the page's home (which serves from disk if needed), falling through
     /// to a mirror read when the home itself is down.
-    fn bounce_to_home(&mut self, op: OpId, now: SimTime) -> StepOutput {
-        let s = self.inflight.get_mut(&op).expect("op in flight");
+    fn bounce_to_home(&mut self, op: SlotKey, now: SimTime) -> StepOutput {
+        let s = &mut self.inflight[op];
         s.bounced = true;
         let origin = s.op.origin;
         let home = s.home;
@@ -1172,9 +1164,9 @@ impl DataPlane {
         StepOutput::default().at(delivered, ClusterEvent::ReqAtHome { op })
     }
 
-    fn on_serve_at_home(&mut self, op: OpId, now: SimTime) -> StepOutput {
+    fn on_serve_at_home(&mut self, op: SlotKey, now: SimTime) -> StepOutput {
         let (origin, page, bounced, home) = {
-            let s = &self.inflight[&op];
+            let s = &self.inflight[op];
             (s.op.origin, s.op.pages[s.next_idx], s.bounced, s.home)
         };
         if !self.up[home.index()] {
@@ -1220,10 +1212,10 @@ impl DataPlane {
         StepOutput::default().at(done, ClusterEvent::DiskDone { op })
     }
 
-    fn on_serve_at_holder(&mut self, op: OpId, holder: NodeId, now: SimTime) -> StepOutput {
+    fn on_serve_at_holder(&mut self, op: SlotKey, holder: NodeId, now: SimTime) -> StepOutput {
         let page = self.current_page(op);
         if self.up[holder.index()] && self.nodes[holder.index()].buffer.resident(page) {
-            let origin = self.inflight[&op].op.origin;
+            let origin = self.inflight[op].op.origin;
             let delivered = self.network.send_page(now, holder, origin);
             self.span_add(op, Stage::NetTransfer, delivered.since(now).as_nanos());
             return StepOutput::default().at(
@@ -1240,9 +1232,9 @@ impl DataPlane {
         self.bounce_to_home(op, now)
     }
 
-    fn on_access_done(&mut self, op: OpId, level: CostSlot, now: SimTime) -> StepOutput {
+    fn on_access_done(&mut self, op: SlotKey, level: CostSlot, now: SimTime) -> StepOutput {
         let (origin, class, page) = {
-            let s = &self.inflight[&op];
+            let s = &self.inflight[op];
             (s.op.origin, s.op.class, s.op.pages[s.next_idx])
         };
         // True when the page just entered a pool (install, migration, or
@@ -1309,25 +1301,24 @@ impl DataPlane {
         self.finish_access(op, level, now)
     }
 
-    fn finish_access(&mut self, op: OpId, level: CostSlot, now: SimTime) -> StepOutput {
+    fn finish_access(&mut self, op: SlotKey, level: CostSlot, now: SimTime) -> StepOutput {
         let elapsed_ms = {
-            let s = &self.inflight[&op];
+            let s = &self.inflight[op];
             now.since(s.access_start).as_millis_f64()
         };
         self.costs.observe(level, elapsed_ms);
 
         let finished = {
-            let s = self.inflight.get_mut(&op).expect("op in flight");
+            let s = &mut self.inflight[op];
             s.next_idx += 1;
             s.next_idx == s.op.pages.len()
         };
         if finished {
-            let s = self.inflight.remove(&op).expect("op in flight");
+            let s = self.inflight.remove(op).expect("op in flight");
             self.completions += 1;
-            let span = if s.span_slot != SlotArena::<StageNanos>::NONE {
-                let stages = self.span_arena.take(s.span_slot);
+            let span = if self.spans_on() {
                 let class_idx = usize::from(s.op.class.0);
-                for (hist, &ns) in self.span_hists[class_idx].iter_mut().zip(stages.iter()) {
+                for (hist, &ns) in self.span_hists[class_idx].iter_mut().zip(s.stages.iter()) {
                     // Skip zeros so a stage's count reads "ops that touched
                     // this stage"; the totals are unaffected either way.
                     if ns > 0 {
@@ -1336,7 +1327,7 @@ impl DataPlane {
                 }
                 self.span_response_ns[class_idx] += now.since(s.op.arrival).as_nanos();
                 self.resp_hists[class_idx].record(now.since(s.op.arrival).as_nanos());
-                self.params.spans.samples(s.op.id.0).then_some(stages)
+                self.params.spans.samples(s.op.id.0).then_some(s.stages)
             } else {
                 None
             };
@@ -1685,6 +1676,84 @@ mod tests {
         assert!(done.is_empty(), "aborted op must not complete");
         assert_eq!(p.fault_stats().ops_aborted, 1);
         assert_eq!(p.inflight_ops(), 0);
+        p.check_invariants();
+    }
+
+    #[test]
+    fn protocol_events_stay_within_sixteen_bytes() {
+        assert!(
+            std::mem::size_of::<ClusterEvent>() <= 16,
+            "ClusterEvent is {} bytes",
+            std::mem::size_of::<ClusterEvent>()
+        );
+    }
+
+    #[test]
+    fn slots_freed_by_a_crash_are_reused_without_stale_events_reaching_new_ops() {
+        let mut p = DataPlane::new(ClusterParams {
+            spans: SpanMode::Sampled { every: 1 },
+            ..ClusterParams::default()
+        });
+        // Three ops of node 1 and one of node 0 in flight.
+        let mut stale = Vec::new();
+        for (id, page) in [(1u64, 4u32), (2, 1), (3, 5)] {
+            stale.extend(
+                p.start_operation(op(id, 0, 1, &[page, 9], SimTime::ZERO), SimTime::ZERO)
+                    .schedule,
+            );
+        }
+        let survivor = p
+            .start_operation(op(4, 0, 0, &[3], SimTime::ZERO), SimTime::ZERO)
+            .schedule;
+        let freed: std::collections::BTreeSet<u32> = stale
+            .iter()
+            .map(|(_, e)| match e {
+                ClusterEvent::Lookup { op } => op.slot(),
+                other => panic!("first step is a lookup, got {other:?}"),
+            })
+            .collect();
+        p.crash_node(NodeId(1));
+        assert_eq!(p.fault_stats().ops_aborted, 3);
+        assert_eq!(p.inflight_ops(), 1);
+
+        // New ops land in the freed slots while the aborted ops' events are
+        // still pending.
+        let mut fresh = Vec::new();
+        for id in 5..=7u64 {
+            let out =
+                p.start_operation(op(id, 0, 2, &[id as u32, 12], SimTime::ZERO), SimTime::ZERO);
+            let (t, e) = out.schedule.expect("first step");
+            let ClusterEvent::Lookup { op: key } = e else {
+                panic!("first step is a lookup, got {e:?}");
+            };
+            assert!(
+                freed.contains(&key.slot()),
+                "slot {} was not freed",
+                key.slot()
+            );
+            fresh.push((t, e));
+        }
+
+        // Delivering the stale events must change nothing: the run matches
+        // one where they were never delivered.
+        let mut clean = p.clone();
+        let with_stale = drive(
+            &mut p,
+            stale
+                .into_iter()
+                .chain(survivor)
+                .chain(fresh.iter().copied()),
+        );
+        let without = drive(&mut clean, survivor.into_iter().chain(fresh));
+        assert_eq!(with_stale, without);
+        let mut ids: Vec<u64> = with_stale.iter().map(|c| c.id.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![4, 5, 6, 7]);
+        assert!(with_stale.iter().all(|c| c.span.is_some()));
+        // Started = completed + aborted + in flight.
+        assert_eq!(7, p.completions() + p.fault_stats().ops_aborted);
+        assert_eq!(p.inflight_ops(), 0);
+        assert_eq!(p.accesses(), clean.accesses());
         p.check_invariants();
     }
 

@@ -695,7 +695,7 @@ impl SimState {
 
         if self.interval_idx == self.warmup_intervals {
             // Statistics window starts now: drop warm-up counters.
-            self.plane.reset_stats();
+            self.plane.reset_stats(now);
             for class_agents in &mut self.agents {
                 for agent in class_agents {
                     agent.reset_pool_baseline();

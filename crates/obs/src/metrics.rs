@@ -60,6 +60,10 @@ impl Gauge {
     }
 }
 
+/// Entries of [`Histogram`]'s bit-length index: one per bit length 0..=64,
+/// plus the end of the last range.
+const BIT_LENGTHS: usize = 66;
+
 /// A fixed-bucket histogram over `u64` values (typically nanoseconds).
 ///
 /// `bounds` are inclusive upper bucket edges; one overflow bucket catches
@@ -68,6 +72,13 @@ impl Gauge {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     bounds: Vec<u64>,
+    /// `index[k]` is the number of edges below `2^(k-1)`, the smallest value
+    /// of bit length `k` (`index[0] = 0`, `index[65] = bounds.len()`). A
+    /// value of bit length `k` is above every edge before `index[k]` and at
+    /// most every edge from `index[k + 1]` on, so [`record`](Self::record)
+    /// searches only the edges in between: at most 2 for a doubling layout,
+    /// at most `steps + 1` for a log-linear one.
+    index: [u16; BIT_LENGTHS],
     counts: Vec<u64>,
     total: u64,
     count: u64,
@@ -79,16 +90,34 @@ pub struct Histogram {
 
 impl Histogram {
     /// Histogram with the given inclusive upper bucket edges (must be
-    /// strictly increasing and non-empty).
+    /// strictly increasing, non-empty and fewer than 65 535).
     pub fn new(bounds: Vec<u64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "bounds must be strictly increasing"
+            Histogram::valid_bounds(&bounds),
+            "histogram bounds must be non-empty, strictly increasing and fewer than 65 535"
         );
+        Histogram::from_valid_bounds(bounds)
+    }
+
+    /// Whether [`Histogram::new`] accepts `bounds`.
+    fn valid_bounds(bounds: &[u64]) -> bool {
+        !bounds.is_empty()
+            && bounds.windows(2).all(|w| w[0] < w[1])
+            && bounds.len() < usize::from(u16::MAX)
+    }
+
+    /// An empty histogram over bounds already checked by
+    /// [`valid_bounds`](Self::valid_bounds).
+    fn from_valid_bounds(bounds: Vec<u64>) -> Self {
+        let index = std::array::from_fn(|k| match k {
+            0 => 0,
+            k if k == BIT_LENGTHS - 1 => bounds.len() as u16,
+            k => bounds.partition_point(|&b| b < 1u64 << (k - 1)) as u16,
+        });
         let n = bounds.len() + 1;
         Histogram {
             bounds,
+            index,
             counts: vec![0; n],
             total: 0,
             count: 0,
@@ -118,7 +147,8 @@ impl Histogram {
     /// enough for quantile extraction where [`Histogram::exponential`]'s
     /// doubling edges are too coarse. All edges are computed with integer
     /// arithmetic (`b·(steps+j)/steps`), so the layout is bit-identical on
-    /// every platform.
+    /// every platform. Edges saturate at `u64::MAX`, which ends the layout
+    /// whatever `last` is.
     pub fn log_linear(first: u64, last: u64, steps_per_octave: u64) -> Self {
         assert!(first > 0 && steps_per_octave > 0 && last > first);
         let mut bounds: Vec<u64> = Vec::new();
@@ -130,10 +160,12 @@ impl Histogram {
         let mut base = first;
         'octaves: loop {
             for j in 0..steps_per_octave {
-                let edge = base
-                    .saturating_mul(steps_per_octave + j)
-                    .checked_div(steps_per_octave)
-                    .unwrap_or(u64::MAX);
+                // Widened so an edge past the rail saturates instead of
+                // collapsing to `u64::MAX / steps`, which could never reach
+                // `last`.
+                let edge = (u128::from(base) * u128::from(steps_per_octave + j)
+                    / u128::from(steps_per_octave))
+                .min(u128::from(u64::MAX)) as u64;
                 push(edge, &mut bounds);
                 if edge >= last {
                     break 'octaves;
@@ -146,7 +178,10 @@ impl Histogram {
 
     /// Records one value.
     pub fn record(&mut self, value: u64) {
-        let idx = self.bounds.partition_point(|&b| b < value);
+        let bits = (u64::BITS - value.leading_zeros()) as usize;
+        let lo = usize::from(self.index[bits]);
+        let hi = usize::from(self.index[bits + 1]);
+        let idx = lo + self.bounds[lo..hi].partition_point(|&b| b < value);
         self.counts[idx] += 1;
         self.total = self.total.saturating_add(value);
         self.count += 1;
@@ -260,29 +295,28 @@ impl Histogram {
             .field("max", self.max_seen)
     }
 
-    /// Rebuilds from [`Histogram::to_json`] output.
+    /// Rebuilds from [`Histogram::to_json`] output; `None` for a malformed
+    /// record, including bounds [`Histogram::new`] would refuse.
     pub fn from_json(json: &Json) -> Option<Histogram> {
         let arr_u64 = |key: &str| -> Option<Vec<u64>> {
             json.get(key)?.as_arr()?.iter().map(Json::as_u64).collect()
         };
         let bounds = arr_u64("bounds")?;
         let counts = arr_u64("counts")?;
-        if counts.len() != bounds.len() + 1 {
+        if !Histogram::valid_bounds(&bounds) || counts.len() != bounds.len() + 1 {
             return None;
         }
-        let count = json.get("count")?.as_u64()?;
         // min/max were added alongside quantile extraction; tolerate their
         // absence in snapshots written before that (empty-histogram
         // sentinels are the only honest reconstruction).
-        let h = Histogram {
-            bounds,
+        Some(Histogram {
             counts,
             total: json.get("total")?.as_u64()?,
-            count,
+            count: json.get("count")?.as_u64()?,
             min_seen: json.get("min").and_then(Json::as_u64).unwrap_or(u64::MAX),
             max_seen: json.get("max").and_then(Json::as_u64).unwrap_or(0),
-        };
-        Some(h)
+            ..Histogram::from_valid_bounds(bounds)
+        })
     }
 }
 
@@ -481,6 +515,48 @@ mod tests {
         assert!(b
             .windows(2)
             .all(|w| (w[1] - w[0]) as f64 / w[0] as f64 <= 1.0 / 8.0 + 1e-9));
+    }
+
+    #[test]
+    fn log_linear_ends_at_the_rail_when_last_is_u64_max() {
+        let h = Histogram::log_linear(10_000, u64::MAX, 8);
+        let b = h.bounds();
+        assert_eq!(b[0], 10_000);
+        assert_eq!(*b.last().unwrap(), u64::MAX);
+        assert!(b.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn log_linear_below_one_edge_per_step_dedups() {
+        // With first < steps, the first octaves repeat edges (1·(8+j)/8 = 1
+        // for every j); only strictly increasing ones are kept.
+        let h = Histogram::log_linear(1, 100, 8);
+        let b = h.bounds();
+        assert_eq!(&b[..4], &[1, 2, 3, 4]);
+        assert!(*b.last().unwrap() >= 100);
+        assert!(b.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn from_json_refuses_bounds_new_refuses() {
+        let good = Histogram::new(vec![10, 100]).to_json();
+        assert!(Histogram::from_json(&good).is_some());
+        let with_bounds = |bounds: &[u64], counts: &[u64]| {
+            Json::obj()
+                .field("bounds", bounds)
+                .field("counts", counts)
+                .field("total", 0u64)
+                .field("count", 0u64)
+        };
+        assert_eq!(Histogram::from_json(&with_bounds(&[], &[0])), None);
+        assert_eq!(
+            Histogram::from_json(&with_bounds(&[10, 10], &[0, 0, 0])),
+            None
+        );
+        assert_eq!(
+            Histogram::from_json(&with_bounds(&[100, 10], &[0, 0, 0])),
+            None
+        );
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! completion lands in exactly one [`Stage`], so the per-stage sums
 //! reconstruct the response time with integer-exact accounting.
 //!
-//! The accumulating storage (a pooled slot arena) lives in the simulation
-//! substrate; this module defines the shared vocabulary — the stage set,
-//! the [`SpanMode`] knob, and the deterministic sampling rule.
+//! The accumulating storage (a [`StageNanos`] array in each in-flight
+//! operation's state) lives in the data plane; this module defines the
+//! shared vocabulary — the stage set, the [`SpanMode`] knob, and the
+//! deterministic sampling rule.
 
 /// Number of lifecycle stages in a span. Stage values index `[u64; STAGES]`.
 pub const STAGES: usize = 8;
@@ -93,7 +94,7 @@ impl Stage {
 /// How much span machinery a run pays for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpanMode {
-    /// No span accumulation at all: no arena traffic, no histograms. The
+    /// No span accumulation at all: no stage sums, no histograms. The
     /// hot path pays one branch per attribution point. The default.
     #[default]
     Off,

@@ -276,3 +276,64 @@ fn quantile_in_saturated_top_bucket_is_defined_and_bounded() {
     assert!(h.quantile(-3.0).is_some());
     assert!(h.quantile(7.0).is_some());
 }
+
+/// Records every probe value into a fresh copy of `layout` and checks it
+/// lands in the bucket a full binary search over the bounds names.
+fn assert_records_into_searched_bucket(layout: &Histogram, rng: &mut Rng, ctx: &str) {
+    let bounds = layout.bounds();
+    let mut probes = vec![0, 1, u64::MAX - 1, u64::MAX];
+    for &b in bounds {
+        probes.extend([b.saturating_sub(1), b, b.saturating_add(1)]);
+    }
+    for bits in 0..64 {
+        probes.extend([1u64 << bits, (1u64 << bits) - 1]);
+    }
+    probes.extend((0..256).map(|_| rng.next() >> rng.below(64)));
+    for v in probes {
+        let mut h = layout.clone();
+        h.record(v);
+        let expected = bounds.partition_point(|&b| b < v);
+        let got = h.counts().iter().position(|&c| c == 1).expect("one count");
+        assert_eq!(got, expected, "{ctx}: value {v}");
+    }
+}
+
+#[test]
+fn record_lands_in_the_bucket_a_full_search_names() {
+    let mut rng = Rng(0x5EED);
+    let mut layouts = vec![
+        ("exponential(1 µs, 21)", Histogram::exponential(1_000, 21)),
+        ("exponential(1 µs, 24)", Histogram::exponential(1_000, 24)),
+        ("exponential(1, 64)", Histogram::exponential(1, 64)),
+        ("exponential saturating", Histogram::exponential(3 << 60, 8)),
+        (
+            "log_linear(10 µs, 10 s, 8)",
+            Histogram::log_linear(10_000, 10_000_000_000, 8),
+        ),
+        ("log_linear dedup", Histogram::log_linear(1, 1 << 20, 8)),
+        (
+            "log_linear to the rail",
+            Histogram::log_linear(3, u64::MAX, 5),
+        ),
+        (
+            "hand-written with 0 and u64::MAX",
+            Histogram::new(vec![0, 1, 2, 7, 8, 1_000, 1 << 40, u64::MAX - 1, u64::MAX]),
+        ),
+        ("single 0 edge", Histogram::new(vec![0])),
+        ("single u64::MAX edge", Histogram::new(vec![u64::MAX])),
+    ];
+    // Random strictly increasing bounds, dense in some octaves, empty in
+    // others.
+    for seed in 0..32u64 {
+        let mut r = Rng(seed);
+        let mut bounds: Vec<u64> = (0..1 + r.below(80))
+            .map(|_| r.next() >> r.below(64))
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        layouts.push(("random", Histogram::new(bounds)));
+    }
+    for (name, layout) in &layouts {
+        assert_records_into_searched_bucket(layout, &mut rng, name);
+    }
+}

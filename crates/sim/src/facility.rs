@@ -18,6 +18,9 @@ use dmm_obs::Histogram;
 pub struct Facility {
     name: &'static str,
     free_at: SimTime,
+    /// Start of the statistics window: 0, or the last
+    /// [`reset_stats`](Self::reset_stats) instant.
+    window_start: SimTime,
     busy: SimDuration,
     jobs: u64,
     total_wait: SimDuration,
@@ -30,6 +33,7 @@ impl Facility {
         Facility {
             name,
             free_at: SimTime::ZERO,
+            window_start: SimTime::ZERO,
             busy: SimDuration::ZERO,
             jobs: 0,
             total_wait: SimDuration::ZERO,
@@ -93,12 +97,14 @@ impl Facility {
         }
     }
 
-    /// Utilization over `[0, now]`: fraction of elapsed time spent busy.
-    /// Busy time already committed past `now` counts as if it had occurred,
-    /// so the value can transiently exceed 1 only when the queue is backed up
-    /// beyond `now`; callers measuring at quiesce points see a true fraction.
+    /// Utilization over the statistics window `[start, now]`, where `start`
+    /// is 0 or the last [`reset_stats`](Self::reset_stats) instant: the
+    /// fraction of the window spent busy. Busy time already committed past
+    /// `now` counts as if it had occurred, so the value can transiently
+    /// exceed 1 only when the queue is backed up beyond `now`; callers
+    /// measuring at quiesce points see a true fraction.
     pub fn utilization(&self, now: SimTime) -> f64 {
-        let elapsed = now.as_nanos();
+        let elapsed = now.since(self.window_start).as_nanos();
         if elapsed == 0 {
             0.0
         } else {
@@ -112,9 +118,11 @@ impl Facility {
         &self.wait_hist
     }
 
-    /// Resets counters (not the `free_at` horizon) — used at the end of a
-    /// warm-up period so statistics cover only the measured window.
-    pub fn reset_stats(&mut self) {
+    /// Resets counters (not the `free_at` horizon) and starts a new
+    /// statistics window at `now` — used at the end of a warm-up period so
+    /// statistics cover only the measured window.
+    pub fn reset_stats(&mut self, now: SimTime) {
+        self.window_start = now;
         self.busy = SimDuration::ZERO;
         self.jobs = 0;
         self.total_wait = SimDuration::ZERO;
@@ -163,13 +171,24 @@ mod tests {
     }
 
     #[test]
+    fn utilization_is_measured_from_the_reset_instant() {
+        let mut f = Facility::new("net");
+        f.reserve(t(0), d(50));
+        f.reset_stats(t(100));
+        f.reserve(t(150), d(25));
+        // 25 busy over the 100 ns window [100, 200], not over [0, 200].
+        assert!((f.utilization(t(200)) - 0.25).abs() < 1e-12);
+        assert_eq!(f.utilization(t(100)), 0.0);
+    }
+
+    #[test]
     fn wait_histogram_tracks_waits() {
         let mut f = Facility::new("disk");
         f.reserve(t(0), d(100));
         f.reserve(t(10), d(30)); // waits 90 ns
         assert_eq!(f.wait_histogram().count(), 2);
         assert_eq!(f.wait_histogram().total(), 90);
-        f.reset_stats();
+        f.reset_stats(t(130));
         assert_eq!(f.wait_histogram().count(), 0);
     }
 
@@ -177,7 +196,7 @@ mod tests {
     fn reset_stats_keeps_horizon() {
         let mut f = Facility::new("cpu");
         f.reserve(t(0), d(100));
-        f.reset_stats();
+        f.reset_stats(t(0));
         assert_eq!(f.jobs(), 0);
         // Still busy until 100: a new job queues behind it.
         assert_eq!(f.reserve(t(0), d(10)), t(110));

@@ -29,7 +29,7 @@ pub mod stats;
 pub mod time;
 pub mod wheel;
 
-pub use arena::SlotArena;
+pub use arena::{SlotArena, SlotKey};
 pub use engine::{Engine, ExecMode, Handler, SchedStats, Scheduler, SimParams};
 pub use facility::Facility;
 pub use rng::SimRng;

@@ -128,6 +128,12 @@ impl PartitionedBuffer {
         self.pools[1..].iter().map(Pool::capacity).sum()
     }
 
+    /// Frames available to `class`: `SIZE − Σ_{l≠class} LM_l` (paper
+    /// Eq. 6), the most a resize can grant it.
+    pub fn avail_pages(&self, class: ClassId) -> usize {
+        self.total_pages - self.total_dedicated_pages() + self.dedicated_pages(class)
+    }
+
     /// True if `class` currently has a dedicated pool on this node.
     pub fn has_dedicated(&self, class: ClassId) -> bool {
         !class.is_no_goal() && self.pools[class.index()].capacity() > 0
@@ -245,16 +251,9 @@ impl PartitionedBuffer {
             !class.is_no_goal(),
             "cannot dedicate memory to the no-goal class"
         );
-        let others: usize = self
-            .pools
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|(i, _)| *i != class.index())
-            .map(|(_, p)| p.capacity())
-            .sum();
-        let granted = requested_pages.min(self.total_pages - others);
-        let no_goal_cap = self.total_pages - others - granted;
+        let avail = self.avail_pages(class);
+        let granted = requested_pages.min(avail);
+        let no_goal_cap = avail - granted;
 
         let mut evicted = Vec::new();
         // Shrinks first so frames are free before any pool grows.

@@ -192,11 +192,6 @@ impl TieredBuffer {
         self.tiers.len()
     }
 
-    /// The tier placement policy.
-    pub fn policy(&self) -> TierPolicy {
-        self.policy
-    }
-
     /// Total frames across all memory tiers.
     pub fn total_pages(&self) -> usize {
         self.tiers.iter().map(PartitionedBuffer::total_pages).sum()
@@ -222,11 +217,6 @@ impl TieredBuffer {
         &self.demotions
     }
 
-    /// Number of goal classes supported.
-    pub fn num_goal_classes(&self) -> usize {
-        self.tiers[0].num_goal_classes()
-    }
-
     /// Dedicated capacity of `class`, summed over tiers.
     pub fn dedicated_pages(&self, class: ClassId) -> usize {
         self.tiers.iter().map(|b| b.dedicated_pages(class)).sum()
@@ -246,6 +236,11 @@ impl TieredBuffer {
             .iter()
             .map(PartitionedBuffer::total_dedicated_pages)
             .sum()
+    }
+
+    /// Frames available to `class` (paper Eq. 6), summed over tiers.
+    pub fn avail_pages(&self, class: ClassId) -> usize {
+        self.tiers.iter().map(|b| b.avail_pages(class)).sum()
     }
 
     /// True if `class` has a dedicated pool in any tier.
@@ -303,42 +298,57 @@ impl TieredBuffer {
         self.tiers[t].pool_mut(class)
     }
 
-    /// The pool an access by `class` targets in tier `t`.
-    pub fn target_pool_at(&self, t: usize, class: ClassId) -> ClassId {
-        self.tiers[t].target_pool(class)
+    /// The `(tier, pool)` an access or install of `page` by `class` puts
+    /// the page into — the pool a displacement pops its first victim from
+    /// when it is full — or `None` when the step inserts nothing: a hit
+    /// that stays in its pool, or an install with no frame for `class`.
+    ///
+    /// A resident page is promoted under [`TierPolicy::Hotness`] into the
+    /// fastest tier above its own with capacity for `class`; otherwise it
+    /// moves only from its tier's no-goal pool into `class`'s dedicated
+    /// pool there (§6). A fresh install under [`TierPolicy::Hotness`]
+    /// takes a **free** frame in the fastest tier that has one; once every
+    /// tier is full it enters the *deepest* tier with capacity — on
+    /// probation. A cold one-touch page then displaces only the bottom
+    /// rung, while pages that are re-hit earn their way upward through
+    /// promotion, so miss traffic cannot churn the fast tiers. Under
+    /// [`TierPolicy::StaticHash`] it goes to the page's pinned tier. With
+    /// a single memory tier every rule is tier 0, the historical behaviour.
+    pub fn displacement_pool(&self, class: ClassId, page: PageId) -> Option<(usize, ClassId)> {
+        self.route(class, page, self.locate(page))
     }
 
-    /// Where a fresh install for `class` would land.
-    ///
-    /// Under [`TierPolicy::Hotness`] the page takes a **free** frame in the
-    /// fastest tier that has one; once every tier is full it enters the
-    /// *deepest* tier with capacity — on probation. A cold one-touch page
-    /// then displaces only the bottom rung, while pages that are re-hit
-    /// earn their way upward through promotion, so miss traffic cannot
-    /// churn the fast tiers. With a single memory tier both rules are tier
-    /// 0, the historical behaviour.
-    ///
-    /// The page-independent answer is not defined under
-    /// [`TierPolicy::StaticHash`] (pass the page via [`Self::install`]
-    /// instead) — this then reports tier 0's target.
-    pub fn install_target(&self, class: ClassId) -> Option<(usize, ClassId)> {
-        match self.policy {
-            TierPolicy::Hotness => {
-                let free = (0..self.tiers.len()).find_map(|t| {
-                    let target = self.tiers[t].target_pool(class);
-                    let pool = self.tiers[t].pool(target);
-                    (pool.capacity() > 0 && pool.len() < pool.capacity()).then_some((t, target))
-                });
-                free.or_else(|| {
-                    (0..self.tiers.len()).rev().find_map(|t| {
-                        let target = self.tiers[t].target_pool(class);
-                        (self.tiers[t].pool(target).capacity() > 0).then_some((t, target))
-                    })
-                })
+    /// [`Self::displacement_pool`] for a page the caller already located
+    /// at `at`.
+    fn route(
+        &self,
+        class: ClassId,
+        page: PageId,
+        at: Option<(usize, ClassId)>,
+    ) -> Option<(usize, ClassId)> {
+        let target = |t: usize| self.tiers[t].target_pool(class);
+        let pool = |t: usize| self.tiers[t].pool(target(t));
+        let has_room = |t: usize| pool(t).capacity() > 0;
+        let slot = |t: usize| (t, target(t));
+        match (at, self.policy) {
+            (Some((t, owner)), policy) => {
+                let promote = match policy {
+                    TierPolicy::Hotness => (0..t).find(|&u| has_room(u)),
+                    TierPolicy::StaticHash => None,
+                };
+                let migrates = owner.is_no_goal() && !target(t).is_no_goal();
+                promote.or(migrates.then_some(t)).map(slot)
             }
-            TierPolicy::StaticHash => {
-                let target = self.tiers[0].target_pool(class);
-                (self.tiers[0].pool(target).capacity() > 0).then_some((0, target))
+            (None, TierPolicy::Hotness) => {
+                let n = self.tiers.len();
+                (0..n)
+                    .find(|&t| has_room(t) && pool(t).len() < pool(t).capacity())
+                    .or_else(|| (0..n).rev().find(|&t| has_room(t)))
+                    .map(slot)
+            }
+            (None, TierPolicy::StaticHash) => {
+                let t = self.static_tier(page);
+                has_room(t).then(|| slot(t))
             }
         }
     }
@@ -353,7 +363,7 @@ impl TieredBuffer {
 
     /// Static pinned tier of `page`: a multiplicative hash of the page id
     /// mapped onto the tiers proportionally to their frame counts.
-    pub fn static_tier(&self, page: PageId) -> usize {
+    fn static_tier(&self, page: PageId) -> usize {
         let total = self.total_pages() as u64;
         let h = (page.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
         let mut slot = h % total;
@@ -370,47 +380,35 @@ impl TieredBuffer {
     /// Attempts a local access by `class` for `page`. On a miss the miss is
     /// charged to the pool the page would be installed into.
     pub fn access(&mut self, class: ClassId, page: PageId, now: SimTime) -> TieredAccess {
-        match self.locate(page) {
-            None => {
-                let t = match self.policy {
-                    TierPolicy::Hotness => 0,
-                    TierPolicy::StaticHash => self.static_tier(page),
-                };
-                let miss = self.tiers[t].access(class, page, now);
-                debug_assert_eq!(miss, LocalAccess::Miss);
-                TieredAccess::Miss
-            }
-            Some((t, holder)) => match self.policy {
-                TierPolicy::StaticHash => self.access_within(t, class, page, now),
-                TierPolicy::Hotness => {
-                    // Promote into the fastest tier above `t` with room for
-                    // this class; otherwise apply the within-tier rules.
-                    let promo = (0..t).find(|&u| {
-                        let target = self.tiers[u].target_pool(class);
-                        self.tiers[u].pool(target).capacity() > 0
-                    });
-                    match promo {
-                        None => self.access_within(t, class, page, now),
-                        Some(u) => {
-                            self.tiers[t].pool_mut(holder).on_hit(page, now);
-                            let removed = self.tiers[t].drop_page(page);
-                            debug_assert!(removed);
-                            self.promotions[t] += 1;
-                            let out = self.tiers[u].install(class, page, now);
-                            debug_assert!(out.cached);
-                            let target = self.tiers[u].target_pool(class);
-                            let (evicted, demoted) = self.demote_chain(u, target, out.evicted, now);
-                            TieredAccess::Hit {
-                                tier: t,
-                                pool: target,
-                                moved: true,
-                                evicted,
-                                demoted,
-                            }
-                        }
-                    }
+        let at = self.locate(page);
+        let Some((t, holder)) = at else {
+            let t = match self.policy {
+                TierPolicy::Hotness => 0,
+                TierPolicy::StaticHash => self.static_tier(page),
+            };
+            let miss = self.tiers[t].access(class, page, now);
+            debug_assert_eq!(miss, LocalAccess::Miss);
+            return TieredAccess::Miss;
+        };
+        match self.route(class, page, at) {
+            // Promote into a faster tier with room for this class.
+            Some((u, target)) if u < t => {
+                self.tiers[t].pool_mut(holder).on_hit(page, now);
+                let removed = self.tiers[t].drop_page(page);
+                debug_assert!(removed);
+                self.promotions[t] += 1;
+                let out = self.tiers[u].install(class, page, now);
+                debug_assert!(out.cached);
+                let (evicted, demoted) = self.demote_chain(u, target, out.evicted, now);
+                TieredAccess::Hit {
+                    tier: t,
+                    pool: target,
+                    moved: true,
+                    evicted,
+                    demoted,
                 }
-            },
+            }
+            _ => self.access_within(t, class, page, now),
         }
     }
 
@@ -453,15 +451,7 @@ impl TieredBuffer {
     /// resident in any tier.
     pub fn install(&mut self, class: ClassId, page: PageId, now: SimTime) -> TieredInstall {
         assert!(!self.resident(page), "page already resident");
-        let dest = match self.policy {
-            TierPolicy::Hotness => self.install_target(class).map(|(t, _)| t),
-            TierPolicy::StaticHash => {
-                let t = self.static_tier(page);
-                let target = self.tiers[t].target_pool(class);
-                (self.tiers[t].pool(target).capacity() > 0).then_some(t)
-            }
-        };
-        let Some(t) = dest else {
+        let Some((t, target)) = self.route(class, page, None) else {
             return TieredInstall {
                 cached: false,
                 tier: 0,
@@ -471,7 +461,6 @@ impl TieredBuffer {
         };
         let out = self.tiers[t].install(class, page, now);
         debug_assert!(out.cached);
-        let target = self.tiers[t].target_pool(class);
         let (evicted, demoted) = match self.policy {
             TierPolicy::Hotness => self.demote_chain(t, target, out.evicted, now),
             TierPolicy::StaticHash => (out.evicted, Demoted::default()),
@@ -538,12 +527,7 @@ impl TieredBuffer {
         let mut granted = 0;
         let mut evicted = Vec::new();
         for b in &mut self.tiers {
-            let others: usize = (1..=b.num_goal_classes())
-                .map(|i| ClassId(i as u16))
-                .filter(|c| *c != class)
-                .map(|c| b.dedicated_pages(c))
-                .sum();
-            let want = remaining.min(b.total_pages() - others);
+            let want = remaining.min(b.avail_pages(class));
             let (g, ev) = b.set_dedicated(class, want);
             debug_assert_eq!(g, want);
             granted += g;

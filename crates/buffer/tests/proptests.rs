@@ -358,6 +358,65 @@ fn tiered_displacement_is_a_chain() {
     assert!(longest.get() >= 3, "the cases never walked a long chain");
 }
 
+/// `displacement_pool` against what `access` and `install` then do, on 1–6
+/// memory tiers under both tier policies: a call displaces a page (evicts
+/// or demotes one) exactly when the named pool was full, and the first
+/// displaced page was a member of that pool.
+#[test]
+fn displacement_pool_names_the_first_displaced_page() {
+    let displaced = std::cell::Cell::new(0u32);
+    for seed in 0..96u64 {
+        let mut rng = SimRng::seed_from_u64(1_300 + seed);
+        let tiers = 1 + rng.index(6);
+        let frames: Vec<usize> = (0..tiers).map(|_| 1 + rng.index(6)).collect();
+        let policy = [TierPolicy::Hotness, TierPolicy::StaticHash][rng.index(2)];
+        let spec = [PolicySpec::Lru, PolicySpec::Fifo, PolicySpec::LruK(2)][rng.index(3)];
+        let mut b = TieredBuffer::new(&frames, 2, spec, policy);
+        let ctx = format!("seed {seed}: {frames:?} {policy:?} {spec:?}");
+        // The named pool's members if it is full, else `None`.
+        let full_members = |b: &TieredBuffer, class, page| {
+            let (t, pool) = b.displacement_pool(class, page)?;
+            let pool = b.pool_at(t, pool);
+            (pool.len() == pool.capacity()).then(|| pool.pages().collect::<Vec<_>>())
+        };
+        let check =
+            |full: Option<Vec<PageId>>, first: Option<PageId>, step: &str| match (full, first) {
+                (Some(members), Some(p)) => {
+                    assert!(members.contains(&p), "{ctx}: {step} displaced {p}");
+                    displaced.set(displaced.get() + 1);
+                }
+                (None, None) => {}
+                (full, first) => panic!("{ctx}: {step}: full pool {full:?}, displaced {first:?}"),
+            };
+        for i in 0..1 + rng.index(300) {
+            let now = t(i as u64);
+            let class = ClassId(rng.index(3) as u16);
+            let page = PageId(rng.index(60) as u32);
+            if rng.index(8) == 0 {
+                let goal = ClassId(1 + rng.index(2) as u16);
+                b.set_dedicated(goal, rng.index(12));
+                continue;
+            }
+            let full = full_members(&b, class, page);
+            match b.access(class, page, now) {
+                TieredAccess::Hit {
+                    evicted, demoted, ..
+                } => check(full, demoted.first().copied().or(evicted), "access"),
+                TieredAccess::Miss => {
+                    let full = full_members(&b, class, page);
+                    let out = b.install(class, page, now);
+                    check(
+                        full,
+                        out.demoted.first().copied().or(out.evicted),
+                        "install",
+                    );
+                }
+            }
+        }
+    }
+    assert!(displaced.get() > 1_000, "the cases rarely displaced a page");
+}
+
 /// The dense per-tier owner tables against a map model of page →
 /// (tier, pool) rebuilt from the pools' own membership after every step, on
 /// 1–6 memory tiers under both tier policies: `locate`, `resident` and

@@ -118,21 +118,6 @@ impl AccessCosts {
     pub fn observations(&self, slot: CostSlot) -> u64 {
         self.observations[slot.index()]
     }
-
-    /// Cost of a miss that falls through to disk, blended over local/remote
-    /// disk by the observed traffic mix; callers that know the home use the
-    /// precise slot instead. Before both sides have been observed the split
-    /// is unknown, so the blend falls back to the midpoint.
-    pub fn blended_disk_ms(&self) -> f64 {
-        let (l, r) = (self.local_disk_slot(), self.remote_disk_slot());
-        let (nl, nr) = (self.observations(l), self.observations(r));
-        let (el, er) = (self.estimate_ms(l), self.estimate_ms(r));
-        if nl == 0 || nr == 0 {
-            0.5 * (el + er)
-        } else {
-            (nl as f64 * el + nr as f64 * er) / ((nl + nr) as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -204,21 +189,5 @@ mod tests {
         assert_eq!(c.num_slots(), 5);
         assert!((c.estimate_ms(c.hit_slot(1)) - 0.25).abs() < 1e-12);
         assert!((c.estimate_ms(c.remote_disk_slot()) - 13.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn blended_disk_weights_by_observed_mix() {
-        let mut c = AccessCosts::new(1.0);
-        let (l, r) = (c.local_disk_slot(), c.remote_disk_slot());
-        // Unobserved: midpoint of the priors.
-        assert!((c.blended_disk_ms() - 0.5 * (12.6 + 13.1)).abs() < 1e-12);
-        // One side observed only: still the midpoint fallback.
-        c.observe(l, 8.0);
-        assert!((c.blended_disk_ms() - 0.5 * (8.0 + 13.1)).abs() < 1e-12);
-        // Both observed: weight by counts — 3 local @ 8 ms, 1 remote @ 12 ms.
-        c.observe(l, 8.0);
-        c.observe(l, 8.0);
-        c.observe(r, 12.0);
-        assert!((c.blended_disk_ms() - (3.0 * 8.0 + 12.0) / 4.0).abs() < 1e-12);
     }
 }

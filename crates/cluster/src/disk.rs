@@ -2,7 +2,23 @@
 
 use dmm_sim::{Facility, SimDuration, SimTime};
 
-use crate::params::DiskParams;
+use crate::params::PAGE_BYTES;
+
+// §7.1 says only "SCSI disks"; the constants are a high-end 10k rpm class
+// disk circa 1998, chosen so that even the worst-case partitioning (one
+// class forced to miss everything) keeps the disks below saturation at the
+// paper-scale workload (DESIGN.md "Substitutions").
+/// Average seek time in nanoseconds.
+const AVG_SEEK_NS: u64 = 5_200_000;
+/// Average rotational delay in nanoseconds.
+const AVG_ROTATION_NS: u64 = 2_990_000;
+/// Sustained transfer rate in bytes per second.
+const TRANSFER_BYTES_PER_SEC: u64 = 18_000_000;
+
+/// Service time of one page read: seek + rotation + transfer (≈ 8.42 ms).
+pub(crate) const PAGE_READ: SimDuration = SimDuration::from_nanos(
+    AVG_SEEK_NS + AVG_ROTATION_NS + PAGE_BYTES * 1_000_000_000 / TRANSFER_BYTES_PER_SEC,
+);
 
 /// A fault-injection window during which reads take `factor`× the normal
 /// service time.
@@ -17,18 +33,16 @@ struct StallWindow {
 #[derive(Debug, Clone)]
 pub struct Disk {
     facility: Facility,
-    params: DiskParams,
     reads: u64,
     stalls: Vec<StallWindow>,
     stalled_reads: u64,
 }
 
 impl Disk {
-    /// Idle disk with the given characteristics.
-    pub fn new(params: DiskParams) -> Self {
+    /// Idle disk.
+    pub(crate) fn new() -> Self {
         Disk {
             facility: Facility::new("disk"),
-            params,
             reads: 0,
             stalls: Vec::new(),
             stalled_reads: 0,
@@ -57,7 +71,7 @@ impl Disk {
     /// (service, including stall inflation, is `done - now - wait`).
     pub fn read_page_split(&mut self, now: SimTime) -> (SimTime, SimDuration) {
         self.reads += 1;
-        let mut service = self.params.page_read();
+        let mut service = PAGE_READ;
         if let Some(w) = self.stalls.iter().find(|w| now >= w.from && now < w.until) {
             self.stalled_reads += 1;
             service = SimDuration::from_nanos((service.as_nanos() as f64 * w.factor) as u64);
@@ -106,7 +120,7 @@ mod tests {
 
     #[test]
     fn reads_queue_fcfs() {
-        let mut d = Disk::new(DiskParams::default());
+        let mut d = Disk::new();
         let t0 = SimTime::ZERO;
         let first = d.read_page(t0);
         let second = d.read_page(t0);
@@ -116,7 +130,7 @@ mod tests {
 
     #[test]
     fn idle_gap_not_counted_busy() {
-        let mut d = Disk::new(DiskParams::default());
+        let mut d = Disk::new();
         let done = d.read_page(SimTime::ZERO);
         let later = done + SimDuration::from_millis(100);
         d.read_page(later);
@@ -126,7 +140,7 @@ mod tests {
 
     #[test]
     fn stall_window_slows_reads_inside_it_only() {
-        let mut d = Disk::new(DiskParams::default());
+        let mut d = Disk::new();
         let t1s = SimTime::ZERO + SimDuration::from_secs(1);
         let t2s = SimTime::ZERO + SimDuration::from_secs(2);
         d.add_stall_window(t1s, t2s, 4.0);

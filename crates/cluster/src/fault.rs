@@ -139,12 +139,6 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the retransmission back-off (default 0.5 ms).
-    pub fn retransmit_ms(mut self, ms: f64) -> Self {
-        self.retransmit = SimDuration::from_millis_f64(ms);
-        self
-    }
-
     /// Adds a disk-stall window on `node` over `[from_ms, until_ms)` with the
     /// given service-time multiplier.
     pub fn disk_stall_ms(mut self, node: NodeId, from_ms: u64, until_ms: u64, factor: f64) -> Self {

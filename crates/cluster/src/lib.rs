@@ -54,7 +54,7 @@ pub use homes::{Homes, HotRingSpec, PlacementError, PlacementSpec};
 pub use ids::{NodeId, OpId};
 pub use network::{LinkUtilization, Network};
 pub use op::{OpCompletion, Operation, PageList};
-pub use params::{ClusterParams, CpuParams, DiskParams, FabricSpec, NetParams, PAGE_BYTES};
+pub use params::{ClusterParams, FabricSpec, NetParams, PAGE_BYTES};
 pub use plane::{
     ClusterEvent, DataPlane, FaultStats, HomeLoad, RepriceStats, StepOutput, VictimAudit,
 };

@@ -25,6 +25,14 @@ use dmm_sim::{Facility, SimDuration, SimRng, SimTime};
 use crate::ids::NodeId;
 use crate::params::{FabricSpec, NetParams, PAGE_BYTES};
 
+/// Fixed per-message latency (propagation + protocol stack), added after a
+/// message's last facility.
+const PER_MESSAGE_LATENCY: SimDuration = SimDuration::from_micros(50);
+/// Size of a request, forward, location-update or heat-publish message.
+const REQUEST_BYTES: u64 = 128;
+/// Header bytes added to a page transfer.
+pub(crate) const PAGE_HEADER_BYTES: u64 = 128;
+
 /// Traffic class for accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficKind {
@@ -150,7 +158,7 @@ impl Network {
         to: NodeId,
     ) -> SimTime {
         let transfer = self.params.transfer_time(bytes);
-        let latency = self.params.per_message_latency;
+        let latency = PER_MESSAGE_LATENCY;
         let mut start = now;
         match &mut self.links {
             Links::Shared(medium) => loop {
@@ -224,16 +232,17 @@ impl Network {
         }
     }
 
-    /// Sends a small request/forward message (data plane).
+    /// Sends a small data-plane message: a request, a forward, or a
+    /// location update or heat publish to a page's home.
     pub fn send_request(&mut self, now: SimTime, from: NodeId, to: NodeId) -> SimTime {
-        self.send(now, self.params.request_bytes, TrafficKind::Data, from, to)
+        self.send(now, REQUEST_BYTES, TrafficKind::Data, from, to)
     }
 
     /// Ships one page (data plane).
     pub fn send_page(&mut self, now: SimTime, from: NodeId, to: NodeId) -> SimTime {
         self.send(
             now,
-            PAGE_BYTES + self.params.page_header_bytes,
+            PAGE_BYTES + PAGE_HEADER_BYTES,
             TrafficKind::Data,
             from,
             to,

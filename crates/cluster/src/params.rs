@@ -1,8 +1,12 @@
-//! Hardware and protocol parameters.
+//! Cluster parameters.
 //!
-//! Defaults follow the paper's §7.1 setup (3 nodes, 100 MIPS CPUs,
-//! 100 Mbit/s LAN, 2 MB cache per node, 4 KB pages) with typical late-1990s
-//! SCSI disk characteristics for the constants the paper does not publish
+//! Defaults follow the paper's §7.1 setup (3 nodes, 100 Mbit/s LAN, 2 MB
+//! cache per node, 4 KB pages). The hardware §7.1 fixes and never varies is
+//! constant, next to the code that reads it: the disk's seek, rotation and
+//! transfer in [`crate::disk`], the 100 MIPS CPU and the lookup / serve /
+//! install instruction counts beside the plane's CPU reservations, the
+//! per-message latency and message sizes in [`crate::network`], and the
+//! heat-publish threshold where the plane builds its [`crate::Directory`]
 //! (see DESIGN.md "Substitutions").
 
 use dmm_buffer::{PolicySpec, TierPolicy};
@@ -14,40 +18,6 @@ use crate::tier::TierLadder;
 
 /// Size of one data page in bytes (§7.1: 4 KByte pages).
 pub const PAGE_BYTES: u64 = 4096;
-
-/// Disk service model: one page read costs
-/// `avg_seek + avg_rotation + page_transfer`, served FCFS per node.
-#[derive(Debug, Clone, Copy)]
-pub struct DiskParams {
-    /// Average seek time.
-    pub avg_seek: SimDuration,
-    /// Average rotational delay.
-    pub avg_rotation: SimDuration,
-    /// Sustained transfer rate in bytes per second.
-    pub transfer_bytes_per_sec: u64,
-}
-
-impl Default for DiskParams {
-    fn default() -> Self {
-        // A high-end SCSI disk circa 1998 (10k rpm class): 5.2 ms seek,
-        // 2.99 ms rotational delay, 18 MB/s sustained. Chosen so that even
-        // the worst-case partitioning (one class forced to miss everything)
-        // keeps the disks below saturation at the paper-scale workload.
-        DiskParams {
-            avg_seek: SimDuration::from_micros(5_200),
-            avg_rotation: SimDuration::from_micros(2_990),
-            transfer_bytes_per_sec: 18_000_000,
-        }
-    }
-}
-
-impl DiskParams {
-    /// Service time for reading one page.
-    pub fn page_read(&self) -> SimDuration {
-        let transfer_ns = PAGE_BYTES.saturating_mul(1_000_000_000) / self.transfer_bytes_per_sec;
-        self.avg_seek + self.avg_rotation + SimDuration::from_nanos(transfer_ns)
-    }
-}
 
 /// Interconnect topology: the paper's single shared medium, or a switched
 /// fabric with one full-duplex link per node.
@@ -74,17 +44,12 @@ pub enum FabricSpec {
 
 /// Network model (§7.1: "fast local network, transfer-rate of 100 Mbit/s").
 /// Each message occupies its facility (the shared medium, or a TX and an RX
-/// link) for `bytes·8/bandwidth` plus a fixed per-message latency.
-#[derive(Debug, Clone, Copy)]
+/// link) for `bytes·8/bandwidth` plus the fixed per-message latency of
+/// [`crate::network`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetParams {
     /// Bandwidth in bits per second (of the medium, or of each link).
     pub bits_per_sec: u64,
-    /// Fixed per-message latency (propagation + protocol stack).
-    pub per_message_latency: SimDuration,
-    /// Size of a control/request message in bytes.
-    pub request_bytes: u64,
-    /// Header bytes added to a page transfer.
-    pub page_header_bytes: u64,
     /// Interconnect topology (default: the paper's shared medium).
     pub fabric: FabricSpec,
 }
@@ -93,9 +58,6 @@ impl Default for NetParams {
     fn default() -> Self {
         NetParams {
             bits_per_sec: 100_000_000,
-            per_message_latency: SimDuration::from_micros(50),
-            request_bytes: 128,
-            page_header_bytes: 128,
             fabric: FabricSpec::default(),
         }
     }
@@ -108,52 +70,9 @@ impl NetParams {
     }
 }
 
-/// CPU cost model (§7.1: 100 MIPS). Costs are instruction counts.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuParams {
-    /// Node speed in instructions per second.
-    pub mips: u64,
-    /// Buffer lookup + hit bookkeeping per page access.
-    pub lookup_instr: u64,
-    /// Handling one incoming request/forward at a serving node.
-    pub serve_instr: u64,
-    /// Installing a fetched page (frame copy + bookkeeping).
-    pub install_instr: u64,
-}
-
-impl Default for CpuParams {
-    fn default() -> Self {
-        CpuParams {
-            mips: 100,
-            lookup_instr: 3_000,
-            serve_instr: 5_000,
-            install_instr: 3_000,
-        }
-    }
-}
-
-impl CpuParams {
-    /// Duration of `instr` instructions.
-    pub fn time(&self, instr: u64) -> SimDuration {
-        SimDuration::from_nanos(instr.saturating_mul(1_000) / self.mips)
-    }
-
-    /// Lookup cost.
-    pub fn lookup(&self) -> SimDuration {
-        self.time(self.lookup_instr)
-    }
-    /// Serve cost.
-    pub fn serve(&self) -> SimDuration {
-        self.time(self.serve_instr)
-    }
-    /// Install cost.
-    pub fn install(&self) -> SimDuration {
-        self.time(self.install_instr)
-    }
-}
-
-/// Full cluster configuration.
-#[derive(Debug, Clone)]
+/// Full cluster configuration: what a run varies. The §7.1 hardware it
+/// never varies lives beside the code that reads it (see the module doc).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterParams {
     /// Number of nodes `N`.
     pub nodes: usize,
@@ -165,15 +84,8 @@ pub struct ClusterParams {
     pub goal_classes: usize,
     /// Replacement policy for every pool.
     pub policy: PolicySpec,
-    /// Relative change of a page's global heat that triggers a dissemination
-    /// message (threshold-based protocol of \[27, 26\]).
-    pub heat_publish_threshold: f64,
-    /// Disk model.
-    pub disk: DiskParams,
     /// Network model.
     pub net: NetParams,
-    /// CPU model.
-    pub cpu: CpuParams,
     /// Operation-level span accumulation (per-class × per-stage response
     /// time attribution). [`SpanMode::Off`] by default: no stage sums, one
     /// branch per attribution point.
@@ -197,10 +109,7 @@ impl Default for ClusterParams {
             db_pages: 2000,
             goal_classes: 1,
             policy: PolicySpec::CostBased,
-            heat_publish_threshold: 0.2,
-            disk: DiskParams::default(),
             net: NetParams::default(),
-            cpu: CpuParams::default(),
             spans: SpanMode::default(),
             placement: PlacementSpec::default(),
             tiers: TierLadder::default(),
@@ -229,8 +138,7 @@ mod tests {
 
     #[test]
     fn disk_page_read_is_disk_bound() {
-        let d = DiskParams::default();
-        let t = d.page_read().as_millis_f64();
+        let t = crate::disk::PAGE_READ.as_millis_f64();
         // ≈ 5.2 + 2.99 + 0.23 ms.
         assert!((t - 8.42).abs() < 0.05, "page read {t} ms");
     }
@@ -238,23 +146,23 @@ mod tests {
     #[test]
     fn network_page_transfer_is_much_faster_than_disk() {
         let n = NetParams::default();
-        let page = n.transfer_time(PAGE_BYTES + n.page_header_bytes);
+        let page = n.transfer_time(PAGE_BYTES + crate::network::PAGE_HEADER_BYTES);
         assert!(page.as_millis_f64() < 0.5);
         assert!(page.as_millis_f64() > 0.2);
-        let d = DiskParams::default();
-        assert!(d.page_read().as_nanos() > 10 * page.as_nanos());
+        let read = crate::disk::PAGE_READ;
+        assert!(read.as_nanos() > 10 * page.as_nanos());
         // Worst-case stability at the base workload: all accesses missing
         // must keep each disk below ~85% utilization.
         let worst_reads_per_ms = 0.024 * 3.0 * 4.0 / 3.0;
-        let rho = worst_reads_per_ms * d.page_read().as_millis_f64();
+        let rho = worst_reads_per_ms * read.as_millis_f64();
         assert!(rho < 0.85, "worst-case disk utilization {rho}");
     }
 
     #[test]
     fn cpu_costs_are_tens_of_microseconds() {
-        let c = CpuParams::default();
-        assert_eq!(c.lookup(), SimDuration::from_micros(30));
-        assert_eq!(c.serve(), SimDuration::from_micros(50));
+        assert_eq!(crate::plane::LOOKUP_CPU, SimDuration::from_micros(30));
+        assert_eq!(crate::plane::SERVE_CPU, SimDuration::from_micros(50));
+        assert_eq!(crate::plane::INSTALL_CPU, SimDuration::from_micros(30));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! decay, the walks before pool resizes, and the victim-regret audit that
 //! judges the loop against §6's exact lowest-benefit page (DESIGN.md §5d).
 
-use dmm_buffer::{ClassId, PageId, PolicySpec, TierPolicy};
+use dmm_buffer::{ClassId, PageId, PolicySpec};
 use dmm_sim::SimTime;
 
 use super::DataPlane;
@@ -125,11 +125,10 @@ impl DataPlane {
         }
     }
 
-    /// Called before any buffer operation that may evict from the pool an
-    /// access by `class` targets. Checks cheaply whether an
-    /// eviction is possible (migration out of the no-goal pool into a full
-    /// dedicated pool, or an install into a full pool) and, if so, makes
-    /// sure the pool's heap minimum carries a fresh benefit.
+    /// Called before an access or install of `page` by `class` at `node`:
+    /// when the step inserts into a full pool (the buffer's
+    /// [`displacement_pool`](dmm_buffer::TieredBuffer::displacement_pool)),
+    /// makes sure that pool's heap minimum carries a fresh benefit.
     pub(super) fn prepare_for_install(
         &mut self,
         node: NodeId,
@@ -140,51 +139,14 @@ impl DataPlane {
         if self.params.policy != PolicySpec::CostBased {
             return;
         }
+        // Cascade demotions past the first displaced pool may still evict
+        // on stale minima; that only degrades pricing quality, never
+        // correctness.
         let buf = &self.nodes[node.index()].buffer;
-        // Resolve the (tier, pool) a displacement would pop a victim from,
-        // mirroring `TieredBuffer`'s access/install routing. Cascade
-        // demotions past that first pool may still evict on stale minima;
-        // that only degrades pricing quality, never correctness.
-        let (tier, target) = match buf.locate(page) {
-            Some((t, owner)) => {
-                let promo = (buf.policy() == TierPolicy::Hotness)
-                    .then(|| {
-                        (0..t).find(|&u| {
-                            let tgt = buf.target_pool_at(u, class);
-                            buf.pool_at(u, tgt).capacity() > 0
-                        })
-                    })
-                    .flatten();
-                match promo {
-                    // Hotness promotion installs into tier `u`'s target pool.
-                    Some(u) => (u, buf.target_pool_at(u, class)),
-                    // Within tier `t`: only a no-goal → dedicated migration
-                    // can evict.
-                    None => {
-                        let tgt = buf.target_pool_at(t, class);
-                        if !owner.is_no_goal() || tgt.is_no_goal() {
-                            return;
-                        }
-                        (t, tgt)
-                    }
-                }
-            }
-            // Not resident: an install evicts when the install tier's target
-            // pool is full.
-            None => match buf.policy() {
-                TierPolicy::Hotness => {
-                    let Some(dest) = buf.install_target(class) else {
-                        return;
-                    };
-                    dest
-                }
-                TierPolicy::StaticHash => {
-                    let t = buf.static_tier(page);
-                    (t, buf.target_pool_at(t, class))
-                }
-            },
+        let Some((tier, target)) = buf.displacement_pool(class, page) else {
+            return;
         };
-        let pool = self.nodes[node.index()].buffer.pool_at(tier, target);
+        let pool = buf.pool_at(tier, target);
         if pool.capacity() > 0 && pool.len() >= pool.capacity() {
             self.ensure_fresh_victim(node, tier, target, now);
         }

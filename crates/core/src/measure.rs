@@ -75,13 +75,6 @@ impl MeasureStore {
         }
     }
 
-    /// Overrides the staleness horizon (default: `max(300 s, 4·(N+1)`
-    /// observation intervals at the paper's 5 s) — shorten it for drifting
-    /// workloads).
-    pub fn set_max_age(&mut self, max_age: SimDuration) {
-        self.max_age = max_age;
-    }
-
     /// Number of retained points.
     pub fn len(&self) -> usize {
         self.history.len()

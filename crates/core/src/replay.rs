@@ -17,6 +17,11 @@
 //! `fault` trace records alone don't carry drop probabilities or disk-stall
 //! windows, so the plan rides in the closure).
 //!
+//! It pins every [`dmm_cluster::ClusterParams`] field but the span mode:
+//! the closure records no replacement policy, so only the builder's
+//! cost-based one is replayable and a run under any other policy is
+//! flagged non-replayable; the goal-class count follows from the workload.
+//!
 //! It deliberately *excludes* the span mode, an observer toggle proven
 //! trace-invariant by the determinism suite (non-span records are
 //! byte-identical with sampling on or off). Including it would break the
@@ -36,7 +41,7 @@ use crate::coordinator::SatisfactionMode;
 use crate::optimize::Objective;
 use crate::probe::ProbeSpec;
 use crate::system::{Simulation, SystemConfig};
-use dmm_buffer::TierPolicy;
+use dmm_buffer::{PolicySpec, TierPolicy};
 
 /// Builds the `run_config` record for a configuration: the first record of
 /// every sink-enabled trace. Field order is part of the published schema.
@@ -210,11 +215,16 @@ fn placement_obj(kind: &str, ring: Option<HotRingSpec>) -> Json {
         .field("ring_seed", ring.map(|r| r.seed))
 }
 
-/// Whether the workload matches the builder's generative two-class shape —
-/// the precondition for reconstructing it from the closure's scalar
-/// parameters. Hand-assembled workloads (extra classes, custom per-node
-/// rates, scheduled rate shifts) are recorded but flagged non-replayable.
+/// Whether the closure can rebuild the run: the workload matches the
+/// builder's generative two-class shape (reconstructible from the closure's
+/// scalar parameters) and the replacement policy is the builder's
+/// cost-based one (the closure does not carry it). Hand-assembled
+/// workloads (extra classes, custom per-node rates, scheduled rate shifts)
+/// and other policies are recorded but flagged non-replayable.
 fn is_replayable(config: &SystemConfig) -> bool {
+    if config.cluster.policy != PolicySpec::CostBased {
+        return false;
+    }
     let classes = &config.workload.classes;
     if classes.len() != 2 {
         return false;
@@ -264,7 +274,8 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
     }
     if record.get("replayable").and_then(Json::as_bool) != Some(true) {
         return Err(
-            "run not replayable: its workload was assembled outside the builder".to_string(),
+            "run not replayable: its workload or replacement policy was set outside the builder"
+                .to_string(),
         );
     }
     let num = |key| read(record, "", key, Json::as_f64);
@@ -654,6 +665,11 @@ mod tests {
                 "{row}: {text}"
             );
             let rebuilt = config_from_record(&record).expect("round trip");
+            // Every cluster parameter survives, bar the observer-only span
+            // mode (replays run with spans off).
+            let mut expected = config.cluster.clone();
+            expected.spans = rebuilt.cluster.spans;
+            assert_eq!(rebuilt.cluster, expected, "{row}");
             // The rebuilt config serializes to the identical closure…
             assert_eq!(
                 run_config_record(&rebuilt).to_string(),
@@ -757,6 +773,33 @@ mod tests {
             .build()
             .expect("valid config");
         config.workload.classes[1].arrival_per_ms[0] *= 2.0; // post-hoc edit
+        let record = run_config_record(&config);
+        assert_eq!(
+            record.get("replayable").and_then(Json::as_bool),
+            Some(false)
+        );
+        let err = config_from_record(&record).expect_err("must refuse");
+        assert!(err.contains("not replayable"), "{err}");
+    }
+
+    /// The closure carries no replacement policy, so a run under any other
+    /// than the builder's cost-based one must not claim replayability:
+    /// replayed with the cost-based policy, 8 intervals of this LRU run
+    /// diverged in 16 of 28 control records, from the first after
+    /// `run_config` on.
+    #[test]
+    fn non_cost_based_policies_are_flagged_non_replayable() {
+        let mut config = SystemConfig::builder()
+            .seed(7)
+            .theta(0.5)
+            .goal_ms(8.0)
+            .db_pages(400)
+            .buffer_pages_per_node(96)
+            .goal_rate_per_ms(0.008)
+            .warmup_intervals(2)
+            .build()
+            .expect("valid config");
+        config.cluster.policy = PolicySpec::Lru;
         let record = run_config_record(&config);
         assert_eq!(
             record.get("replayable").and_then(Json::as_bool),

@@ -61,11 +61,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutably borrow row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Swaps rows `a` and `b`.
     pub fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {

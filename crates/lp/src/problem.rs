@@ -51,11 +51,6 @@ impl Problem {
         self.n
     }
 
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Sets the objective coefficient of variable `j`.
     pub fn set_objective(&mut self, j: usize, c: f64) {
         assert!(j < self.n, "variable index out of range");

@@ -8,8 +8,8 @@
 //!   standard library) and a small parser for round-trip tests. Field order
 //!   is preserved exactly as written, which is what makes emitted traces
 //!   byte-identical across runs with the same seed.
-//! * [`metrics`] — counters, gauges and fixed-bucket histograms plus a
-//!   [`MetricsSnapshot`] aggregating all three;
+//! * [`metrics`] — fixed-bucket histograms plus a [`MetricsSnapshot`]
+//!   aggregating them with named counters and gauges;
 //!   histogram merge is associative and commutative so per-thread or
 //!   per-node instances can be combined in any grouping.
 //! * [`span`] — the operation-level span vocabulary: the lifecycle
@@ -28,6 +28,6 @@ pub mod span;
 pub mod trace;
 
 pub use json::Json;
-pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot};
+pub use metrics::{Histogram, MetricsSnapshot};
 pub use span::{SpanMode, Stage, StageNanos, STAGES};
 pub use trace::{JsonLinesSink, NoopSink, StreamSink, TraceSink, VecSink};

@@ -1,5 +1,5 @@
-//! Metrics primitives: counters, gauges, fixed-bucket histograms, and the
-//! [`MetricsSnapshot`] aggregating all three.
+//! Metrics primitives: fixed-bucket histograms and the [`MetricsSnapshot`]
+//! that aggregates them with named counters and gauges.
 //!
 //! Everything here is integer-exact where it matters for determinism:
 //! histograms record `u64` values (the simulator's native nanoseconds) with
@@ -8,57 +8,6 @@
 //! combined in any grouping and produce bit-identical snapshots.
 
 use crate::json::Json;
-
-/// A monotone event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.add(1);
-    }
-
-    /// Adds `n` (saturating, so snapshots stay monotone even at the rail).
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// A last-write-wins instantaneous value.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge {
-    value: f64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Overwrites the value.
-    pub fn set(&mut self, value: f64) {
-        self.value = value;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        self.value
-    }
-}
 
 /// Entries of [`Histogram`]'s bit-length index: one per bit length 0..=64,
 /// plus the end of the last range.
@@ -435,16 +384,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_is_monotone_and_saturates() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(5);
-        assert_eq!(c.get(), 6);
-        c.add(u64::MAX);
-        assert_eq!(c.get(), u64::MAX);
-    }
 
     #[test]
     fn histogram_buckets_values() {

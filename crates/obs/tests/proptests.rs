@@ -1,11 +1,11 @@
 //! Seeded property tests for the metrics substrate: histogram merge is
-//! associative and commutative, counters are monotone, and a populated
+//! associative and commutative, and a populated
 //! [`MetricsSnapshot`] round-trips through its JSON encoding byte-for-byte.
 //!
 //! dmm-obs sits below dmm-sim in the dependency graph, so the generator is
 //! a local SplitMix64 rather than `dmm_sim::SimRng`.
 
-use dmm_obs::{Counter, Histogram, MetricsSnapshot};
+use dmm_obs::{Histogram, MetricsSnapshot};
 
 /// SplitMix64 — enough randomness for input generation, no dependencies.
 struct Rng(u64);
@@ -95,32 +95,6 @@ fn histogram_merge_preserves_mass() {
             "seed {seed}"
         );
     }
-}
-
-#[test]
-fn counter_is_monotone_under_random_ops() {
-    for seed in 300..332u64 {
-        let mut rng = Rng(seed);
-        let mut c = Counter::new();
-        let mut last = c.get();
-        for _ in 0..500 {
-            if rng.below(2) == 0 {
-                c.inc();
-            } else {
-                c.add(rng.below(1_000_000));
-            }
-            assert!(c.get() >= last, "seed {seed}: counter went backwards");
-            last = c.get();
-        }
-    }
-}
-
-#[test]
-fn counter_add_saturates_instead_of_wrapping() {
-    let mut c = Counter::new();
-    c.add(u64::MAX - 1);
-    c.add(u64::MAX);
-    assert_eq!(c.get(), u64::MAX, "saturating add keeps monotonicity");
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! * [`dist`] — the stochastic inputs the ICDE'99 evaluation needs:
 //!   exponential interarrival times and Zipf-distributed page identities.
 //! * [`stats`] — online statistics (Welford mean/variance, windowed means,
-//!   normal-approximation confidence intervals) and time-series recording.
+//!   normal-approximation confidence intervals).
 //!
 //! The kernel is logically sequential: the simulated systems in the paper
 //! (buffer managers, coordinators, disks) share state freely inside one
@@ -24,7 +24,6 @@ pub mod dist;
 pub mod engine;
 pub mod facility;
 pub mod rng;
-pub mod series;
 pub mod stats;
 pub mod time;
 pub mod wheel;
@@ -33,5 +32,4 @@ pub use arena::{SlotArena, SlotKey};
 pub use engine::{Engine, ExecMode, Handler, SchedStats, Scheduler, SimParams};
 pub use facility::Facility;
 pub use rng::SimRng;
-pub use series::Series;
 pub use time::{SimDuration, SimTime};

@@ -53,15 +53,6 @@ impl Welford {
         self.variance().sqrt()
     }
 
-    /// Coefficient of variation (σ/μ), 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / self.mean.abs()
-        }
-    }
-
     /// Merges another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &Welford) {
         if other.n == 0 {

@@ -117,11 +117,6 @@ impl ClassSpec {
         self.goal_ms.is_some()
     }
 
-    /// Total arrival rate over all nodes (ops/ms).
-    pub fn total_arrival_per_ms(&self) -> f64 {
-        self.arrival_per_ms.iter().sum()
-    }
-
     /// Validates internal consistency.
     pub fn validate(&self, nodes: usize, db_pages: u32) {
         assert!(!self.pages.is_empty(), "{}: empty page set", self.class);
@@ -192,11 +187,6 @@ impl WorkloadSpec {
         &self.classes[class.index()]
     }
 
-    /// Mutable spec of `class` (goal schedule updates).
-    pub fn class_mut(&mut self, class: ClassId) -> &mut ClassSpec {
-        &mut self.classes[class.index()]
-    }
-
     /// The paper's §7.2 base workload: one goal class and the no-goal class,
     /// disjoint page sets splitting the database evenly, 4 pages per
     /// operation, skew `theta`. The no-goal class arrives 3× as often as the
@@ -212,25 +202,7 @@ impl WorkloadSpec {
         goal_arrival_per_ms_per_node: f64,
         initial_goal_ms: f64,
     ) -> WorkloadSpec {
-        Self::two_class_with_rates(
-            nodes,
-            db_pages,
-            theta,
-            goal_arrival_per_ms_per_node,
-            3.0 * goal_arrival_per_ms_per_node,
-            initial_goal_ms,
-        )
-    }
-
-    /// [`Self::base_two_class`] with explicit per-class arrival rates.
-    pub fn two_class_with_rates(
-        nodes: usize,
-        db_pages: u32,
-        theta: f64,
-        goal_arrival_per_ms_per_node: f64,
-        nogoal_arrival_per_ms_per_node: f64,
-        initial_goal_ms: f64,
-    ) -> WorkloadSpec {
+        let nogoal_arrival_per_ms_per_node = 3.0 * goal_arrival_per_ms_per_node;
         let half = db_pages / 2;
         let goal_pages: Vec<PageId> = (0..half).map(PageId).collect();
         let nogoal_pages: Vec<PageId> = (half..db_pages).map(PageId).collect();
@@ -258,32 +230,6 @@ impl WorkloadSpec {
                 },
             ],
         }
-    }
-
-    /// The SLO-vs-batch flagship workload: [`Self::two_class_with_rates`]
-    /// with the goal class's metric switched to `Quantile { q }` — one
-    /// latency-critical class holding a tail goal (e.g. p95 ≤ `goal_ms`)
-    /// co-scheduled against the throughput-oriented no-goal batch class.
-    #[allow(clippy::too_many_arguments)]
-    pub fn slo_vs_batch(
-        nodes: usize,
-        db_pages: u32,
-        theta: f64,
-        slo_arrival_per_ms_per_node: f64,
-        batch_arrival_per_ms_per_node: f64,
-        goal_ms: f64,
-        q: f64,
-    ) -> WorkloadSpec {
-        let mut spec = Self::two_class_with_rates(
-            nodes,
-            db_pages,
-            theta,
-            slo_arrival_per_ms_per_node,
-            batch_arrival_per_ms_per_node,
-            goal_ms,
-        );
-        spec.classes[1].goal_metric = GoalMetric::Quantile { q };
-        spec
     }
 
     /// The §7.4 workload: two goal classes k1 (tighter goal) and k2 plus the
@@ -411,17 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn slo_vs_batch_sets_quantile_metric() {
-        let w = WorkloadSpec::slo_vs_batch(3, 2000, 0.5, 0.02, 0.06, 12.0, 0.95);
-        w.validate(3, 2000);
-        assert_eq!(w.classes[1].goal_metric, GoalMetric::Quantile { q: 0.95 });
-        assert_eq!(w.classes[0].goal_metric, GoalMetric::Mean);
-    }
-
-    #[test]
     #[should_panic(expected = "goal quantile")]
     fn quantile_outside_unit_interval_rejected() {
-        let w = WorkloadSpec::slo_vs_batch(2, 100, 0.0, 0.01, 0.03, 5.0, 1.0);
+        let mut w = WorkloadSpec::base_two_class(2, 100, 0.0, 0.01, 5.0);
+        w.classes[1].goal_metric = GoalMetric::Quantile { q: 1.0 };
         w.validate(2, 100);
     }
 

@@ -74,11 +74,6 @@ impl WorkloadGenerator {
         &self.spec
     }
 
-    /// Mutable spec access (the goal schedule rewrites `goal_ms`).
-    pub fn spec_mut(&mut self) -> &mut WorkloadSpec {
-        &mut self.spec
-    }
-
     /// All `(node, class)` pairs with a positive arrival rate.
     pub fn active_streams(&self) -> Vec<(NodeId, ClassId)> {
         self.streams

@@ -225,6 +225,11 @@ impl NodeHeat {
             .map_or(0.0, |(_, e)| e.heat_per_ms(now))
     }
 
+    /// Prefetches `page`'s inline windows (see [`dmm_sim::prefetch()`]).
+    pub fn prefetch(&self, page: PageId) {
+        dmm_sim::prefetch(&self.windows[page.index()]);
+    }
+
     /// Accumulated heat of `page` at `now`.
     pub fn accumulated_heat_per_ms(&self, page: PageId, now: SimTime) -> f64 {
         self.windows[page.index()].accumulated.heat_per_ms(now)

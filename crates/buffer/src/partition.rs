@@ -147,6 +147,13 @@ impl PartitionedBuffer {
         }
     }
 
+    /// Prefetches `page`'s owner entry (see [`dmm_sim::prefetch()`]).
+    pub(crate) fn prefetch_owner(&self, page: PageId) {
+        if let Some(owner) = self.owner.get(page.index()) {
+            dmm_sim::prefetch(owner);
+        }
+    }
+
     /// True if the page is resident anywhere on this node.
     pub fn resident(&self, page: PageId) -> bool {
         self.lookup(page).is_some()

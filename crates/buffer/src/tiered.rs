@@ -261,6 +261,12 @@ impl TieredBuffer {
             .find_map(|(t, b)| b.lookup(page).map(|c| (t, c)))
     }
 
+    /// Prefetches `page`'s owner entry in the fastest tier, the one a
+    /// lookup reads first (see [`dmm_sim::prefetch()`]).
+    pub fn prefetch_owner(&self, page: PageId) {
+        self.tiers[0].prefetch_owner(page);
+    }
+
     /// True if the page is resident in any tier.
     pub fn resident(&self, page: PageId) -> bool {
         self.locate(page).is_some()

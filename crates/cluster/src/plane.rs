@@ -242,12 +242,10 @@ pub struct DataPlane {
     /// stood at the last [`DataPlane::reset_stats`]: the snapshot counts
     /// from there, while the accessors stay cumulative.
     stats_base: StatsBase,
-    /// Observation-interval sequence number; keys the global-heat cache.
+    /// Observation-interval sequence number; `epoch + 1` stamps the
+    /// directory's per-page global-heat memo, and the stamp also dates a
+    /// last copy's pricing for [`pricing::LAST_COPY_HORIZON`].
     epoch: u64,
-    /// Per-epoch memo of `Directory::global_heat_per_ms`, indexed densely by
-    /// page id: `[page] = (epoch + 1, heat)` (0 = never cached). Its stamp
-    /// also dates a last copy's pricing for [`pricing::LAST_COPY_HORIZON`].
-    heat_cache: Vec<(u64, f64)>,
     /// Benefit-maintenance work counters.
     reprice_stats: RepriceStats,
     /// Reusable page-id buffer for full-pool repricing walks (avoids a Vec
@@ -328,7 +326,6 @@ impl DataPlane {
             accesses: 0,
             stats_base: StatsBase::default(),
             epoch: 0,
-            heat_cache: vec![(0, 0.0); params.db_pages as usize],
             reprice_stats: RepriceStats::default(),
             sweep_scratch: Vec::new(),
             home_reads: vec![0; params.nodes],
@@ -1003,12 +1000,19 @@ impl DataPlane {
 
     fn begin_access(&mut self, op: SlotKey, now: SimTime) -> StepOutput {
         self.accesses += 1;
-        let origin = {
+        let (origin, page) = {
             let s = &mut self.inflight[op];
             s.access_start = now;
             s.bounced = false;
-            s.op.origin
+            (s.op.origin, s.op.pages[s.next_idx])
         };
+        // The Lookup step opens with the origin's heat window, its tier-0
+        // owner entry and the page's directory record: start their loads
+        // now, while the event loop runs the events in between.
+        let node = &self.nodes[origin.index()];
+        node.heat.prefetch(page);
+        node.buffer.prefetch_owner(page);
+        self.directory.prefetch(page);
         let (done, wait) = self.nodes[origin.index()]
             .cpu
             .reserve_split(now, LOOKUP_CPU);
@@ -1924,6 +1928,57 @@ mod tests {
             p.on_interval(t);
         }
         assert_eq!(p.homes().replication(hot), 1);
+    }
+
+    /// The work counters of a fixed scripted run: they moved into the
+    /// directory's per-page records with the heat memo, and must count the
+    /// same hits, misses, retries and recomputes as the standalone memo
+    /// table did.
+    #[test]
+    fn reprice_counters_of_a_scripted_run_are_pinned() {
+        let mut p = DataPlane::new(ClusterParams {
+            buffer_pages_per_node: 24,
+            db_pages: 120,
+            ..ClusterParams::default()
+        });
+        p.apply_allocation(NodeId(1), ClassId(1), 8, SimTime::ZERO);
+        let mut rng = dmm_sim::SimRng::seed_from_u64(0x5EED);
+        let mut t = SimTime::ZERO;
+        let mut id = 0;
+        for _interval in 0..12 {
+            for _batch in 0..10 {
+                let starts: Vec<_> = (0..4)
+                    .filter_map(|_| {
+                        id += 1;
+                        let pages = [0, 1].map(|_| {
+                            let hot = rng.index(120) + 1;
+                            rng.index(hot) as u32
+                        });
+                        let class = rng.index(2) as u16;
+                        let origin = rng.index(3) as u16;
+                        p.start_operation(op(id, class, origin, &pages, t), t)
+                            .schedule
+                    })
+                    .collect();
+                t = drive(&mut p, starts)
+                    .iter()
+                    .map(|c| c.finished)
+                    .max()
+                    .expect("the batch completes");
+            }
+            p.on_interval(t);
+        }
+        p.check_invariants();
+        let r = *p.reprice_stats();
+        assert_eq!(
+            (
+                r.heat_cache_hits,
+                r.heat_cache_misses,
+                r.heap_retries,
+                r.recomputes
+            ),
+            (843, 543, 277, 1386)
+        );
     }
 
     #[test]

@@ -73,19 +73,14 @@ impl VictimAudit {
 }
 
 impl DataPlane {
-    /// `Directory::global_heat_per_ms` memoized per (page, epoch).
+    /// `Directory::global_heat_per_ms` memoized per (page, epoch) in the
+    /// page's directory record.
     fn cached_global_heat(&mut self, page: PageId, now: SimTime) -> f64 {
-        let stamp = self.epoch + 1;
-        if let Some(&(e, heat)) = self.heat_cache.get(page.index()) {
-            if e == stamp {
-                self.reprice_stats.heat_cache_hits += 1;
-                return heat;
-            }
-        }
-        self.reprice_stats.heat_cache_misses += 1;
-        let heat = self.directory.global_heat_per_ms(page, now);
-        if let Some(slot) = self.heat_cache.get_mut(page.index()) {
-            *slot = (stamp, heat);
+        let (heat, hit) = self.directory.memo_global_heat(page, now, self.epoch + 1);
+        if hit {
+            self.reprice_stats.heat_cache_hits += 1;
+        } else {
+            self.reprice_stats.heat_cache_misses += 1;
         }
         heat
     }
@@ -102,8 +97,7 @@ impl DataPlane {
         if !fresh {
             return true;
         }
-        let read = self.heat_cache.get(page.index()).map_or(0, |&(e, _)| e);
-        self.epoch + 1 - read >= LAST_COPY_HORIZON
+        self.epoch + 1 - self.directory.memo_stamp(page) >= LAST_COPY_HORIZON
             && tier + 1 == self.nodes[node.index()].buffer.num_tiers()
             && self.directory.is_last_copy(page, node)
     }
@@ -275,9 +269,10 @@ impl DataPlane {
                     if pool.capacity() == 0 || pool.len() < pool.capacity() {
                         continue;
                     }
-                    // Every pool's loop starts from the run's own heat memo,
-                    // as if it were the next pool to evict.
-                    trial.heat_cache.clone_from(&self.heat_cache);
+                    // Every pool's loop starts from the run's own heat memo
+                    // (it lives in the directory records), as if it were the
+                    // next pool to evict.
+                    trial.directory.clone_from(&self.directory);
                     trial.ensure_fresh_victim(node, tier, pool_class, now);
                     let Some((victim, _)) = trial.nodes[n]
                         .buffer

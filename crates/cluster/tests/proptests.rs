@@ -167,69 +167,96 @@ impl MapDirectory {
     }
 }
 
+/// One random case of [`dense_directory_matches_the_map_model`]. Returns
+/// how often a page's holder list grew past seven copies, the directory's
+/// inline capacity, and how often it shrank back to seven.
+fn directory_case(seed: u64, nodes: usize, pages: u32) -> (u32, u32) {
+    let mut rng = SimRng::seed_from_u64(0xD1 + seed);
+    let threshold = [0.0, 0.2, 0.5][rng.index(3)];
+    let mut dense = Directory::new(pages, 2, threshold);
+    let mut model = MapDirectory {
+        holders: BTreeMap::new(),
+        accesses: BTreeMap::new(),
+        published: BTreeMap::new(),
+        publish_threshold: threshold,
+    };
+    let mut now = SimTime::ZERO;
+    let mut publishes = 0u64;
+    let (mut spills, mut shrinks) = (0, 0);
+    for step in 0..1 + rng.index(400) {
+        let ctx = format!("{nodes} nodes, seed {seed} step {step}");
+        now += dmm_sim::SimDuration::from_nanos(rng.index(3) as u64 * 2_500_000);
+        let page = PageId(rng.index(pages as usize) as u32);
+        let node = NodeId(rng.index(nodes) as u16);
+        let before = model.holders(page).len();
+        match rng.index(4) {
+            0 | 1 => {
+                dense.add_copy(page, node);
+                model.add_copy(page, node);
+            }
+            2 => assert_eq!(
+                dense.remove_copy(page, node),
+                model.remove_copy(page, node),
+                "{ctx}"
+            ),
+            _ => {
+                let published = model.record_access(page, now);
+                assert_eq!(dense.record_access(page, now), published, "{ctx}");
+                publishes += u64::from(published);
+            }
+        }
+        let after = model.holders(page).len();
+        spills += u32::from(before == 7 && after == 8);
+        shrinks += u32::from(before == 8 && after == 7);
+        // Holder *order* is behaviour: `pick_holder` and the last-copy
+        // repricing read the first entry.
+        for p in (0..pages).map(PageId) {
+            assert_eq!(dense.holders(p), model.holders(p), "{ctx}: {p}");
+            assert_eq!(dense.copies(p), model.holders(p).len(), "{ctx}: {p}");
+            assert_eq!(
+                dense.global_heat_per_ms(p, now).to_bits(),
+                model.heat_per_ms(p, now).to_bits(),
+                "{ctx}: {p}"
+            );
+            for n in (0..nodes).map(|n| NodeId(n as u16)) {
+                assert_eq!(
+                    dense.pick_holder(p, n),
+                    model.holders(p).iter().copied().find(|&h| h != n),
+                    "{ctx}: {p} {n}"
+                );
+                assert_eq!(
+                    dense.is_last_copy(p, n),
+                    model.holders(p) == [n],
+                    "{ctx}: {p} {n}"
+                );
+            }
+        }
+        assert_eq!(dense.publish_events(), publishes, "{ctx}");
+        dense.check_invariants();
+    }
+    (spills, shrinks)
+}
+
 #[test]
 fn dense_directory_matches_the_map_model() {
-    const PAGES: u32 = 24;
-    const NODES: usize = 6;
-    for seed in 0..64u64 {
-        let mut rng = SimRng::seed_from_u64(0xD1 + seed);
-        let threshold = [0.0, 0.2, 0.5][rng.index(3)];
-        let mut dense = Directory::new(PAGES, 2, threshold);
-        let mut model = MapDirectory {
-            holders: BTreeMap::new(),
-            accesses: BTreeMap::new(),
-            published: BTreeMap::new(),
-            publish_threshold: threshold,
-        };
-        let mut now = SimTime::ZERO;
-        let mut publishes = 0u64;
-        for step in 0..1 + rng.index(400) {
-            let ctx = format!("seed {seed} step {step}");
-            now += dmm_sim::SimDuration::from_nanos(rng.index(3) as u64 * 2_500_000);
-            let page = PageId(rng.index(PAGES as usize) as u32);
-            let node = NodeId(rng.index(NODES) as u16);
-            match rng.index(4) {
-                0 | 1 => {
-                    dense.add_copy(page, node);
-                    model.add_copy(page, node);
-                }
-                2 => assert_eq!(
-                    dense.remove_copy(page, node),
-                    model.remove_copy(page, node),
-                    "{ctx}"
-                ),
-                _ => {
-                    let published = model.record_access(page, now);
-                    assert_eq!(dense.record_access(page, now), published, "{ctx}");
-                    publishes += u64::from(published);
-                }
-            }
-            // Holder *order* is behaviour: `pick_holder` and the last-copy
-            // repricing read the first entry.
-            for p in (0..PAGES).map(PageId) {
-                assert_eq!(dense.holders(p), model.holders(p), "{ctx}: {p}");
-                assert_eq!(dense.copies(p), model.holders(p).len(), "{ctx}: {p}");
-                assert_eq!(
-                    dense.global_heat_per_ms(p, now).to_bits(),
-                    model.heat_per_ms(p, now).to_bits(),
-                    "{ctx}: {p}"
-                );
-                for n in (0..NODES).map(|n| NodeId(n as u16)) {
-                    assert_eq!(
-                        dense.pick_holder(p, n),
-                        model.holders(p).iter().copied().find(|&h| h != n),
-                        "{ctx}: {p} {n}"
-                    );
-                    assert_eq!(
-                        dense.is_last_copy(p, n),
-                        model.holders(p) == [n],
-                        "{ctx}: {p} {n}"
-                    );
-                }
-            }
-            assert_eq!(dense.publish_events(), publishes, "{ctx}");
+    // 6 nodes never fill a record's seven inline holders; 9 nodes cross
+    // that boundary both ways; 64 nodes, the hot ring's cluster, grow
+    // long side lists.
+    for (nodes, pages) in [(6, 24), (9, 24), (64, 6)] {
+        let (mut spills, mut shrinks) = (0, 0);
+        for seed in 0..64u64 {
+            let (s, k) = directory_case(seed, nodes, pages);
+            spills += s;
+            shrinks += k;
         }
-        dense.check_invariants();
+        if nodes > 7 {
+            assert!(
+                spills > 0 && shrinks > 0,
+                "{nodes} nodes: {spills} spills, {shrinks} shrinks"
+            );
+        } else {
+            assert_eq!(spills, 0);
+        }
     }
 }
 

@@ -14,6 +14,8 @@
 //!   exponential interarrival times and Zipf-distributed page identities.
 //! * [`stats`] — online statistics (Welford mean/variance, windowed means,
 //!   normal-approximation confidence intervals).
+//! * [`prefetch()`] — a cache-prefetch hint for per-page state a later
+//!   protocol step reads.
 //!
 //! The kernel is logically sequential: the simulated systems in the paper
 //! (buffer managers, coordinators, disks) share state freely inside one
@@ -23,6 +25,7 @@ pub mod arena;
 pub mod dist;
 pub mod engine;
 pub mod facility;
+pub mod prefetch;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -31,5 +34,6 @@ pub mod wheel;
 pub use arena::{SlotArena, SlotKey};
 pub use engine::{Engine, ExecMode, Handler, SchedStats, Scheduler, SimParams};
 pub use facility::Facility;
+pub use prefetch::prefetch;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -36,16 +36,19 @@ struct Window([SimTime; HEAT_K]);
 impl Window {
     const EMPTY: Window = Window([SimTime::MAX; HEAT_K]);
 
+    #[inline]
     fn is_empty(&self) -> bool {
         self.0[0] == SimTime::MAX
     }
 
     /// Number of instants held (≤ [`HEAT_K`]).
+    #[inline]
     fn len(&self) -> usize {
         self.0.iter().take_while(|&&t| t != SimTime::MAX).count()
     }
 
     /// Records one access at `now`.
+    #[inline]
     fn record(&mut self, now: SimTime) {
         debug_assert!(now != SimTime::MAX, "access recorded at the sentinel");
         let len = self.len();
@@ -58,6 +61,7 @@ impl Window {
     }
 
     /// `len / (now − oldest)` in accesses per millisecond; 0 when empty.
+    #[inline]
     fn heat_per_ms(&self, now: SimTime) -> f64 {
         if self.is_empty() {
             return 0.0;
@@ -89,6 +93,7 @@ impl HeatEstimator {
     }
 
     /// Records one access at `now`, which must precede [`SimTime::MAX`].
+    #[inline]
     pub fn record(&mut self, now: SimTime) {
         self.0.record(now);
     }
@@ -108,6 +113,7 @@ impl HeatEstimator {
     /// before the first access. A page accessed only once very recently has
     /// a deliberately conservative heat (its window is measured from that
     /// single access to `now`).
+    #[inline]
     pub fn heat_per_ms(&self, now: SimTime) -> f64 {
         self.0.heat_per_ms(now)
     }
@@ -176,6 +182,7 @@ impl NodeHeat {
     /// reduction). It is ignored for the no-goal class. An existing record
     /// is kept warm even if tracking toggled off between accesses; records
     /// are never deleted.
+    #[inline]
     pub fn record(&mut self, page: PageId, class: ClassId, now: SimTime, track_class: bool) {
         let p = page.index();
         let windows = &mut self.windows[p];
@@ -210,6 +217,7 @@ impl NodeHeat {
 
     /// Per-class heat of `page` at `now` (0 when the class has no record
     /// on the page).
+    #[inline]
     pub fn class_heat_per_ms(&self, page: PageId, class: ClassId, now: SimTime) -> f64 {
         let p = page.index();
         let windows = &self.windows[p];
@@ -226,11 +234,13 @@ impl NodeHeat {
     }
 
     /// Prefetches `page`'s inline windows (see [`dmm_sim::prefetch()`]).
+    #[inline]
     pub fn prefetch(&self, page: PageId) {
         dmm_sim::prefetch(&self.windows[page.index()]);
     }
 
     /// Accumulated heat of `page` at `now`.
+    #[inline]
     pub fn accumulated_heat_per_ms(&self, page: PageId, now: SimTime) -> f64 {
         self.windows[page.index()].accumulated.heat_per_ms(now)
     }

@@ -108,20 +108,6 @@ where
         }
     }
 
-    /// Rewrites `item`'s priority in place with `f`, without sifting; a
-    /// no-op for an absent item. `f` may only change what the order
-    /// ignores: the priority must compare equal before and after.
-    pub fn modify_in_place(&mut self, item: &I, f: impl FnOnce(&mut P)) {
-        if let Some(i) = self.slot(item) {
-            let old = self.heap[i].0;
-            f(&mut self.heap[i].0);
-            debug_assert!(
-                self.heap[i].0.partial_cmp(&old).is_some_and(|o| o.is_eq()),
-                "modify_in_place changed the order of a priority"
-            );
-        }
-    }
-
     /// Inserts or updates.
     pub fn upsert(&mut self, item: I, priority: P) {
         if self.contains(&item) {

@@ -90,6 +90,9 @@ impl PartitionedBuffer {
         for _ in 0..num_goal_classes {
             pools.push(Pool::new(0, spec));
         }
+        for pool in &mut pools {
+            pool.policy_mut().reserve_pages(db_pages);
+        }
         PartitionedBuffer {
             total_pages,
             pools,

@@ -84,7 +84,16 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
+    /// Sizes per-page tables for page ids `0..db_pages` up front (only the
+    /// cost-based policy's freshness bitset has one to size).
+    pub(crate) fn reserve_pages(&mut self, db_pages: usize) {
+        if let PolicyKind::CostBased(p) = self {
+            p.reserve_pages(db_pages);
+        }
+    }
+
     /// Access the cost-based policy, if that is what this is.
+    #[inline]
     pub fn as_cost_based_mut(&mut self) -> Option<&mut CostBasedPolicy> {
         match self {
             PolicyKind::CostBased(p) => Some(p),
@@ -94,6 +103,7 @@ impl PolicyKind {
 
     /// Immutable access to the cost-based policy, if that is what this is
     /// (freshness peeks on the victim path).
+    #[inline]
     pub fn as_cost_based(&self) -> Option<&CostBasedPolicy> {
         match self {
             PolicyKind::CostBased(p) => Some(p),
@@ -115,21 +125,25 @@ macro_rules! dispatch {
 }
 
 impl Policy for PolicyKind {
+    #[inline]
     fn on_insert(&mut self, page: PageId, now: SimTime) {
         dispatch!(self, p => p.on_insert(page, now))
     }
     fn on_access(&mut self, page: PageId, now: SimTime) {
         dispatch!(self, p => p.on_access(page, now))
     }
+    #[inline]
     fn on_remove(&mut self, page: PageId) {
         dispatch!(self, p => p.on_remove(page))
     }
+    #[inline]
     fn victim(&mut self) -> Option<PageId> {
         dispatch!(self, p => p.victim())
     }
     fn len(&self) -> usize {
         dispatch!(self, p => p.len())
     }
+    #[inline]
     fn contains(&self, page: PageId) -> bool {
         dispatch!(self, p => p.contains(page))
     }
@@ -389,12 +403,19 @@ impl Policy for LruKPolicy {
 /// it is invalidated, and [`Self::scale_benefits`] applies the per-epoch
 /// multiplicative decay that stands in for the passage of time.
 ///
-/// The flag rides in the page's heap entry next to its benefit, so a pool's
-/// flags cost memory only for its resident pages, and a page that leaves
-/// the pool takes its flag with it.
+/// The heap is keyed by the IEEE-754 bits of the (non-negative) benefit,
+/// which order exactly like the values on `[0, ∞]` once −0 is folded into
+/// +0, so sifts compare integers and the victims are the float order's.
+/// The flags live beside the heap in a bitset indexed by page id: a heap
+/// entry is 16 bytes, and an invalidation is one bit write with no
+/// position lookup.
 #[derive(Debug, Clone)]
 pub struct CostBasedPolicy {
-    heap: IndexedMinHeap<PageId, Priced>,
+    /// Page → [`benefit_key`] of its benefit divided by `scale`.
+    heap: IndexedMinHeap<PageId, u64>,
+    /// One bit per page id: priced, and not invalidated since. Clear for
+    /// every page off the pool, so a re-inserted page starts stale.
+    fresh: Vec<u64>,
     /// Implicit multiplier on every stored priority. [`Self::scale_benefits`]
     /// only updates this factor — O(1), not O(pool) — because a common
     /// positive multiplier never changes the heap order. New prices are
@@ -404,32 +425,19 @@ pub struct CostBasedPolicy {
     scale: f64,
 }
 
-/// A cost-based heap entry. Only the benefit orders it; the flag rides
-/// along, so rewriting the flag never moves the entry.
-#[derive(Debug, Clone, Copy)]
-struct Priced {
-    /// The benefit divided by the policy's implicit `scale`.
-    benefit: f64,
-    /// Priced, and not invalidated since; false for a never-priced page.
-    fresh: bool,
-}
-
-impl PartialEq for Priced {
-    fn eq(&self, other: &Self) -> bool {
-        self.benefit == other.benefit
-    }
-}
-
-impl PartialOrd for Priced {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        self.benefit.partial_cmp(&other.benefit)
-    }
+/// The heap key of a non-negative benefit: its bit pattern, which orders
+/// like the value on `[0, ∞]`. Adding `+0.0` folds −0 into +0 and leaves
+/// every other non-negative value unchanged.
+#[inline]
+fn benefit_key(benefit: f64) -> u64 {
+    (benefit + 0.0).to_bits()
 }
 
 impl Default for CostBasedPolicy {
     fn default() -> Self {
         CostBasedPolicy {
             heap: IndexedMinHeap::new(),
+            fresh: Vec::new(),
             scale: 1.0,
         }
     }
@@ -441,34 +449,65 @@ impl CostBasedPolicy {
         Self::default()
     }
 
+    /// Sizes the freshness bitset for page ids `0..db_pages` up front, so
+    /// pricing pages of that database never grows it.
+    pub(crate) fn reserve_pages(&mut self, db_pages: usize) {
+        self.fresh.resize(db_pages.div_ceil(64), 0);
+    }
+
+    #[inline]
+    fn set_fresh(&mut self, page: PageId) {
+        let i = page.index();
+        if i / 64 >= self.fresh.len() {
+            self.fresh.resize(i / 64 + 1, 0);
+        }
+        self.fresh[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn clear_fresh(&mut self, page: PageId) {
+        let i = page.index();
+        if let Some(word) = self.fresh.get_mut(i / 64) {
+            *word &= !(1 << (i % 64));
+        }
+    }
+
     /// Sets the benefit of a tracked page and marks it fresh. Ignored for
     /// untracked pages (the page may have been evicted between pricing and
-    /// delivery).
+    /// delivery). Panics unless `benefit ≥ 0` (NaN included).
+    #[inline]
     pub fn set_benefit(&mut self, page: PageId, benefit: f64) {
-        assert!(!benefit.is_nan());
+        assert!(
+            benefit >= 0.0,
+            "benefit must be non-negative, got {benefit}"
+        );
         if self.heap.contains(&page) {
-            let priced = Priced {
-                benefit: benefit / self.scale,
-                fresh: true,
-            };
-            self.heap.update(page, priced);
+            self.heap.update(page, benefit_key(benefit / self.scale));
+            self.set_fresh(page);
         }
     }
 
     /// Current benefit of a tracked page.
     pub fn benefit(&self, page: PageId) -> Option<f64> {
-        self.heap.priority(&page).map(|p| p.benefit * self.scale)
+        self.heap
+            .priority(&page)
+            .map(|key| f64::from_bits(key) * self.scale)
     }
 
     /// Marks a tracked page's benefit stale (O(1)); its next appearance as
     /// heap minimum forces a recompute. No-op for untracked pages.
+    #[inline]
     pub fn invalidate(&mut self, page: PageId) {
-        self.heap.modify_in_place(&page, |p| p.fresh = false);
+        self.clear_fresh(page);
     }
 
     /// True if `page`'s benefit was priced and not invalidated since.
+    #[inline]
     pub fn is_fresh(&self, page: PageId) -> bool {
-        self.heap.priority(&page).is_some_and(|p| p.fresh)
+        let i = page.index();
+        self.fresh
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 == 1)
     }
 
     /// The current heap minimum together with whether its benefit is
@@ -476,8 +515,11 @@ impl CostBasedPolicy {
     /// stale, and retries until the minimum is fresh. Age alone never makes
     /// a benefit stale here; a caller for whom age matters checks it
     /// itself.
+    #[inline]
     pub fn min_with_freshness(&self) -> Option<(PageId, bool)> {
-        self.heap.peek_min().map(|(&page, p)| (page, p.fresh))
+        self.heap
+            .peek_min()
+            .map(|(&page, _)| (page, self.is_fresh(page)))
     }
 
     /// Multiplies every benefit by `factor` (0 < factor ≤ 1) without
@@ -498,10 +540,8 @@ impl CostBasedPolicy {
         self.scale *= factor;
         if self.scale < 1e-120 {
             let s = self.scale;
-            self.heap.map_priorities(|p| Priced {
-                benefit: p.benefit * s,
-                ..p
-            });
+            self.heap
+                .map_priorities(|key| benefit_key(f64::from_bits(key) * s));
             self.scale = 1.0;
         }
     }
@@ -509,18 +549,16 @@ impl CostBasedPolicy {
 
 impl Policy for CostBasedPolicy {
     fn on_insert(&mut self, page: PageId, _now: SimTime) {
-        // Unpriced and stale: infinite benefit until the first pricing.
-        let unpriced = Priced {
-            benefit: f64::INFINITY,
-            fresh: false,
-        };
-        self.heap.insert(page, unpriced);
+        // Unpriced and stale (its flag was cleared when it last left):
+        // infinite benefit until the first pricing.
+        self.heap.insert(page, benefit_key(f64::INFINITY));
     }
     fn on_access(&mut self, _page: PageId, _now: SimTime) {
         // Benefit changes are driven by the heat bookkeeping outside.
     }
     fn on_remove(&mut self, page: PageId) {
         self.heap.remove(&page);
+        self.clear_fresh(page);
     }
     fn victim(&mut self) -> Option<PageId> {
         self.heap.peek_min().map(|(p, _)| *p)
@@ -683,6 +721,80 @@ mod tests {
         // Decay does not touch the fresh flags.
         assert!(p.is_fresh(PageId(1)));
         assert!(!p.is_fresh(PageId(3)));
+    }
+
+    #[test]
+    fn benefit_keys_order_like_the_float_compare() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut rng = dmm_sim::SimRng::seed_from_u64(0xB175);
+        for _ in 0..600 {
+            // Random bit patterns with the sign cleared span every
+            // exponent, subnormals included; the scaled uniforms give ties
+            // and near-ties in the ranges benefits live in.
+            values.push(f64::from_bits(rng.next_u64() >> 1));
+            values.push(rng.index(8) as f64 * rng.uniform01());
+        }
+        values.retain(|v| !v.is_nan());
+        for a in &values {
+            for b in &values {
+                assert_eq!(
+                    benefit_key(*a).cmp(&benefit_key(*b)),
+                    a.partial_cmp(b).expect("no NaN"),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+        assert_eq!(benefit_key(-0.0), benefit_key(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn set_benefit_rejects_a_negative_benefit() {
+        let mut p = CostBasedPolicy::new();
+        p.on_insert(PageId(1), t(0));
+        p.set_benefit(PageId(1), -1e-300);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn set_benefit_rejects_nan() {
+        let mut p = CostBasedPolicy::new();
+        // Checked even for an untracked page.
+        p.set_benefit(PageId(1), f64::NAN);
+    }
+
+    #[test]
+    fn freshness_bitset_is_sized_once_for_the_database() {
+        let mut p = PolicySpec::CostBased.build();
+        p.reserve_pages(130);
+        let c = p.as_cost_based_mut().expect("cost based");
+        assert_eq!(c.fresh.len(), 3);
+        c.on_insert(PageId(129), t(0));
+        c.set_benefit(PageId(129), 1.0);
+        assert!(c.is_fresh(PageId(129)));
+        assert_eq!(
+            c.fresh.len(),
+            3,
+            "a priced page inside the database grows nothing"
+        );
+        // Invalidating or asking about a page past every word is a no-op.
+        c.invalidate(PageId(10_000));
+        assert!(!c.is_fresh(PageId(10_000)));
+        assert_eq!(c.fresh.len(), 3);
+    }
+
+    #[test]
+    fn a_heap_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<(u64, PageId)>(), 16);
     }
 
     #[test]

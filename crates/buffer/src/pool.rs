@@ -163,11 +163,13 @@ impl Pool {
     }
 
     /// Immutable access to the policy (victim freshness peeks).
+    #[inline]
     pub fn policy(&self) -> &PolicyKind {
         &self.policy
     }
 
     /// Mutable access to the policy, for cost-based benefit updates.
+    #[inline]
     pub fn policy_mut(&mut self) -> &mut PolicyKind {
         &mut self.policy
     }

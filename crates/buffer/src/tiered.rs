@@ -77,6 +77,7 @@ impl Demoted {
 
 impl std::ops::Deref for Demoted {
     type Target = [PageId];
+    #[inline]
     fn deref(&self) -> &[PageId] {
         &self.pages[..usize::from(self.len)]
     }
@@ -188,6 +189,7 @@ impl TieredBuffer {
     }
 
     /// Number of local memory tiers.
+    #[inline]
     pub fn num_tiers(&self) -> usize {
         self.tiers.len()
     }
@@ -254,6 +256,7 @@ impl TieredBuffer {
     }
 
     /// Which `(tier, pool)` holds `page`, if any.
+    #[inline]
     pub fn locate(&self, page: PageId) -> Option<(usize, ClassId)> {
         self.tiers
             .iter()
@@ -268,6 +271,7 @@ impl TieredBuffer {
     }
 
     /// True if the page is resident in any tier.
+    #[inline]
     pub fn resident(&self, page: PageId) -> bool {
         self.locate(page).is_some()
     }
@@ -295,17 +299,20 @@ impl TieredBuffer {
     }
 
     /// Immutable access to `class`'s pool in tier `t`.
+    #[inline]
     pub fn pool_at(&self, t: usize, class: ClassId) -> &Pool {
         self.tiers[t].pool(class)
     }
 
     /// Mutable access to `class`'s pool in tier `t`.
+    #[inline]
     pub fn pool_mut_at(&mut self, t: usize, class: ClassId) -> &mut Pool {
         self.tiers[t].pool_mut(class)
     }
 
     /// The `(tier, pool)` an access or install of `page` by `class` puts
-    /// the page into — the pool a displacement pops its first victim from
+    /// the page into, given where the caller located it (`at`; `None`: not
+    /// resident) — the pool a displacement pops its first victim from
     /// when it is full — or `None` when the step inserts nothing: a hit
     /// that stays in its pool, or an install with no frame for `class`.
     ///
@@ -320,13 +327,8 @@ impl TieredBuffer {
     /// promotion, so miss traffic cannot churn the fast tiers. Under
     /// [`TierPolicy::StaticHash`] it goes to the page's pinned tier. With
     /// a single memory tier every rule is tier 0, the historical behaviour.
-    pub fn displacement_pool(&self, class: ClassId, page: PageId) -> Option<(usize, ClassId)> {
-        self.route(class, page, self.locate(page))
-    }
-
-    /// [`Self::displacement_pool`] for a page the caller already located
-    /// at `at`.
-    fn route(
+    #[inline]
+    pub fn route(
         &self,
         class: ClassId,
         page: PageId,
@@ -386,7 +388,19 @@ impl TieredBuffer {
     /// Attempts a local access by `class` for `page`. On a miss the miss is
     /// charged to the pool the page would be installed into.
     pub fn access(&mut self, class: ClassId, page: PageId, now: SimTime) -> TieredAccess {
-        let at = self.locate(page);
+        self.access_at(class, page, self.locate(page), now)
+    }
+
+    /// [`Self::access`] for a page the caller already located at `at`
+    /// (`None`: not resident).
+    pub fn access_at(
+        &mut self,
+        class: ClassId,
+        page: PageId,
+        at: Option<(usize, ClassId)>,
+        now: SimTime,
+    ) -> TieredAccess {
+        debug_assert_eq!(at, self.locate(page), "access_at given a stale location");
         let Some((t, holder)) = at else {
             let t = match self.policy {
                 TierPolicy::Hotness => 0,

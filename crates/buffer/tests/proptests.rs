@@ -358,7 +358,8 @@ fn tiered_displacement_is_a_chain() {
     assert!(longest.get() >= 3, "the cases never walked a long chain");
 }
 
-/// `displacement_pool` against what `access` and `install` then do, on 1–6
+/// `route` (of the page where `locate` finds it) against what `access`
+/// and `install` then do, on 1–6
 /// memory tiers under both tier policies: a call displaces a page (evicts
 /// or demotes one) exactly when the named pool was full, and the first
 /// displaced page was a member of that pool.
@@ -375,7 +376,7 @@ fn displacement_pool_names_the_first_displaced_page() {
         let ctx = format!("seed {seed}: {frames:?} {policy:?} {spec:?}");
         // The named pool's members if it is full, else `None`.
         let full_members = |b: &TieredBuffer, class, page| {
-            let (t, pool) = b.displacement_pool(class, page)?;
+            let (t, pool) = b.route(class, page, b.locate(page))?;
             let pool = b.pool_at(t, pool);
             (pool.len() == pool.capacity()).then(|| pool.pages().collect::<Vec<_>>())
         };

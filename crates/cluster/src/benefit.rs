@@ -44,6 +44,7 @@ pub struct BenefitInputs {
 
 /// Benefit of keeping the copy, in expected milliseconds saved per
 /// millisecond of residency (dimensionless rate × ms).
+#[inline]
 pub fn benefit_ms(inputs: BenefitInputs, costs: &AccessCosts) -> f64 {
     let t = inputs.mem_tier as usize;
     debug_assert!(t < costs.mem_tiers());

@@ -67,6 +67,7 @@ impl AccessCosts {
     }
 
     /// Number of local memory tiers this estimator prices.
+    #[inline]
     pub fn mem_tiers(&self) -> usize {
         self.mem_tiers
     }
@@ -77,22 +78,26 @@ impl AccessCosts {
     }
 
     /// Slot of a hit in local memory tier `t`.
+    #[inline]
     pub fn hit_slot(&self, t: usize) -> CostSlot {
         debug_assert!(t < self.mem_tiers);
         CostSlot(t as u8)
     }
 
     /// Slot of a remote-memory hit.
+    #[inline]
     pub fn remote_hit_slot(&self) -> CostSlot {
         CostSlot(self.mem_tiers as u8)
     }
 
     /// Slot of a local-disk read.
+    #[inline]
     pub fn local_disk_slot(&self) -> CostSlot {
         CostSlot(self.mem_tiers as u8 + 1)
     }
 
     /// Slot of a remote-disk read.
+    #[inline]
     pub fn remote_disk_slot(&self) -> CostSlot {
         CostSlot(self.mem_tiers as u8 + 2)
     }
@@ -110,6 +115,7 @@ impl AccessCosts {
     }
 
     /// Current estimate for `slot` in milliseconds.
+    #[inline]
     pub fn estimate_ms(&self, slot: CostSlot) -> f64 {
         self.est_ms[slot.index()]
     }

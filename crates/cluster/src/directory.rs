@@ -100,6 +100,7 @@ impl Directory {
     }
 
     /// Nodes currently caching `page`, in the order their copies appeared.
+    #[inline]
     pub fn holders(&self, page: PageId) -> &[NodeId] {
         let rec = &self.pages[page.index()];
         if rec.spilled() {
@@ -110,11 +111,13 @@ impl Directory {
     }
 
     /// Number of cached copies of `page`.
+    #[inline]
     pub fn copies(&self, page: PageId) -> usize {
         usize::from(self.pages[page.index()].count)
     }
 
     /// True if `node` holds the only cached copy of `page`.
+    #[inline]
     pub fn is_last_copy(&self, page: PageId, node: NodeId) -> bool {
         let rec = &self.pages[page.index()];
         rec.count == 1 && rec.inline[0] == node
@@ -211,11 +214,13 @@ impl Directory {
     }
 
     /// Stamp of `page`'s last memo fill (0 = never read).
+    #[inline]
     pub(crate) fn memo_stamp(&self, page: PageId) -> u64 {
         self.pages[page.index()].memo_stamp
     }
 
     /// Prefetches `page`'s record (see [`dmm_sim::prefetch()`]).
+    #[inline]
     pub(crate) fn prefetch(&self, page: PageId) {
         dmm_sim::prefetch(&self.pages[page.index()]);
     }
@@ -238,6 +243,7 @@ impl Directory {
 
     /// True while at least one dedicated pool for `class` exists anywhere —
     /// the §6 condition for collecting that class's heat.
+    #[inline]
     pub fn class_tracked(&self, class: ClassId) -> bool {
         if class.is_no_goal() {
             return false;

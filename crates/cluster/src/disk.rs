@@ -100,9 +100,9 @@ impl Disk {
         self.facility.mean_wait_ms()
     }
 
-    /// Histogram of per-read queueing waits (nanoseconds).
-    pub fn wait_histogram(&self) -> &dmm_obs::Histogram {
-        self.facility.wait_histogram()
+    /// Per-read queueing waits (nanoseconds).
+    pub fn wait_counts(&self) -> &dmm_obs::WaitCounts {
+        self.facility.wait_counts()
     }
 
     /// Resets counters for post-warm-up measurement, starting the

@@ -226,6 +226,7 @@ impl Homes {
 
     /// The *primary* home of `page` (origin-independent; the node a static
     /// scheme would always use).
+    #[inline]
     pub fn home(&self, page: PageId) -> NodeId {
         match &self.scheme {
             Scheme::RoundRobin => NodeId((page.0 % self.nodes as u32) as u16),
@@ -243,6 +244,7 @@ impl Homes {
     /// when it is a replica (its mirror read is a local disk read), else
     /// picking deterministically by origin index so the read fan-in divides
     /// evenly.
+    #[inline]
     pub fn home_for(&self, page: PageId, origin: NodeId) -> NodeId {
         match &self.scheme {
             Scheme::RoundRobin | Scheme::Hash => self.home(page),
@@ -273,6 +275,7 @@ impl Homes {
     }
 
     /// True when `node` is (one of) `page`'s home(s).
+    #[inline]
     pub fn is_home(&self, page: PageId, node: NodeId) -> bool {
         match &self.scheme {
             Scheme::RoundRobin | Scheme::Hash => self.home(page) == node,

@@ -19,7 +19,7 @@
 //! dissemination), which is exactly the split the §7.5 overhead experiment
 //! reports.
 
-use dmm_obs::Histogram;
+use dmm_obs::{Histogram, WaitCounts};
 use dmm_sim::{Facility, SimDuration, SimRng, SimTime};
 
 use crate::ids::NodeId;
@@ -77,7 +77,7 @@ enum Links {
         bisection: Option<Box<Facility>>,
         /// Combined TX + RX queueing wait per message, in nanoseconds
         /// (the switched analogue of the shared medium's wait histogram).
-        wait: Histogram,
+        wait: WaitCounts,
     },
 }
 
@@ -105,7 +105,7 @@ impl Network {
                 tx: (0..nodes).map(|_| Facility::new("tx")).collect(),
                 rx: (0..nodes).map(|_| Facility::new("rx")).collect(),
                 bisection: bisection_bits_per_sec.map(|_| Box::new(Facility::new("bisection"))),
-                wait: Histogram::exponential(1_000, 21),
+                wait: WaitCounts::new(),
             },
         };
         Network {
@@ -323,10 +323,10 @@ impl Network {
 
     /// Histogram of per-message queueing waits (nanoseconds): medium waits
     /// on the shared fabric, combined TX + RX waits on the switched fabric.
-    pub fn wait_histogram(&self) -> &Histogram {
+    pub fn wait_histogram(&self) -> Histogram {
         match &self.links {
             Links::Shared(medium) => medium.wait_histogram(),
-            Links::Switched { wait, .. } => wait,
+            Links::Switched { wait, .. } => wait.to_histogram(),
         }
     }
 

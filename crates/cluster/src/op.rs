@@ -60,6 +60,7 @@ impl Default for PageList {
 
 impl std::ops::Deref for PageList {
     type Target = [PageId];
+    #[inline]
     fn deref(&self) -> &[PageId] {
         match &self.0 {
             Repr::Inline { len, pages } => &pages[..usize::from(*len)],

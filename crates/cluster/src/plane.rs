@@ -612,7 +612,7 @@ impl DataPlane {
         snap.counter("net.control_messages", control_msgs);
         snap.gauge("net.utilization", self.network.utilization(now));
         snap.counter("net.dropped_messages", self.network.dropped_messages());
-        snap.histogram("net.queue_wait_ns", self.network.wait_histogram().clone());
+        snap.histogram("net.queue_wait_ns", self.network.wait_histogram());
         // Per-link gauges only exist on the switched fabric; shared-medium
         // snapshots keep the exact seed key set.
         if self.network.is_switched() {
@@ -634,21 +634,21 @@ impl DataPlane {
             disk_reads += n.disk.reads();
             stalled_reads += n.disk.stalled_reads();
             match &mut disk_wait {
-                None => disk_wait = Some(n.disk.wait_histogram().clone()),
-                Some(h) => h.merge(n.disk.wait_histogram()),
+                None => disk_wait = Some(n.disk.wait_counts().clone()),
+                Some(w) => w.merge(n.disk.wait_counts()),
             }
             match &mut cpu_wait {
-                None => cpu_wait = Some(n.cpu.wait_histogram().clone()),
-                Some(h) => h.merge(n.cpu.wait_histogram()),
+                None => cpu_wait = Some(n.cpu.wait_counts().clone()),
+                Some(w) => w.merge(n.cpu.wait_counts()),
             }
         }
         snap.counter("disk.reads", disk_reads);
         snap.counter("disk.stalled_reads", stalled_reads);
-        if let Some(h) = disk_wait {
-            snap.histogram("disk.queue_wait_ns", h);
+        if let Some(w) = disk_wait {
+            snap.histogram("disk.queue_wait_ns", w.to_histogram());
         }
-        if let Some(h) = cpu_wait {
-            snap.histogram("cpu.queue_wait_ns", h);
+        if let Some(w) = cpu_wait {
+            snap.histogram("cpu.queue_wait_ns", w.to_histogram());
         }
 
         for c in 0..=self.params.goal_classes {
@@ -1033,43 +1033,51 @@ impl DataPlane {
         };
         self.record_heat(origin, class, page, now);
 
-        if self.mem_tiers() > 1 {
-            if let Some((t, _)) = self.nodes[origin.index()].buffer.locate(page) {
-                if t > 0 {
-                    // Hit in a slower memory tier: the page is served through
-                    // that tier's bandwidth-capped facility, then handled as
-                    // an install at the origin (promotion under the hotness
-                    // policy happens at `AccessDone`, when the transfer has
-                    // actually completed).
-                    self.span_lookup_outcome(op, false);
-                    let svc = self.tier_service[t - 1];
-                    let (done, wait) =
-                        self.nodes[origin.index()].tier_fac[t - 1].reserve_split(now, svc);
-                    self.span_add(op, Stage::PoolQueue, wait.as_nanos());
-                    self.span_add(
+        // The one owner-table walk of this step: routing, the access and
+        // the stale mark all reuse it.
+        let at = self.nodes[origin.index()].buffer.locate(page);
+        if let Some((t, _)) = at {
+            if t > 0 {
+                // Hit in a slower memory tier: the page is served through
+                // that tier's bandwidth-capped facility, then handled as
+                // an install at the origin (promotion under the hotness
+                // policy happens at `AccessDone`, when the transfer has
+                // actually completed).
+                self.span_lookup_outcome(op, false);
+                let svc = self.tier_service[t - 1];
+                let (done, wait) =
+                    self.nodes[origin.index()].tier_fac[t - 1].reserve_split(now, svc);
+                self.span_add(op, Stage::PoolQueue, wait.as_nanos());
+                self.span_add(
+                    op,
+                    Stage::LocalHit,
+                    done.since(now).as_nanos() - wait.as_nanos(),
+                );
+                return StepOutput::default().at(
+                    done,
+                    ClusterEvent::PageArrived {
                         op,
-                        Stage::LocalHit,
-                        done.since(now).as_nanos() - wait.as_nanos(),
-                    );
-                    return StepOutput::default().at(
-                        done,
-                        ClusterEvent::PageArrived {
-                            op,
-                            level: self.costs.hit_slot(t),
-                        },
-                    );
-                }
+                        level: self.costs.hit_slot(t),
+                    },
+                );
             }
         }
 
-        self.prepare_for_install(origin, class, page, now);
-        let outcome = self.nodes[origin.index()].buffer.access(class, page, now);
+        self.prepare_for_install(origin, class, page, at, now);
+        let outcome = self.nodes[origin.index()]
+            .buffer
+            .access_at(class, page, at, now);
         match outcome {
-            TieredAccess::Hit { moved: false, .. } => {
+            TieredAccess::Hit {
+                moved: false,
+                tier,
+                pool,
+                ..
+            } => {
                 self.span_lookup_outcome(op, true);
                 // The heat change is noted in O(1); the benefit is
                 // recomputed only if the page ever reaches a heap minimum.
-                self.mark_stale(origin, page);
+                self.mark_stale_at(origin, page, tier, pool);
                 self.finish_access(op, self.costs.hit_slot(0), now)
             }
             TieredAccess::Hit {
@@ -1276,13 +1284,21 @@ impl DataPlane {
         // True when the page just entered a pool (install, migration, or
         // promotion) and therefore sits at ∞ benefit until priced.
         let mut freshly_pooled = false;
-        self.prepare_for_install(origin, class, page, now);
-        if self.nodes[origin.index()].buffer.resident(page) {
+        // Where a hit that stays in its pool left the page, for the stale
+        // mark: the one owner-table walk of this step serves routing, the
+        // access and the mark.
+        let mut stays_at = None;
+        let at = self.nodes[origin.index()].buffer.locate(page);
+        self.prepare_for_install(origin, class, page, at, now);
+        if at.is_some() {
             // A concurrent operation installed the page while ours was in
             // flight — or this is a slow-tier hit arriving through the tier
             // facility; treat as the §6 access it is (the hotness policy
             // promotes here).
-            match self.nodes[origin.index()].buffer.access(class, page, now) {
+            match self.nodes[origin.index()]
+                .buffer
+                .access_at(class, page, at, now)
+            {
                 TieredAccess::Hit {
                     moved: true,
                     evicted,
@@ -1295,7 +1311,12 @@ impl DataPlane {
                     }
                     freshly_pooled = true;
                 }
-                TieredAccess::Hit { moved: false, .. } => {}
+                TieredAccess::Hit {
+                    moved: false,
+                    tier,
+                    pool,
+                    ..
+                } => stays_at = Some((tier, pool)),
                 TieredAccess::Miss => unreachable!("page checked resident"),
             }
         } else {
@@ -1331,8 +1352,9 @@ impl DataPlane {
         }
         if freshly_pooled {
             self.reprice(origin, page, now);
-        } else {
-            self.mark_stale(origin, page);
+        } else if let Some((tier, pool)) = stays_at {
+            // An install with no frame leaves nothing to mark.
+            self.mark_stale_at(origin, page, tier, pool);
         }
         self.finish_access(op, level, now)
     }

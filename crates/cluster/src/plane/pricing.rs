@@ -75,6 +75,7 @@ impl VictimAudit {
 impl DataPlane {
     /// `Directory::global_heat_per_ms` memoized per (page, epoch) in the
     /// page's directory record.
+    #[inline]
     fn cached_global_heat(&mut self, page: PageId, now: SimTime) -> f64 {
         let (heat, hit) = self.directory.memo_global_heat(page, now, self.epoch + 1);
         if hit {
@@ -93,6 +94,7 @@ impl DataPlane {
     /// memo's stamp is that read's epoch: only the page's holders price it,
     /// and a copy that becomes the last one is invalidated, so for a fresh
     /// last copy no later read can have refreshed the memo.
+    #[inline]
     fn needs_reprice(&self, node: NodeId, page: PageId, tier: usize, fresh: bool) -> bool {
         if !fresh {
             return true;
@@ -105,9 +107,21 @@ impl DataPlane {
     /// Marks `page`'s benefit at `node` stale in O(1); the lazy victim loop
     /// re-prices it if it ever becomes a heap minimum.
     pub(super) fn mark_stale(&mut self, node: NodeId, page: PageId) {
-        let Some((tier, pool_class)) = self.nodes[node.index()].buffer.locate(page) else {
-            return;
-        };
+        if let Some((tier, pool_class)) = self.nodes[node.index()].buffer.locate(page) {
+            self.mark_stale_at(node, page, tier, pool_class);
+        }
+    }
+
+    /// [`Self::mark_stale`] for a page the caller already located in
+    /// `(tier, pool_class)` of `node`'s buffer.
+    #[inline]
+    pub(super) fn mark_stale_at(
+        &mut self,
+        node: NodeId,
+        page: PageId,
+        tier: usize,
+        pool_class: ClassId,
+    ) {
         if let Some(cost_policy) = self.nodes[node.index()]
             .buffer
             .pool_mut_at(tier, pool_class)
@@ -119,15 +133,18 @@ impl DataPlane {
         }
     }
 
-    /// Called before an access or install of `page` by `class` at `node`:
+    /// Called before an access or install of `page` by `class` at `node`,
+    /// where the caller located the page at `at` (`None`: not resident):
     /// when the step inserts into a full pool (the buffer's
-    /// [`displacement_pool`](dmm_buffer::TieredBuffer::displacement_pool)),
-    /// makes sure that pool's heap minimum carries a fresh benefit.
+    /// [`route`](dmm_buffer::TieredBuffer::route)), makes sure that pool's
+    /// heap minimum carries a fresh benefit. Re-pricing moves no page
+    /// between pools, so `at` still holds afterwards.
     pub(super) fn prepare_for_install(
         &mut self,
         node: NodeId,
         class: ClassId,
         page: PageId,
+        at: Option<(usize, ClassId)>,
         now: SimTime,
     ) {
         if self.params.policy != PolicySpec::CostBased {
@@ -137,7 +154,7 @@ impl DataPlane {
         // on stale minima; that only degrades pricing quality, never
         // correctness.
         let buf = &self.nodes[node.index()].buffer;
-        let Some((tier, target)) = buf.displacement_pool(class, page) else {
+        let Some((tier, target)) = buf.route(class, page, at) else {
             return;
         };
         let pool = buf.pool_at(tier, target);
@@ -219,6 +236,7 @@ impl DataPlane {
 
     /// The §6 benefit of `page`'s copy in `(tier, pool_class)` of `node` at
     /// `now`, given the page's global heat.
+    #[inline]
     fn benefit(
         &self,
         node: NodeId,

@@ -1262,7 +1262,7 @@ impl Simulation {
     }
 
     /// Event-queue work counters (pushes, peak depth, cascades, per-level
-    /// occupancy) of the underlying engine.
+    /// occupancy, direct deliveries) of the underlying engine.
     pub fn sched_stats(&self) -> dmm_sim::SchedStats {
         self.engine.sched_stats()
     }
@@ -1278,6 +1278,7 @@ impl Simulation {
         snap.counter("sim.sched.pushes", sched.pushes);
         snap.counter("sim.sched.peak_pending", sched.peak_pending);
         snap.counter("sim.sched.cascaded", sched.cascaded);
+        snap.counter("sim.sched.direct", sched.direct);
         for (level, &n) in sched.level_pushes.iter().enumerate() {
             if n > 0 {
                 if level == dmm_sim::wheel::WHEEL_LEVELS {

@@ -8,8 +8,9 @@
 //!   standard library) and a small parser for round-trip tests. Field order
 //!   is preserved exactly as written, which is what makes emitted traces
 //!   byte-identical across runs with the same seed.
-//! * [`metrics`] — fixed-bucket histograms plus a [`MetricsSnapshot`]
-//!   aggregating them with named counters and gauges;
+//! * [`metrics`] — fixed-bucket histograms, the closed-form
+//!   [`WaitCounts`] behind every queue-wait histogram, and a
+//!   [`MetricsSnapshot`] aggregating them with named counters and gauges;
 //!   histogram merge is associative and commutative so per-thread or
 //!   per-node instances can be combined in any grouping.
 //! * [`span`] — the operation-level span vocabulary: the lifecycle
@@ -28,6 +29,6 @@ pub mod span;
 pub mod trace;
 
 pub use json::Json;
-pub use metrics::{Histogram, MetricsSnapshot};
+pub use metrics::{Histogram, MetricsSnapshot, WaitCounts};
 pub use span::{SpanMode, Stage, StageNanos, STAGES};
 pub use trace::{JsonLinesSink, NoopSink, StreamSink, TraceSink, VecSink};

@@ -126,6 +126,7 @@ impl Histogram {
     }
 
     /// Records one value.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         let bits = (u64::BITS - value.leading_zeros()) as usize;
         let lo = usize::from(self.index[bits]);
@@ -266,6 +267,97 @@ impl Histogram {
             max_seen: json.get("max").and_then(Json::as_u64).unwrap_or(0),
             ..Histogram::from_valid_bounds(bounds)
         })
+    }
+}
+
+/// First edge of the queue-wait layout, in nanoseconds (1 µs).
+const WAIT_FIRST_EDGE: u64 = 1_000;
+/// Doubling edges of the queue-wait layout (the last is ≈ 1.05 s).
+const WAIT_EDGES: usize = 21;
+
+/// Queue waits counted in closed form: the counts
+/// `Histogram::exponential(1_000, 21)` would hold, kept inline in a
+/// fixed-size array so recording needs no search and no heap access.
+///
+/// A value `v` falls in bucket 0 when `v ≤ 1000`, else in bucket
+/// `min(bit_length((v − 1) / 1000), 21)` (21 is the overflow bucket): `v`
+/// lies in `(1000·2^(k−1), 1000·2^k]` exactly when `(v − 1) / 1000` lies
+/// in `[2^(k−1), 2^k)`. [`to_histogram`](Self::to_histogram) hands back the
+/// identical [`Histogram`], and totals saturate the same way, so snapshots
+/// built from these counts are byte-identical to recording the histogram
+/// directly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WaitCounts {
+    counts: [u64; WAIT_EDGES + 1],
+    total: u64,
+    count: u64,
+    /// Smallest recorded value (`u64::MAX` sentinel while empty).
+    min_seen: u64,
+    /// Largest recorded value (0 while empty).
+    max_seen: u64,
+}
+
+impl Default for WaitCounts {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl WaitCounts {
+    /// No waits recorded.
+    pub const fn new() -> Self {
+        WaitCounts {
+            counts: [0; WAIT_EDGES + 1],
+            total: 0,
+            count: 0,
+            min_seen: u64::MAX,
+            max_seen: 0,
+        }
+    }
+
+    /// The bucket `value` falls in (`WAIT_EDGES` = overflow).
+    #[inline]
+    fn bucket(value: u64) -> usize {
+        // `saturating_sub` folds 0 into the `v ≤ 1000` case.
+        let above = value.saturating_sub(1) / WAIT_FIRST_EDGE;
+        ((u64::BITS - above.leading_zeros()) as usize).min(WAIT_EDGES)
+    }
+
+    /// Records one wait, in nanoseconds.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.counts[Self::bucket(value)] += 1;
+        self.total = self.total.saturating_add(value);
+        self.count += 1;
+        self.min_seen = self.min_seen.min(value);
+        self.max_seen = self.max_seen.max(value);
+    }
+
+    /// Adds `other`'s counts, as [`Histogram::merge`] would.
+    pub fn merge(&mut self, other: &WaitCounts) {
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c = c.saturating_add(*o);
+        }
+        self.total = self.total.saturating_add(other.total);
+        self.count = self.count.saturating_add(other.count);
+        self.min_seen = self.min_seen.min(other.min_seen);
+        self.max_seen = self.max_seen.max(other.max_seen);
+    }
+
+    /// Drops all recorded waits.
+    pub fn reset(&mut self) {
+        *self = WaitCounts::new();
+    }
+
+    /// The same counts as a `Histogram::exponential(1_000, 21)`.
+    pub fn to_histogram(&self) -> Histogram {
+        let mut h = Histogram::exponential(WAIT_FIRST_EDGE, WAIT_EDGES);
+        h.counts.copy_from_slice(&self.counts);
+        h.total = self.total;
+        h.count = self.count;
+        h.min_seen = self.min_seen;
+        h.max_seen = self.max_seen;
+        h
     }
 }
 

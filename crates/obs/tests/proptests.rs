@@ -5,7 +5,7 @@
 //! dmm-obs sits below dmm-sim in the dependency graph, so the generator is
 //! a local SplitMix64 rather than `dmm_sim::SimRng`.
 
-use dmm_obs::{Histogram, MetricsSnapshot};
+use dmm_obs::{Histogram, MetricsSnapshot, WaitCounts};
 
 /// SplitMix64 — enough randomness for input generation, no dependencies.
 struct Rng(u64);
@@ -310,4 +310,46 @@ fn record_lands_in_the_bucket_a_full_search_names() {
     for (name, layout) in &layouts {
         assert_records_into_searched_bucket(layout, &mut rng, name);
     }
+}
+
+/// The closed-form queue-wait counts equal `Histogram::exponential(1_000,
+/// 21)`: value by value on 0, on both sides of every edge `1000·2^k` and on
+/// `u64::MAX`; after every 100 of 10⁶ random values over every magnitude;
+/// and once merged — so snapshots built from them are byte-identical.
+#[test]
+fn wait_counts_equal_the_exponential_histogram() {
+    let reference = Histogram::exponential(1_000, 21);
+    let mut edges = vec![0, 1, u64::MAX - 1, u64::MAX];
+    for k in 0..64 {
+        let edge = 1_000u64.saturating_mul(1 << k);
+        edges.extend([edge - 1, edge, edge.saturating_add(1)]);
+    }
+    for &v in &edges {
+        let mut one = WaitCounts::new();
+        one.record(v);
+        let mut one_ref = reference.clone();
+        one_ref.record(v);
+        assert_eq!(one.to_histogram(), one_ref, "value {v}");
+    }
+    let mut rng = Rng(0xC105ED);
+    let (mut all, mut all_ref) = (WaitCounts::new(), reference.clone());
+    let (mut half, mut half_ref) = (WaitCounts::new(), reference.clone());
+    for i in 0..1_000_000u32 {
+        let v = rng.next() >> rng.below(64);
+        all.record(v);
+        all_ref.record(v);
+        if i % 2 == 0 {
+            half.record(v);
+            half_ref.record(v);
+        }
+        if i % 100 == 99 {
+            assert_eq!(all.to_histogram(), all_ref, "after {} values", i + 1);
+        }
+    }
+    assert_eq!(all.to_histogram().to_json(), all_ref.to_json());
+    half.merge(&all);
+    half_ref.merge(&all_ref);
+    assert_eq!(half.to_histogram(), half_ref);
+    all.reset();
+    assert_eq!(all.to_histogram(), reference);
 }

@@ -131,6 +131,7 @@ impl Zipf {
     }
 
     /// Draws one 0-based index.
+    #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         self.index_of(rng.uniform01())
     }

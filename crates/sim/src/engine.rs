@@ -6,8 +6,9 @@
 //! feedback-control experiments rely on for reproducibility.
 //!
 //! The queue is a hierarchical timing wheel ([`crate::wheel`]) with an
-//! allocation-free O(1) near-future path; its unit tests check it against
-//! a binary-heap reference for identical (time, scheduling-sequence)
+//! allocation-free O(1) near-future path and one event held in front of
+//! its levels, delivered without touching them; its unit tests check it
+//! against a binary-heap reference for identical (time, scheduling-sequence)
 //! delivery.
 
 use crate::time::{SimDuration, SimTime};
@@ -45,9 +46,16 @@ pub struct SchedStats {
     pub peak_pending: u64,
     /// Wheel entries re-linked by cascades / overflow re-bucketing.
     pub cascaded: u64,
-    /// Pushes that landed on each wheel level; the final entry counts the
-    /// overflow chain.
+    /// Events inserted into each wheel level, a demoted front event
+    /// included; the final entry counts the overflow chain.
     pub level_pushes: [u64; WHEEL_LEVELS + 1],
+    /// Events delivered straight from the wheel's front slot, never
+    /// entering a level. Every push is counted exactly once: the level
+    /// pushes, plus `direct`, plus one if an event waits in the front,
+    /// equal `pushes`.
+    pub direct: u64,
+    /// Whether an event waits in the wheel's front slot.
+    pub front_pending: bool,
 }
 
 /// The scheduling half of the engine, passed to [`Handler::handle`] so
@@ -80,6 +88,7 @@ impl<E> Scheduler<E> {
 
     /// Schedules `event` at the absolute instant `at`. `at` must not precede
     /// the current time.
+    #[inline]
     pub fn at(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.next_seq;
@@ -92,6 +101,7 @@ impl<E> Scheduler<E> {
     /// Schedules `event` `delay` after the current time. The instant
     /// saturates at [`SimTime::MAX`] rather than overflowing, so horizons
     /// near the end of representable time stay well-defined.
+    #[inline]
     pub fn after(&mut self, delay: SimDuration, event: E) {
         self.at(self.now.saturating_add(delay), event);
     }
@@ -108,11 +118,14 @@ impl<E> Scheduler<E> {
             peak_pending: self.peak_pending,
             cascaded: self.wheel.cascaded(),
             level_pushes: *self.wheel.level_pushes(),
+            direct: self.wheel.direct(),
+            front_pending: self.wheel.front_pending(),
         }
     }
 
     /// Removes the earliest pending event if its time is ≤ `limit`, and
     /// advances `now` to it. Never advances `now` past `limit`.
+    #[inline]
     fn pop_next_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         let popped = self.wheel.pop_next_before(limit.as_nanos());
         if let Some((t, _)) = &popped {
@@ -355,7 +368,15 @@ mod tests {
         assert_eq!(stats.pushes, 100);
         assert_eq!(stats.peak_pending, 100);
         assert!(stats.cascaded > 0, "1000ns spacing spans level 1+");
-        assert_eq!(stats.level_pushes.iter().sum::<u64>(), 100);
+        // The first push (time 0, empty queue) became the front and was
+        // delivered directly; the other 99 were later and entered the
+        // wheel. Each push is counted exactly once.
+        assert_eq!(stats.direct, 1);
+        assert!(!stats.front_pending);
+        assert_eq!(
+            stats.level_pushes.iter().sum::<u64>() + stats.direct + u64::from(stats.front_pending),
+            stats.pushes
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! completion event itself.
 
 use crate::time::{SimDuration, SimTime};
-use dmm_obs::Histogram;
+use dmm_obs::{Histogram, WaitCounts};
 
 /// A first-come-first-served, non-preemptive single resource.
 #[derive(Debug, Clone)]
@@ -24,7 +24,7 @@ pub struct Facility {
     busy: SimDuration,
     jobs: u64,
     total_wait: SimDuration,
-    wait_hist: Histogram,
+    waits: WaitCounts,
 }
 
 impl Facility {
@@ -38,7 +38,7 @@ impl Facility {
             jobs: 0,
             total_wait: SimDuration::ZERO,
             // Nanosecond queue waits: 1 µs first edge, doubling through ~1 s.
-            wait_hist: Histogram::exponential(1_000, 21),
+            waits: WaitCounts::new(),
         }
     }
 
@@ -49,6 +49,7 @@ impl Facility {
 
     /// Reserves the facility at `now` for `service` time, queueing FCFS
     /// behind any in-flight reservation. Returns the completion instant.
+    #[inline]
     pub fn reserve(&mut self, now: SimTime, service: SimDuration) -> SimTime {
         self.reserve_split(now, service).0
     }
@@ -56,12 +57,13 @@ impl Facility {
     /// Like [`reserve`](Self::reserve), but also returns the FCFS queue
     /// wait, so callers attributing latency can split queueing from
     /// service without re-deriving the facility's internal arithmetic.
+    #[inline]
     pub fn reserve_split(&mut self, now: SimTime, service: SimDuration) -> (SimTime, SimDuration) {
         let start = self.free_at.max(now);
         let done = start + service;
         let wait = start.since(now);
         self.total_wait += wait;
-        self.wait_hist.record(wait.as_nanos());
+        self.waits.record(wait.as_nanos());
         self.free_at = done;
         self.busy += service;
         self.jobs += 1;
@@ -112,10 +114,17 @@ impl Facility {
         }
     }
 
+    /// Per-job queue waits (nanoseconds) since the last
+    /// [`reset_stats`](Self::reset_stats), as closed-form bucket counts.
+    pub fn wait_counts(&self) -> &WaitCounts {
+        &self.waits
+    }
+
     /// Histogram of per-job queue waits (nanoseconds) since the last
-    /// [`reset_stats`](Self::reset_stats).
-    pub fn wait_histogram(&self) -> &Histogram {
-        &self.wait_hist
+    /// [`reset_stats`](Self::reset_stats): 1 µs first edge, 21 doubling
+    /// edges.
+    pub fn wait_histogram(&self) -> Histogram {
+        self.waits.to_histogram()
     }
 
     /// Resets counters (not the `free_at` horizon) and starts a new
@@ -126,7 +135,7 @@ impl Facility {
         self.busy = SimDuration::ZERO;
         self.jobs = 0;
         self.total_wait = SimDuration::ZERO;
-        self.wait_hist.reset();
+        self.waits.reset();
     }
 }
 

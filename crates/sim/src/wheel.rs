@@ -32,6 +32,38 @@
 //! order is therefore exactly (time, seq): identical to a binary-heap
 //! reference, which the differential tests at the end of this module
 //! assert.
+//!
+//! # Direct dispatch
+//!
+//! Most events of a protocol chain are scheduled a few microseconds ahead
+//! of an otherwise sparse queue, so they would be the next event delivered
+//! anyway. The wheel keeps one such event, the *front*, outside its levels:
+//! a push whose time lies strictly below every wheel entry's time becomes
+//! the front, and a pop delivers the front without touching the levels.
+//! The invariant is that the front's time is *strictly* below every wheel
+//! entry's time, so delivering it first is exactly (time, seq) order:
+//!
+//! * a push earlier than the front demotes the front into the wheel and
+//!   takes its place;
+//! * a push at the front's own time demotes the front and is appended to
+//!   the wheel after it, so same-instant events keep scheduling order in
+//!   one chain;
+//! * a later push goes into the wheel.
+//!
+//! With no front, a push becomes the front when the wheel is empty, or when
+//! it holds at most [`WHEEL_SLOTS`] entries and the push's time is below a
+//! cached lower bound (the *floor*) of the wheel's earliest entry. The
+//! floor is lowered on every wheel insert and reset by every wheel pop from
+//! the occupancy bits the pop just read; when the next entry lies on a
+//! coarser level it is recomputed, read-only and without cascading, at the
+//! next push. Deeper queues skip the front: a new event is then rarely the
+//! earliest, and the floor upkeep would cost more than it saves.
+//!
+//! A front delivery leaves the wheel position where it was: the position
+//! only has to stay at or below every pending time, which a lagging
+//! position does, and the level and slot an entry lands on stay a pure
+//! function of its time and that position. The floor and the depth limit
+//! decide only *where* an event waits, never the delivery order.
 
 use crate::time::SimTime;
 
@@ -47,6 +79,11 @@ const SPAN_BITS: u32 = SLOT_BITS * WHEEL_LEVELS as u32;
 const NIL: u32 = u32::MAX;
 
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
+
+/// Wheel entries above which a push no longer tries for the front slot.
+/// With that many events pending a new one is rarely the earliest, and
+/// keeping the floor current costs more than the few deliveries it saves.
+const FRONT_MAX_PENDING: usize = WHEEL_SLOTS;
 
 struct Node<E> {
     time: u64,
@@ -71,6 +108,13 @@ impl Chain {
     };
 }
 
+/// The event held outside the wheel levels (see "Direct dispatch" above).
+struct Front<E> {
+    time: u64,
+    seq: u64,
+    event: E,
+}
+
 /// The timing-wheel backend. All methods are crate-private; the public
 /// surface is [`crate::Scheduler`].
 pub(crate) struct TimingWheel<E> {
@@ -84,7 +128,19 @@ pub(crate) struct TimingWheel<E> {
     overflow: Chain,
     /// Current wheel position in ticks (= nanoseconds). Only advances.
     pos: u64,
+    /// Events in the wheel levels and the overflow (the front excluded).
     len: usize,
+    /// The next event, held outside the levels; its time is strictly below
+    /// every wheel entry's.
+    front: Option<Front<E>>,
+    /// A lower bound of the earliest wheel entry's time, unless the wheel
+    /// is empty or `floor_stale`.
+    floor: u64,
+    /// `floor` must be recomputed before it is read: a wheel pop removed
+    /// the entry it was bounded by, and the next one is on a coarser level.
+    floor_stale: bool,
+    /// Events delivered from the front.
+    direct: u64,
     /// Entries moved by cascades (including overflow re-bucketing).
     cascaded: u64,
     /// Events inserted per level (`[WHEEL_LEVELS]` counts the overflow).
@@ -103,17 +159,33 @@ impl<E> TimingWheel<E> {
             overflow: Chain::EMPTY,
             pos: 0,
             len: 0,
+            front: None,
+            floor: 0,
+            floor_stale: false,
+            direct: 0,
             cascaded: 0,
             level_pushes: [0; WHEEL_LEVELS + 1],
         }
     }
 
+    /// Pending events, the front included.
+    #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.len + usize::from(self.front.is_some())
     }
 
     pub(crate) fn cascaded(&self) -> u64 {
         self.cascaded
+    }
+
+    /// Events delivered from the front, without entering the levels.
+    pub(crate) fn direct(&self) -> u64 {
+        self.direct
+    }
+
+    /// Whether an event waits in the front.
+    pub(crate) fn front_pending(&self) -> bool {
+        self.front.is_some()
     }
 
     pub(crate) fn level_pushes(&self) -> &[u64; WHEEL_LEVELS + 1] {
@@ -123,12 +195,73 @@ impl<E> TimingWheel<E> {
     /// Inserts an event. `time` must not precede the wheel position (the
     /// scheduler's `now` is always ≥ the position, and it checks
     /// `time ≥ now`).
+    #[inline]
     pub(crate) fn push(&mut self, time: u64, seq: u64, event: E) {
         debug_assert!(time >= self.pos, "push into the wheel's past");
+        match &self.front {
+            None => {
+                if self.len == 0 || (self.len <= FRONT_MAX_PENDING && time < self.wheel_floor()) {
+                    self.front = Some(Front { time, seq, event });
+                    return;
+                }
+            }
+            Some(front) if time <= front.time => {
+                // Demote the front; at a tie the new event follows it into
+                // the same chain.
+                let old = self.front.take().expect("front checked present");
+                let earlier = time < old.time;
+                self.insert(old.time, old.seq, old.event);
+                if earlier {
+                    self.front = Some(Front { time, seq, event });
+                    return;
+                }
+            }
+            Some(_) => {}
+        }
+        self.insert(time, seq, event);
+    }
+
+    /// Links an event into the wheel levels (or the overflow).
+    #[inline]
+    fn insert(&mut self, time: u64, seq: u64, event: E) {
         let idx = self.alloc(time, seq, event);
         let level = self.link(idx, time);
         self.level_pushes[level] += 1;
         self.len += 1;
+        if self.len == 1 {
+            self.floor = time;
+            self.floor_stale = false;
+        } else {
+            self.floor = self.floor.min(time);
+        }
+    }
+
+    /// A lower bound of the earliest wheel entry's time (wheel non-empty),
+    /// recomputed first if a pop may have raised it.
+    #[inline]
+    fn wheel_floor(&mut self) -> u64 {
+        if self.floor_stale {
+            self.floor = self.scan_floor();
+            self.floor_stale = false;
+        }
+        self.floor
+    }
+
+    /// A lower bound of the earliest wheel entry's time, read off the
+    /// occupancy bitmaps without moving anything: exact on level 0 and for
+    /// a single-event chain on a coarser level, else the start of the
+    /// first occupied coarser slot, and the start of the next wheel epoch
+    /// when only the overflow holds events.
+    fn scan_floor(&self) -> u64 {
+        let cursor = (self.pos & SLOT_MASK) as u32;
+        let mask = self.occupied[0] & (!0u64 << cursor);
+        if mask != 0 {
+            return (self.pos & !SLOT_MASK) | u64::from(mask.trailing_zeros());
+        }
+        match self.next_occupied_slot() {
+            Some((level, slot, slot_start)) => self.chain_floor(level, slot, slot_start),
+            None => (self.pos | ((1 << SPAN_BITS) - 1)).saturating_add(1),
+        }
     }
 
     /// Removes and returns the earliest event if its time is ≤ `limit`.
@@ -136,10 +269,41 @@ impl<E> TimingWheel<E> {
     /// Advances the wheel position as far as needed — but never past
     /// `limit`, so a later `push` at any `time ≥ limit` stays valid even
     /// when this returns `None`.
+    #[inline]
     pub(crate) fn pop_next_before(&mut self, limit: u64) -> Option<(SimTime, E)> {
+        if let Some(front) = &self.front {
+            if front.time > limit {
+                return None;
+            }
+            let front = self.front.take().expect("front checked present");
+            self.direct += 1;
+            return Some((SimTime::from_nanos(front.time), front.event));
+        }
         if self.len == 0 {
             return None;
         }
+        self.pop_wheel(limit)
+    }
+
+    /// A lower bound of the times in occupied slot `slot` of `level`,
+    /// which starts at `slot_start`: the one entry's time for a
+    /// single-event chain (the next entry to be delivered, so reading it
+    /// early costs no extra miss), else the slot start.
+    #[inline]
+    fn chain_floor(&self, level: usize, slot: usize, slot_start: u64) -> u64 {
+        let chain = self.slots[level][slot];
+        if chain.head == chain.tail {
+            self.arena[chain.head as usize].time
+        } else {
+            slot_start
+        }
+    }
+
+    /// [`Self::pop_next_before`] from the wheel levels, with no front. A
+    /// delivery leaves the floor exact when the next entry is on the same
+    /// level, a slot start when it is in a later slot of that level, and
+    /// stale otherwise; a refusal moves no entry, so the floor stays valid.
+    fn pop_wheel(&mut self, limit: u64) -> Option<(SimTime, E)> {
         loop {
             // Near-future fast path: level 0 has one slot per tick, so the
             // first occupied slot at or after the cursor is the next event,
@@ -153,7 +317,12 @@ impl<E> TimingWheel<E> {
                     return None;
                 }
                 self.pos = t;
-                return Some((SimTime::from_nanos(t), self.pop_front_level0(slot as usize)));
+                let event = self.pop_front_level0(slot as usize);
+                // Whatever is left on level 0 lies at or after `t`.
+                let rest = self.occupied[0] & (!0u64 << slot);
+                self.floor = (self.pos & !SLOT_MASK) | u64::from(rest.trailing_zeros());
+                self.floor_stale = rest == 0;
+                return Some((SimTime::from_nanos(t), event));
             }
             // Coarser levels: enter the first occupied slot ahead of the
             // cursor and cascade its chain down, then rescan from level 0.
@@ -177,6 +346,17 @@ impl<E> TimingWheel<E> {
                     node.next = self.free;
                     self.free = chain.head;
                     self.len -= 1;
+                    // Finer levels stay empty, so the next entry is in a
+                    // later slot of this level or on a coarser one.
+                    let rest = self.occupied[level] & (!0u64 << slot);
+                    self.floor_stale = rest == 0;
+                    if rest != 0 {
+                        let next = rest.trailing_zeros() as usize;
+                        let shift = SLOT_BITS * level as u32;
+                        let rotation = t >> (shift + SLOT_BITS) << (shift + SLOT_BITS);
+                        self.floor =
+                            self.chain_floor(level, next, rotation | (next as u64) << shift);
+                    }
                     return Some((SimTime::from_nanos(t), event));
                 }
                 if slot_start > limit {
@@ -263,6 +443,7 @@ impl<E> TimingWheel<E> {
 
     /// Appends node `idx` to the chain for `time` given the current
     /// position; returns the level index (`WHEEL_LEVELS` = overflow).
+    #[inline]
     fn link(&mut self, idx: u32, time: u64) -> usize {
         let delta = time ^ self.pos;
         if delta >> SPAN_BITS != 0 {
@@ -660,6 +841,178 @@ mod differential {
             let heap = stepped::<Heap>(seed);
             assert_eq!(wheel.1, heap.1, "checkpoints diverged (seed {seed})");
             assert_eq!(wheel.0, heap.0, "delivery diverged (seed {seed})");
+        }
+    }
+
+    /// One step of a scripted schedule.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// Push at this time (the event id is the push's sequence number).
+        Push(u64),
+        /// `pop_next_before(limit)`.
+        Pop(u64),
+    }
+
+    /// Plays `script` on queue `Q`: every pop's result, in order.
+    fn play<Q: Queue>(q: &mut Q, script: &[Step]) -> Vec<Option<(u64, u32)>> {
+        let mut seq = 0u64;
+        let mut out = Vec::new();
+        for &step in script {
+            match step {
+                Step::Push(t) => {
+                    q.push(t, seq, seq as u32);
+                    seq += 1;
+                }
+                Step::Pop(limit) => out.push(q.pop_next_before(limit)),
+            }
+        }
+        out
+    }
+
+    /// Plays `script` on the wheel and on the heap reference, asserts they
+    /// deliver the same sequence, and hands back the wheel for inspection.
+    fn agree(script: &[Step]) -> TimingWheel<u32> {
+        let mut wheel = TimingWheel::new();
+        let mut heap = Heap::default();
+        let from_wheel = play(&mut wheel, script);
+        let from_heap = play(&mut heap, script);
+        assert_eq!(from_wheel, from_heap);
+        assert_eq!(Queue::len(&wheel), heap.len());
+        wheel
+    }
+
+    #[test]
+    fn a_push_at_the_fronts_time_follows_it_and_the_wheel_events_there() {
+        use Step::*;
+        // 40 becomes the front; a second push at 40 demotes it and follows
+        // it into the wheel; a third finds no front but a wheel event at
+        // 40, so it queues behind both. An earlier one then takes the front.
+        let mut w = agree(&[Push(40), Push(90), Push(40), Push(40), Push(7)]);
+        assert!(w.front_pending());
+        assert_eq!(w.front.as_ref().map(|f| f.time), Some(7));
+        let script_out: Vec<_> = std::iter::from_fn(|| w.pop_next_before(u64::MAX))
+            .map(|(t, e)| (t.as_nanos(), e))
+            .collect();
+        assert_eq!(script_out, vec![(7, 4), (40, 0), (40, 2), (40, 3), (90, 1)]);
+        assert_eq!(w.direct(), 1, "only the earliest push skipped the levels");
+    }
+
+    #[test]
+    fn an_earlier_push_demotes_the_front() {
+        use Step::*;
+        let w = agree(&[
+            Push(500),
+            Push(300),
+            Push(100),
+            Pop(u64::MAX),
+            Push(200),
+            Pop(u64::MAX),
+            Pop(u64::MAX),
+            Pop(u64::MAX),
+            Pop(u64::MAX),
+        ]);
+        // 500 and 300 were demoted in turn; 100 and 200 went out directly.
+        assert_eq!(w.direct(), 2);
+        assert_eq!(w.level_pushes().iter().sum::<u64>(), 2);
+    }
+
+    #[test]
+    fn a_limit_below_the_front_returns_none_and_keeps_it() {
+        use Step::*;
+        let mut w = agree(&[Push(1_000), Push(5_000), Pop(999), Pop(0)]);
+        assert!(w.front_pending(), "the refused front stays in place");
+        assert_eq!(w.pos, 0, "a refused front moves nothing");
+        let script = [Pop(1_000), Pop(4_999), Pop(5_000), Pop(u64::MAX)];
+        let mut heap = Heap::default();
+        play(&mut heap, &[Push(1_000), Push(5_000), Pop(999), Pop(0)]);
+        assert_eq!(play(&mut w, &script), play(&mut heap, &script));
+    }
+
+    #[test]
+    fn a_wheel_holding_only_overflow_events_still_takes_a_front() {
+        use Step::*;
+        let span = 1u64 << SPAN_BITS;
+        // Both far events sit in the overflow; the floor is the next epoch
+        // start, so a near push still becomes the front.
+        let w = agree(&[
+            Push(span + 9),
+            Push(3 * span),
+            Pop(10),
+            Push(20),
+            Pop(u64::MAX),
+            Push(span + 9),
+            Push(30),
+            Pop(u64::MAX),
+            Pop(u64::MAX),
+            Pop(u64::MAX),
+            Pop(u64::MAX),
+            Pop(u64::MAX),
+        ]);
+        assert_eq!(w.len, 0);
+        assert!(w.direct() >= 2, "the near pushes were delivered directly");
+        assert_eq!(
+            w.level_pushes()[WHEEL_LEVELS],
+            3,
+            "all far events overflowed"
+        );
+    }
+
+    #[test]
+    fn a_deep_queue_skips_the_front_and_keeps_the_order() {
+        use Step::*;
+        // 70 far events fill the wheel past the depth limit; near pushes
+        // then wait in the levels, and the order still matches the heap.
+        let mut script: Vec<Step> = (0..70).map(|i| Push(1_000_000 + i * 1_000)).collect();
+        script.extend([Push(50), Push(50), Push(20), Pop(u64::MAX), Pop(u64::MAX)]);
+        let w = agree(&script);
+        assert_eq!(w.direct(), 0, "no front above the depth limit");
+        assert!(!w.front_pending());
+        // Drained, a push takes the front again.
+        script.extend((0..71).map(|_| Pop(u64::MAX)));
+        script.extend([
+            Push(5_000_000),
+            Push(4_000_000),
+            Pop(u64::MAX),
+            Pop(u64::MAX),
+        ]);
+        let w = agree(&script);
+        assert_eq!(w.direct(), 1);
+    }
+
+    #[test]
+    fn a_horizon_between_two_run_until_calls_keeps_the_order() {
+        // Drive both queues like the engine: deliver up to one horizon,
+        // advance the clock to it, schedule relative to it, deliver up to
+        // the next. The wheel position lags behind the clock after direct
+        // deliveries; later pushes must still come out in order.
+        for seed in 0..64u64 {
+            let mut rng = SimRng::seed_from_u64(0xF00D + seed);
+            let mut script = Vec::new();
+            let mut now = 0u64;
+            for _ in 0..40 {
+                for _ in 0..rng.index(4) {
+                    let d = match rng.index(4) {
+                        0 => 0,
+                        1 => rng.next_u64() % 64,
+                        2 => rng.next_u64() % 100_000,
+                        _ => rng.next_u64() % (1 << 30),
+                    };
+                    script.push(Step::Push(now + d));
+                }
+                let horizon = now + rng.next_u64() % 200_000;
+                for _ in 0..1 + rng.index(6) {
+                    script.push(Step::Pop(horizon));
+                }
+                now = horizon;
+            }
+            script.push(Step::Pop(u64::MAX));
+            let w = agree(&script);
+            let pushes = script.iter().filter(|s| matches!(s, Step::Push(_))).count() as u64;
+            assert_eq!(
+                w.level_pushes().iter().sum::<u64>() + w.direct() + u64::from(w.front_pending()),
+                pushes,
+                "seed {seed}: every push counted once"
+            );
         }
     }
 

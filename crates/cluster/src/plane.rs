@@ -675,11 +675,8 @@ impl DataPlane {
                     format!("{key}.response_time_ns"),
                     self.resp_hists[c].clone(),
                 );
-                for stage in Stage::ALL {
-                    snap.histogram(
-                        format!("{key}.{}_ns", stage.name()),
-                        self.span_hists[c][stage.index()].clone(),
-                    );
+                for (field, hist) in Stage::FIELDS.iter().zip(&self.span_hists[c]) {
+                    snap.histogram(format!("{key}.{field}"), hist.clone());
                 }
             }
         }

@@ -31,6 +31,7 @@ pub mod measure;
 pub mod metrics;
 pub mod optimize;
 pub mod probe;
+pub mod records;
 pub mod replay;
 pub mod system;
 pub mod tolerance;

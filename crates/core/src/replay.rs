@@ -8,6 +8,12 @@
 //! checking that the re-run's control records byte-match the original.
 //! A recorded incident is thereby a deterministic regression test.
 //!
+//! The record's layout is [`RunConfig`] in the declaration table of
+//! [`crate::records`]: this module only maps a [`SystemConfig`] onto that
+//! struct and back. Field order, variant names and the decoding of every
+//! field (a missing or mistyped value is an error naming its path) come
+//! from the table.
+//!
 //! ## What the closure contains — and what it deliberately omits
 //!
 //! The closure covers every parameter that affects the *bytes* of the
@@ -31,188 +37,105 @@
 //! every record type except `span`.
 
 use dmm_cluster::{DiskStall, FabricSpec, FaultPlan, NodeId, PlacementSpec, ScheduledFault};
-use dmm_cluster::{FaultKind, HotRingSpec, TierSpec};
+use dmm_cluster::{FaultKind, HotRingSpec};
 use dmm_obs::{Json, VecSink};
 use dmm_sim::{SimDuration, SimTime};
-use dmm_workload::{GoalMetric, GoalRange, WorkloadSpec};
+use dmm_workload::WorkloadSpec;
 
 use crate::baselines::ControllerKind;
-use crate::coordinator::SatisfactionMode;
-use crate::optimize::Objective;
 use crate::probe::ProbeSpec;
+use crate::records::{
+    Controller, Fabric, FaultEvent, FaultPlanRecord, Placement, Probe, RunConfig, Stall,
+};
 use crate::system::{Simulation, SystemConfig};
-use dmm_buffer::{PolicySpec, TierPolicy};
+use dmm_buffer::PolicySpec;
 
 /// Builds the `run_config` record for a configuration: the first record of
-/// every sink-enabled trace. Field order is part of the published schema.
+/// every sink-enabled trace. Its layout is [`RunConfig`]'s.
 pub fn run_config_record(config: &SystemConfig) -> Json {
     let cluster = &config.cluster;
     let goal = config.workload.classes.get(1);
-    let theta = goal.map_or(0.0, |c| c.zipf_theta);
-    let goal_ms = goal.and_then(|c| c.goal_ms);
-    let goal_rate = goal.and_then(|c| c.arrival_per_ms.first().copied());
-    let goal_quantile = goal.and_then(|c| match c.goal_metric {
-        GoalMetric::Mean => None,
-        GoalMetric::Quantile { q } => Some(q),
-    });
-
-    let controller = match config.controller {
-        ControllerKind::Hyperplane { objective } => Json::obj()
-            .field("kind", "hyperplane")
-            .field(
-                "objective",
-                match objective {
-                    Objective::MinNoGoalRt => "min_nogoal_rt",
-                    Objective::MinTotalDedicated => "min_total_dedicated",
-                    Objective::BalanceNodes => "balance_nodes",
-                },
-            )
-            .field("fraction", Json::Null),
-        ControllerKind::FragmentFencing => controller_obj("fragment_fencing", None),
-        ControllerKind::ClassFencing => controller_obj("class_fencing", None),
-        ControllerKind::Static { fraction } => controller_obj("static", Some(fraction)),
-        ControllerKind::None => controller_obj("none", None),
+    let ring = match cluster.placement {
+        PlacementSpec::HotRing(ring) => Some(ring),
+        _ => None,
     };
-    let goal_range = match config.goal_range {
-        Some(r) => Json::obj()
-            .field("min_ms", r.min_ms)
-            .field("max_ms", r.max_ms),
-        None => Json::Null,
-    };
-    let placement = match cluster.placement {
-        PlacementSpec::RoundRobin => placement_obj("round_robin", None),
-        PlacementSpec::Hash => placement_obj("hash", None),
-        PlacementSpec::HotRing(spec) => placement_obj("hot_ring", Some(spec)),
-    };
-    let fabric = match cluster.net.fabric {
-        FabricSpec::SharedMedium => Json::obj()
-            .field("kind", "shared_medium")
-            .field("bisection_bits_per_sec", Json::Null),
-        FabricSpec::Switched {
-            bisection_bits_per_sec,
-        } => Json::obj()
-            .field("kind", "switched")
-            .field("bisection_bits_per_sec", bisection_bits_per_sec),
-    };
-    let probe = match config.probe {
-        ProbeSpec::Sequential => Json::obj()
-            .field("kind", "sequential")
-            .field("batch", Json::Null),
-        ProbeSpec::Batched { batch } => Json::obj()
-            .field("kind", "batched")
-            .field("batch", batch as u64),
-    };
-    let tiers = Json::Arr(
-        cluster
-            .tiers
-            .tiers()
-            .iter()
-            .map(|t| {
-                Json::obj()
-                    .field("name", t.name.as_str())
-                    .field("hit_ms", t.hit_ms)
-                    .field("frames", t.frames.map(|f| f as u64))
-                    .field("bandwidth_bytes_per_sec", t.bandwidth_bytes_per_sec)
-            })
-            .collect(),
-    );
-    let fault_plan = match &config.fault_plan {
-        None => Json::Null,
-        Some(plan) => Json::obj()
-            .field("seed", plan.seed)
-            .field("drop_probability", plan.drop_probability)
-            .field("retransmit_ns", plan.retransmit.as_nanos())
-            .field(
-                "events",
-                Json::Arr(
-                    plan.events
-                        .iter()
-                        .map(|e| {
-                            Json::obj()
-                                .field(
-                                    "kind",
-                                    match e.kind {
-                                        FaultKind::Crash(_) => "crash",
-                                        FaultKind::Restart(_) => "restart",
-                                    },
-                                )
-                                .field("node", e.kind.node().index() as u64)
-                                .field("at_ns", e.at.as_nanos())
-                        })
-                        .collect(),
-                ),
-            )
-            .field(
-                "stalls",
-                Json::Arr(
-                    plan.stalls
-                        .iter()
-                        .map(|s| {
-                            Json::obj()
-                                .field("node", s.node.index() as u64)
-                                .field("from_ns", s.from.as_nanos())
-                                .field("until_ns", s.until.as_nanos())
-                                .field("factor", s.factor)
-                        })
-                        .collect(),
-                ),
-            ),
-    };
-
-    Json::obj()
-        .field("type", "run_config")
-        .field("seed", config.seed)
-        .field("nodes", cluster.nodes as u64)
-        .field("db_pages", cluster.db_pages as u64)
-        .field(
-            "buffer_pages_per_node",
-            cluster.buffer_pages_per_node as u64,
-        )
-        .field("theta", theta)
-        .field("goal_ms", goal_ms)
-        .field("goal_rate_per_ms", goal_rate)
-        .field("goal_quantile", goal_quantile)
-        .field("interval_ns", config.interval.as_nanos())
-        .field("warmup_intervals", config.warmup_intervals as u64)
-        .field("controller", controller)
-        .field("goal_range", goal_range)
-        .field(
-            "satisfaction",
-            match config.satisfaction {
-                SatisfactionMode::TwoSided => "two_sided",
-                SatisfactionMode::UpperBound => "upper_bound",
+    RunConfig {
+        seed: config.seed,
+        nodes: cluster.nodes,
+        db_pages: cluster.db_pages,
+        buffer_pages_per_node: cluster.buffer_pages_per_node,
+        theta: goal.map_or(0.0, |c| c.zipf_theta),
+        goal_ms: goal.and_then(|c| c.goal_ms),
+        goal_rate_per_ms: goal.and_then(|c| c.arrival_per_ms.first().copied()),
+        goal_quantile: goal.and_then(|c| c.goal_metric.quantile()),
+        interval_ns: config.interval.as_nanos(),
+        warmup_intervals: config.warmup_intervals,
+        controller: Controller {
+            kind: config.controller,
+            objective: match config.controller {
+                ControllerKind::Hyperplane { objective } => Some(objective),
+                _ => None,
             },
-        )
-        .field("release_floor_mb", config.release_floor_mb)
-        .field("placement", placement)
-        .field("fabric", fabric)
-        .field("net_bits_per_sec", cluster.net.bits_per_sec)
-        .field("probe", probe)
-        .field("tiers", tiers)
-        .field(
-            "tier_policy",
-            match cluster.tier_policy {
-                TierPolicy::Hotness => "hotness",
-                TierPolicy::StaticHash => "static_hash",
+            fraction: match config.controller {
+                ControllerKind::Static { fraction } => Some(fraction),
+                _ => None,
             },
-        )
-        .field("fault_plan", fault_plan)
-        .field("replayable", is_replayable(config))
-}
-
-fn controller_obj(kind: &str, fraction: Option<f64>) -> Json {
-    Json::obj()
-        .field("kind", kind)
-        .field("objective", Json::Null)
-        .field("fraction", fraction)
-}
-
-fn placement_obj(kind: &str, ring: Option<HotRingSpec>) -> Json {
-    Json::obj()
-        .field("kind", kind)
-        .field("vnodes", ring.map(|r| r.vnodes as u64))
-        .field("max_replicas", ring.map(|r| r.max_replicas as u64))
-        .field("ring_seed", ring.map(|r| r.seed))
+        },
+        goal_range: config.goal_range,
+        satisfaction: config.satisfaction,
+        release_floor_mb: config.release_floor_mb,
+        placement: Placement {
+            kind: cluster.placement,
+            vnodes: ring.map(|r| r.vnodes),
+            max_replicas: ring.map(|r| r.max_replicas),
+            ring_seed: ring.map(|r| r.seed),
+        },
+        fabric: Fabric {
+            kind: cluster.net.fabric,
+            bisection_bits_per_sec: match cluster.net.fabric {
+                FabricSpec::Switched {
+                    bisection_bits_per_sec,
+                } => bisection_bits_per_sec,
+                FabricSpec::SharedMedium => None,
+            },
+        },
+        net_bits_per_sec: cluster.net.bits_per_sec,
+        probe: Probe {
+            kind: config.probe,
+            batch: match config.probe {
+                ProbeSpec::Batched { batch } => Some(batch),
+                ProbeSpec::Sequential => None,
+            },
+        },
+        tiers: cluster.tiers.tiers().to_vec(),
+        tier_policy: cluster.tier_policy,
+        fault_plan: config.fault_plan.as_ref().map(|plan| FaultPlanRecord {
+            seed: plan.seed,
+            drop_probability: plan.drop_probability,
+            retransmit_ns: plan.retransmit.as_nanos(),
+            events: plan
+                .events
+                .iter()
+                .map(|e| FaultEvent {
+                    kind: e.kind,
+                    node: e.kind.node().0,
+                    at_ns: e.at.as_nanos(),
+                })
+                .collect(),
+            stalls: plan
+                .stalls
+                .iter()
+                .map(|s| Stall {
+                    node: s.node.0,
+                    from_ns: s.from.as_nanos(),
+                    until_ns: s.until.as_nanos(),
+                    factor: s.factor,
+                })
+                .collect(),
+        }),
+        replayable: is_replayable(config),
+    }
+    .into_json()
 }
 
 /// Whether the closure can rebuild the run: the workload matches the
@@ -241,35 +164,18 @@ fn is_replayable(config: &SystemConfig) -> bool {
         goal_ms,
     );
     candidate.classes[1].goal_metric = goal.goal_metric;
-    // ClassSpec carries vectors without PartialEq; the Debug form is a
-    // complete, deterministic rendering of every field.
-    format!("{:?}", candidate.classes) == format!("{:?}", classes)
+    candidate.classes == *classes
 }
 
-/// Reads field `key` of `obj`, the record object at path `at` (`""` at the
-/// top level, else ending in `.`), with the accessor `get`. A missing or
-/// mistyped field is an error naming its full path.
-fn read<'a, T>(
-    obj: &'a Json,
-    at: &str,
-    key: &str,
-    get: fn(&'a Json) -> Option<T>,
-) -> Result<T, String> {
-    obj.get(key)
-        .and_then(get)
-        .ok_or_else(|| format!("run_config.{at}{key} missing or mistyped"))
-}
-
-/// [`read`] for an unsigned integer, narrowed to the type its field holds:
-/// an out-of-range value is an error naming the field, never a silent wrap.
-fn int<T: TryFrom<u64>>(obj: &Json, at: &str, key: &str) -> Result<T, String> {
-    let value = read(obj, at, key, Json::as_u64)?;
-    T::try_from(value).map_err(|_| format!("run_config.{at}{key} = {value} is out of range"))
+/// A payload field its variant requires, `null` in the record: an error
+/// naming its path.
+fn required<T>(value: Option<T>, path: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("run_config.{path} missing or mistyped"))
 }
 
 /// Rebuilds a [`SystemConfig`] from a parsed `run_config` record.
 pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
-    if record.get("type").and_then(Json::as_str) != Some("run_config") {
+    if record.get("type").and_then(Json::as_str) != Some(RunConfig::KIND) {
         return Err("not a run_config record".to_string());
     }
     if record.get("replayable").and_then(Json::as_bool) != Some(true) {
@@ -278,155 +184,99 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
                 .to_string(),
         );
     }
-    let num = |key| read(record, "", key, Json::as_f64);
-    let text = |key| read(record, "", key, Json::as_str);
+    let rc = RunConfig::from_record(record)?;
 
-    let controller = {
-        let c = read(record, "", "controller", Some)?;
-        match read(c, "controller.", "kind", Json::as_str)? {
-            "hyperplane" => ControllerKind::Hyperplane {
-                objective: match read(c, "controller.", "objective", Json::as_str)? {
-                    "min_nogoal_rt" => Objective::MinNoGoalRt,
-                    "min_total_dedicated" => Objective::MinTotalDedicated,
-                    "balance_nodes" => Objective::BalanceNodes,
-                    other => return Err(format!("unknown LP objective {other:?}")),
-                },
-            },
-            "fragment_fencing" => ControllerKind::FragmentFencing,
-            "class_fencing" => ControllerKind::ClassFencing,
-            "static" => ControllerKind::Static {
-                fraction: read(c, "controller.", "fraction", Json::as_f64)?,
-            },
-            "none" => ControllerKind::None,
-            other => return Err(format!("unknown controller kind {other:?}")),
-        }
+    let controller = match rc.controller.kind {
+        ControllerKind::Hyperplane { .. } => ControllerKind::Hyperplane {
+            objective: required(rc.controller.objective, "controller.objective")?,
+        },
+        ControllerKind::Static { .. } => ControllerKind::Static {
+            fraction: required(rc.controller.fraction, "controller.fraction")?,
+        },
+        kind => kind,
     };
-    let placement = {
-        let p = read(record, "", "placement", Some)?;
-        match read(p, "placement.", "kind", Json::as_str)? {
-            "round_robin" => PlacementSpec::RoundRobin,
-            "hash" => PlacementSpec::Hash,
-            "hot_ring" => PlacementSpec::HotRing(HotRingSpec {
-                vnodes: int(p, "placement.", "vnodes")?,
-                max_replicas: int(p, "placement.", "max_replicas")?,
-                seed: int(p, "placement.", "ring_seed")?,
-            }),
-            other => return Err(format!("unknown placement kind {other:?}")),
-        }
+    let placement = match rc.placement.kind {
+        PlacementSpec::HotRing(_) => PlacementSpec::HotRing(HotRingSpec {
+            vnodes: required(rc.placement.vnodes, "placement.vnodes")?,
+            max_replicas: required(rc.placement.max_replicas, "placement.max_replicas")?,
+            seed: required(rc.placement.ring_seed, "placement.ring_seed")?,
+        }),
+        kind => kind,
     };
-    let fabric = {
-        let f = read(record, "", "fabric", Some)?;
-        match read(f, "fabric.", "kind", Json::as_str)? {
-            "shared_medium" => FabricSpec::SharedMedium,
-            "switched" => FabricSpec::Switched {
-                bisection_bits_per_sec: f.get("bisection_bits_per_sec").and_then(Json::as_u64),
-            },
-            other => return Err(format!("unknown fabric kind {other:?}")),
-        }
+    let fabric = match rc.fabric.kind {
+        FabricSpec::Switched { .. } => FabricSpec::Switched {
+            bisection_bits_per_sec: rc.fabric.bisection_bits_per_sec,
+        },
+        kind => kind,
     };
-    let probe = {
-        let p = read(record, "", "probe", Some)?;
-        match read(p, "probe.", "kind", Json::as_str)? {
-            "sequential" => ProbeSpec::Sequential,
-            "batched" => ProbeSpec::Batched {
-                batch: int(p, "probe.", "batch")?,
-            },
-            other => return Err(format!("unknown probe kind {other:?}")),
-        }
+    let probe = match rc.probe.kind {
+        ProbeSpec::Batched { .. } => ProbeSpec::Batched {
+            batch: required(rc.probe.batch, "probe.batch")?,
+        },
+        kind => kind,
     };
-    let tiers: Vec<TierSpec> = read(record, "", "tiers", Json::as_arr)?
-        .iter()
-        .map(|t| -> Result<TierSpec, String> {
-            Ok(TierSpec {
-                name: read(t, "tiers.", "name", Json::as_str)?.to_string(),
-                hit_ms: read(t, "tiers.", "hit_ms", Json::as_f64)?,
-                frames: t
-                    .get("frames")
-                    .and_then(Json::as_u64)
-                    .map(|_| int(t, "tiers.", "frames"))
-                    .transpose()?,
-                bandwidth_bytes_per_sec: t.get("bandwidth_bytes_per_sec").and_then(Json::as_u64),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let fault_plan = match record.get("fault_plan") {
-        None | Some(Json::Null) => None,
-        Some(p) => {
-            let mut plan = FaultPlan::new(int(p, "fault_plan.", "seed")?);
-            plan.drop_probability = read(p, "fault_plan.", "drop_probability", Json::as_f64)?;
-            plan.retransmit = SimDuration::from_nanos(int(p, "fault_plan.", "retransmit_ns")?);
-            let instant = |obj, path, key| -> Result<SimTime, String> {
-                Ok(SimTime::ZERO + SimDuration::from_nanos(int(obj, path, key)?))
-            };
-            for e in p.get("events").and_then(Json::as_arr).unwrap_or(&[]) {
-                let path = "fault_plan.events.";
-                let node = NodeId(int(e, path, "node")?);
-                let kind = match read(e, path, "kind", Json::as_str)? {
-                    "crash" => FaultKind::Crash(node),
-                    "restart" => FaultKind::Restart(node),
-                    other => return Err(format!("unknown fault kind {other:?}")),
-                };
-                let at = instant(e, path, "at_ns")?;
-                plan.events.push(ScheduledFault { at, kind });
-            }
-            for s in p.get("stalls").and_then(Json::as_arr).unwrap_or(&[]) {
-                let path = "fault_plan.stalls.";
-                plan.stalls.push(DiskStall {
-                    node: NodeId(int(s, path, "node")?),
-                    from: instant(s, path, "from_ns")?,
-                    until: instant(s, path, "until_ns")?,
-                    factor: read(s, path, "factor", Json::as_f64)?,
-                });
-            }
-            Some(plan)
-        }
-    };
+    let instant = |ns| SimTime::ZERO + SimDuration::from_nanos(ns);
 
     let mut builder = SystemConfig::builder()
-        .seed(int(record, "", "seed")?)
-        .theta(num("theta")?)
-        .goal_ms(num("goal_ms")?)
-        .nodes(int(record, "", "nodes")?)
-        .db_pages(int(record, "", "db_pages")?)
-        .buffer_pages_per_node(int(record, "", "buffer_pages_per_node")?)
-        .goal_rate_per_ms(num("goal_rate_per_ms")?)
-        .warmup_intervals(int(record, "", "warmup_intervals")?)
+        .seed(rc.seed)
+        .theta(rc.theta)
+        .goal_ms(required(rc.goal_ms, "goal_ms")?)
+        .nodes(rc.nodes)
+        .db_pages(rc.db_pages)
+        .buffer_pages_per_node(rc.buffer_pages_per_node)
+        .goal_rate_per_ms(required(rc.goal_rate_per_ms, "goal_rate_per_ms")?)
+        .warmup_intervals(rc.warmup_intervals)
         .controller(controller)
-        .satisfaction(match text("satisfaction")? {
-            "two_sided" => SatisfactionMode::TwoSided,
-            "upper_bound" => SatisfactionMode::UpperBound,
-            other => return Err(format!("unknown satisfaction mode {other:?}")),
-        })
-        .release_floor_mb(num("release_floor_mb")?)
+        .satisfaction(rc.satisfaction)
+        .release_floor_mb(rc.release_floor_mb)
         .placement(placement)
         .fabric(fabric)
-        .net_bits_per_sec(int(record, "", "net_bits_per_sec")?)
+        .net_bits_per_sec(rc.net_bits_per_sec)
         .probe(probe)
-        .tiers(tiers)
-        .tier_policy(match text("tier_policy")? {
-            "hotness" => TierPolicy::Hotness,
-            "static_hash" => TierPolicy::StaticHash,
-            other => return Err(format!("unknown tier policy {other:?}")),
-        });
-    if let Some(q) = record.get("goal_quantile").and_then(Json::as_f64) {
+        .tiers(rc.tiers)
+        .tier_policy(rc.tier_policy);
+    if let Some(q) = rc.goal_quantile {
         builder = builder.goal_quantile(q);
     }
-    if let Some(range) = record
-        .get("goal_range")
-        .filter(|r| !matches!(r, Json::Null))
-    {
-        builder = builder.goal_range(GoalRange::new(
-            read(range, "goal_range.", "min_ms", Json::as_f64)?,
-            read(range, "goal_range.", "max_ms", Json::as_f64)?,
-        ));
+    if let Some(range) = rc.goal_range {
+        // The condition `GoalRange::new` asserts; the builder takes a range
+        // as given, and a record is outside input.
+        if !(range.min_ms > 0.0 && range.max_ms > range.min_ms) {
+            return Err("run_config.goal_range is not 0 < min_ms < max_ms".to_string());
+        }
+        builder = builder.goal_range(range);
     }
-    if let Some(plan) = fault_plan {
+    if let Some(p) = rc.fault_plan {
+        let mut plan = FaultPlan::new(p.seed);
+        plan.drop_probability = p.drop_probability;
+        plan.retransmit = SimDuration::from_nanos(p.retransmit_ns);
+        plan.events = p
+            .events
+            .into_iter()
+            .map(|e| ScheduledFault {
+                at: instant(e.at_ns),
+                kind: match e.kind {
+                    FaultKind::Crash(_) => FaultKind::Crash(NodeId(e.node)),
+                    FaultKind::Restart(_) => FaultKind::Restart(NodeId(e.node)),
+                },
+            })
+            .collect();
+        plan.stalls = p
+            .stalls
+            .into_iter()
+            .map(|s| DiskStall {
+                node: NodeId(s.node),
+                from: instant(s.from_ns),
+                until: instant(s.until_ns),
+                factor: s.factor,
+            })
+            .collect();
         builder = builder.fault_plan(plan);
     }
     let mut config = builder.build().map_err(|e| e.to_string())?;
     // The builder always starts from the §7.1 interval; restore the
     // recorded one exactly.
-    config.interval = SimDuration::from_nanos(int(record, "", "interval_ns")?);
+    config.interval = SimDuration::from_nanos(rc.interval_ns);
     Ok(config)
 }
 
@@ -560,8 +410,12 @@ pub fn verify_jsonl(text: &str, limit: usize) -> Result<ReplayReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::SatisfactionMode;
+    use crate::optimize::Objective;
     use crate::system::SystemConfigBuilder;
-    use dmm_buffer::ClassId;
+    use dmm_buffer::{ClassId, TierPolicy};
+    use dmm_cluster::TierSpec;
+    use dmm_workload::GoalRange;
 
     fn traced(config: SystemConfig, intervals: u32) -> String {
         let sink = VecSink::new();
@@ -682,6 +536,23 @@ mod tests {
             let rebuilt = config_from_record(&reparsed).expect("round trip through text");
             assert_eq!(run_config_record(&rebuilt).to_string(), text, "{row}");
         }
+    }
+
+    /// A malformed goal range is refused. Decoded through `GoalRange::new`,
+    /// such a range panicked on its assertion.
+    #[test]
+    fn an_invalid_goal_range_is_refused_not_panicked() {
+        let config = SystemConfig::builder()
+            .goal_ms(8.0)
+            .goal_range(GoalRange::new(4.0, 40.0))
+            .build()
+            .expect("valid config");
+        let mut record = run_config_record(&config);
+        *at_path(&mut record, "goal_range.max_ms") = Json::F64(2.0);
+        assert_eq!(
+            config_from_record(&record).expect_err("min above max"),
+            "run_config.goal_range is not 0 < min_ms < max_ms"
+        );
     }
 
     /// An integer too wide for its field is refused with the field's name.
@@ -841,5 +712,213 @@ mod tests {
         let rebuilt = config_from_record(&record).expect("round trip");
         assert!(rebuilt.workload.classes[1].goal_metric.is_quantile());
         let _ = ClassId(1);
+    }
+
+    /// The value at a dotted path of a record (`fault_plan.events.1.kind`;
+    /// numeric steps index arrays).
+    fn at_path<'a>(json: &'a mut Json, path: &str) -> &'a mut Json {
+        path.split('.').fold(json, |json, step| match json {
+            Json::Obj(fields) => {
+                let Some((_, value)) = fields.iter_mut().find(|(k, _)| k == step) else {
+                    panic!("no field {step} in {path}")
+                };
+                value
+            }
+            Json::Arr(items) => &mut items[step.parse::<usize>().expect("array index")],
+            other => panic!("{path}: cannot step into {other}"),
+        })
+    }
+
+    /// A closure exercising every variant name the record carries, one row
+    /// per (path, name): the default config names the first variant of
+    /// each enum, and each row switches one enum to another variant.
+    fn named_variants() -> Vec<(&'static str, &'static str, SystemConfigBuilder)> {
+        let small = || {
+            SystemConfig::builder()
+                .seed(9)
+                .goal_ms(8.0)
+                .db_pages(400)
+                .buffer_pages_per_node(96)
+                .fault_plan(
+                    FaultPlan::new(3)
+                        .crash_ms(NodeId(1), 20_000)
+                        .restart_ms(NodeId(1), 60_000),
+                )
+        };
+        let hyperplane = |objective| ControllerKind::Hyperplane { objective };
+        vec![
+            ("satisfaction", "two_sided", small()),
+            (
+                "satisfaction",
+                "upper_bound",
+                small().satisfaction(SatisfactionMode::UpperBound),
+            ),
+            ("tier_policy", "hotness", small()),
+            (
+                "tier_policy",
+                "static_hash",
+                small().tier_policy(TierPolicy::StaticHash),
+            ),
+            ("controller.kind", "hyperplane", small()),
+            ("controller.objective", "min_nogoal_rt", small()),
+            (
+                "controller.objective",
+                "min_total_dedicated",
+                small().controller(hyperplane(Objective::MinTotalDedicated)),
+            ),
+            (
+                "controller.objective",
+                "balance_nodes",
+                small().controller(hyperplane(Objective::BalanceNodes)),
+            ),
+            (
+                "controller.kind",
+                "fragment_fencing",
+                small().controller(ControllerKind::FragmentFencing),
+            ),
+            (
+                "controller.kind",
+                "class_fencing",
+                small().controller(ControllerKind::ClassFencing),
+            ),
+            (
+                "controller.kind",
+                "static",
+                small().controller(ControllerKind::Static { fraction: 0.25 }),
+            ),
+            (
+                "controller.kind",
+                "none",
+                small().controller(ControllerKind::None),
+            ),
+            ("placement.kind", "round_robin", small()),
+            (
+                "placement.kind",
+                "hash",
+                small().placement(PlacementSpec::Hash),
+            ),
+            (
+                "placement.kind",
+                "hot_ring",
+                small().placement(PlacementSpec::HotRing(HotRingSpec::default())),
+            ),
+            ("fabric.kind", "shared_medium", small()),
+            (
+                "fabric.kind",
+                "switched",
+                small().fabric(FabricSpec::Switched {
+                    bisection_bits_per_sec: None,
+                }),
+            ),
+            ("probe.kind", "sequential", small()),
+            (
+                "probe.kind",
+                "batched",
+                small().nodes(4).probe(ProbeSpec::Batched { batch: 2 }),
+            ),
+            ("fault_plan.events.0.kind", "crash", small()),
+            ("fault_plan.events.1.kind", "restart", small()),
+        ]
+    }
+
+    #[test]
+    fn every_variant_encodes_to_its_name_and_decodes_to_itself() {
+        for (path, name, builder) in named_variants() {
+            let config = builder.build().expect("valid config");
+            let mut record = run_config_record(&config);
+            let written = at_path(&mut record, path).as_str().map(str::to_string);
+            assert_eq!(written.as_deref(), Some(name), "{path}: {record}");
+            let rebuilt = config_from_record(&record).expect("decodes");
+            assert_eq!(rebuilt.controller, config.controller, "{path} = {name}");
+            assert_eq!(rebuilt.satisfaction, config.satisfaction, "{path} = {name}");
+            assert_eq!(rebuilt.probe, config.probe, "{path} = {name}");
+            assert_eq!(rebuilt.fault_plan, config.fault_plan, "{path} = {name}");
+            assert_eq!(rebuilt.cluster, config.cluster, "{path} = {name}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_variant_name_is_refused_naming_its_path() {
+        for (path, name, builder) in named_variants() {
+            let config = builder.build().expect("valid config");
+            let mut record = run_config_record(&config);
+            *at_path(&mut record, path) = Json::from("bogus");
+            let err = config_from_record(&record).expect_err(path);
+            // Array elements report under the array's path.
+            let field = path.replace(".0.", ".").replace(".1.", ".");
+            assert!(
+                err.starts_with(&format!("run_config.{field} = \"bogus\" is not one of ")),
+                "{path} = {name}: {err}"
+            );
+        }
+    }
+
+    /// Nullable fields read `null` as absent, but a missing field or a value
+    /// of the wrong type is an error naming the field — not a silent
+    /// default.
+    #[test]
+    fn a_mistyped_or_missing_nullable_field_is_refused() {
+        let config = SystemConfig::builder()
+            .goal_ms(8.0)
+            .fabric(FabricSpec::Switched {
+                bisection_bits_per_sec: Some(400_000_000),
+            })
+            .tiers(vec![
+                TierSpec::new("dram", 0.03),
+                TierSpec::new("cxl", 0.25)
+                    .frames(48)
+                    .bandwidth(2_000_000_000),
+                TierSpec::new("remote", 0.5),
+                TierSpec::new("disk", 12.6),
+            ])
+            .fault_plan(FaultPlan::new(3).crash_ms(NodeId(1), 20_000))
+            .build()
+            .expect("valid config");
+        let record = run_config_record(&config);
+        config_from_record(&record).expect("the unedited record decodes");
+        let mistyped = [
+            ("fabric.bisection_bits_per_sec", Json::from("fast")),
+            ("tiers.1.frames", Json::from("many")),
+            ("tiers.1.bandwidth_bytes_per_sec", Json::from(true)),
+            ("goal_quantile", Json::from("p95")),
+            ("fault_plan.events", Json::from(7u64)),
+            ("fault_plan.stalls", Json::from("none")),
+        ];
+        for (path, value) in mistyped {
+            let mut edited = record.clone();
+            *at_path(&mut edited, path) = value;
+            let field = path.replace(".1.", ".");
+            assert_eq!(
+                config_from_record(&edited).expect_err(path),
+                format!("run_config.{field} missing or mistyped")
+            );
+        }
+        for (parent, key) in [
+            ("fabric", "bisection_bits_per_sec"),
+            ("tiers.0", "frames"),
+            ("tiers.0", "bandwidth_bytes_per_sec"),
+            ("fault_plan", "events"),
+            ("fault_plan", "stalls"),
+        ] {
+            let mut edited = record.clone();
+            let Json::Obj(fields) = at_path(&mut edited, parent) else {
+                panic!("{parent} is an object");
+            };
+            fields.retain(|(k, _)| k != key);
+            let field = format!("{parent}.{key}").replace(".0.", ".");
+            assert_eq!(
+                config_from_record(&edited).expect_err(key),
+                format!("run_config.{field} missing or mistyped")
+            );
+        }
+        let mut edited = record.clone();
+        let Json::Obj(fields) = &mut edited else {
+            panic!("record is an object");
+        };
+        fields.retain(|(k, _)| k != "goal_quantile");
+        assert_eq!(
+            config_from_record(&edited).expect_err("no goal_quantile"),
+            "run_config.goal_quantile missing or mistyped"
+        );
     }
 }

@@ -13,7 +13,7 @@ use dmm_cluster::{
     ClusterEvent, ClusterParams, CostSlot, DataPlane, FabricSpec, FaultKind, FaultPlan, NodeId,
     PlacementSpec, TierLadder, TierSpec,
 };
-use dmm_obs::{Json, MetricsSnapshot, NoopSink, SpanMode, Stage, TraceSink};
+use dmm_obs::{Json, MetricsSnapshot, NoopSink, SpanMode, TraceSink};
 use dmm_sim::{Engine, ExecMode, Handler, Scheduler, SimDuration, SimParams, SimTime};
 use dmm_workload::{GoalRange, GoalSchedule, WorkloadGenerator, WorkloadSpec};
 
@@ -25,6 +25,7 @@ use crate::error::Error;
 use crate::measure::MeasureStore;
 use crate::metrics::{ConvergenceStats, IntervalRecord};
 use crate::probe::ProbeSpec;
+use crate::records::{self, GoalMetricLabel, IntervalQuantile, TierExtension, TierLoad};
 
 /// Observation-interval length a built configuration starts with (§7.1).
 /// A replayed trace restores its recorded interval into
@@ -568,20 +569,15 @@ impl SimState {
             // DESIGN.md), so `response_ms` is redundant but convenient.
             if sink.enabled() {
                 if let Some(stages) = c.span {
-                    let mut nested = Json::obj();
-                    for stage in Stage::ALL {
-                        nested =
-                            nested.field(&format!("{}_ns", stage.name()), stages[stage.index()]);
-                    }
-                    let record = Json::obj()
-                        .field("type", "span")
-                        .field("t_ms", c.finished.as_millis_f64())
-                        .field("op", c.id.0)
-                        .field("class", c.class.index() as u64)
-                        .field("origin", c.origin.index() as u64)
-                        .field("response_ms", c.response_ms())
-                        .field("stages", nested);
-                    sink.emit(&record);
+                    let record = records::Span {
+                        t_ms: c.finished.as_millis_f64(),
+                        op: c.id.0,
+                        class: c.class.index() as u64,
+                        origin: c.origin.index() as u64,
+                        response_ms: c.response_ms(),
+                        stages,
+                    };
+                    sink.emit(&record.into_json());
                 }
             }
         }
@@ -617,14 +613,14 @@ impl SimState {
         // scheme A vs scheme B traces differ only where the load does.
         if self.sink.enabled() {
             let load = self.plane.home_load();
-            let rec = Json::obj()
-                .field("type", "home_load")
-                .field("interval", self.interval_idx.saturating_sub(1) as u64)
-                .field("t_ms", now.as_millis_f64())
-                .field("home_pages", Json::from(load.home_pages.as_slice()))
-                .field("home_reads", Json::from(load.home_reads.as_slice()))
-                .field("remote_fanin", Json::from(load.remote_fanin.as_slice()));
-            self.sink.emit(&rec);
+            let rec = records::HomeLoad {
+                interval: self.interval_idx.saturating_sub(1) as u64,
+                t_ms: now.as_millis_f64(),
+                home_pages: load.home_pages,
+                home_reads: load.home_reads,
+                remote_fanin: load.remote_fanin,
+            };
+            self.sink.emit(&rec.into_json());
         }
         // Per-link network-load snapshot, only under a switched fabric: the
         // cumulative TX/RX busy fraction of every node's links (and of the
@@ -641,14 +637,14 @@ impl SimState {
                     tx.push(u.tx);
                     rx.push(u.rx);
                 }
-                let rec = Json::obj()
-                    .field("type", "net_load")
-                    .field("interval", self.interval_idx.saturating_sub(1) as u64)
-                    .field("t_ms", now.as_millis_f64())
-                    .field("tx_busy", Json::from(tx.as_slice()))
-                    .field("rx_busy", Json::from(rx.as_slice()))
-                    .field("bisection_busy", net.bisection_utilization(now));
-                self.sink.emit(&rec);
+                let rec = records::NetLoad {
+                    interval: self.interval_idx.saturating_sub(1) as u64,
+                    t_ms: now.as_millis_f64(),
+                    tx_busy: tx,
+                    rx_busy: rx,
+                    bisection_busy: net.bisection_utilization(now),
+                };
+                self.sink.emit(&rec.into_json());
             }
         }
         let interval_ms = self.interval.as_millis_f64();
@@ -707,7 +703,7 @@ impl SimState {
     fn coord_check(&mut self, class: ClassId, now: SimTime, sched: &mut Scheduler<SysEvent>) {
         let measuring = self.interval_idx > self.warmup_intervals;
         let home = self.coord_home[class.index()];
-        let outcome = self.coord_mut(class).check(now);
+        let mut outcome = self.coord_mut(class).check(now);
 
         let metric = self.coordinators[class.index()]
             .as_ref()
@@ -746,56 +742,49 @@ impl SimState {
                 class_pool.merge(&self.plane.pool_stats(node, class));
                 nogoal_pool.merge(&self.plane.pool_stats(node, dmm_buffer::NO_GOAL));
             }
-            let mut levels = Json::obj();
-            for (name, share) in self.slot_names.iter().zip(&self.level_share) {
-                levels = levels.field(name, *share);
-            }
-            let mut rec = Json::obj()
-                .field("type", "interval")
-                .field("interval", record.interval as u64)
-                .field("t_ms", now.as_millis_f64())
-                .field("class", class.index() as u64)
-                .field("observed_ms", record.observed_ms)
-                .field("goal_ms", record.goal_ms)
-                .field("nogoal_ms", record.nogoal_ms)
-                .field("tolerance_ms", outcome.tolerance_ms)
-                .field("satisfied", outcome.satisfied)
-                .field("settling", outcome.settling)
-                .field("store_cleared", outcome.store_cleared)
-                .field("phase", phase)
-                .field(
-                    "dedicated_mb",
-                    record.dedicated_bytes as f64 / (1024.0 * 1024.0),
-                )
-                .field("level_share", levels)
-                .field("class_hit_rate", class_pool.hit_rate())
-                .field("nogoal_hit_rate", nogoal_pool.hit_rate())
-                .field("residual_ms", outcome.prediction_residual_ms);
             // Quantile goals append their fields *after* the base layout,
             // so mean-goal traces stay byte-identical (the quantile path is
-            // purely additive).
-            if metric.is_quantile() {
-                rec = rec
-                    .field("observed_p_ms", outcome.observed_quantile_ms)
-                    .field("goal_metric", metric.label().as_str());
-            }
-            // Extended ladders append per-tier occupancy *after* every other
-            // extension, so default-ladder traces stay byte-identical.
-            if self.plane.params().tiers.is_extended() {
-                let mut tiers = Json::obj();
-                for (name, resident, frames) in self.plane.tier_occupancy() {
-                    tiers = tiers.field(
-                        &name,
-                        Json::obj()
-                            .field("resident", resident)
-                            .field("frames", frames),
-                    );
-                }
-                rec = rec.field("tier_occupancy", tiers);
-            }
-            self.sink.emit(&rec);
+            // purely additive); extended ladders append per-tier occupancy
+            // after every other extension, for the same reason.
+            let rec = records::Interval {
+                interval: record.interval as u64,
+                t_ms: now.as_millis_f64(),
+                class: class.index() as u64,
+                observed_ms: record.observed_ms,
+                goal_ms: record.goal_ms,
+                nogoal_ms: record.nogoal_ms,
+                tolerance_ms: outcome.tolerance_ms,
+                satisfied: outcome.satisfied,
+                settling: outcome.settling,
+                store_cleared: outcome.store_cleared,
+                phase,
+                dedicated_mb: record.dedicated_bytes as f64 / (1024.0 * 1024.0),
+                level_share: records::keyed(
+                    self.slot_names.iter().zip(self.level_share.iter().copied()),
+                ),
+                class_hit_rate: class_pool.hit_rate(),
+                nogoal_hit_rate: nogoal_pool.hit_rate(),
+                residual_ms: outcome.prediction_residual_ms,
+                quantile: metric.is_quantile().then(|| IntervalQuantile {
+                    observed_p_ms: outcome.observed_quantile_ms,
+                    goal_metric: metric.label(),
+                }),
+                tier: self
+                    .plane
+                    .params()
+                    .tiers
+                    .is_extended()
+                    .then(|| TierExtension {
+                        tier_occupancy: records::keyed(
+                            self.plane.tier_occupancy().into_iter().map(
+                                |(name, resident, frames)| (name, TierLoad { resident, frames }),
+                            ),
+                        ),
+                    }),
+            };
+            self.sink.emit(&rec.into_json());
 
-            if let Some(trace) = &outcome.optimize {
+            if let Some(trace) = outcome.optimize.take() {
                 let current: Vec<f64> = self.coordinators[class.index()]
                     .as_ref()
                     .expect("goal class")
@@ -806,41 +795,29 @@ impl SimState {
                     .clone()
                     .unwrap_or_else(|| current.clone());
                 let delta: f64 = requested.iter().sum::<f64>() - current.iter().sum::<f64>();
-                let mut rec = Json::obj()
-                    .field("type", "optimize")
-                    .field("interval", record.interval as u64)
-                    .field("class", class.index() as u64)
-                    .field("path", trace.path)
-                    .field("points", trace.points as u64)
-                    .field(
-                        "plane_w",
-                        match &trace.plane_w {
-                            Some(w) => Json::from(w.as_slice()),
-                            None => Json::Null,
-                        },
-                    )
-                    .field("plane_c", trace.plane_c)
-                    .field("goal_attainable", trace.goal_attainable)
-                    .field("predicted_class_ms", trace.predicted_class_ms)
-                    .field(
-                        "fit_residuals_ms",
-                        match &trace.fit_residuals_ms {
-                            Some(r) => Json::from(r.as_slice()),
-                            None => Json::Null,
-                        },
-                    )
-                    .field("fit_rms_ms", trace.fit_rms_ms)
-                    .field("fallback", trace.fallback)
-                    .field("current_mb", Json::from(current.as_slice()))
-                    .field("requested_mb", Json::from(requested.as_slice()))
-                    .field("delta_mb", delta);
                 // For quantile goals the fitted surface runs through
                 // observed quantiles; label the record so analyzers know
                 // what `predicted_class_ms` predicts.
-                if metric.is_quantile() {
-                    rec = rec.field("goal_metric", metric.label().as_str());
-                }
-                self.sink.emit(&rec);
+                let rec = records::Optimize {
+                    interval: record.interval as u64,
+                    class: class.index() as u64,
+                    path: trace.path,
+                    points: trace.points,
+                    plane_w: trace.plane_w,
+                    plane_c: trace.plane_c,
+                    goal_attainable: trace.goal_attainable,
+                    predicted_class_ms: trace.predicted_class_ms,
+                    fit_residuals_ms: trace.fit_residuals_ms,
+                    fit_rms_ms: trace.fit_rms_ms,
+                    fallback: trace.fallback,
+                    current_mb: current,
+                    requested_mb: requested,
+                    delta_mb: delta,
+                    quantile: metric.is_quantile().then(|| GoalMetricLabel {
+                        goal_metric: metric.label(),
+                    }),
+                };
+                self.sink.emit(&rec.into_json());
             }
         }
 
@@ -856,17 +833,17 @@ impl SimState {
                         self.convergence[class.index()].on_goal_change();
                     }
                     if self.sink.enabled() {
-                        let mut rec = Json::obj()
-                            .field("type", "goal_change")
-                            .field("interval", self.interval_idx.saturating_sub(1) as u64)
-                            .field("t_ms", now.as_millis_f64())
-                            .field("class", class.index() as u64)
-                            .field("old_goal_ms", old_goal)
-                            .field("new_goal_ms", new_goal);
-                        if metric.is_quantile() {
-                            rec = rec.field("goal_metric", metric.label().as_str());
-                        }
-                        self.sink.emit(&rec);
+                        let rec = records::GoalChange {
+                            interval: self.interval_idx.saturating_sub(1) as u64,
+                            t_ms: now.as_millis_f64(),
+                            class: class.index() as u64,
+                            old_goal_ms: old_goal,
+                            new_goal_ms: new_goal,
+                            quantile: metric.is_quantile().then(|| GoalMetricLabel {
+                                goal_metric: metric.label(),
+                            }),
+                        };
+                        self.sink.emit(&rec.into_json());
                     }
                 }
             }
@@ -926,13 +903,13 @@ impl SimState {
                             .expect("fault plans never crash the whole cluster");
                         self.migrate_coordinator_from(class, new_home, new_home, now);
                         if self.sink.enabled() {
-                            let rec = Json::obj()
-                                .field("type", "failover")
-                                .field("t_ms", now.as_millis_f64())
-                                .field("class", class.index() as u64)
-                                .field("from", node.index() as u64)
-                                .field("to", new_home.index() as u64);
-                            self.sink.emit(&rec);
+                            let rec = records::Failover {
+                                t_ms: now.as_millis_f64(),
+                                class: class.index() as u64,
+                                from: node.index() as u64,
+                                to: new_home.index() as u64,
+                            };
+                            self.sink.emit(&rec.into_json());
                         }
                     }
                     self.coord_mut(class).node_down(node);
@@ -941,7 +918,7 @@ impl SimState {
                         self.convergence[class.index()].on_goal_change();
                     }
                 }
-                self.emit_fault_record("crash", node, now);
+                self.emit_fault_record(kind, now);
             }
             FaultKind::Restart(node) => {
                 if self.plane.is_up(node) {
@@ -952,25 +929,25 @@ impl SimState {
                     let class = self.goal_ids[i];
                     self.coord_mut(class).node_up(node);
                 }
-                self.emit_fault_record("restart", node, now);
+                self.emit_fault_record(kind, now);
             }
         }
     }
 
-    fn emit_fault_record(&mut self, kind: &str, node: NodeId, now: SimTime) {
+    fn emit_fault_record(&mut self, kind: FaultKind, now: SimTime) {
         if !self.sink.enabled() {
             return;
         }
         let stats = self.plane.fault_stats();
-        let rec = Json::obj()
-            .field("type", "fault")
-            .field("t_ms", now.as_millis_f64())
-            .field("kind", kind)
-            .field("node", node.index() as u64)
-            .field("live_nodes", self.plane.live_nodes() as u64)
-            .field("last_copy_losses", stats.last_copy_losses)
-            .field("ops_aborted", stats.ops_aborted);
-        self.sink.emit(&rec);
+        let rec = records::Fault {
+            t_ms: now.as_millis_f64(),
+            kind,
+            node: kind.node().index() as u64,
+            live_nodes: self.plane.live_nodes(),
+            last_copy_losses: stats.last_copy_losses,
+            ops_aborted: stats.ops_aborted,
+        };
+        self.sink.emit(&rec.into_json());
     }
 }
 
@@ -1030,15 +1007,15 @@ impl Handler<SysEvent> for SimState {
                     return; // grant from a node that crashed in flight
                 }
                 if self.sink.enabled() {
-                    let rec = Json::obj()
-                        .field("type", "grant")
-                        .field("t_ms", now.as_millis_f64())
-                        .field("class", class.index() as u64)
-                        .field("node", node.index() as u64)
-                        .field("requested_pages", requested as u64)
-                        .field("granted_pages", granted as u64)
-                        .field("avail_pages", avail as u64);
-                    self.sink.emit(&rec);
+                    let rec = records::Grant {
+                        t_ms: now.as_millis_f64(),
+                        class: class.index() as u64,
+                        node: node.index() as u64,
+                        requested_pages: requested,
+                        granted_pages: granted,
+                        avail_pages: avail,
+                    };
+                    self.sink.emit(&rec.into_json());
                 }
                 self.coord_mut(class)
                     .on_granted(node, granted as usize, avail as usize);

@@ -344,6 +344,16 @@ impl WaitCounts {
         self.max_seen = self.max_seen.max(other.max_seen);
     }
 
+    /// Sum of the recorded waits, in nanoseconds (saturating).
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Number of recorded waits.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
     /// Drops all recorded waits.
     pub fn reset(&mut self) {
         *self = WaitCounts::new();

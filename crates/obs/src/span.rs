@@ -71,19 +71,19 @@ impl Stage {
         Stage::Cpu,
     ];
 
-    /// Stable snake_case name used in metric keys and trace records.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::LocalHit => "local_hit",
-            Stage::PoolQueue => "pool_queue",
-            Stage::NetRequest => "net_request",
-            Stage::NetTransfer => "net_transfer",
-            Stage::RemoteHit => "remote_hit",
-            Stage::DiskQueue => "disk_queue",
-            Stage::DiskService => "disk_service",
-            Stage::Cpu => "cpu",
-        }
-    }
+    /// Stable `{stage}_ns` key of every stage, in index order: the field
+    /// names of a span record's `stages` object and the suffixes of the
+    /// per-stage metric keys.
+    pub const FIELDS: [&'static str; STAGES] = [
+        "local_hit_ns",
+        "pool_queue_ns",
+        "net_request_ns",
+        "net_transfer_ns",
+        "remote_hit_ns",
+        "disk_queue_ns",
+        "disk_service_ns",
+        "cpu_ns",
+    ];
 
     /// Index into a [`StageNanos`] array.
     pub fn index(self) -> usize {
@@ -147,7 +147,8 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for (i, stage) in Stage::ALL.iter().enumerate() {
             assert_eq!(stage.index(), i);
-            assert!(seen.insert(stage.name()), "duplicate name {}", stage.name());
+            let field = Stage::FIELDS[stage.index()];
+            assert!(seen.insert(field), "duplicate name {field}");
         }
         assert_eq!(seen.len(), STAGES);
     }

@@ -22,8 +22,8 @@ pub struct Facility {
     /// [`reset_stats`](Self::reset_stats) instant.
     window_start: SimTime,
     busy: SimDuration,
-    jobs: u64,
-    total_wait: SimDuration,
+    /// Queue waits of the jobs reserved in the window; also the job count
+    /// and the total wait.
     waits: WaitCounts,
 }
 
@@ -35,8 +35,6 @@ impl Facility {
             free_at: SimTime::ZERO,
             window_start: SimTime::ZERO,
             busy: SimDuration::ZERO,
-            jobs: 0,
-            total_wait: SimDuration::ZERO,
             // Nanosecond queue waits: 1 µs first edge, doubling through ~1 s.
             waits: WaitCounts::new(),
         }
@@ -62,11 +60,9 @@ impl Facility {
         let start = self.free_at.max(now);
         let done = start + service;
         let wait = start.since(now);
-        self.total_wait += wait;
         self.waits.record(wait.as_nanos());
         self.free_at = done;
         self.busy += service;
-        self.jobs += 1;
         (done, wait)
     }
 
@@ -77,7 +73,7 @@ impl Facility {
 
     /// Number of jobs served (including queued, in-flight ones).
     pub fn jobs(&self) -> u64 {
-        self.jobs
+        self.waits.count()
     }
 
     /// Cumulative service (busy) time.
@@ -87,15 +83,14 @@ impl Facility {
 
     /// Cumulative time jobs spent waiting before service began.
     pub fn total_wait(&self) -> SimDuration {
-        self.total_wait
+        SimDuration::from_nanos(self.waits.total())
     }
 
     /// Mean wait per job in milliseconds (0 if no jobs).
     pub fn mean_wait_ms(&self) -> f64 {
-        if self.jobs == 0 {
-            0.0
-        } else {
-            self.total_wait.as_millis_f64() / self.jobs as f64
+        match self.jobs() {
+            0 => 0.0,
+            jobs => self.total_wait().as_millis_f64() / jobs as f64,
         }
     }
 
@@ -133,8 +128,6 @@ impl Facility {
     pub fn reset_stats(&mut self, now: SimTime) {
         self.window_start = now;
         self.busy = SimDuration::ZERO;
-        self.jobs = 0;
-        self.total_wait = SimDuration::ZERO;
         self.waits.reset();
     }
 }

@@ -66,31 +66,7 @@ pub fn census(trace: &Trace) -> String {
 /// share of the class's total sampled time.
 pub fn waterfall(trace: &Trace) -> String {
     let mut out = String::from("== span waterfall (sampled operations) ==\n");
-    // class id -> (span count, per-stage ns sums)
-    let mut per_class: Vec<(u64, u64, [u64; SPAN_STAGE_FIELDS.len()])> = Vec::new();
-    for span in trace.of_kind("span") {
-        let Some(class) = span.uint("class") else {
-            continue;
-        };
-        let Some(stages) = span.json.get("stages") else {
-            continue;
-        };
-        let entry = match per_class.iter_mut().find(|(c, ..)| *c == class) {
-            Some(e) => e,
-            None => {
-                per_class.push((class, 0, [0; SPAN_STAGE_FIELDS.len()]));
-                per_class.last_mut().expect("just pushed")
-            }
-        };
-        entry.1 += 1;
-        for (i, field) in SPAN_STAGE_FIELDS.iter().enumerate() {
-            entry.2[i] += stages
-                .get(field)
-                .and_then(dmm_obs::Json::as_u64)
-                .unwrap_or(0);
-        }
-    }
-    per_class.sort_unstable_by_key(|(c, ..)| *c);
+    let per_class = span_sums(trace);
     if per_class.is_empty() {
         out.push_str("  (no span records — run with span sampling enabled)\n");
         return out;
@@ -122,6 +98,37 @@ pub fn waterfall(trace: &Trace) -> String {
         }
     }
     out
+}
+
+/// Per-class sums of the sampled `span` records, ascending by class: the
+/// class id, its span count and its per-stage nanosecond sums (in
+/// [`SPAN_STAGE_FIELDS`] order). Both waterfall renderers read this fold.
+fn span_sums(trace: &Trace) -> Vec<(u64, u64, [u64; SPAN_STAGE_FIELDS.len()])> {
+    let mut per_class: Vec<(u64, u64, [u64; SPAN_STAGE_FIELDS.len()])> = Vec::new();
+    for span in trace.of_kind("span") {
+        let Some(class) = span.uint("class") else {
+            continue;
+        };
+        let Some(stages) = span.json.get("stages") else {
+            continue;
+        };
+        let entry = match per_class.iter_mut().find(|(c, ..)| *c == class) {
+            Some(e) => e,
+            None => {
+                per_class.push((class, 0, [0; SPAN_STAGE_FIELDS.len()]));
+                per_class.last_mut().expect("just pushed")
+            }
+        };
+        entry.1 += 1;
+        for (i, field) in SPAN_STAGE_FIELDS.iter().enumerate() {
+            entry.2[i] += stages
+                .get(field)
+                .and_then(dmm_obs::Json::as_u64)
+                .unwrap_or(0);
+        }
+    }
+    per_class.sort_unstable_by_key(|(c, ..)| *c);
+    per_class
 }
 
 /// Per-class convergence timeline from `interval` records: goal attainment,
@@ -563,31 +570,7 @@ fn csv_compliance(trace: &Trace) -> String {
 
 fn csv_waterfall(trace: &Trace) -> String {
     let mut out = String::from("class,stage,spans,total_ns,share,ms_per_op\n");
-    let mut per_class: Vec<(u64, u64, [u64; SPAN_STAGE_FIELDS.len()])> = Vec::new();
-    for span in trace.of_kind("span") {
-        let Some(class) = span.uint("class") else {
-            continue;
-        };
-        let Some(stages) = span.json.get("stages") else {
-            continue;
-        };
-        let entry = match per_class.iter_mut().find(|(c, ..)| *c == class) {
-            Some(e) => e,
-            None => {
-                per_class.push((class, 0, [0; SPAN_STAGE_FIELDS.len()]));
-                per_class.last_mut().expect("just pushed")
-            }
-        };
-        entry.1 += 1;
-        for (i, field) in SPAN_STAGE_FIELDS.iter().enumerate() {
-            entry.2[i] += stages
-                .get(field)
-                .and_then(dmm_obs::Json::as_u64)
-                .unwrap_or(0);
-        }
-    }
-    per_class.sort_unstable_by_key(|(c, ..)| *c);
-    for (class, count, sums) in per_class {
+    for (class, count, sums) in span_sums(trace) {
         let total: u64 = sums.iter().sum();
         for (i, field) in SPAN_STAGE_FIELDS.iter().enumerate() {
             let share = if total > 0 {

@@ -1,169 +1,21 @@
 //! The trace schema: every record type the simulator emits, with its exact
 //! ordered field list.
 //!
-//! The emitter (`dmm-core`) writes object fields in a fixed order and the
-//! serializer preserves it, so the schema here is strong enough to pin the
-//! byte layout of a trace line, not just its field *set*. The golden schema
-//! test in the repository's test suite asserts that every record the
-//! simulator emits matches these lists exactly — any drift between emitter
-//! and analyzer fails CI rather than silently misparsing.
+//! The layout is declared once, in the record table of
+//! [`dmm_core::records`], which the emitters fill and the replay decoder
+//! reads; the functions here only look it up. The serializer preserves
+//! field order, so the schema is strong enough to pin the byte layout of a
+//! trace line, not just its field *set*. The golden schema test in the
+//! repository's test suite asserts that every record the simulator emits
+//! matches these lists exactly.
 
-/// Every record type, in rough order of appearance in a typical trace.
-pub const RECORD_TYPES: [&str; 10] = [
-    "run_config",
-    "interval",
-    "home_load",
-    "net_load",
-    "optimize",
-    "grant",
-    "goal_change",
-    "fault",
-    "failover",
-    "span",
-];
-
-/// Ordered fields of the nested `stages` object of a `span` record: one
-/// `{stage}_ns` integer per lifecycle stage, in stage-index order. The
-/// values partition the operation's response time exactly (integer
-/// nanoseconds, no rounding).
-pub const SPAN_STAGE_FIELDS: [&str; 8] = [
-    "local_hit_ns",
-    "pool_queue_ns",
-    "net_request_ns",
-    "net_transfer_ns",
-    "remote_hit_ns",
-    "disk_queue_ns",
-    "disk_service_ns",
-    "cpu_ns",
-];
+use dmm_core::records::layout;
+pub use dmm_core::records::{RECORD_TYPES, SPAN_STAGE_FIELDS};
 
 /// Ordered top-level fields of `kind` records, or `None` for an unknown
 /// record type.
 pub fn expected_fields(kind: &str) -> Option<&'static [&'static str]> {
-    Some(match kind {
-        // The replay closure: the first record of every trace, carrying
-        // every builder parameter that shapes the byte stream (see
-        // `dmm_core::replay`). The span mode, an observer toggle, is
-        // trace-invariant and excluded; benefit maintenance has no mode.
-        "run_config" => &[
-            "type",
-            "seed",
-            "nodes",
-            "db_pages",
-            "buffer_pages_per_node",
-            "theta",
-            "goal_ms",
-            "goal_rate_per_ms",
-            "goal_quantile",
-            "interval_ns",
-            "warmup_intervals",
-            "controller",
-            "goal_range",
-            "satisfaction",
-            "release_floor_mb",
-            "placement",
-            "fabric",
-            "net_bits_per_sec",
-            "probe",
-            "tiers",
-            "tier_policy",
-            "fault_plan",
-            "replayable",
-        ],
-        "interval" => &[
-            "type",
-            "interval",
-            "t_ms",
-            "class",
-            "observed_ms",
-            "goal_ms",
-            "nogoal_ms",
-            "tolerance_ms",
-            "satisfied",
-            "settling",
-            "store_cleared",
-            "phase",
-            "dedicated_mb",
-            "level_share",
-            "class_hit_rate",
-            "nogoal_hit_rate",
-            "residual_ms",
-        ],
-        "home_load" => &[
-            "type",
-            "interval",
-            "t_ms",
-            "home_pages",
-            "home_reads",
-            "remote_fanin",
-        ],
-        // Only emitted under a switched fabric: per-node TX/RX link busy
-        // fractions (arrays, one entry per node) plus the switch core's,
-        // `null` when the core is ideal. Shared-medium traces never carry
-        // this record.
-        "net_load" => &[
-            "type",
-            "interval",
-            "t_ms",
-            "tx_busy",
-            "rx_busy",
-            "bisection_busy",
-        ],
-        "optimize" => &[
-            "type",
-            "interval",
-            "class",
-            "path",
-            "points",
-            "plane_w",
-            "plane_c",
-            "goal_attainable",
-            "predicted_class_ms",
-            "fit_residuals_ms",
-            "fit_rms_ms",
-            "fallback",
-            "current_mb",
-            "requested_mb",
-            "delta_mb",
-        ],
-        "grant" => &[
-            "type",
-            "t_ms",
-            "class",
-            "node",
-            "requested_pages",
-            "granted_pages",
-            "avail_pages",
-        ],
-        "goal_change" => &[
-            "type",
-            "interval",
-            "t_ms",
-            "class",
-            "old_goal_ms",
-            "new_goal_ms",
-        ],
-        "fault" => &[
-            "type",
-            "t_ms",
-            "kind",
-            "node",
-            "live_nodes",
-            "last_copy_losses",
-            "ops_aborted",
-        ],
-        "failover" => &["type", "t_ms", "class", "from", "to"],
-        "span" => &[
-            "type",
-            "t_ms",
-            "op",
-            "class",
-            "origin",
-            "response_ms",
-            "stages",
-        ],
-        _ => return None,
-    })
+    layout(kind).map(|l| l.fields)
 }
 
 /// Extra *trailing* fields appended to records concerning a quantile-goal
@@ -172,11 +24,7 @@ pub fn expected_fields(kind: &str) -> Option<&'static [&'static str]> {
 /// emit these fields, so a mean-goal trace is byte-identical to one from
 /// the quantile-free emitter.
 pub fn quantile_extension_fields(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "interval" => &["observed_p_ms", "goal_metric"],
-        "optimize" | "goal_change" => &["goal_metric"],
-        _ => &[],
-    }
+    layout(kind).map_or(&[], |l| l.extension("quantile"))
 }
 
 /// Extra *trailing* fields appended to records emitted by runs with an
@@ -185,10 +33,7 @@ pub fn quantile_extension_fields(kind: &str) -> &'static [&'static str] {
 /// local/remote/disk configuration — stay byte-identical to the
 /// single-tier emitter.
 pub fn tier_extension_fields(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "interval" => &["tier_occupancy"],
-        _ => &[],
-    }
+    layout(kind).map_or(&[], |l| l.extension("tier"))
 }
 
 /// Ordered top-level fields of `kind` records for a class with the given

@@ -78,7 +78,7 @@ impl GoalMetric {
 
 /// One workload class: its goal, complexity, access skew, page set and
 /// per-node arrival rates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassSpec {
     /// Class identity (0 = no-goal).
     pub class: ClassId,

@@ -14,17 +14,15 @@
 //!   accounting and shrink/grow support.
 //! * [`heat`] — LRU-K-style heat (access-frequency) estimation, kept per
 //!   page and per class, created and deleted on demand (§6).
-//! * [`partition`] — the per-node partitioned buffer: one dedicated pool per
+//! * [`tiered`] — the node buffer: per memory tier, one dedicated pool per
 //!   goal class plus the no-goal pool that owns all undedicated frames,
-//!   with the paper's resize and residency rules.
-//! * [`tiered`] — the multi-tier local memory stack: one partitioned buffer
-//!   per memory tier, with demotion instead of eviction and hotness-based
-//!   promotion (or a static hash split baseline).
+//!   with the paper's resize and residency rules, one owner table, and one
+//!   rule for where a displaced page goes (demotion down the tiers under
+//!   hotness-based promotion, off the node under the static hash split).
 
 pub mod heat;
 pub mod indexed_heap;
 pub mod page;
-pub mod partition;
 pub mod policy;
 pub mod pool;
 pub mod tiered;
@@ -32,9 +30,14 @@ pub mod tiered;
 pub use heat::{HeatEstimator, NodeHeat, HEAT_K};
 pub use indexed_heap::IndexedMinHeap;
 pub use page::{ClassId, IdHashMap, IdHashSet, PageId, NO_GOAL};
-pub use partition::{InstallOutcome, LocalAccess, PartitionedBuffer};
 pub use policy::{
     ClockPolicy, CostBasedPolicy, FifoPolicy, LruKPolicy, LruPolicy, Policy, PolicyKind, PolicySpec,
 };
 pub use pool::{Pool, PoolStats};
 pub use tiered::{Demoted, TierPolicy, TieredAccess, TieredBuffer, TieredInstall, MAX_TIERS};
+
+/// The §3/§6 partitioning rules (pools, migration, resizes) on a one-tier
+/// [`TieredBuffer`].
+#[cfg(test)]
+#[path = "partition_tests.rs"]
+mod partition;

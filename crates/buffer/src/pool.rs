@@ -147,19 +147,17 @@ impl Pool {
     }
 
     /// Shrinks or grows capacity; shrinking evicts overflowing pages, which
-    /// are returned.
-    pub fn set_capacity(&mut self, capacity: usize) -> Vec<PageId> {
+    /// are appended to `evicted` in eviction order.
+    pub fn set_capacity(&mut self, capacity: usize, evicted: &mut Vec<PageId>) {
         if capacity != self.capacity {
             self.stats.resizes += 1;
         }
         self.capacity = capacity;
-        let mut evicted = Vec::new();
         while self.len() > self.capacity {
             let victim = self.policy.victim().expect("non-empty pool has victim");
             self.evict(victim);
             evicted.push(victim);
         }
-        evicted
     }
 
     /// Immutable access to the policy (victim freshness peeks).
@@ -219,10 +217,12 @@ mod tests {
         for i in 0..4u32 {
             pool.insert(PageId(i), t(i as u64));
         }
-        let evicted = pool.set_capacity(2);
+        let mut evicted = Vec::new();
+        pool.set_capacity(2, &mut evicted);
         assert_eq!(evicted, vec![PageId(0), PageId(1)]);
         assert_eq!(pool.len(), 2);
-        assert!(pool.set_capacity(10).is_empty());
+        pool.set_capacity(10, &mut evicted);
+        assert_eq!(evicted.len(), 2, "growing evicts nothing");
         assert_eq!(pool.len(), 2);
     }
 

@@ -1,34 +1,43 @@
-//! Multi-tier local memory: a stack of [`PartitionedBuffer`]s, one per
-//! local memory tier, with demotion instead of eviction.
+//! A node's buffer: K local memory tiers (DRAM over CXL-style far memory,
+//! say), fastest first, each split into pools.
 //!
-//! The paper's node has a single local buffer; this module generalizes it
-//! into K memory tiers (DRAM over CXL-style far memory, say), fastest
-//! first. The per-tier partitioning rules (§3/§6: one dedicated pool per
-//! goal class plus the no-goal pool) apply unchanged *within* each tier.
-//! Across tiers:
+//! Within a tier the partitioning rules are §3's and §6's: one dedicated
+//! pool per goal class plus the no-goal pool, which always owns every
+//! undedicated frame (Eq. 7). A page is resident in **exactly one** pool
+//! of one tier, recorded in one dense owner table. Access follows §6:
 //!
-//! * under [`TierPolicy::Hotness`] a page evicted from tier `t` is
-//!   **demoted**: it is re-installed in the first deeper tier with room for
-//!   its pool, displacing that tier's victim downward in turn — one page
-//!   per rung, a chain; only a page falling off the last memory tier leaves
-//!   the node. A hit in tier `t > 0`
-//!   **promotes** the page into the fastest tier with capacity for its
-//!   class, cascading demotions to make room. Fresh installs take a free
-//!   frame in the fastest tier that has one, but once every tier is full
-//!   they enter the deepest tier *on probation* — a page must be re-hit to
-//!   climb, so one-touch miss traffic cannot churn the fast tiers.
-//! * under [`TierPolicy::StaticHash`] each page is pinned to one tier by a
-//!   hash of its id, weighted by the tier frame counts — the classic static
-//!   split baseline. No promotion, no demotion; evictions leave the node.
+//! * a request by class `k` that finds the page in *any* dedicated pool is a
+//!   plain hit;
+//! * if `k` has a dedicated pool in the page's tier and the page sits in
+//!   that tier's no-goal pool, the page *moves* into `k`'s pool ("acquired
+//!   … from the local no-goal buffer, from which it is removed");
+//! * under [`TierPolicy::Hotness`] a hit in tier `t > 0` instead
+//!   **promotes** the page into the fastest tier with capacity for `k`.
 //!
-//! With a single memory tier both policies degenerate to exactly the
-//! historical [`PartitionedBuffer`] behaviour, which is what keeps default
-//! configurations byte-identical (see DESIGN.md §5i).
+//! Where a step puts a page is [`TieredBuffer::route`]. Fresh installs under
+//! [`TierPolicy::Hotness`] take a free frame in the fastest tier that has
+//! one, but once every tier is full they enter the deepest tier *on
+//! probation* — a page must be re-hit to climb, so one-touch miss traffic
+//! cannot churn the fast tiers. Under [`TierPolicy::StaticHash`] each page
+//! is pinned to one tier by a hash of its id, weighted by the tier frame
+//! counts — the classic static split baseline; it never promotes.
+//!
+//! Where a page displaced from a full pool goes is one private rule,
+//! `displaced_to`: under [`TierPolicy::Hotness`] it is **demoted** into the
+//! first deeper tier with room for its pool, displacing that tier's victim
+//! downward in turn — one page per rung, a chain — and only a page falling
+//! off the last memory tier leaves the node; under
+//! [`TierPolicy::StaticHash`] it leaves the node at once. With a single
+//! memory tier both policies send every victim off the node, the paper's
+//! buffer (DESIGN.md §5i).
+//!
+//! Resizing is best-effort (§5(e)): a request is granted up to the memory
+//! not dedicated to other classes, fastest tier first, and the caller learns
+//! the granted size.
 
 use dmm_sim::SimTime;
 
-use crate::page::{ClassId, PageId};
-use crate::partition::{LocalAccess, PartitionedBuffer};
+use crate::page::{ClassId, PageId, NO_GOAL};
 use crate::policy::PolicySpec;
 use crate::pool::{Pool, PoolStats};
 
@@ -133,10 +142,26 @@ pub struct TieredInstall {
     pub demoted: Demoted,
 }
 
-/// A node's local memory: one [`PartitionedBuffer`] per memory tier.
+/// [`TieredBuffer`] owner entry of a page no pool holds.
+const NOT_RESIDENT: u16 = u16::MAX;
+
+/// A node's buffer: the pools of every memory tier and the one owner table.
 #[derive(Debug, Clone)]
 pub struct TieredBuffer {
-    tiers: Vec<PartitionedBuffer>,
+    /// Frames of each tier, fastest first.
+    frames: Vec<usize>,
+    /// Pools per tier: the no-goal pool and one per goal class.
+    classes: usize,
+    /// Every pool, tier-major: `(tier, class)` sits at
+    /// `tier * classes + class`.
+    pools: Vec<Pool>,
+    /// `(tier, class)` of each entry of `pools`, so an owner entry decodes
+    /// without a division.
+    decode: Vec<(usize, ClassId)>,
+    /// Index into `pools` of the pool holding each page, indexed densely by
+    /// page id; [`NOT_RESIDENT`] for a page on no pool. Sized once for the
+    /// database; a page id past the end grows it on install.
+    owner: Vec<u16>,
     policy: TierPolicy,
     /// Cumulative pages promoted out of each tier (index = source tier).
     promotions: Vec<u64>,
@@ -148,9 +173,10 @@ impl TieredBuffer {
     /// Builds a tier stack with `frames[t]` frames in tier `t` (fastest
     /// first; every tier nonzero; at most [`MAX_TIERS`] tiers), each
     /// supporting goal classes
-    /// `1..=num_goal_classes` under replacement policy `spec`. The page
-    /// ownership tables grow with the largest page id installed; a caller
-    /// that knows the database size sizes them once with
+    /// `1..=num_goal_classes` under replacement policy `spec`. Initially
+    /// every frame of a tier belongs to its no-goal pool. The page
+    /// ownership table grows with the largest page id installed; a caller
+    /// that knows the database size sizes it once with
     /// [`Self::with_db_pages`].
     pub fn new(
         frames: &[usize],
@@ -161,8 +187,8 @@ impl TieredBuffer {
         Self::with_db_pages(frames, num_goal_classes, spec, policy, 0)
     }
 
-    /// [`Self::new`] for a database of page ids `0..db_pages`: every
-    /// tier's page ownership table is sized for it up front.
+    /// [`Self::new`] for a database of page ids `0..db_pages`: the page
+    /// ownership table is sized for it up front.
     pub fn with_db_pages(
         frames: &[usize],
         num_goal_classes: usize,
@@ -176,37 +202,57 @@ impl TieredBuffer {
             "at most {MAX_TIERS} memory tiers, got {}",
             frames.len()
         );
-        let tiers = frames
-            .iter()
-            .map(|&f| PartitionedBuffer::new(f, num_goal_classes, spec, db_pages))
-            .collect::<Vec<_>>();
+        assert!(
+            frames.iter().all(|&f| f > 0),
+            "every memory tier must have at least one frame"
+        );
+        let classes = num_goal_classes + 1;
+        assert!(
+            frames.len() * classes <= usize::from(NOT_RESIDENT),
+            "at most {NOT_RESIDENT} pools, got {} tiers × {classes} classes",
+            frames.len()
+        );
+        let mut pools = Vec::with_capacity(frames.len() * classes);
+        let mut decode = Vec::with_capacity(frames.len() * classes);
+        for (t, &f) in frames.iter().enumerate() {
+            for c in 0..classes {
+                let mut pool = Pool::new(if c == 0 { f } else { 0 }, spec);
+                pool.policy_mut().reserve_pages(db_pages);
+                pools.push(pool);
+                decode.push((t, ClassId(c as u16)));
+            }
+        }
         TieredBuffer {
-            promotions: vec![0; tiers.len()],
-            demotions: vec![0; tiers.len()],
-            tiers,
+            frames: frames.to_vec(),
+            classes,
+            pools,
+            decode,
+            owner: vec![NOT_RESIDENT; db_pages],
             policy,
+            promotions: vec![0; frames.len()],
+            demotions: vec![0; frames.len()],
         }
     }
 
     /// Number of local memory tiers.
     #[inline]
     pub fn num_tiers(&self) -> usize {
-        self.tiers.len()
+        self.frames.len()
     }
 
     /// Total frames across all memory tiers.
-    pub fn total_pages(&self) -> usize {
-        self.tiers.iter().map(PartitionedBuffer::total_pages).sum()
+    fn total_pages(&self) -> usize {
+        self.frames.iter().sum()
     }
 
     /// Frames in tier `t`.
     pub fn tier_frames(&self, t: usize) -> usize {
-        self.tiers[t].total_pages()
+        self.frames[t]
     }
 
     /// Resident pages in tier `t`.
     pub fn tier_resident(&self, t: usize) -> usize {
-        self.tiers[t].total_resident()
+        self.tier_pools(t).iter().map(Pool::len).sum()
     }
 
     /// Cumulative promotions out of each tier.
@@ -219,95 +265,95 @@ impl TieredBuffer {
         &self.demotions
     }
 
-    /// Dedicated capacity of `class`, summed over tiers.
+    /// Dedicated capacity of `class`, summed over tiers (0 for the no-goal
+    /// class).
     pub fn dedicated_pages(&self, class: ClassId) -> usize {
-        self.tiers.iter().map(|b| b.dedicated_pages(class)).sum()
-    }
-
-    /// No-goal capacity, summed over tiers.
-    pub fn no_goal_capacity(&self) -> usize {
-        self.tiers
-            .iter()
-            .map(PartitionedBuffer::no_goal_capacity)
+        (0..self.num_tiers())
+            .map(|t| self.dedicated_at(t, class))
             .sum()
     }
 
-    /// Total dedicated capacity, summed over tiers and classes.
-    pub fn total_dedicated_pages(&self) -> usize {
-        self.tiers
-            .iter()
-            .map(PartitionedBuffer::total_dedicated_pages)
-            .sum()
-    }
-
-    /// Frames available to `class` (paper Eq. 6), summed over tiers.
+    /// Frames available to `class` (paper Eq. 6), summed over tiers: the
+    /// most a resize can grant it.
     pub fn avail_pages(&self, class: ClassId) -> usize {
-        self.tiers.iter().map(|b| b.avail_pages(class)).sum()
+        (0..self.num_tiers())
+            .map(|t| self.tier_avail(t, class))
+            .sum()
     }
 
     /// True if `class` has a dedicated pool in any tier.
     pub fn has_dedicated(&self, class: ClassId) -> bool {
-        self.tiers.iter().any(|b| b.has_dedicated(class))
+        (0..self.num_tiers()).any(|t| self.dedicated_at(t, class) > 0)
     }
 
-    /// Which pool holds `page`, searching all tiers.
-    pub fn lookup(&self, page: PageId) -> Option<ClassId> {
-        self.locate(page).map(|(_, c)| c)
-    }
-
-    /// Which `(tier, pool)` holds `page`, if any.
+    /// Which `(tier, pool)` holds `page`, if any: one owner-table read.
     #[inline]
     pub fn locate(&self, page: PageId) -> Option<(usize, ClassId)> {
-        self.tiers
-            .iter()
-            .enumerate()
-            .find_map(|(t, b)| b.lookup(page).map(|c| (t, c)))
+        self.owner_of(page).map(|i| self.decode[i])
     }
 
-    /// Prefetches `page`'s owner entry in the fastest tier, the one a
-    /// lookup reads first (see [`dmm_sim::prefetch()`]).
+    /// Prefetches `page`'s owner entry (see [`dmm_sim::prefetch()`]).
     pub fn prefetch_owner(&self, page: PageId) {
-        self.tiers[0].prefetch_owner(page);
+        if let Some(owner) = self.owner.get(page.index()) {
+            dmm_sim::prefetch(owner);
+        }
     }
 
     /// True if the page is resident in any tier.
     #[inline]
     pub fn resident(&self, page: PageId) -> bool {
-        self.locate(page).is_some()
+        self.owner_of(page).is_some()
     }
 
     /// Total resident pages across tiers.
     pub fn total_resident(&self) -> usize {
-        self.tiers
-            .iter()
-            .map(PartitionedBuffer::total_resident)
-            .sum()
+        self.pools.iter().map(Pool::len).sum()
     }
 
     /// Pool accounting for `class`, merged over tiers.
     pub fn pool_stats(&self, class: ClassId) -> PoolStats {
         let mut stats = PoolStats::default();
-        for b in &self.tiers {
-            stats.merge(&b.pool_stats(class));
+        for t in 0..self.num_tiers() {
+            stats.merge(&self.pool_at(t, class).stats());
         }
         stats
     }
 
     /// Resident pages of `class`'s pool, summed over tiers.
     pub fn pool_len(&self, class: ClassId) -> usize {
-        self.tiers.iter().map(|b| b.pool(class).len()).sum()
+        (0..self.num_tiers())
+            .map(|t| self.pool_at(t, class).len())
+            .sum()
     }
 
     /// Immutable access to `class`'s pool in tier `t`.
     #[inline]
     pub fn pool_at(&self, t: usize, class: ClassId) -> &Pool {
-        self.tiers[t].pool(class)
+        &self.pools[self.slot(t, class)]
     }
 
     /// Mutable access to `class`'s pool in tier `t`.
     #[inline]
     pub fn pool_mut_at(&mut self, t: usize, class: ClassId) -> &mut Pool {
-        self.tiers[t].pool_mut(class)
+        let i = self.slot(t, class);
+        &mut self.pools[i]
+    }
+
+    /// Every pool as `(tier, class, pool)`, tiers fastest first and the
+    /// no-goal pool first within each tier.
+    pub fn pools(&self) -> impl Iterator<Item = (usize, ClassId, &Pool)> {
+        self.decode
+            .iter()
+            .zip(&self.pools)
+            .map(|(&(t, c), p)| (t, c, p))
+    }
+
+    /// [`Self::pools`], mutably.
+    pub fn pools_mut(&mut self) -> impl Iterator<Item = (usize, ClassId, &mut Pool)> {
+        self.decode
+            .iter()
+            .zip(&mut self.pools)
+            .map(|(&(t, c), p)| (t, c, p))
     }
 
     /// The `(tier, pool)` an access or install of `page` by `class` puts
@@ -326,7 +372,7 @@ impl TieredBuffer {
     /// rung, while pages that are re-hit earn their way upward through
     /// promotion, so miss traffic cannot churn the fast tiers. Under
     /// [`TierPolicy::StaticHash`] it goes to the page's pinned tier. With
-    /// a single memory tier every rule is tier 0, the historical behaviour.
+    /// a single memory tier every rule is tier 0, the paper's buffer.
     #[inline]
     pub fn route(
         &self,
@@ -334,21 +380,20 @@ impl TieredBuffer {
         page: PageId,
         at: Option<(usize, ClassId)>,
     ) -> Option<(usize, ClassId)> {
-        let target = |t: usize| self.tiers[t].target_pool(class);
-        let pool = |t: usize| self.tiers[t].pool(target(t));
+        let pool = |t: usize| self.pool_at(t, self.target(t, class));
         let has_room = |t: usize| pool(t).capacity() > 0;
-        let slot = |t: usize| (t, target(t));
+        let slot = |t: usize| (t, self.target(t, class));
         match (at, self.policy) {
             (Some((t, owner)), policy) => {
                 let promote = match policy {
                     TierPolicy::Hotness => (0..t).find(|&u| has_room(u)),
                     TierPolicy::StaticHash => None,
                 };
-                let migrates = owner.is_no_goal() && !target(t).is_no_goal();
+                let migrates = owner.is_no_goal() && !self.target(t, class).is_no_goal();
                 promote.or(migrates.then_some(t)).map(slot)
             }
             (None, TierPolicy::Hotness) => {
-                let n = self.tiers.len();
+                let n = self.num_tiers();
                 (0..n)
                     .find(|&t| has_room(t) && pool(t).len() < pool(t).capacity())
                     .or_else(|| (0..n).rev().find(|&t| has_room(t)))
@@ -361,11 +406,37 @@ impl TieredBuffer {
         }
     }
 
+    /// Where a page displaced from `pool` of tier `tier` goes: `Some((u,
+    /// pool'))` to be re-installed there, `None` to leave the node. Under
+    /// [`TierPolicy::Hotness`] it is the first deeper tier whose target
+    /// pool for the displaced pool's class has frames, so each rung of a
+    /// chain lands strictly deeper and the walk ends within the ladder;
+    /// under [`TierPolicy::StaticHash`] a victim always leaves the node.
+    #[inline]
+    fn displaced_to(&self, tier: usize, pool: ClassId) -> Option<(usize, ClassId)> {
+        match self.policy {
+            TierPolicy::Hotness => (tier + 1..self.num_tiers())
+                .map(|u| (u, self.target(u, pool)))
+                .find(|&(u, to)| self.pool_at(u, to).capacity() > 0),
+            TierPolicy::StaticHash => None,
+        }
+    }
+
+    /// The tier a miss of `page` is charged to: the fastest under
+    /// [`TierPolicy::Hotness`], the page's pinned one under
+    /// [`TierPolicy::StaticHash`].
+    fn miss_tier(&self, page: PageId) -> usize {
+        match self.policy {
+            TierPolicy::Hotness => 0,
+            TierPolicy::StaticHash => self.static_tier(page),
+        }
+    }
+
     /// Resets all pool statistics (promotion/demotion counters are
     /// cumulative and survive).
     pub fn reset_stats(&mut self) {
-        for b in &mut self.tiers {
-            b.reset_stats();
+        for p in &mut self.pools {
+            p.reset_stats();
         }
     }
 
@@ -375,8 +446,8 @@ impl TieredBuffer {
         let total = self.total_pages() as u64;
         let h = (page.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
         let mut slot = h % total;
-        for (t, b) in self.tiers.iter().enumerate() {
-            let f = b.total_pages() as u64;
+        for (t, &f) in self.frames.iter().enumerate() {
+            let f = f as u64;
             if slot < f {
                 return t;
             }
@@ -401,77 +472,41 @@ impl TieredBuffer {
         now: SimTime,
     ) -> TieredAccess {
         debug_assert_eq!(at, self.locate(page), "access_at given a stale location");
-        let Some((t, holder)) = at else {
-            let t = match self.policy {
-                TierPolicy::Hotness => 0,
-                TierPolicy::StaticHash => self.static_tier(page),
-            };
-            let miss = self.tiers[t].access(class, page, now);
-            debug_assert_eq!(miss, LocalAccess::Miss);
+        let Some((tier, holder)) = at else {
+            let t = self.miss_tier(page);
+            let target = self.target(t, class);
+            self.pool_mut_at(t, target).on_miss();
             return TieredAccess::Miss;
         };
-        match self.route(class, page, at) {
-            // Promote into a faster tier with room for this class.
-            Some((u, target)) if u < t => {
-                self.tiers[t].pool_mut(holder).on_hit(page, now);
-                let removed = self.tiers[t].drop_page(page);
-                debug_assert!(removed);
-                self.promotions[t] += 1;
-                let out = self.tiers[u].install(class, page, now);
-                debug_assert!(out.cached);
-                let (evicted, demoted) = self.demote_chain(u, target, out.evicted, now);
-                TieredAccess::Hit {
-                    tier: t,
-                    pool: target,
-                    moved: true,
-                    evicted,
-                    demoted,
-                }
-            }
-            _ => self.access_within(t, class, page, now),
-        }
-    }
-
-    /// Within-tier access semantics at tier `t`, with tier-appropriate
-    /// handling of any displaced pages.
-    fn access_within(
-        &mut self,
-        t: usize,
-        class: ClassId,
-        page: PageId,
-        now: SimTime,
-    ) -> TieredAccess {
-        match self.tiers[t].access(class, page, now) {
-            LocalAccess::Hit { pool } => TieredAccess::Hit {
-                tier: t,
-                pool,
+        self.pool_mut_at(tier, holder).on_hit(page, now);
+        let Some(to) = self.route(class, page, at) else {
+            return TieredAccess::Hit {
+                tier,
+                pool: holder,
                 moved: false,
                 evicted: None,
                 demoted: Demoted::default(),
-            },
-            LocalAccess::MovedToDedicated { evicted } => {
-                let pool = self.tiers[t].target_pool(class);
-                let (evicted, demoted) = match self.policy {
-                    TierPolicy::Hotness => self.demote_chain(t, pool, evicted, now),
-                    TierPolicy::StaticHash => (evicted, Demoted::default()),
-                };
-                TieredAccess::Hit {
-                    tier: t,
-                    pool,
-                    moved: true,
-                    evicted,
-                    demoted,
-                }
-            }
-            LocalAccess::Miss => unreachable!("page was located in tier {t}"),
+            };
+        };
+        if to.0 < tier {
+            self.promotions[tier] += 1;
+        }
+        let (evicted, demoted) = self.move_to(page, at, to, now);
+        TieredAccess::Hit {
+            tier,
+            pool: to.1,
+            moved: true,
+            evicted,
+            demoted,
         }
     }
 
-    /// Installs a freshly fetched page for `class`. Panics if already
-    /// resident in any tier.
+    /// Installs a freshly fetched page for `class`. If no tier has a frame
+    /// for it (every frame is dedicated elsewhere) the page is used without
+    /// being cached (`cached == false`). Panics if already resident.
     pub fn install(&mut self, class: ClassId, page: PageId, now: SimTime) -> TieredInstall {
         assert!(!self.resident(page), "page already resident");
-        let Some((t, target)) = self.route(class, page, None) else {
+        let Some(to) = self.route(class, page, None) else {
             return TieredInstall {
                 cached: false,
                 tier: 0,
@@ -479,102 +514,177 @@ impl TieredBuffer {
                 demoted: Demoted::default(),
             };
         };
-        let out = self.tiers[t].install(class, page, now);
-        debug_assert!(out.cached);
-        let (evicted, demoted) = match self.policy {
-            TierPolicy::Hotness => self.demote_chain(t, target, out.evicted, now),
-            TierPolicy::StaticHash => (out.evicted, Demoted::default()),
-        };
+        let (evicted, demoted) = self.move_to(page, None, to, now);
         TieredInstall {
             cached: true,
-            tier: t,
+            tier: to.0,
             evicted,
             demoted,
         }
     }
 
-    /// Re-homes the page displaced from tier `from` (pool `pool`) into the
-    /// next deeper tier with room for its pool, carrying whatever that
-    /// install displaces further down in turn. Returns the page that fell
-    /// off the node entirely, if any, and those demoted in place. Each
-    /// carried page lands strictly deeper than its predecessor, so the walk
-    /// ends within the ladder.
-    fn demote_chain(
+    /// The one path that puts a page into a pool: takes `page` out of its
+    /// holder `from` (`None`: a fresh install), inserts it into `to`, and
+    /// while an insert displaced a page, carries that page to where
+    /// [`Self::displaced_to`] sends it. Returns the page that left the node,
+    /// if any, and those demoted in place.
+    fn move_to(
         &mut self,
-        from: usize,
-        pool: ClassId,
-        displaced: Option<PageId>,
+        page: PageId,
+        from: Option<(usize, ClassId)>,
+        to: (usize, ClassId),
         now: SimTime,
     ) -> (Option<PageId>, Demoted) {
+        if let Some((t, holder)) = from {
+            let removed = self.pool_mut_at(t, holder).remove(page);
+            debug_assert!(removed);
+        }
         let mut demoted = Demoted::default();
-        let (mut t, mut pc, mut carried) = (from, pool, displaced);
+        let (mut at, mut carried) = (to, self.insert(page, to, now));
         while let Some(p) = carried {
-            let dest = (t + 1..self.tiers.len()).find(|&u| {
-                let target = self.tiers[u].target_pool(pc);
-                self.tiers[u].pool(target).capacity() > 0
-            });
-            let Some(u) = dest else {
+            let Some(next) = self.displaced_to(at.0, at.1) else {
                 return (Some(p), demoted);
             };
-            let out = self.tiers[u].install(pc, p, now);
-            debug_assert!(out.cached);
-            self.demotions[t] += 1;
+            self.demotions[at.0] += 1;
             demoted.push(p);
-            (t, pc, carried) = (u, self.tiers[u].target_pool(pc), out.evicted);
+            (at, carried) = (next, self.insert(p, next, now));
         }
         (None, demoted)
     }
 
-    /// Drops `page` from whatever tier holds it. Returns true if resident.
-    pub fn drop_page(&mut self, page: PageId) -> bool {
-        match self.locate(page) {
-            Some((t, _)) => self.tiers[t].drop_page(page),
-            None => false,
+    /// Inserts `page` into `pool` of `tier` and records its owner; returns
+    /// the page the insert displaced, whose owner entry is cleared.
+    fn insert(
+        &mut self,
+        page: PageId,
+        (tier, pool): (usize, ClassId),
+        now: SimTime,
+    ) -> Option<PageId> {
+        let i = self.slot(tier, pool);
+        let displaced = self.pools[i].insert(page, now);
+        if let Some(p) = displaced {
+            self.owner[p.index()] = NOT_RESIDENT;
         }
+        let at = page.index();
+        if at >= self.owner.len() {
+            self.owner.resize(at + 1, NOT_RESIDENT);
+        }
+        self.owner[at] = i as u16;
+        displaced
+    }
+
+    /// Drops `page` from whatever pool holds it. Returns true if resident.
+    pub fn drop_page(&mut self, page: PageId) -> bool {
+        let Some(i) = self.owner_of(page) else {
+            return false;
+        };
+        let removed = self.pools[i].remove(page);
+        debug_assert!(removed);
+        self.owner[page.index()] = NOT_RESIDENT;
+        true
     }
 
     /// Best-effort resize of `class`'s dedicated pools across the tier
-    /// stack, splitting the grant fastest-first (§5(e) within each tier).
-    /// Displaced pages leave the node — a resize is a partitioning
-    /// decision, not an access, so it does not trigger demotions. Returns
-    /// `(granted, evicted)` with `granted` summed over tiers.
+    /// stack, splitting the grant fastest-first (§5(e) within each tier):
+    /// each tier grants at most the frames not dedicated to other goal
+    /// classes and hands the rest to its no-goal pool, the class pool
+    /// shrinking before the no-goal pool. Displaced pages leave the node —
+    /// a resize is a partitioning decision, not an access, so it does not
+    /// trigger demotions. Returns `(granted, evicted)` with `granted`
+    /// summed over tiers.
     pub fn set_dedicated(
         &mut self,
         class: ClassId,
         requested_pages: usize,
     ) -> (usize, Vec<PageId>) {
+        assert!(
+            !class.is_no_goal(),
+            "cannot dedicate memory to the no-goal class"
+        );
         let mut remaining = requested_pages;
-        let mut granted = 0;
         let mut evicted = Vec::new();
-        for b in &mut self.tiers {
-            let want = remaining.min(b.avail_pages(class));
-            let (g, ev) = b.set_dedicated(class, want);
-            debug_assert_eq!(g, want);
-            granted += g;
-            remaining -= g;
-            evicted.extend(ev);
+        for t in 0..self.num_tiers() {
+            let avail = self.tier_avail(t, class);
+            let granted = remaining.min(avail);
+            remaining -= granted;
+            for (pool, capacity) in [(class, granted), (NO_GOAL, avail - granted)] {
+                self.pool_mut_at(t, pool)
+                    .set_capacity(capacity, &mut evicted);
+            }
         }
-        (granted, evicted)
+        for p in &evicted {
+            self.owner[p.index()] = NOT_RESIDENT;
+        }
+        (requested_pages - remaining, evicted)
     }
 
-    /// Debug invariants: each tier's internal consistency plus cross-tier
-    /// uniqueness (a page is resident in at most one tier).
+    /// Debug invariants: every tier's pool capacities sum to its frames, no
+    /// pool exceeds its capacity, and the owner table names exactly the
+    /// pool each resident page is in (so a page is on at most one pool).
     pub fn check_invariants(&self) {
-        for b in &self.tiers {
-            b.check_invariants();
+        for t in 0..self.num_tiers() {
+            let capacity: usize = self.tier_pools(t).iter().map(Pool::capacity).sum();
+            assert_eq!(
+                capacity, self.frames[t],
+                "tier {t}: capacities must sum to its frames"
+            );
         }
-        if self.tiers.len() > 1 {
-            let mut seen = crate::page::IdHashSet::<PageId>::default();
-            for (t, b) in self.tiers.iter().enumerate() {
-                for class_idx in 0..=b.num_goal_classes() {
-                    for page in b.pool(ClassId(class_idx as u16)).pages() {
-                        assert!(
-                            seen.insert(page),
-                            "page {page:?} resident in two tiers (≤ {t})"
-                        );
-                    }
-                }
+        let mut counted = 0;
+        for (i, pool) in self.pools.iter().enumerate() {
+            assert!(pool.len() <= pool.capacity(), "pool over capacity");
+            for page in pool.pages() {
+                assert_eq!(self.owner_of(page), Some(i), "owner table out of sync");
+                counted += 1;
             }
+        }
+        let owned = self.owner.iter().filter(|&&c| c != NOT_RESIDENT).count();
+        assert_eq!(counted, owned, "stray owner entries");
+    }
+
+    /// Index into `pools` of `class`'s pool in tier `t`.
+    #[inline]
+    fn slot(&self, t: usize, class: ClassId) -> usize {
+        t * self.classes + class.index()
+    }
+
+    /// The pools of tier `t`, no-goal first.
+    fn tier_pools(&self, t: usize) -> &[Pool] {
+        &self.pools[self.slot(t, NO_GOAL)..self.slot(t + 1, NO_GOAL)]
+    }
+
+    /// Index into `pools` of the pool holding `page`, if any.
+    #[inline]
+    fn owner_of(&self, page: PageId) -> Option<usize> {
+        match self.owner.get(page.index()) {
+            Some(&i) if i != NOT_RESIDENT => Some(usize::from(i)),
+            _ => None,
+        }
+    }
+
+    /// Dedicated capacity of `class` in tier `t` (0 for the no-goal class).
+    fn dedicated_at(&self, t: usize, class: ClassId) -> usize {
+        if class.is_no_goal() {
+            0
+        } else {
+            self.pool_at(t, class).capacity()
+        }
+    }
+
+    /// Frames of tier `t` available to `class`: `SIZE − Σ_{l≠class} LM_l`
+    /// (paper Eq. 6) — the no-goal pool owns every undedicated frame, so
+    /// that is its capacity plus `class`'s own.
+    fn tier_avail(&self, t: usize, class: ClassId) -> usize {
+        self.pool_at(t, NO_GOAL).capacity() + self.dedicated_at(t, class)
+    }
+
+    /// The pool of tier `t` a page of `class` goes to: the class's
+    /// dedicated pool if it has frames there, else the no-goal pool.
+    #[inline]
+    fn target(&self, t: usize, class: ClassId) -> ClassId {
+        if self.dedicated_at(t, class) > 0 {
+            class
+        } else {
+            NO_GOAL
         }
     }
 }
@@ -762,6 +872,19 @@ mod tests {
         assert_eq!(out.evicted, Some(PageId(12)), "only the last rung spills");
         assert!(out.demoted.is_empty());
         tb.check_invariants();
+    }
+
+    #[test]
+    fn the_largest_pool_count_fits_below_the_owner_sentinel() {
+        // 65 535 pools: the last index is 65 534, one below the sentinel.
+        let tb = TieredBuffer::new(&[1], 65_534, PolicySpec::Fifo, TierPolicy::Hotness);
+        assert_eq!(tb.pools().count(), 65_535);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 pools, got 2 tiers × 32768 classes")]
+    fn a_pool_index_that_would_reach_the_owner_sentinel_is_refused() {
+        TieredBuffer::new(&[1, 1], 32_767, PolicySpec::Fifo, TierPolicy::Hotness);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 use std::collections::BTreeMap;
 
 use dmm_buffer::{
-    ClassId, HeatEstimator, IndexedMinHeap, LocalAccess, NodeHeat, PageId, PartitionedBuffer,
-    Policy, PolicySpec, Pool, TierPolicy, TieredAccess, TieredBuffer, HEAT_K, NO_GOAL,
+    ClassId, HeatEstimator, IndexedMinHeap, NodeHeat, PageId, Policy, PolicySpec, Pool, TierPolicy,
+    TieredAccess, TieredBuffer, HEAT_K, NO_GOAL,
 };
 use dmm_sim::{SimRng, SimTime};
 
@@ -143,14 +143,16 @@ fn lru_k1_equals_lru() {
     }
 }
 
-/// Random partitioned-buffer workload: invariants hold after every step.
+/// Random partitioned-buffer workload on one memory tier: invariants hold
+/// after every step.
 #[test]
 fn partition_invariants() {
     for seed in 0..64u64 {
         let mut rng = SimRng::seed_from_u64(500 + seed);
         let total = 4 + rng.index(20);
         let steps = 1 + rng.index(149);
-        let mut b = PartitionedBuffer::new(total, 2, PolicySpec::Lru, 40);
+        let mut b =
+            TieredBuffer::with_db_pages(&[total], 2, PolicySpec::Lru, TierPolicy::Hotness, 40);
         for i in 0..steps {
             let now = t(i as u64);
             let page = rng.index(40) as u32;
@@ -166,10 +168,10 @@ fn partition_invariants() {
                     let class = ClassId((page % 3) as u16);
                     let page = PageId(page);
                     match b.access(class, page, now) {
-                        LocalAccess::Miss => {
+                        TieredAccess::Miss => {
                             b.install(class, page, now);
                         }
-                        LocalAccess::Hit { .. } | LocalAccess::MovedToDedicated { .. } => {}
+                        TieredAccess::Hit { .. } => {}
                     }
                 }
                 _ => {
@@ -290,12 +292,17 @@ fn page_heat_matches_per_class_vec_windows() {
 
 /// The structural bounds the tiered result types state, on 1–6 memory tiers
 /// under both tier policies: a displacing call reports at most one off-node
-/// page (by type) and fewer demotions than tiers, each demoted page landing
-/// strictly deeper than the one before it; residency is conserved and the
-/// invariants hold after every call.
+/// page (by type) and fewer demotions than tiers; each demoted page lands
+/// exactly where a reference rule computed from the pool capacities puts it
+/// — the first tier below its predecessor whose target pool, for the
+/// carried pool's class, has frames — and a page leaves the node only when
+/// that rule finds no such tier, except under the static split, which
+/// demotes nothing (a migration's victim leaves the node even with room
+/// below); residency is conserved and the invariants hold after every call.
 #[test]
 fn tiered_displacement_is_a_chain() {
     let longest = std::cell::Cell::new(0);
+    let static_off_with_room = std::cell::Cell::new(0);
     for seed in 0..96u64 {
         let mut rng = SimRng::seed_from_u64(800 + seed);
         let tiers = 1 + rng.index(6);
@@ -304,17 +311,43 @@ fn tiered_displacement_is_a_chain() {
         let spec = [PolicySpec::Lru, PolicySpec::Fifo, PolicySpec::LruK(2)][rng.index(3)];
         let mut b = TieredBuffer::new(&frames, 2, spec, policy);
         let ctx = format!("seed {seed}: {frames:?} {policy:?} {spec:?}");
-        // `from`: the tier the displacement started in (the page's own
-        // destination); the chain must begin strictly below it.
-        let check_chain = |b: &TieredBuffer, from: usize, demoted: &[PageId]| {
+        // The reference rule: where a page displaced from `pool` of `tier`
+        // lands on the hotness ladder, `None` for off the node.
+        let next_home = |b: &TieredBuffer, tier: usize, pool: ClassId| {
+            (tier + 1..tiers).find_map(|u| {
+                let own = !pool.is_no_goal() && b.pool_at(u, pool).capacity() > 0;
+                let target = if own { pool } else { NO_GOAL };
+                (b.pool_at(u, target).capacity() > 0).then_some((u, target))
+            })
+        };
+        // `from`: the `(tier, pool)` the displacement started in (the
+        // page's own destination). True when a page left the node although
+        // the reference rule had room for it below.
+        let check_chain = |b: &TieredBuffer,
+                           from: (usize, ClassId),
+                           demoted: &[PageId],
+                           evicted: Option<PageId>| {
             assert!(demoted.len() < tiers, "{ctx}: {demoted:?}");
             longest.set(demoted.len().max(longest.get()));
             let mut above = from;
             for &d in demoted {
-                let (at, _) = b.locate(d).expect("a demoted page stays on the node");
-                assert!(at > above, "{ctx}: {demoted:?} not deepening at {d}");
+                let at = b.locate(d).expect("a demoted page stays on the node");
+                assert!(at.0 > above.0, "{ctx}: {demoted:?} not deepening at {d}");
+                assert_eq!(
+                    Some(at),
+                    next_home(b, above.0, above.1),
+                    "{ctx}: {demoted:?} misplaced {d}"
+                );
                 above = at;
             }
+            let left_with_room = evicted.is_some() && next_home(b, above.0, above.1).is_some();
+            match policy {
+                TierPolicy::Hotness => {
+                    assert!(!left_with_room, "{ctx}: {evicted:?} left with room below");
+                }
+                TierPolicy::StaticHash => assert!(demoted.is_empty(), "{ctx}: {demoted:?}"),
+            }
+            left_with_room
         };
         for i in 0..1 + rng.index(300) {
             let now = t(i as u64);
@@ -327,10 +360,15 @@ fn tiered_displacement_is_a_chain() {
                 let before = b.total_resident();
                 match b.access(class, page, now) {
                     TieredAccess::Hit {
-                        evicted, demoted, ..
+                        moved,
+                        evicted,
+                        demoted,
+                        ..
                     } => {
-                        let (at, _) = b.locate(page).expect("a hit page stays resident");
-                        check_chain(&b, at, &demoted);
+                        let at = b.locate(page).expect("a hit page stays resident");
+                        if check_chain(&b, at, &demoted, evicted) && moved {
+                            static_off_with_room.set(static_off_with_room.get() + 1);
+                        }
                         assert_eq!(
                             b.total_resident() + usize::from(evicted.is_some()),
                             before,
@@ -339,7 +377,10 @@ fn tiered_displacement_is_a_chain() {
                     }
                     TieredAccess::Miss => {
                         let out = b.install(class, page, now);
-                        check_chain(&b, out.tier, &out.demoted);
+                        if let Some(at) = b.locate(page) {
+                            assert_eq!(at.0, out.tier, "{ctx}");
+                            check_chain(&b, at, &out.demoted, out.evicted);
+                        }
                         assert!(out.cached || (out.evicted.is_none() && out.demoted.is_empty()));
                         assert_eq!(
                             b.total_resident() + usize::from(out.evicted.is_some()),
@@ -356,6 +397,10 @@ fn tiered_displacement_is_a_chain() {
         }
     }
     assert!(longest.get() >= 3, "the cases never walked a long chain");
+    assert!(
+        static_off_with_room.get() > 0,
+        "no static-split migration displaced a page with room below"
+    );
 }
 
 /// `route` (of the page where `locate` finds it) against what `access`
@@ -639,11 +684,12 @@ fn install_then_hit() {
         let total = 2 + rng.index(14);
         let page = rng.index(100) as u32;
         let class = ClassId(rng.index(3) as u16);
-        let mut b = PartitionedBuffer::new(total, 2, PolicySpec::Lru, 100);
-        assert_eq!(b.access(class, PageId(page), t(0)), LocalAccess::Miss);
+        let mut b =
+            TieredBuffer::with_db_pages(&[total], 2, PolicySpec::Lru, TierPolicy::Hotness, 100);
+        assert_eq!(b.access(class, PageId(page), t(0)), TieredAccess::Miss);
         b.install(class, PageId(page), t(1));
         match b.access(class, PageId(page), t(2)) {
-            LocalAccess::Hit { .. } => {}
+            TieredAccess::Hit { moved: false, .. } => {}
             other => panic!("expected hit, got {other:?} (seed {seed})"),
         }
     }
@@ -653,7 +699,7 @@ fn install_then_hit() {
 /// residency uniqueness even under pool churn.
 #[test]
 fn migration_churn() {
-    let mut b = PartitionedBuffer::new(6, 2, PolicySpec::Lru, 6);
+    let mut b = TieredBuffer::with_db_pages(&[6], 2, PolicySpec::Lru, TierPolicy::Hotness, 6);
     for i in 0..6u32 {
         b.access(NO_GOAL, PageId(i), t(i as u64));
         b.install(NO_GOAL, PageId(i), t(i as u64));

@@ -825,15 +825,8 @@ impl DataPlane {
         // a crash sends no location updates (the survivors discover the
         // loss through the directory, modelled here as exact).
         let mut resident: Vec<PageId> = Vec::new();
-        for t in 0..self.nodes[node.index()].buffer.num_tiers() {
-            for c in 0..=self.params.goal_classes {
-                resident.extend(
-                    self.nodes[node.index()]
-                        .buffer
-                        .pool_at(t, ClassId(c as u16))
-                        .pages(),
-                );
-            }
+        for (_, _, pool) in self.nodes[node.index()].buffer.pools() {
+            resident.extend(pool.pages());
         }
         resident.sort_unstable();
         for page in resident {

@@ -280,48 +280,44 @@ impl DataPlane {
         let mut trial = self.clone();
         for (n, state) in self.nodes.iter().enumerate() {
             let node = NodeId(n as u16);
-            for tier in 0..state.buffer.num_tiers() {
-                for c in 0..=self.params.goal_classes {
-                    let pool_class = ClassId(c as u16);
-                    let pool = state.buffer.pool_at(tier, pool_class);
-                    if pool.capacity() == 0 || pool.len() < pool.capacity() {
-                        continue;
-                    }
-                    // Every pool's loop starts from the run's own heat memo
-                    // (it lives in the directory records), as if it were the
-                    // next pool to evict.
-                    trial.directory.clone_from(&self.directory);
-                    trial.ensure_fresh_victim(node, tier, pool_class, now);
-                    let Some((victim, _)) = trial.nodes[n]
-                        .buffer
-                        .pool_at(tier, pool_class)
-                        .policy()
-                        .as_cost_based()
-                        .and_then(|p| p.min_with_freshness())
-                    else {
-                        continue;
-                    };
-                    let exact = |page: PageId| {
-                        let global = self.directory.global_heat_per_ms(page, now);
-                        self.benefit(node, page, tier, pool_class, global, now)
-                    };
-                    let victim_benefit = exact(victim);
-                    let mut lowest = victim_benefit;
-                    let mut rank = 0;
-                    for page in pool.pages() {
-                        let b = exact(page);
-                        lowest = lowest.min(b);
-                        rank += usize::from(b < victim_benefit);
-                    }
-                    audits.push(VictimAudit {
-                        node,
-                        tier,
-                        pool: pool_class,
-                        victim,
-                        regret: victim_benefit - lowest,
-                        rank,
-                    });
+            for (tier, pool_class, pool) in state.buffer.pools() {
+                if pool.capacity() == 0 || pool.len() < pool.capacity() {
+                    continue;
                 }
+                // Every pool's loop starts from the run's own heat memo
+                // (it lives in the directory records), as if it were the
+                // next pool to evict.
+                trial.directory.clone_from(&self.directory);
+                trial.ensure_fresh_victim(node, tier, pool_class, now);
+                let Some((victim, _)) = trial.nodes[n]
+                    .buffer
+                    .pool_at(tier, pool_class)
+                    .policy()
+                    .as_cost_based()
+                    .and_then(|p| p.min_with_freshness())
+                else {
+                    continue;
+                };
+                let exact = |page: PageId| {
+                    let global = self.directory.global_heat_per_ms(page, now);
+                    self.benefit(node, page, tier, pool_class, global, now)
+                };
+                let victim_benefit = exact(victim);
+                let mut lowest = victim_benefit;
+                let mut rank = 0;
+                for page in pool.pages() {
+                    let b = exact(page);
+                    lowest = lowest.min(b);
+                    rank += usize::from(b < victim_benefit);
+                }
+                audits.push(VictimAudit {
+                    node,
+                    tier,
+                    pool: pool_class,
+                    victim,
+                    regret: victim_benefit - lowest,
+                    rank,
+                });
             }
         }
         audits
@@ -349,16 +345,9 @@ impl DataPlane {
     pub(super) fn decay_benefits(&mut self) {
         const DECAY: f64 = 0.65;
         for node in &mut self.nodes {
-            for t in 0..node.buffer.num_tiers() {
-                for c in 0..=self.params.goal_classes {
-                    if let Some(p) = node
-                        .buffer
-                        .pool_mut_at(t, ClassId(c as u16))
-                        .policy_mut()
-                        .as_cost_based_mut()
-                    {
-                        p.scale_benefits(DECAY);
-                    }
+            for (_, _, pool) in node.buffer.pools_mut() {
+                if let Some(p) = pool.policy_mut().as_cost_based_mut() {
+                    p.scale_benefits(DECAY);
                 }
             }
         }

@@ -11,7 +11,7 @@
 //!
 //! * [`sim`] — discrete-event kernel, distributions, statistics;
 //! * [`linalg`] — incremental Gauss, hyperplane fitting;
-//! * [`buffer`] — pools, replacement policies, heat, partitioned buffers;
+//! * [`buffer`] — pools, replacement policies, heat, the tiered node buffer;
 //! * [`cluster`] — nodes, disks, LAN, directory, data-shipping protocol;
 //! * [`obs`] — metrics registry, deterministic JSON, structured trace sinks;
 //! * [`workload`] — multiclass workload generation and goal schedules;

@@ -13,13 +13,16 @@
 # lockstep: one interval of one side, then the same interval of the other,
 # with the side that goes first alternating from interval to interval.
 #
-# It fails unless both sides complete exactly the same number of
-# operations in every repeat; otherwise it prints the quiet wall of each
-# side (sum over intervals of the fastest repeat, as the ledger folds host
-# time), their ratio a/b (above 1: b is faster) and the number of
-# intervals b won. Interleaving in one process cancels most of the host
-# drift that makes single readings on a shared machine swing by tens of
-# percent. The build uses cargo's default release profile, the one the
+# It fails unless, in every repeat, both sides complete exactly the same
+# number of operations, deliver the same number of events (`sim.events`)
+# and record the same goal-class interval records (`records(GOAL)`,
+# compared by their `{:?}` text): it times representation changes only,
+# and refuses two revisions that behave differently. Otherwise it prints
+# the quiet wall of each side (sum over intervals of the fastest repeat,
+# as the ledger folds host time), their ratio a/b (above 1: b is faster)
+# and the number of intervals b won. Interleaving in one process cancels
+# most of the host drift that makes single readings on a shared machine
+# swing by tens of percent. The build uses cargo's default release profile, the one the
 # ledger is built with. Needs no dependency beyond the toolchain.
 set -eu
 
@@ -82,7 +85,7 @@ use std::time::Instant;
 #[allow(dead_code)]
 mod workloads;
 
-use workloads::{by_name, instantiate, prepare, Prepared, Running, Workload};
+use workloads::{by_name, instantiate, prepare, Prepared, Running, Workload, GOAL};
 
 /// A workload resolved, built and warmed up, ready for its timed segment.
 pub struct Side {
@@ -129,6 +132,17 @@ impl Run {
     /// Operations completed so far.
     pub fn completions(&self) -> u64 {
         self.running.sim.plane().completions()
+    }
+
+    /// Events delivered so far (\`sim.events\`).
+    pub fn events(&self) -> u64 {
+        let snap = self.running.sim.metrics_snapshot();
+        snap.get_counter("sim.events").expect("sim.events is always exported")
+    }
+
+    /// The goal class's interval records so far, as \`{:?}\` text.
+    pub fn goal_records(&self) -> String {
+        format!("{:?}", self.running.sim.records(GOAL))
     }
 }
 EOF
@@ -199,6 +213,15 @@ fn main() {
             eprintln!("ab: repeat {repeat}: a completed {done_a} operations, b {done_b}");
             exit(1);
         }
+        let (events_a, events_b) = (run_a.events(), run_b.events());
+        if events_a != events_b {
+            eprintln!("ab: repeat {repeat}: a delivered {events_a} events, b {events_b}");
+            exit(1);
+        }
+        if run_a.goal_records() != run_b.goal_records() {
+            eprintln!("ab: repeat {repeat}: the goal class's interval records differ");
+            exit(1);
+        }
         completions = done_a;
     }
     let total_a: u64 = quiet_a.iter().sum();
@@ -206,7 +229,7 @@ fn main() {
     let wins = quiet_a.iter().zip(&quiet_b).filter(|(a, b)| b < a).count();
     println!(
         "ab {name} seed {seed}: {intervals} intervals x {repeats} repeats, \
-         {completions} completions per repeat on both sides"
+         {completions} completions per repeat, equal events and goal records on both sides"
     );
     println!(
         "quiet wall a {:.1} ms, b {:.1} ms, ratio a/b {:.4}; b faster in {wins}/{intervals} intervals",

@@ -4,10 +4,10 @@
 
 use dmm::buffer::ClassId;
 use dmm::cluster::{FabricSpec, FaultPlan, HotRingSpec, NodeId, PlacementSpec};
-use dmm::core::{ControllerKind, ProbeSpec, Simulation, SystemConfig};
+use dmm::core::{ControllerKind, Objective, ProbeSpec, SatisfactionMode, Simulation, SystemConfig};
 use dmm::obs::{SpanMode, StreamSink, VecSink};
-use dmm::prelude::{TierPolicy, TierSpec};
-use dmm::workload::GoalRange;
+use dmm::prelude::{SimTime, TierPolicy, TierSpec};
+use dmm::workload::{GoalRange, RateShift};
 use dmm_bench::{convergence_speed, sweep};
 
 /// Runs the base system with the trace enabled and returns the full
@@ -880,4 +880,110 @@ fn watch_snapshot_is_byte_stable_across_runs() {
         4,
     );
     assert_eq!(frames, again, "same seed, same frames");
+}
+
+/// FNV-1a (64-bit) over a trace's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The base system under `controller` with every per-class control path
+/// live: the coordinator's home node crashes and restarts (failover,
+/// `node_down`, `node_up`), the background load doubles (the workload-shift
+/// store clear) and a goal range with upper-bound satisfaction makes the
+/// goal schedule fire even for the controllers that never act.
+fn controller_traced_run(controller: ControllerKind) -> String {
+    let plan = FaultPlan::new(11)
+        .crash_ms(NodeId(0), 32_500)
+        .restart_ms(NodeId(0), 92_500);
+    let mut cfg = SystemConfig::builder()
+        .seed(11)
+        .theta(0.5)
+        .goal_ms(20.0)
+        .db_pages(400)
+        .buffer_pages_per_node(96)
+        .goal_rate_per_ms(0.008)
+        .warmup_intervals(2)
+        .controller(controller)
+        .satisfaction(SatisfactionMode::UpperBound)
+        .goal_range(GoalRange::new(4.0, 40.0))
+        .fault_plan(plan)
+        .build()
+        .expect("valid test config");
+    cfg.workload.classes[0].rate_shifts = vec![RateShift {
+        at: SimTime::from_nanos(130 * 1_000_000_000),
+        arrival_per_ms: vec![0.048; 3],
+    }];
+    let sink = VecSink::new();
+    let mut sim = Simulation::new(cfg);
+    sim.set_trace_sink(Box::new(sink.handle()));
+    sim.run_intervals(40);
+    sink.to_jsonl()
+}
+
+#[test]
+fn every_controller_traces_its_pinned_bytes() {
+    // FNV-1a digests of each controller's JSONL trace, pinned across
+    // revisions: a change that only restructures the control plane leaves
+    // every controller's bytes as they are. A declared behaviour change
+    // regenerates them (the failure message prints the new values).
+    let pinned: [(&str, ControllerKind, u64); 7] = [
+        (
+            "hyperplane/min_nogoal_rt",
+            ControllerKind::Hyperplane {
+                objective: Objective::MinNoGoalRt,
+            },
+            0x65c9_a019_30d5_1be2,
+        ),
+        (
+            "hyperplane/min_total_dedicated",
+            ControllerKind::Hyperplane {
+                objective: Objective::MinTotalDedicated,
+            },
+            0xc219_f2af_a2bc_170b,
+        ),
+        (
+            "hyperplane/balance_nodes",
+            ControllerKind::Hyperplane {
+                objective: Objective::BalanceNodes,
+            },
+            0xa68a_b810_74e3_e154,
+        ),
+        (
+            "fragment_fencing",
+            ControllerKind::FragmentFencing,
+            0x9976_267a_35cd_25bb,
+        ),
+        (
+            "class_fencing",
+            ControllerKind::ClassFencing,
+            0xaa60_0113_0d1e_141c,
+        ),
+        (
+            "static",
+            ControllerKind::Static { fraction: 0.25 },
+            0x88cf_687d_fb24_8618,
+        ),
+        ("none", ControllerKind::None, 0x1ab8_dc72_3c82_7210),
+    ];
+    let mut moved = Vec::new();
+    for (name, controller, digest) in pinned {
+        let doc = controller_traced_run(controller);
+        for needle in [
+            "\"kind\":\"crash\"",
+            "\"kind\":\"restart\"",
+            "\"type\":\"failover\"",
+            "\"store_cleared\":true",
+            "\"type\":\"goal_change\"",
+        ] {
+            assert!(doc.contains(needle), "{name}: no {needle} in the trace");
+        }
+        let got = fnv1a(doc.as_bytes());
+        if got != digest {
+            moved.push(format!("{name}: {got:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "trace digests moved: {moved:#?}");
 }

@@ -12,7 +12,6 @@ use dmm_buffer::{ClassId, PoolStats};
 use dmm_cluster::NodeId;
 use dmm_obs::Histogram;
 use dmm_sim::stats::WindowMean;
-use dmm_sim::SimTime;
 
 /// Bucket layout shared by every per-interval response-time histogram:
 /// log-linear edges from 10 µs to 10 s with 8 subdivisions per octave
@@ -164,7 +163,6 @@ impl LocalAgent {
     /// significant enough to send.
     pub fn end_interval(
         &mut self,
-        _now: SimTime,
         interval_ms: f64,
         granted_pages: usize,
         avail_pages: usize,
@@ -245,7 +243,7 @@ mod tests {
         let mut a = agent();
         a.on_arrival();
         a.on_completion(10.0);
-        let (obs, sig) = a.end_interval(SimTime::ZERO, 5000.0, 64, 512, stats(3, 1));
+        let (obs, sig) = a.end_interval(5000.0, 64, 512, stats(3, 1));
         assert!(sig);
         assert_eq!(obs.mean_rt_ms, Some(10.0));
         assert_eq!(obs.completions, 1);
@@ -258,13 +256,13 @@ mod tests {
     fn small_change_is_not_significant() {
         let mut a = agent();
         a.on_completion(10.0);
-        let (_, sig) = a.end_interval(SimTime::ZERO, 5000.0, 64, 512, stats(0, 0));
+        let (_, sig) = a.end_interval(5000.0, 64, 512, stats(0, 0));
         assert!(sig);
         a.on_completion(10.2); // 2% change < 5% threshold
-        let (_, sig) = a.end_interval(SimTime::ZERO, 5000.0, 64, 512, stats(0, 0));
+        let (_, sig) = a.end_interval(5000.0, 64, 512, stats(0, 0));
         assert!(!sig);
         a.on_completion(12.0); // vs last *reported* 10.0: 20%
-        let (_, sig) = a.end_interval(SimTime::ZERO, 5000.0, 64, 512, stats(0, 0));
+        let (_, sig) = a.end_interval(5000.0, 64, 512, stats(0, 0));
         assert!(sig);
     }
 
@@ -272,10 +270,10 @@ mod tests {
     fn allocation_change_forces_report() {
         let mut a = agent();
         a.on_completion(10.0);
-        let (_, sig) = a.end_interval(SimTime::ZERO, 5000.0, 64, 512, stats(0, 0));
+        let (_, sig) = a.end_interval(5000.0, 64, 512, stats(0, 0));
         assert!(sig);
         a.on_completion(10.0);
-        let (_, sig) = a.end_interval(SimTime::ZERO, 5000.0, 128, 512, stats(0, 0));
+        let (_, sig) = a.end_interval(5000.0, 128, 512, stats(0, 0));
         assert!(sig, "new partitioning needs a new measure point");
     }
 
@@ -283,8 +281,8 @@ mod tests {
     fn empty_interval_not_significant() {
         let mut a = agent();
         a.on_completion(10.0);
-        a.end_interval(SimTime::ZERO, 5000.0, 64, 512, stats(0, 0));
-        let (obs, sig) = a.end_interval(SimTime::ZERO, 5000.0, 64, 512, stats(0, 0));
+        a.end_interval(5000.0, 64, 512, stats(0, 0));
+        let (obs, sig) = a.end_interval(5000.0, 64, 512, stats(0, 0));
         assert!(!sig);
         assert_eq!(obs.mean_rt_ms, None);
         assert_eq!(obs.completions, 0);
@@ -293,8 +291,8 @@ mod tests {
     #[test]
     fn pool_stats_are_differenced() {
         let mut a = agent();
-        a.end_interval(SimTime::ZERO, 5000.0, 0, 512, stats(10, 10));
-        let (obs, _) = a.end_interval(SimTime::ZERO, 5000.0, 0, 512, stats(25, 15));
+        a.end_interval(5000.0, 0, 512, stats(10, 10));
+        let (obs, _) = a.end_interval(5000.0, 0, 512, stats(25, 15));
         assert_eq!(obs.pool_hits, 15);
         assert_eq!(obs.pool_accesses, 20);
     }

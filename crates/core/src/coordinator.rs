@@ -5,14 +5,18 @@
 //! from every class-k agent and every no-goal agent — the agents need not be
 //! synchronous — computes the λ-weighted mean response time of Eq. 4, checks
 //! it against the goal with the adaptive tolerance, and, on violation, runs
-//! the optimization phase of its [`Strategy`]: the paper's hyperplane + LP
-//! method, one of the fencing baselines, or nothing.
+//! the optimization phase of its [`ControllerKind`]: the paper's
+//! hyperplane-and-LP method, one of the fencing baselines, or nothing — one
+//! `match`. The phase fills the trace's [`records::Optimize`] itself, so the
+//! record's fields are declared once.
 //!
 //! During warm-up — fewer than `N+1` independent measure points — the
-//! hyperplane strategy issues a deterministic probing sequence (base
+//! hyperplane controller issues a deterministic probing sequence (base
 //! fraction everywhere, then one perturbed node per step), each step chosen
 //! so it extends the measure store's rank (§5(b): "we have to take care that
 //! every new partitioning leads to a new linear independent measure point").
+
+use std::borrow::Cow;
 
 use dmm_buffer::ClassId;
 use dmm_cluster::NodeId;
@@ -22,10 +26,11 @@ use dmm_workload::GoalMetric;
 
 use crate::agent::AgentObservation;
 use crate::approx::{fit_planes, Planes};
-use crate::baselines::{ClassFencingState, FragmentFencingState};
+use crate::baselines::{class_fencing, fragment_fencing, ControllerKind, TwoPoint};
 use crate::measure::{MeasurePoint, MeasureStore};
 use crate::optimize::{solve_partitioning, Objective, PartitionProblem};
 use crate::probe::{apply_probe_delta, batched_probe_deltas};
+use crate::records::{self, GoalMetricLabel};
 use crate::tolerance::ToleranceEstimator;
 
 /// Bytes per MB; allocations are granted in 4 KB pages.
@@ -55,58 +60,6 @@ pub enum SatisfactionMode {
     UpperBound,
 }
 
-/// The optimization strategy run on goal violation.
-#[derive(Debug)]
-pub enum Strategy {
-    /// The paper's method: measure points → hyperplane → LP.
-    Hyperplane {
-        /// Phase-(b) point store.
-        store: MeasureStore,
-        /// LP objective (the paper uses [`Objective::MinNoGoalRt`]).
-        objective: Objective,
-        /// Warm-up probe cursor.
-        probe_step: usize,
-    },
-    /// Fragment fencing \[5\]: response time assumed linear in buffer size.
-    Fragment(FragmentFencingState),
-    /// Class fencing \[6\]: response time linear in miss rate, miss rate
-    /// extrapolated linearly in buffer size.
-    ClassFencing(ClassFencingState),
-    /// Never reallocates (static and no-partitioning baselines).
-    Fixed,
-}
-
-/// Structured record of one optimization phase (§5(d)): which path produced
-/// the new allocation and the model state behind it. Consumed by the trace
-/// layer; carries no control-flow weight of its own.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct OptimizeTrace {
-    /// Path taken: `"lp"`, `"probe"`, `"fragment"`, or `"class_fencing"`.
-    pub path: &'static str,
-    /// Independent measure points available to the fit.
-    pub points: usize,
-    /// Fitted class-plane gradient `w` (LP path only).
-    pub plane_w: Option<Vec<f64>>,
-    /// Fitted class-plane intercept `c` (LP path only).
-    pub plane_c: Option<f64>,
-    /// Whether the LP found the goal attainable.
-    pub goal_attainable: Option<bool>,
-    /// Plane-predicted class response time at the allocation actually
-    /// issued — after the release trust region, the monotone guard and the
-    /// release floor — over the live nodes (LP path only).
-    pub predicted_class_ms: Option<f64>,
-    /// Per-measure-point fit residuals (observed − plane-predicted class
-    /// response time, ms) over the points the fit consumed, in store order.
-    /// `None` when no fit ran.
-    pub fit_residuals_ms: Option<Vec<f64>>,
-    /// Root-mean-square of [`fit_residuals_ms`](Self::fit_residuals_ms).
-    pub fit_rms_ms: Option<f64>,
-    /// Why the LP path was skipped, when it was: `"rank_deficient"`,
-    /// `"fit_failed"`, `"memory_does_not_help"`, or `"non_finite_plane"`
-    /// (the fit produced a NaN or infinite coefficient).
-    pub fallback: Option<&'static str>,
-}
-
 /// Result of one check phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckOutcome {
@@ -121,9 +74,6 @@ pub struct CheckOutcome {
     pub observed_nogoal_ms: f64,
     /// Whether the goal was satisfied (`None` = no data yet).
     pub satisfied: Option<bool>,
-    /// New per-node allocation in MB, if the optimization phase decided to
-    /// change the partitioning.
-    pub new_alloc_mb: Option<Vec<f64>>,
     /// Adaptive tolerance δ (ms) in force during this check.
     pub tolerance_ms: f64,
     /// Whether the check fell in the settling window after an allocation
@@ -132,13 +82,22 @@ pub struct CheckOutcome {
     /// Whether workload-shift detection cleared the measure store this
     /// check.
     pub store_cleared: bool,
-    /// Detail of the optimization phase, when one ran.
-    pub optimize: Option<OptimizeTrace>,
+    /// The optimization phase's `optimize` record, when the phase issued
+    /// an allocation (`interval` is left for the caller to stamp).
+    pub optimize: Option<records::Optimize>,
     /// Realized LP prediction residual (observed − predicted class ms):
     /// present on the first non-settling check after an LP-issued
     /// allocation, measuring how well the fitted plane anticipated the
     /// outcome of its own action (controller explainability).
     pub prediction_residual_ms: Option<f64>,
+}
+
+impl CheckOutcome {
+    /// New per-node allocation in MB, if the optimization phase decided to
+    /// change the partitioning: the optimize record's `requested_mb`.
+    pub fn new_alloc_mb(&self) -> Option<&[f64]> {
+        Some(&self.optimize.as_ref()?.requested_mb)
+    }
 }
 
 /// Coordinator for one goal class.
@@ -166,7 +125,14 @@ pub struct Coordinator {
     /// no information) and dead nodes are never allocated to.
     live: Vec<bool>,
     last_nogoal_ms: f64,
-    strategy: Strategy,
+    controller: ControllerKind,
+    /// Phase-(b) point store; only the hyperplane controller fills it.
+    store: MeasureStore,
+    /// Warm-up probe cursor of the hyperplane controller.
+    probe_step: usize,
+    /// The fencing baselines' two-point model: RT(buffer) for fragment
+    /// fencing, miss(buffer) for class fencing.
+    fencing: TwoPoint,
     satisfaction: SatisfactionMode,
     /// Minimum total dedicated memory (MB) the coordinator keeps for its
     /// class. Response time is only controllable through the dedicated
@@ -218,14 +184,14 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// New coordinator on `home` for `class`, with `nodes` nodes of
-    /// `node_size_mb` MB buffer each.
+    /// `node_size_mb` MB buffer each, running `controller`.
     pub fn new(
         class: ClassId,
         home: NodeId,
         nodes: usize,
         node_size_mb: f64,
         goal_ms: f64,
-        strategy: Strategy,
+        controller: ControllerKind,
     ) -> Self {
         assert!(!class.is_no_goal(), "the no-goal class has no coordinator");
         assert!(goal_ms > 0.0 && node_size_mb > 0.0 && nodes > 0);
@@ -243,7 +209,10 @@ impl Coordinator {
             avail_mb: vec![node_size_mb; nodes],
             live: vec![true; nodes],
             last_nogoal_ms: 0.0,
-            strategy,
+            controller,
+            store: MeasureStore::new(nodes),
+            probe_step: 0,
+            fencing: TwoPoint::default(),
             satisfaction: SatisfactionMode::default(),
             release_floor_mb: 0.0,
             store_rate_signature: None,
@@ -316,24 +285,25 @@ impl Coordinator {
 
     /// Seeds the measure store with `N + 1` synthetic on-plane points
     /// derived from `planes` — typically a small-system fit stretched by
-    /// [`crate::approx::upsample_planes`] — so the hyperplane strategy
+    /// [`crate::approx::upsample_planes`] — so the hyperplane controller
     /// starts at full rank and the LP can engage on the very first
     /// violation instead of spending ~`N` probe intervals learning the
     /// surface from scratch. The synthetic response times are the *raw*
     /// plane predictions (unclamped — clamping would bend the recorded
     /// surface away from the plane and corrupt the first fit); real
     /// measurements then blend in through the store's normal replacement
-    /// and correct any residual model error. No-op for non-hyperplane
-    /// strategies.
+    /// and correct any residual model error. No-op for the other
+    /// controllers.
     pub fn warm_start(&mut self, planes: &Planes, at: SimTime) {
         assert_eq!(
             planes.class.w.len(),
             self.nodes,
             "warm-start planes must match the topology width"
         );
-        let Strategy::Hyperplane { store, .. } = &mut self.strategy else {
+        if !self.learns() {
             return;
-        };
+        }
+        let store = &mut self.store;
         store.clear();
         let low = 0.25 * self.node_size_mb;
         let base = vec![low; self.nodes];
@@ -353,27 +323,10 @@ impl Coordinator {
         self.last_fit = Some(planes.clone());
     }
 
-    /// The paper's strategy with default objective.
-    pub fn hyperplane(
-        class: ClassId,
-        home: NodeId,
-        nodes: usize,
-        node_size_mb: f64,
-        goal_ms: f64,
-        objective: Objective,
-    ) -> Self {
-        Self::new(
-            class,
-            home,
-            nodes,
-            node_size_mb,
-            goal_ms,
-            Strategy::Hyperplane {
-                store: MeasureStore::new(nodes),
-                objective,
-                probe_step: 0,
-            },
-        )
+    /// Whether the controller learns a response-time surface: only the
+    /// hyperplane controller fills the measure store and probes.
+    fn learns(&self) -> bool {
+        matches!(self.controller, ControllerKind::Hyperplane { .. })
     }
 
     /// Class this coordinator manages.
@@ -482,13 +435,11 @@ impl Coordinator {
     fn topology_changed(&mut self) {
         let live = self.live_nodes();
         assert!(live > 0, "at least one node must survive");
-        if let Strategy::Hyperplane {
-            store, probe_step, ..
-        } = &mut self.strategy
-        {
-            store.clear();
-            store.set_rank_target((live < self.nodes).then_some(live + 1));
-            *probe_step = 0;
+        if self.learns() {
+            self.store.clear();
+            self.store
+                .set_rank_target((live < self.nodes).then_some(live + 1));
+            self.probe_step = 0;
         }
         self.tol.reset();
         self.store_rate_signature = None;
@@ -553,7 +504,6 @@ impl Coordinator {
                 observed_quantile_ms: rt_quantile,
                 observed_nogoal_ms: self.last_nogoal_ms,
                 satisfied: None,
-                new_alloc_mb: None,
                 tolerance_ms: self.tolerance_ms(),
                 settling: self.transient > 0,
                 store_cleared: false,
@@ -569,6 +519,7 @@ impl Coordinator {
         // caches have refilled and `rt_k` measures the partitioning the LP
         // actually produced.
         let mut prediction_residual_ms = None;
+        let mut store_cleared = false;
         if !settling {
             if let Some(pred) = self.pending_prediction.take() {
                 let residual = rt_k - pred;
@@ -578,9 +529,6 @@ impl Coordinator {
                     None => residual,
                 });
             }
-        }
-        let mut store_cleared = false;
-        if !settling {
             // Workload-shift detection: the fitted surface is conditional on
             // the arrival rates; a sustained >15 % change invalidates the
             // measure points. The raw per-interval rates are Poisson-noisy,
@@ -602,8 +550,8 @@ impl Coordinator {
             }
             if let Some(s0) = self.store_rate_signature {
                 if (signature - s0).abs() > 0.15 * s0.max(1e-9) {
-                    if let Strategy::Hyperplane { store, .. } = &mut self.strategy {
-                        store.clear();
+                    if self.learns() {
+                        self.store.clear();
                     }
                     self.tol.reset();
                     self.store_rate_signature = Some(signature);
@@ -619,8 +567,9 @@ impl Coordinator {
             // straddled an allocation change measures neither the old nor
             // the new partitioning and is not recorded (§5(b) pairs each
             // point with one partitioning).
-            if let Strategy::Hyperplane { store, .. } = &mut self.strategy {
-                store.record(self.granted_mb.clone(), rt_k, self.last_nogoal_ms, now);
+            if self.learns() {
+                self.store
+                    .record(self.granted_mb.clone(), rt_k, self.last_nogoal_ms, now);
             }
         }
         // The coordinator *acts* when the class is too slow (grow) or when
@@ -635,31 +584,13 @@ impl Coordinator {
         let too_slow = self.tol.too_slow(rt_k, self.goal_ms);
         let act =
             !settling && (too_slow || (self.tol.too_fast(rt_k, self.goal_ms) && holds_memory));
-        let optimized = if act {
+        let optimize = if act {
             self.optimizations += 1;
             self.optimize(rt_k, too_slow)
         } else {
             None
         };
-        let (new_alloc, opt_trace) = match optimized {
-            Some((alloc, mut trace, planes)) => {
-                let alloc = self.apply_floor(alloc);
-                if let Some(planes) = planes {
-                    // Predict what was issued, not what the LP proposed:
-                    // the guards and the floor may have moved it.
-                    let live: Vec<f64> = (0..self.nodes)
-                        .filter(|&i| self.live[i])
-                        .map(|i| alloc[i])
-                        .collect();
-                    let predicted = planes.predict_class_ms(&live);
-                    trace.predicted_class_ms = Some(predicted);
-                    self.pending_prediction = Some(predicted);
-                }
-                (Some(alloc), Some(trace))
-            }
-            None => (None, None),
-        };
-        if let Some(alloc) = &new_alloc {
+        if let Some(alloc) = optimize.as_ref().map(|rec| &rec.requested_mb) {
             // A change of at least one page somewhere disturbs the next
             // interval's measurements; a change of more than 1 MB total
             // takes the caches about two intervals to refill.
@@ -679,11 +610,10 @@ impl Coordinator {
             observed_quantile_ms: rt_quantile,
             observed_nogoal_ms: self.last_nogoal_ms,
             satisfied: Some(satisfied),
-            new_alloc_mb: new_alloc,
             tolerance_ms: self.tolerance_ms(),
             settling,
             store_cleared,
-            optimize: opt_trace,
+            optimize,
             prediction_residual_ms,
         }
     }
@@ -696,164 +626,168 @@ impl Coordinator {
         distribute_delta(&alloc, &self.avail_mb, self.release_floor_mb - total)
     }
 
-    /// Proposes a new allocation; on the LP path also returns the planes it
-    /// was solved on (fitted in the live-node subspace).
-    fn optimize(
-        &mut self,
-        rt_k: f64,
-        too_slow: bool,
-    ) -> Option<(Vec<f64>, OptimizeTrace, Option<Planes>)> {
-        let goal = self.goal_ms;
-        let node_size = self.node_size_mb;
+    /// Phase (d): proposes a new allocation and returns the `optimize`
+    /// record that carries it, or `None` to keep the current one.
+    fn optimize(&mut self, rt_k: f64, too_slow: bool) -> Option<records::Optimize> {
         let granted = self.granted_mb.clone();
-        let avail = self.avail_mb.clone();
-        let miss_rate = aggregate_miss_rate(&self.latest_class);
-        let anchor = self.probe_anchor_mb.clone();
-        let nodes = self.nodes;
+        let mut rec = records::Optimize {
+            interval: 0,
+            class: self.class.index() as u64,
+            path: "probe",
+            points: 0,
+            plane_w: None,
+            plane_c: None,
+            goal_attainable: None,
+            predicted_class_ms: None,
+            fit_residuals_ms: None,
+            fit_rms_ms: None,
+            fallback: None,
+            current_mb: Vec::new(),
+            requested_mb: Vec::new(),
+            delta_mb: 0.0,
+            // For quantile goals the fitted surface runs through observed
+            // quantiles; the label tells analyzers what
+            // `predicted_class_ms` predicts.
+            quantile: self.metric.is_quantile().then(|| GoalMetricLabel {
+                goal_metric: self.metric.label(),
+            }),
+        };
+        let (goal, size, avail) = (self.goal_ms, self.node_size_mb, &self.avail_mb);
+        let mut planes = None;
+        let alloc = match self.controller {
+            ControllerKind::Hyperplane { objective } => {
+                match self.solve(objective, too_slow, &granted, &mut rec) {
+                    Ok((alloc, fitted)) => {
+                        rec.path = "lp";
+                        planes = Some(fitted);
+                        alloc
+                    }
+                    Err(fallback) => {
+                        rec.fallback = Some(fallback);
+                        self.next_probe(&granted)
+                    }
+                }
+            }
+            ControllerKind::FragmentFencing => {
+                rec.path = "fragment";
+                fragment_fencing(&mut self.fencing, goal, rt_k, &granted, avail, size)
+            }
+            ControllerKind::ClassFencing => {
+                rec.path = "class_fencing";
+                let miss = aggregate_miss_rate(&self.latest_class);
+                class_fencing(&mut self.fencing, goal, rt_k, miss, &granted, avail, size)?
+            }
+            ControllerKind::Static { .. } | ControllerKind::None => return None,
+        };
+        let alloc = self.apply_floor(alloc);
+        if let Some(planes) = planes {
+            // Predict what was issued, not what the LP proposed: the guards
+            // and the floor may have moved it.
+            let live: Vec<f64> = (0..self.nodes)
+                .filter(|&i| self.live[i])
+                .map(|i| alloc[i])
+                .collect();
+            let predicted = planes.predict_class_ms(&live);
+            rec.predicted_class_ms = Some(predicted);
+            self.pending_prediction = Some(predicted);
+        }
+        rec.delta_mb = alloc.iter().sum::<f64>() - granted.iter().sum::<f64>();
+        rec.current_mb = granted;
+        rec.requested_mb = alloc;
+        Some(rec)
+    }
+
+    /// The hyperplane controller's LP path: fits the planes in the live-node
+    /// subspace and solves the §4 program on them, noting the fit in `rec`.
+    /// Returns the guarded allocation and the planes it was solved on, or
+    /// why the path was skipped.
+    fn solve(
+        &mut self,
+        objective: Objective,
+        too_slow: bool,
+        granted: &[f64],
+        rec: &mut records::Optimize,
+    ) -> Result<(Vec<f64>, Planes), &'static str> {
+        if !self.store.has_full_rank() {
+            return Err("rank_deficient");
+        }
         // Indices of live nodes: with a degraded topology the fit and the
         // LP run in the surviving subspace (dead columns are identically
         // zero and carry no information; keeping them would make the fit
         // singular), and the solution is expanded back with zeros.
+        let nodes = self.nodes;
         let live_idx: Vec<usize> = (0..nodes).filter(|&i| self.live[i]).collect();
         let degraded = live_idx.len() < nodes;
-        let plan = self.probe_plan.as_deref();
-        match &mut self.strategy {
-            Strategy::Hyperplane {
-                store,
-                objective,
-                probe_step,
-            } => {
-                let mut trace = OptimizeTrace {
-                    path: "probe",
-                    ..OptimizeTrace::default()
-                };
-                if store.has_full_rank() {
-                    let points = store.selected_points();
-                    trace.points = points.len();
-                    let projected: Vec<MeasurePoint>;
-                    let fit_input: Vec<&MeasurePoint>;
-                    let (avail_p, granted_p): (Vec<f64>, Vec<f64>);
-                    if degraded {
-                        projected = points
-                            .iter()
-                            .map(|p| MeasurePoint {
-                                alloc_mb: live_idx.iter().map(|&i| p.alloc_mb[i]).collect(),
-                                rt_class_ms: p.rt_class_ms,
-                                rt_nogoal_ms: p.rt_nogoal_ms,
-                                at: p.at,
-                            })
-                            .collect();
-                        fit_input = projected.iter().collect();
-                        avail_p = live_idx.iter().map(|&i| avail[i]).collect();
-                        granted_p = live_idx.iter().map(|&i| granted[i]).collect();
-                    } else {
-                        fit_input = points;
-                        avail_p = avail.clone();
-                        granted_p = granted.clone();
-                    }
-                    match fit_planes(&fit_input) {
-                        Ok(planes) => {
-                            // Per-point fit residuals: how well the plane
-                            // explains the very points it was fitted to.
-                            // Exported on the optimize trace record so a
-                            // noisy or stale surface is visible from the
-                            // outside.
-                            let resid: Vec<f64> = fit_input
-                                .iter()
-                                .map(|p| p.rt_class_ms - planes.predict_class_ms(&p.alloc_mb))
-                                .collect();
-                            let rms = (resid.iter().map(|r| r * r).sum::<f64>()
-                                / resid.len() as f64)
-                                .sqrt();
-                            trace.fit_residuals_ms = Some(resid);
-                            trace.fit_rms_ms = Some(rms);
-                            if !degraded {
-                                // Subspace fits are not retained: a donor
-                                // plane must span the full topology.
-                                self.last_fit = Some(planes.clone());
-                            }
-                            if planes.class_memory_helps() {
-                                let problem = PartitionProblem {
-                                    planes: &planes,
-                                    goal_ms: goal,
-                                    avail_mb: &avail_p,
-                                    current_mb: &granted_p,
-                                    reallocation_penalty: REALLOCATION_PENALTY,
-                                    objective: *objective,
-                                };
-                                match solve_partitioning(&problem) {
-                                    Ok(sol) => {
-                                        trace.path = "lp";
-                                        trace.plane_w = Some(expand_to_topology(
-                                            planes.class.w.clone(),
-                                            &live_idx,
-                                            nodes,
-                                        ));
-                                        trace.plane_c = Some(planes.class.c);
-                                        trace.goal_attainable = Some(sol.goal_attainable);
-                                        let alloc = release_trust_region(sol.alloc_mb, &granted_p);
-                                        let alloc =
-                                            monotone_guard(alloc, &granted_p, &avail_p, too_slow);
-                                        let alloc = expand_to_topology(alloc, &live_idx, nodes);
-                                        return Some((alloc, trace, Some(planes)));
-                                    }
-                                    Err(_) => trace.fallback = Some("non_finite_plane"),
-                                }
-                            } else {
-                                trace.fallback = Some("memory_does_not_help");
-                            }
-                        }
-                        Err(_) => trace.fallback = Some("fit_failed"),
-                    }
-                } else {
-                    trace.fallback = Some("rank_deficient");
-                }
-                let probe = match plan {
-                    Some(p) => next_batched(
-                        store,
-                        probe_step,
-                        p,
-                        node_size,
-                        anchor.as_deref(),
-                        &granted,
-                        &avail,
-                    ),
-                    None => next_probe(
-                        store,
-                        probe_step,
-                        node_size,
-                        anchor.as_deref(),
-                        &granted,
-                        &avail,
-                    ),
-                };
-                Some((probe, trace, None))
-            }
-            Strategy::Fragment(state) => state
-                .suggest(goal, rt_k, &granted, &avail, node_size)
-                .map(|alloc| {
-                    (
-                        alloc,
-                        OptimizeTrace {
-                            path: "fragment",
-                            ..OptimizeTrace::default()
-                        },
-                        None,
-                    )
-                }),
-            Strategy::ClassFencing(state) => state
-                .suggest(goal, rt_k, miss_rate, &granted, &avail, node_size)
-                .map(|alloc| {
-                    (
-                        alloc,
-                        OptimizeTrace {
-                            path: "class_fencing",
-                            ..OptimizeTrace::default()
-                        },
-                        None,
-                    )
-                }),
-            Strategy::Fixed => None,
+        let project = |v: &[f64]| -> Vec<f64> { live_idx.iter().map(|&i| v[i]).collect() };
+        let points = self.store.selected_points();
+        rec.points = points.len();
+        let projected: Vec<MeasurePoint>;
+        let fit_input: Vec<&MeasurePoint> = if degraded {
+            projected = points
+                .iter()
+                .map(|p| MeasurePoint {
+                    alloc_mb: project(&p.alloc_mb),
+                    rt_class_ms: p.rt_class_ms,
+                    rt_nogoal_ms: p.rt_nogoal_ms,
+                    at: p.at,
+                })
+                .collect();
+            projected.iter().collect()
+        } else {
+            points
+        };
+        let (avail_p, granted_p) = if degraded {
+            (
+                Cow::Owned(project(&self.avail_mb)),
+                Cow::Owned(project(granted)),
+            )
+        } else {
+            (Cow::Borrowed(&self.avail_mb[..]), Cow::Borrowed(granted))
+        };
+        let planes = fit_planes(&fit_input).map_err(|_| "fit_failed")?;
+        // Per-point fit residuals: how well the plane explains the very
+        // points it was fitted to. Exported on the optimize record so a
+        // noisy or stale surface is visible from the outside.
+        let resid: Vec<f64> = fit_input
+            .iter()
+            .map(|p| p.rt_class_ms - planes.predict_class_ms(&p.alloc_mb))
+            .collect();
+        let rms = (resid.iter().map(|r| r * r).sum::<f64>() / resid.len() as f64).sqrt();
+        rec.fit_residuals_ms = Some(resid);
+        rec.fit_rms_ms = Some(rms);
+        if !degraded {
+            // Subspace fits are not retained: a donor plane must span the
+            // full topology.
+            self.last_fit = Some(planes.clone());
+        }
+        if !planes.class_memory_helps() {
+            return Err("memory_does_not_help");
+        }
+        let problem = PartitionProblem {
+            planes: &planes,
+            goal_ms: self.goal_ms,
+            avail_mb: &avail_p,
+            current_mb: &granted_p,
+            reallocation_penalty: REALLOCATION_PENALTY,
+            objective,
+        };
+        let sol = solve_partitioning(&problem).map_err(|_| "non_finite_plane")?;
+        rec.plane_w = Some(expand_to_topology(planes.class.w.clone(), &live_idx, nodes));
+        rec.plane_c = Some(planes.class.c);
+        rec.goal_attainable = Some(sol.goal_attainable);
+        let alloc = release_trust_region(sol.alloc_mb, &granted_p);
+        let alloc = monotone_guard(alloc, &granted_p, &avail_p, too_slow);
+        Ok((expand_to_topology(alloc, &live_idx, nodes), planes))
+    }
+
+    /// The hyperplane controller's warm-up probe (§5(b)), batched when a
+    /// probe plan is set.
+    fn next_probe(&mut self, granted: &[f64]) -> Vec<f64> {
+        let (store, step, size) = (&self.store, &mut self.probe_step, self.node_size_mb);
+        let (anchor, avail) = (self.probe_anchor_mb.as_deref(), &self.avail_mb[..]);
+        match &self.probe_plan {
+            Some(plan) => next_batched(store, step, plan, size, anchor, granted, avail),
+            None => next_probe(store, step, size, anchor, granted, avail),
         }
     }
 }
@@ -1138,7 +1072,10 @@ mod tests {
     }
 
     fn coordinator(goal: f64) -> Coordinator {
-        Coordinator::hyperplane(ClassId(1), NodeId(0), 3, 2.0, goal, Objective::MinNoGoalRt)
+        let paper = ControllerKind::Hyperplane {
+            objective: Objective::MinNoGoalRt,
+        };
+        Coordinator::new(ClassId(1), NodeId(0), 3, 2.0, goal, paper)
     }
 
     #[test]
@@ -1146,7 +1083,7 @@ mod tests {
         let mut c = coordinator(5.0);
         let out = c.check(SimTime::ZERO);
         assert_eq!(out.satisfied, None);
-        assert_eq!(out.new_alloc_mb, None);
+        assert_eq!(out.new_alloc_mb(), None);
     }
 
     #[test]
@@ -1168,7 +1105,7 @@ mod tests {
         }
         let out = c.check(SimTime::ZERO);
         assert_eq!(out.satisfied, Some(true));
-        assert!(out.new_alloc_mb.is_none());
+        assert!(out.new_alloc_mb().is_none());
         assert_eq!(c.optimizations(), 0);
     }
 
@@ -1179,7 +1116,7 @@ mod tests {
         for n in 0..3 {
             c.on_report(obs(n, 1, Some(9.0), 0.02));
         }
-        assert!(c.check(SimTime::ZERO).new_alloc_mb.is_none());
+        assert!(c.check(SimTime::ZERO).new_alloc_mb().is_none());
         let mut seen = Vec::new();
         // Keep reporting a violating RT; coordinator probes a new
         // partitioning each interval.
@@ -1188,7 +1125,7 @@ mod tests {
                 c.on_report(obs(n, 1, Some(9.0 + i as f64), 0.02));
             }
             let out = c.check(SimTime::from_nanos(i * 10_000_000_000));
-            let alloc = out.new_alloc_mb.expect("violated goal must act");
+            let alloc = out.new_alloc_mb().expect("violated goal must act").to_vec();
             seen.push(alloc.clone());
             // Pretend grants succeeded exactly.
             for n in 0..3 {
@@ -1197,7 +1134,7 @@ mod tests {
             // The settling checks after each change take no action.
             for j in 1..=2 {
                 let settle = c.check(SimTime::from_nanos(i * 10_000_000_000 + j * 2_000_000_000));
-                assert!(settle.new_alloc_mb.is_none(), "settling check must wait");
+                assert!(settle.new_alloc_mb().is_none(), "settling check must wait");
             }
         }
         // The four probe allocations must be pairwise distinct.
@@ -1215,7 +1152,7 @@ mod tests {
             c.on_report(obs(n, 1, Some(10.0), 0.02));
         }
         assert!(
-            c.check(SimTime::from_nanos(1)).new_alloc_mb.is_none(),
+            c.check(SimTime::from_nanos(1)).new_alloc_mb().is_none(),
             "cold settle"
         );
         // Hand-feed 4 independent measure points through the public API:
@@ -1249,8 +1186,8 @@ mod tests {
             last = None;
             for _ in 0..3 {
                 let out = check(&mut c);
-                if out.new_alloc_mb.is_some() {
-                    last = out.new_alloc_mb;
+                if out.new_alloc_mb().is_some() {
+                    last = out.new_alloc_mb().map(<[f64]>::to_vec);
                     break;
                 }
             }
@@ -1289,7 +1226,7 @@ mod tests {
         assert!(p95 > 10.0, "tail is over goal: {p95}");
         assert!((out.observed_class_ms.unwrap() - 4.0).abs() < 1e-9);
         assert_eq!(out.satisfied, Some(false), "p95 violation despite mean");
-        assert!(out.new_alloc_mb.is_some(), "quantile violation must act");
+        assert!(out.new_alloc_mb().is_some(), "quantile violation must act");
         assert_eq!(c.last_quantile_ms(), Some(p95));
     }
 
@@ -1325,13 +1262,18 @@ mod tests {
 
     #[test]
     fn fixed_strategy_never_acts() {
-        let mut c = Coordinator::new(ClassId(1), NodeId(0), 2, 2.0, 1.0, Strategy::Fixed);
-        for n in 0..2 {
-            c.on_report(obs(n, 1, Some(50.0), 0.02));
+        for fixed in [
+            ControllerKind::Static { fraction: 0.25 },
+            ControllerKind::None,
+        ] {
+            let mut c = Coordinator::new(ClassId(1), NodeId(0), 2, 2.0, 1.0, fixed);
+            for n in 0..2 {
+                c.on_report(obs(n, 1, Some(50.0), 0.02));
+            }
+            let out = c.check(SimTime::ZERO);
+            assert_eq!(out.satisfied, Some(false));
+            assert!(out.new_alloc_mb().is_none());
         }
-        let out = c.check(SimTime::ZERO);
-        assert_eq!(out.satisfied, Some(false));
-        assert!(out.new_alloc_mb.is_none());
     }
 
     #[test]
@@ -1381,11 +1323,11 @@ mod tests {
             }
             t += 5_000_000_000;
             let out = c.check(SimTime::from_nanos(t));
-            if let Some(alloc) = out.new_alloc_mb {
+            if let Some(alloc) = out.new_alloc_mb() {
                 assert_eq!(alloc.len(), 3);
                 assert_eq!(alloc[2], 0.0, "dead node must get nothing");
                 if out.optimize.as_ref().is_some_and(|o| o.path == "lp") {
-                    last = Some(alloc);
+                    last = Some(alloc.to_vec());
                 }
             }
         }
@@ -1450,9 +1392,9 @@ mod tests {
         let at_current = planes.predict_class_ms(&current); // 18 ms
         assert!(round(&mut c, &current, at_current).settling, "cold settle");
         let out = round(&mut c, &current, at_current);
+        let issued = out.new_alloc_mb().expect("guarded grow step").to_vec();
         let trace = out.optimize.expect("too slow: optimized");
         assert_eq!(trace.path, "lp");
-        let issued = out.new_alloc_mb.expect("guarded grow step");
         for x in &issued {
             assert!((x - 1.5).abs() < 1e-9, "monotone guard step: {issued:?}");
         }
@@ -1488,13 +1430,10 @@ mod tests {
         c.warm_start(&planes, SimTime::ZERO);
         let donor = c.fitted_planes().expect("donor retained");
         assert_eq!(donor.class.w, vec![-2.0, -2.0, -2.0]);
-        let Strategy::Hyperplane { store, .. } = &c.strategy else {
-            panic!("hyperplane strategy");
-        };
-        assert!(store.has_full_rank(), "warm start must reach full rank");
+        assert!(c.store.has_full_rank(), "warm start must reach full rank");
         // The seeded points lie exactly on the donor plane, so the first
         // real fit reproduces it.
-        let refit = fit_planes(&store.fit_points()).expect("fit");
+        let refit = fit_planes(&c.store.fit_points()).expect("fit");
         for (w, expect) in refit.class.w.iter().zip(&planes.class.w) {
             assert!((w - expect).abs() < 1e-6);
         }

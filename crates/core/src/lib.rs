@@ -39,7 +39,7 @@ pub mod tolerance;
 pub use approx::{fit_planes, upsample_planes, Planes};
 pub use baselines::ControllerKind;
 pub use calibrate::calibrate_goal_range;
-pub use coordinator::{Coordinator, SatisfactionMode, Strategy};
+pub use coordinator::{Coordinator, SatisfactionMode};
 pub use error::Error;
 pub use measure::{MeasurePoint, MeasureStore};
 pub use metrics::{ConvergenceStats, IntervalRecord};

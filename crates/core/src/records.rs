@@ -457,8 +457,9 @@ layout! {
         interval: u64, t_ms: f64, tx_busy: Vec<f64>, rx_busy: Vec<f64>,
         bisection_busy: Option<f64>,
     };
-    /// One optimization phase's reasoning. `path` is `lp`, `probe`,
-    /// `fragment` or `class_fencing`.
+    /// One optimization phase's reasoning, filled by the coordinator. `path`
+    /// is `lp`, `probe`, `fragment` or `class_fencing`; `fallback` names why
+    /// the LP path was skipped. DESIGN.md's trace table gives every field.
     record Optimize = "optimize" {
         interval: u64, class: u64, path: &'static str, points: usize,
         plane_w: Option<Vec<f64>>, plane_c: Option<f64>, goal_attainable: Option<bool>,

@@ -19,10 +19,9 @@ use dmm_workload::{GoalRange, GoalSchedule, WorkloadGenerator, WorkloadSpec};
 
 use crate::agent::{AgentObservation, LocalAgent};
 use crate::approx::Planes;
-use crate::baselines::{ClassFencingState, ControllerKind, FragmentFencingState};
-use crate::coordinator::{Coordinator, SatisfactionMode, Strategy, PAGES_PER_MB};
+use crate::baselines::ControllerKind;
+use crate::coordinator::{Coordinator, SatisfactionMode, PAGES_PER_MB};
 use crate::error::Error;
-use crate::measure::MeasureStore;
 use crate::metrics::{ConvergenceStats, IntervalRecord};
 use crate::probe::ProbeSpec;
 use crate::records::{self, GoalMetricLabel, IntervalQuantile, TierExtension, TierLoad};
@@ -505,21 +504,25 @@ fn msg_pages(pages: usize) -> u32 {
 /// agent reports time to cross the LAN.
 const CHECK_DELAY: SimDuration = SimDuration::from_millis(50);
 
+/// One goal class's control plane: its coordinator (which knows the node it
+/// runs on), its goal schedule, and what §7's protocol measures of it.
+struct GoalClass {
+    coord: Coordinator,
+    schedule: Option<GoalSchedule>,
+    convergence: ConvergenceStats,
+    records: Vec<IntervalRecord>,
+}
+
 struct SimState {
     plane: DataPlane,
     gen: WorkloadGenerator,
     /// `agents[class][node]`.
     agents: Vec<Vec<LocalAgent>>,
-    /// `coordinators[class]`; `None` for the no-goal class.
-    coordinators: Vec<Option<Coordinator>>,
-    /// The classes that have a coordinator, ascending; fixed for the run.
-    goal_ids: Vec<ClassId>,
-    schedules: Vec<Option<GoalSchedule>>,
+    /// `goals[k - 1]` is goal class `k`'s (classes `1..=K`; the no-goal
+    /// class 0 has no control plane).
+    goals: Vec<GoalClass>,
     /// Observations of the [`SysEvent::Report`]s in flight.
     reports: ReportSlots,
-    convergence: Vec<ConvergenceStats>,
-    records: Vec<Vec<IntervalRecord>>,
-    coord_home: Vec<NodeId>,
     interval_idx: u32,
     interval: SimDuration,
     warmup_intervals: u32,
@@ -539,10 +542,12 @@ struct SimState {
 }
 
 impl SimState {
-    fn coord_mut(&mut self, class: ClassId) -> &mut Coordinator {
-        self.coordinators[class.index()]
-            .as_mut()
-            .expect("goal class has a coordinator")
+    fn goal(&self, class: ClassId) -> &GoalClass {
+        &self.goals[class.index() - 1]
+    }
+
+    fn goal_mut(&mut self, class: ClassId) -> &mut GoalClass {
+        &mut self.goals[class.index() - 1]
     }
 
     fn schedule_plane(
@@ -656,7 +661,7 @@ impl SimState {
                 let granted = self.plane.dedicated_pages(node, class);
                 let avail = self.plane.avail_pages(node, class);
                 let pool = self.plane.pool_stats(node, class);
-                let (obs, significant) = agent.end_interval(now, interval_ms, granted, avail, pool);
+                let (obs, significant) = agent.end_interval(interval_ms, granted, avail, pool);
                 // A crashed node's agent is volatile state: its window is
                 // flushed (so pre-crash partials don't leak into the first
                 // post-restart report) but nothing crosses the LAN.
@@ -666,26 +671,27 @@ impl SimState {
                 // Goal-class reports go to their coordinator; no-goal
                 // reports fan out to every goal coordinator (§5(a)).
                 let targets = if class.is_no_goal() {
-                    self.goal_ids.as_slice()
+                    &self.goals[..]
                 } else {
-                    std::slice::from_ref(&class)
+                    std::slice::from_ref(&self.goals[class.index() - 1])
                 };
-                let Some((&last, rest)) = targets.split_last() else {
+                let Some((last, rest)) = targets.split_last() else {
                     continue;
                 };
-                let mut report = |to: ClassId, obs: AgentObservation| {
-                    let home = self.coord_home[to.index()];
-                    let delivered = self.plane.send_control(node, home, REPORT_BYTES, now);
+                let mut report = |to: &Coordinator, obs: AgentObservation| {
+                    let delivered = self.plane.send_control(node, to.home(), REPORT_BYTES, now);
                     let slot = self.reports.park(obs);
+                    let to = to.class();
                     sched.at(delivered, SysEvent::Report { to, slot });
                 };
-                for &to in rest {
-                    report(to, obs.clone());
+                for goal in rest {
+                    report(&goal.coord, obs.clone());
                 }
-                report(last, obs);
+                report(&last.coord, obs);
             }
         }
-        for &class in &self.goal_ids {
+        for goal in &self.goals {
+            let class = goal.coord.class();
             sched.after(CHECK_DELAY, SysEvent::CoordCheck { class });
         }
 
@@ -702,31 +708,40 @@ impl SimState {
 
     fn coord_check(&mut self, class: ClassId, now: SimTime, sched: &mut Scheduler<SysEvent>) {
         let measuring = self.interval_idx > self.warmup_intervals;
-        let home = self.coord_home[class.index()];
-        let mut outcome = self.coord_mut(class).check(now);
+        let goal = &mut self.goals[class.index() - 1];
+        let mut outcome = goal.coord.check(now);
+        let acted = outcome.optimize.is_some();
+        // Phase (e) first: the messages change only the network, which no
+        // record below reads.
+        if let Some(alloc_mb) = outcome.new_alloc_mb() {
+            let home = goal.coord.home();
+            for (i, mb) in alloc_mb.iter().enumerate() {
+                let node = NodeId(i as u16);
+                let pages = (mb * PAGES_PER_MB).round().max(0.0) as usize;
+                if pages == self.plane.dedicated_pages(node, class) {
+                    continue; // nothing to change on this node
+                }
+                let delivered = self.plane.send_control(home, node, ALLOC_MSG_BYTES, now);
+                sched.at(delivered, SysEvent::Alloc { class, node, pages });
+            }
+        }
 
-        let metric = self.coordinators[class.index()]
-            .as_ref()
-            .expect("goal class")
-            .goal_metric();
+        let metric = goal.coord.goal_metric();
         let record = IntervalRecord {
             interval: self.interval_idx.saturating_sub(1),
             observed_ms: outcome.observed_class_ms,
             observed_p_ms: outcome.observed_quantile_ms,
-            goal_ms: self.coordinators[class.index()]
-                .as_ref()
-                .expect("goal class")
-                .goal_ms(),
+            goal_ms: goal.coord.goal_ms(),
             nogoal_ms: outcome.observed_nogoal_ms,
             dedicated_bytes: self.plane.total_dedicated_bytes(class),
             satisfied: outcome.satisfied,
         };
-        self.records[class.index()].push(record);
+        goal.records.push(record);
 
         if self.sink.enabled() {
             let phase = if outcome.settling {
                 "settling"
-            } else if outcome.new_alloc_mb.is_some() {
+            } else if acted {
                 "optimized"
             } else if outcome.satisfied == Some(true) {
                 "satisfied"
@@ -784,80 +799,36 @@ impl SimState {
             };
             self.sink.emit(&rec.into_json());
 
-            if let Some(trace) = outcome.optimize.take() {
-                let current: Vec<f64> = self.coordinators[class.index()]
-                    .as_ref()
-                    .expect("goal class")
-                    .granted_mb()
-                    .to_vec();
-                let requested = outcome
-                    .new_alloc_mb
-                    .clone()
-                    .unwrap_or_else(|| current.clone());
-                let delta: f64 = requested.iter().sum::<f64>() - current.iter().sum::<f64>();
-                // For quantile goals the fitted surface runs through
-                // observed quantiles; label the record so analyzers know
-                // what `predicted_class_ms` predicts.
-                let rec = records::Optimize {
-                    interval: record.interval as u64,
-                    class: class.index() as u64,
-                    path: trace.path,
-                    points: trace.points,
-                    plane_w: trace.plane_w,
-                    plane_c: trace.plane_c,
-                    goal_attainable: trace.goal_attainable,
-                    predicted_class_ms: trace.predicted_class_ms,
-                    fit_residuals_ms: trace.fit_residuals_ms,
-                    fit_rms_ms: trace.fit_rms_ms,
-                    fallback: trace.fallback,
-                    current_mb: current,
-                    requested_mb: requested,
-                    delta_mb: delta,
-                    quantile: metric.is_quantile().then(|| GoalMetricLabel {
-                        goal_metric: metric.label(),
-                    }),
-                };
+            if let Some(mut rec) = outcome.optimize.take() {
+                rec.interval = record.interval as u64;
                 self.sink.emit(&rec.into_json());
             }
         }
 
         if let Some(satisfied) = outcome.satisfied {
             if measuring {
-                self.convergence[class.index()].on_check(satisfied, outcome.new_alloc_mb.is_some());
+                goal.convergence.on_check(satisfied, acted);
             }
-            if let Some(schedule) = &mut self.schedules[class.index()] {
-                if let Some(new_goal) = schedule.observe_interval(satisfied) {
-                    let old_goal = self.coord_mut(class).goal_ms();
-                    self.coord_mut(class).set_goal(new_goal);
-                    if measuring {
-                        self.convergence[class.index()].on_goal_change();
-                    }
-                    if self.sink.enabled() {
-                        let rec = records::GoalChange {
-                            interval: self.interval_idx.saturating_sub(1) as u64,
-                            t_ms: now.as_millis_f64(),
-                            class: class.index() as u64,
-                            old_goal_ms: old_goal,
-                            new_goal_ms: new_goal,
-                            quantile: metric.is_quantile().then(|| GoalMetricLabel {
-                                goal_metric: metric.label(),
-                            }),
-                        };
-                        self.sink.emit(&rec.into_json());
-                    }
+            let schedule = goal.schedule.as_mut();
+            if let Some(new_goal) = schedule.and_then(|s| s.observe_interval(satisfied)) {
+                let old_goal = goal.coord.goal_ms();
+                goal.coord.set_goal(new_goal);
+                if measuring {
+                    goal.convergence.on_goal_change();
                 }
-            }
-        }
-
-        if let Some(alloc_mb) = outcome.new_alloc_mb {
-            for (i, mb) in alloc_mb.iter().enumerate() {
-                let node = NodeId(i as u16);
-                let pages = (mb * PAGES_PER_MB).round().max(0.0) as usize;
-                if pages == self.plane.dedicated_pages(node, class) {
-                    continue; // nothing to change on this node
+                if self.sink.enabled() {
+                    let rec = records::GoalChange {
+                        interval: self.interval_idx.saturating_sub(1) as u64,
+                        t_ms: now.as_millis_f64(),
+                        class: class.index() as u64,
+                        old_goal_ms: old_goal,
+                        new_goal_ms: new_goal,
+                        quantile: metric.is_quantile().then(|| GoalMetricLabel {
+                            goal_metric: metric.label(),
+                        }),
+                    };
+                    self.sink.emit(&rec.into_json());
                 }
-                let delivered = self.plane.send_control(home, node, ALLOC_MSG_BYTES, now);
-                sched.at(delivered, SysEvent::Alloc { class, node, pages });
             }
         }
     }
@@ -877,8 +848,7 @@ impl SimState {
             self.plane
                 .send_control(broadcast_from, NodeId(n as u16), ALLOC_MSG_BYTES, now);
         }
-        self.coord_home[class.index()] = to;
-        self.coord_mut(class).migrate(to);
+        self.goal_mut(class).coord.migrate(to);
     }
 
     /// Applies one scheduled fault: crash (coordinator failover, degraded
@@ -891,9 +861,9 @@ impl SimState {
                 }
                 self.plane.crash_node(node);
                 let measuring = self.interval_idx > self.warmup_intervals;
-                for i in 0..self.goal_ids.len() {
-                    let class = self.goal_ids[i];
-                    if self.coord_home[class.index()] == node {
+                for i in 0..self.goals.len() {
+                    let class = self.goals[i].coord.class();
+                    if self.goals[i].coord.home() == node {
                         // Failover: the coordinator's volatile state is
                         // modeled as replicated, so the lowest-indexed
                         // survivor takes over and announces itself.
@@ -912,10 +882,11 @@ impl SimState {
                             self.sink.emit(&rec.into_json());
                         }
                     }
-                    self.coord_mut(class).node_down(node);
+                    let goal = &mut self.goals[i];
+                    goal.coord.node_down(node);
                     if measuring {
                         // Re-convergence after the crash is a fresh episode.
-                        self.convergence[class.index()].on_goal_change();
+                        goal.convergence.on_goal_change();
                     }
                 }
                 self.emit_fault_record(kind, now);
@@ -925,9 +896,8 @@ impl SimState {
                     return; // already up
                 }
                 self.plane.restart_node(node);
-                for i in 0..self.goal_ids.len() {
-                    let class = self.goal_ids[i];
-                    self.coord_mut(class).node_up(node);
+                for goal in &mut self.goals {
+                    goal.coord.node_up(node);
                 }
                 self.emit_fault_record(kind, now);
             }
@@ -974,7 +944,7 @@ impl Handler<SysEvent> for SimState {
             SysEvent::IntervalEnd => self.end_interval(now, sched),
             SysEvent::Report { to, slot } => {
                 let obs = self.reports.take(slot);
-                self.coord_mut(to).on_report(obs);
+                self.goal_mut(to).coord.on_report(obs);
             }
             SysEvent::CoordCheck { class } => self.coord_check(class, now, sched),
             SysEvent::Alloc { class, node, pages } => {
@@ -983,7 +953,7 @@ impl Handler<SysEvent> for SimState {
                 }
                 let granted = self.plane.apply_allocation(node, class, pages, now);
                 let avail = self.plane.avail_pages(node, class);
-                let home = self.coord_home[class.index()];
+                let home = self.goal(class).coord.home();
                 let delivered = self.plane.send_control(node, home, ALLOC_MSG_BYTES, now);
                 sched.at(
                     delivered,
@@ -1017,7 +987,8 @@ impl Handler<SysEvent> for SimState {
                     };
                     self.sink.emit(&rec.into_json());
                 }
-                self.coord_mut(class)
+                self.goal_mut(class)
+                    .coord
                     .on_granted(node, granted as usize, avail as usize);
             }
             SysEvent::Fault { kind } => self.on_fault(kind, now),
@@ -1072,36 +1043,30 @@ impl Simulation {
             agents.push(class_agents);
         }
 
-        let mut coordinators: Vec<Option<Coordinator>> = vec![None];
-        let mut schedules: Vec<Option<GoalSchedule>> = vec![None];
-        let mut coord_home = vec![NodeId(0)];
-        for spec in &config.workload.classes[1..] {
+        // Classes 1..=K, the ones with a goal, each get a control plane.
+        let (nodes, controller) = (cluster.nodes, config.controller);
+        let mut goals = Vec::with_capacity(goal_classes);
+        let specs = config.workload.classes.iter();
+        for (spec, goal_ms) in specs.filter_map(|spec| Some((spec, spec.goal_ms?))) {
             let class = spec.class;
-            let home = NodeId(((class.index() - 1) % cluster.nodes) as u16);
-            coord_home.push(home);
-            let goal = spec.goal_ms.expect("goal class");
-            let strategy = match config.controller {
-                ControllerKind::Hyperplane { objective } => Strategy::Hyperplane {
-                    store: MeasureStore::new(cluster.nodes),
-                    objective,
-                    probe_step: 0,
-                },
-                ControllerKind::FragmentFencing => Strategy::Fragment(FragmentFencingState::new()),
-                ControllerKind::ClassFencing => Strategy::ClassFencing(ClassFencingState::new()),
-                ControllerKind::Static { .. } | ControllerKind::None => Strategy::Fixed,
-            };
-            let mut coordinator =
-                Coordinator::new(class, home, cluster.nodes, node_size_mb, goal, strategy);
-            coordinator.set_satisfaction_mode(config.satisfaction);
-            coordinator.set_release_floor(config.release_floor_mb);
-            coordinator.set_goal_metric(spec.goal_metric);
+            let home = NodeId(((class.index() - 1) % nodes) as u16);
+            let mut coord = Coordinator::new(class, home, nodes, node_size_mb, goal_ms, controller);
+            coord.set_satisfaction_mode(config.satisfaction);
+            coord.set_release_floor(config.release_floor_mb);
+            coord.set_goal_metric(spec.goal_metric);
             if let ProbeSpec::Batched { batch } = config.probe {
-                coordinator.set_probe_batch(batch);
+                coord.set_probe_batch(batch);
             }
-            coordinators.push(Some(coordinator));
-            schedules.push(config.goal_range.map(|range| {
-                GoalSchedule::new(range, goal, config.seed ^ (0xC0FFEE + class.index() as u64))
-            }));
+            let seed = config.seed ^ (0xC0FFEE + class.index() as u64);
+            let schedule = config
+                .goal_range
+                .map(|r| GoalSchedule::new(r, goal_ms, seed));
+            goals.push(GoalClass {
+                coord,
+                schedule,
+                convergence: ConvergenceStats::new(),
+                records: Vec::new(),
+            });
         }
 
         // Static baseline: dedicate the fraction up front.
@@ -1131,13 +1096,8 @@ impl Simulation {
             plane,
             gen,
             agents,
-            goal_ids: (1..coordinators.len()).map(|i| ClassId(i as u16)).collect(),
-            coordinators,
-            schedules,
+            goals,
             reports: ReportSlots::default(),
-            convergence: vec![ConvergenceStats::new(); goal_classes + 1],
-            records: vec![Vec::new(); goal_classes + 1],
-            coord_home,
             interval_idx: 0,
             interval: config.interval,
             warmup_intervals: config.warmup_intervals,
@@ -1188,14 +1148,18 @@ impl Simulation {
         self.engine.now()
     }
 
-    /// Per-interval records of a goal class (one per check phase).
+    /// Per-interval records of a goal class (one per check phase); empty
+    /// for a class without a coordinator.
     pub fn records(&self, class: ClassId) -> &[IntervalRecord] {
-        &self.state.records[class.index()]
+        // The no-goal class 0 wraps to an index past the end.
+        let goal = self.state.goals.get(class.index().wrapping_sub(1));
+        goal.map_or(&[], |goal| &goal.records)
     }
 
-    /// Convergence statistics of a goal class.
+    /// Convergence statistics of a goal class; like [`Simulation::goal_ms`],
+    /// panics for a class without a coordinator.
     pub fn convergence(&self, class: ClassId) -> &ConvergenceStats {
-        &self.state.convergence[class.index()]
+        &self.state.goal(class).convergence
     }
 
     /// The underlying cluster (network bytes, pool stats, directory…).
@@ -1207,9 +1171,8 @@ impl Simulation {
     /// (or was warm-started with), if any — the donor for a cross-scale
     /// warm start via [`Simulation::warm_start_class`].
     pub fn fitted_planes(&self, class: ClassId) -> Option<Planes> {
-        self.state.coordinators[class.index()]
-            .as_ref()
-            .and_then(|c| c.fitted_planes().cloned())
+        self.check_goal_class(class).ok()?;
+        self.state.goal(class).coord.fitted_planes().cloned()
     }
 
     /// Seeds `class`'s coordinator with a full-rank synthetic measure set
@@ -1220,7 +1183,7 @@ impl Simulation {
     pub fn warm_start_class(&mut self, class: ClassId, planes: &Planes) -> Result<(), Error> {
         self.check_goal_class(class)?;
         let now = self.engine.now();
-        self.state.coord_mut(class).warm_start(planes, now);
+        self.state.goal_mut(class).coord.warm_start(planes, now);
         Ok(())
     }
 
@@ -1277,7 +1240,7 @@ impl Simulation {
             );
         }
         self.state.plane.fill_metrics(&mut snap, self.engine.now());
-        for coord in self.state.coordinators.iter().flatten() {
+        for coord in self.state.goals.iter().map(|goal| &goal.coord) {
             let k = coord.class().index();
             snap.counter(format!("core.class{k}.checks"), coord.checks());
             snap.counter(
@@ -1303,18 +1266,15 @@ impl Simulation {
 
     /// The goal currently in force for a goal class.
     pub fn goal_ms(&self, class: ClassId) -> f64 {
-        self.state.coordinators[class.index()]
-            .as_ref()
-            .expect("goal class")
-            .goal_ms()
+        self.state.goal(class).coord.goal_ms()
     }
 
     /// Validates that `class` exists and has a coordinator.
     fn check_goal_class(&self, class: ClassId) -> Result<(), Error> {
-        if class.index() >= self.state.coordinators.len() {
+        if class.index() > self.state.goals.len() {
             return Err(Error::UnknownClass(class));
         }
-        if self.state.coordinators[class.index()].is_none() {
+        if class.is_no_goal() {
             return Err(Error::NotAGoalClass(class));
         }
         Ok(())
@@ -1332,7 +1292,7 @@ impl Simulation {
         if !self.state.plane.is_up(node) {
             return Err(Error::NodeDown(node));
         }
-        let old = self.state.coord_home[class.index()];
+        let old = self.coordinator_home(class);
         if old == node {
             return Ok(());
         }
@@ -1343,7 +1303,7 @@ impl Simulation {
 
     /// Node currently hosting `class`'s coordinator.
     pub fn coordinator_home(&self, class: ClassId) -> NodeId {
-        self.state.coord_home[class.index()]
+        self.state.goal(class).coord.home()
     }
 
     /// Changes `class`'s response time goal at the current instant (dynamic
@@ -1355,9 +1315,11 @@ impl Simulation {
         if !(goal_ms > 0.0 && goal_ms.is_finite()) {
             return Err(Error::InvalidGoal(goal_ms));
         }
-        self.state.coord_mut(class).set_goal(goal_ms);
-        if self.state.interval_idx > self.state.warmup_intervals {
-            self.state.convergence[class.index()].on_goal_change();
+        let measuring = self.state.interval_idx > self.state.warmup_intervals;
+        let goal = self.state.goal_mut(class);
+        goal.coord.set_goal(goal_ms);
+        if measuring {
+            goal.convergence.on_goal_change();
         }
         Ok(())
     }
@@ -1381,14 +1343,7 @@ impl Simulation {
 
     /// Mean observed response time of `class` over the last `n` records.
     pub fn mean_observed_ms(&self, class: ClassId, n: usize) -> Option<f64> {
-        let records = self.records(class);
-        let tail = &records[records.len().saturating_sub(n)..];
-        let vals: Vec<f64> = tail.iter().filter_map(|r| r.observed_ms).collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
+        self.mean_of_last(class, n, |r| r.observed_ms)
     }
 
     /// Mean of the observed goal-quantile over the last `n` records
@@ -1396,9 +1351,20 @@ impl Simulation {
     /// Used by quantile-goal calibration the way
     /// [`Simulation::mean_observed_ms`] serves mean goals.
     pub fn mean_observed_quantile_ms(&self, class: ClassId, n: usize) -> Option<f64> {
+        self.mean_of_last(class, n, |r| r.observed_p_ms)
+    }
+
+    /// Mean of `value` over those of `class`'s last `n` records that carry
+    /// one.
+    fn mean_of_last(
+        &self,
+        class: ClassId,
+        n: usize,
+        value: fn(&IntervalRecord) -> Option<f64>,
+    ) -> Option<f64> {
         let records = self.records(class);
         let tail = &records[records.len().saturating_sub(n)..];
-        let vals: Vec<f64> = tail.iter().filter_map(|r| r.observed_p_ms).collect();
+        let vals: Vec<f64> = tail.iter().filter_map(value).collect();
         if vals.is_empty() {
             None
         } else {
@@ -1637,6 +1603,7 @@ mod tests {
         // Operations actually flowed.
         assert!(sim.plane().completions() > 50);
         assert!(recs.iter().any(|r| r.observed_ms.is_some()));
+        assert!(sim.records(dmm_buffer::NO_GOAL).is_empty());
     }
 
     #[test]

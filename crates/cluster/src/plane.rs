@@ -202,9 +202,10 @@ pub struct FaultStats {
 
 /// Per-node home-placement load: how many pages call each node home and how
 /// much home-request traffic it absorbed. Snapshot via
-/// [`DataPlane::home_load`]; also exported as `cluster.node{n}.home_*`
-/// metrics.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`DataPlane::home_load`] (or refilled in place by
+/// [`DataPlane::fill_home_load`]); also exported as
+/// `cluster.node{n}.home_*` metrics.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HomeLoad {
     /// Pages whose home set includes the node (a replicated page counts at
     /// every one of its homes).
@@ -413,16 +414,22 @@ impl DataPlane {
     pub fn tier_occupancy(&self) -> Vec<(String, u64, u64)> {
         (0..self.mem_tiers())
             .map(|t| {
-                let name = self.params.tiers.tiers()[t].name.clone();
-                let mut resident = 0u64;
-                let mut frames = 0u64;
-                for n in &self.nodes {
-                    resident += n.buffer.tier_resident(t) as u64;
-                    frames += n.buffer.tier_frames(t) as u64;
-                }
-                (name, resident, frames)
+                let (resident, frames) = self.tier_residency(t);
+                (self.params.tiers.tiers()[t].name.clone(), resident, frames)
             })
             .collect()
+    }
+
+    /// Resident pages and frames of memory tier `tier`, summed over every
+    /// node: one entry of [`DataPlane::tier_occupancy`], without the name.
+    pub fn tier_residency(&self, tier: usize) -> (u64, u64) {
+        let mut resident = 0u64;
+        let mut frames = 0u64;
+        for n in &self.nodes {
+            resident += n.buffer.tier_resident(tier) as u64;
+            frames += n.buffer.tier_frames(tier) as u64;
+        }
+        (resident, frames)
     }
 
     /// Benefit-maintenance work counters.
@@ -443,7 +450,18 @@ impl DataPlane {
     /// Per-node home-placement load snapshot: page counts from the current
     /// placement, traffic counters since the last stats reset.
     pub fn home_load(&self) -> HomeLoad {
-        let mut home_pages = vec![0u32; self.nodes.len()];
+        let mut load = HomeLoad::default();
+        self.fill_home_load(&mut load);
+        load
+    }
+
+    /// Refills `load` with the snapshot [`DataPlane::home_load`] returns,
+    /// reusing its buffers: once they have grown to the node count, no
+    /// allocation.
+    pub fn fill_home_load(&self, load: &mut HomeLoad) {
+        let home_pages = &mut load.home_pages;
+        home_pages.clear();
+        home_pages.resize(self.nodes.len(), 0);
         let mut buf = [0u16; MAX_RING_REPLICAS];
         for page in (0..self.params.db_pages).map(PageId) {
             let n = self.homes.homes_of(page, &mut buf);
@@ -451,11 +469,8 @@ impl DataPlane {
                 home_pages[node as usize] += 1;
             }
         }
-        HomeLoad {
-            home_pages,
-            home_reads: self.home_reads.clone(),
-            remote_fanin: self.home_remote_reads.clone(),
-        }
+        load.home_reads.clone_from(&self.home_reads);
+        load.remote_fanin.clone_from(&self.home_remote_reads);
     }
 
     /// True while `node` is serving (not crashed).

@@ -23,7 +23,7 @@ pub fn rt_histogram() -> Histogram {
 }
 
 /// One interval's summary from a local agent.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct AgentObservation {
     /// Reporting node.
     pub node: NodeId,
@@ -51,7 +51,40 @@ pub struct AgentObservation {
     pub avail_pages: usize,
 }
 
+/// `clone_from` reuses the target's histogram buffers, so a report copied
+/// into a recycled observation of the same class allocates nothing.
+impl Clone for AgentObservation {
+    fn clone(&self) -> Self {
+        AgentObservation {
+            rt_hist: self.rt_hist.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut rt_hist = self.rt_hist.take();
+        rt_hist.clone_from(&source.rt_hist);
+        *self = AgentObservation { rt_hist, ..*source };
+    }
+}
+
 impl AgentObservation {
+    /// An observation of nothing yet: the buffer an agent drains into.
+    fn empty(node: NodeId, class: ClassId) -> Self {
+        AgentObservation {
+            node,
+            class,
+            mean_rt_ms: None,
+            rt_hist: None,
+            completions: 0,
+            arrival_rate_per_ms: 0.0,
+            pool_accesses: 0,
+            pool_hits: 0,
+            granted_pages: 0,
+            avail_pages: 0,
+        }
+    }
+
     /// Pool hit rate, if any accesses occurred.
     pub fn hit_rate(&self) -> Option<f64> {
         if self.pool_accesses == 0 {
@@ -71,6 +104,9 @@ pub struct LocalAgent {
     /// Per-interval response-time histogram (ns); allocated only for
     /// quantile-goal classes, so mean-goal runs pay nothing.
     rt_hist: Option<Histogram>,
+    /// The last closed interval's observation. Its histogram and `rt_hist`
+    /// swap at each boundary, so draining copies and allocates nothing.
+    drained: AgentObservation,
     /// Lifetime completion count (never reset; used for makespan-style
     /// throughput accounting across the whole run).
     completions_total: u64,
@@ -92,6 +128,7 @@ impl LocalAgent {
             class,
             rt_window: WindowMean::new(),
             rt_hist: None,
+            drained: AgentObservation::empty(node, class),
             completions_total: 0,
             arrivals_in_interval: 0,
             last_pool_stats: PoolStats::default(),
@@ -129,6 +166,7 @@ impl LocalAgent {
     /// quantile-free implementation.
     pub fn enable_rt_histograms(&mut self) {
         self.rt_hist = Some(rt_histogram());
+        self.drained.rt_hist = Some(rt_histogram());
     }
 
     /// Whether this agent collects response-time histograms.
@@ -159,26 +197,27 @@ impl LocalAgent {
 
     /// Closes the interval. `pool` is the *cumulative* stats of this class's
     /// pool on this node (the agent keeps the previous snapshot and
-    /// differences internally). Returns the observation and whether it is
-    /// significant enough to send.
+    /// differences internally). Returns the observation, which stays valid
+    /// until the next boundary, and whether it is significant enough to
+    /// send.
     pub fn end_interval(
         &mut self,
         interval_ms: f64,
         granted_pages: usize,
         avail_pages: usize,
         pool: PoolStats,
-    ) -> (AgentObservation, bool) {
+    ) -> (&AgentObservation, bool) {
         let (mean_rt_ms, completions) = match self.rt_window.drain() {
             Some((m, n)) => (Some(m), n),
             None => (None, 0),
         };
         // Drain the interval histogram (when collected): the observation
-        // carries this interval's distribution and the agent starts fresh.
-        let rt_hist = self.rt_hist.as_mut().map(|h| {
-            let drained = h.clone();
-            h.reset();
-            drained
-        });
+        // takes this interval's distribution and the agent starts fresh in
+        // the buffer the previous interval's was drained into.
+        if let (Some(live), Some(drained)) = (&mut self.rt_hist, &mut self.drained.rt_hist) {
+            std::mem::swap(live, drained);
+            live.reset();
+        }
         let arrival_rate = self.arrivals_in_interval as f64 / interval_ms;
         self.arrivals_in_interval = 0;
 
@@ -187,27 +226,23 @@ impl LocalAgent {
         let hits = pool.hits.saturating_sub(self.last_pool_stats.hits);
         self.last_pool_stats = pool;
 
-        let obs = AgentObservation {
-            node: self.node,
-            class: self.class,
-            mean_rt_ms,
-            rt_hist,
-            completions,
-            arrival_rate_per_ms: arrival_rate,
-            pool_accesses: accesses,
-            pool_hits: hits,
-            granted_pages,
-            avail_pages,
-        };
+        let obs = &mut self.drained;
+        obs.mean_rt_ms = mean_rt_ms;
+        obs.completions = completions;
+        obs.arrival_rate_per_ms = arrival_rate;
+        obs.pool_accesses = accesses;
+        obs.pool_hits = hits;
+        obs.granted_pages = granted_pages;
+        obs.avail_pages = avail_pages;
 
-        let significant = self.is_significant(&obs);
+        let significant = self.is_significant(&self.drained);
         if significant {
-            if let Some(rt) = obs.mean_rt_ms {
+            if let Some(rt) = self.drained.mean_rt_ms {
                 self.last_reported_rt = Some(rt);
             }
             self.last_reported_alloc = granted_pages;
         }
-        (obs, significant)
+        (&self.drained, significant)
     }
 
     fn is_significant(&self, obs: &AgentObservation) -> bool {

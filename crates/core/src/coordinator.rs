@@ -24,7 +24,7 @@ use dmm_obs::Histogram;
 use dmm_sim::SimTime;
 use dmm_workload::GoalMetric;
 
-use crate::agent::AgentObservation;
+use crate::agent::{rt_histogram, AgentObservation};
 use crate::approx::{fit_planes, Planes};
 use crate::baselines::{class_fencing, fragment_fencing, ControllerKind, TwoPoint};
 use crate::measure::{MeasurePoint, MeasureStore};
@@ -118,6 +118,9 @@ pub struct Coordinator {
     tol: ToleranceEstimator,
     latest_class: Vec<Option<AgentObservation>>,
     latest_nogoal: Vec<Option<AgentObservation>>,
+    /// The latest class histograms merged, for a quantile goal's check:
+    /// reset and refilled each check, never reallocated.
+    merged_rt: Histogram,
     granted_mb: Vec<f64>,
     avail_mb: Vec<f64>,
     /// Liveness view: `live[i]` is false while node `i` is crashed. The
@@ -205,6 +208,7 @@ impl Coordinator {
             tol: ToleranceEstimator::default(),
             latest_class: vec![None; nodes],
             latest_nogoal: vec![None; nodes],
+            merged_rt: rt_histogram(),
             granted_mb: vec![0.0; nodes],
             avail_mb: vec![node_size_mb; nodes],
             live: vec![true; nodes],
@@ -448,8 +452,9 @@ impl Coordinator {
         self.transient = 2;
     }
 
-    /// Phase (b): stores an agent report (class-k or no-goal agent).
-    pub fn on_report(&mut self, obs: AgentObservation) {
+    /// Phase (b): stores an agent report (class-k or no-goal agent), copied
+    /// into the buffers of the node's previous one.
+    pub fn on_report(&mut self, obs: &AgentObservation) {
         let slot = obs.node.index();
         assert!(slot < self.nodes);
         if !self.live[slot] {
@@ -457,13 +462,17 @@ impl Coordinator {
             // declared dead (e.g. delivered the instant of the crash).
             return;
         }
-        if obs.class == self.class {
+        let latest = if obs.class == self.class {
             self.granted_mb[slot] = obs.granted_pages as f64 / PAGES_PER_MB;
             self.avail_mb[slot] = obs.avail_pages as f64 / PAGES_PER_MB;
-            self.latest_class[slot] = Some(obs);
+            &mut self.latest_class[slot]
         } else {
             debug_assert!(obs.class.is_no_goal(), "only no-goal crosses classes");
-            self.latest_nogoal[slot] = Some(obs);
+            &mut self.latest_nogoal[slot]
+        };
+        match latest {
+            Some(kept) => kept.clone_from(obs),
+            None => *latest = Some(obs.clone()),
         }
     }
 
@@ -487,7 +496,7 @@ impl Coordinator {
         let rt_quantile = self
             .metric
             .quantile()
-            .and_then(|q| merged_quantile_ms(&self.latest_class, q));
+            .and_then(|q| merged_quantile_ms(&self.latest_class, q, &mut self.merged_rt));
         if rt_quantile.is_some() {
             self.last_quantile_ms = rt_quantile;
         }
@@ -648,8 +657,8 @@ impl Coordinator {
             // For quantile goals the fitted surface runs through observed
             // quantiles; the label tells analyzers what
             // `predicted_class_ms` predicts.
-            quantile: self.metric.is_quantile().then(|| GoalMetricLabel {
-                goal_metric: self.metric.label(),
+            quantile: self.metric.is_quantile().then_some(GoalMetricLabel {
+                goal_metric: self.metric,
             }),
         };
         let (goal, size, avail) = (self.goal_ms, self.node_size_mb, &self.avail_mb);
@@ -902,20 +911,18 @@ fn weighted_rt(latest: &[Option<AgentObservation>]) -> Option<f64> {
 /// Histogram merge is associative and commutative, so the node-order fold
 /// here yields the same quantile any other merge order would — the
 /// thread-invariance of tail metrics rests on exactly this property.
-fn merged_quantile_ms(latest: &[Option<AgentObservation>], q: f64) -> Option<f64> {
-    let mut merged: Option<Histogram> = None;
+fn merged_quantile_ms(
+    latest: &[Option<AgentObservation>],
+    q: f64,
+    merged: &mut Histogram,
+) -> Option<f64> {
+    merged.reset();
     for obs in latest.iter().flatten() {
         if let Some(h) = &obs.rt_hist {
-            if h.count() == 0 {
-                continue;
-            }
-            match &mut merged {
-                Some(m) => m.merge(h),
-                None => merged = Some(h.clone()),
-            }
+            merged.merge(h);
         }
     }
-    merged.and_then(|m| m.quantile(q)).map(|ns| ns as f64 / 1e6)
+    merged.quantile(q).map(|ns| ns as f64 / 1e6)
 }
 
 /// System-wide miss rate of the class's pools, if any accesses occurred.
@@ -1089,8 +1096,8 @@ mod tests {
     #[test]
     fn weighted_mean_uses_arrival_rates() {
         let mut c = coordinator(5.0);
-        c.on_report(obs(0, 1, Some(10.0), 0.03));
-        c.on_report(obs(1, 1, Some(4.0), 0.01));
+        c.on_report(&obs(0, 1, Some(10.0), 0.03));
+        c.on_report(&obs(1, 1, Some(4.0), 0.01));
         // Node 2 has no data: skipped.
         let out = c.check(SimTime::ZERO);
         let expect = (0.03 * 10.0 + 0.01 * 4.0) / 0.04;
@@ -1101,7 +1108,7 @@ mod tests {
     fn satisfied_goal_takes_no_action() {
         let mut c = coordinator(10.0);
         for n in 0..3 {
-            c.on_report(obs(n, 1, Some(10.2), 0.02));
+            c.on_report(&obs(n, 1, Some(10.2), 0.02));
         }
         let out = c.check(SimTime::ZERO);
         assert_eq!(out.satisfied, Some(true));
@@ -1114,7 +1121,7 @@ mod tests {
         let mut c = coordinator(2.0);
         // The first check observes the cold system and only settles.
         for n in 0..3 {
-            c.on_report(obs(n, 1, Some(9.0), 0.02));
+            c.on_report(&obs(n, 1, Some(9.0), 0.02));
         }
         assert!(c.check(SimTime::ZERO).new_alloc_mb().is_none());
         let mut seen = Vec::new();
@@ -1122,7 +1129,7 @@ mod tests {
         // partitioning each interval.
         for i in 1..5u64 {
             for n in 0..3 {
-                c.on_report(obs(n, 1, Some(9.0 + i as f64), 0.02));
+                c.on_report(&obs(n, 1, Some(9.0 + i as f64), 0.02));
             }
             let out = c.check(SimTime::from_nanos(i * 10_000_000_000));
             let alloc = out.new_alloc_mb().expect("violated goal must act").to_vec();
@@ -1149,7 +1156,7 @@ mod tests {
     fn full_rank_produces_lp_solution() {
         let mut c = coordinator(4.0);
         for n in 0..3 {
-            c.on_report(obs(n, 1, Some(10.0), 0.02));
+            c.on_report(&obs(n, 1, Some(10.0), 0.02));
         }
         assert!(
             c.check(SimTime::from_nanos(1)).new_alloc_mb().is_none(),
@@ -1176,11 +1183,11 @@ mod tests {
                 c.on_granted(NodeId(n), (a[n as usize] * PAGES_PER_MB) as usize, 512);
                 let mut o = obs(n, 1, Some(rt(a)), 0.02);
                 o.granted_pages = (a[n as usize] * PAGES_PER_MB) as usize;
-                c.on_report(o);
+                c.on_report(&o);
             }
             // Also feed no-goal data so the objective has a plane.
             for n in 0..3 {
-                c.on_report(obs(n, 0, Some(3.0 + a.iter().sum::<f64>()), 0.02));
+                c.on_report(&obs(n, 0, Some(3.0 + a.iter().sum::<f64>()), 0.02));
             }
             // Run checks until one acts (settling checks defer).
             last = None;
@@ -1209,7 +1216,7 @@ mod tests {
         // violates the 10 ms goal even though the mean is comfortably under.
         for n in 0..3u16 {
             let mut o = obs(n, 1, Some(4.0), 0.02);
-            let mut h = crate::agent::rt_histogram();
+            let mut h = rt_histogram();
             for _ in 0..90 {
                 h.record(3_000_000); // 3 ms
             }
@@ -1217,7 +1224,7 @@ mod tests {
                 h.record(40_000_000); // 40 ms tail — more than 5 % of mass
             }
             o.rt_hist = Some(h);
-            c.on_report(o);
+            c.on_report(&o);
         }
         let settle = c.check(SimTime::ZERO); // cold settle
         assert!(settle.settling);
@@ -1235,10 +1242,10 @@ mod tests {
         let mut c = coordinator(10.0);
         for n in 0..3u16 {
             let mut o = obs(n, 1, Some(10.0), 0.02);
-            let mut h = crate::agent::rt_histogram();
+            let mut h = rt_histogram();
             h.record(400_000_000); // would violate wildly if consulted
             o.rt_hist = Some(h);
-            c.on_report(o);
+            c.on_report(&o);
         }
         c.check(SimTime::ZERO);
         let out = c.check(SimTime::from_nanos(5_000_000_000));
@@ -1250,7 +1257,7 @@ mod tests {
     fn goal_change_resets_tolerance() {
         let mut c = coordinator(5.0);
         for n in 0..3 {
-            c.on_report(obs(n, 1, Some(5.0), 0.02));
+            c.on_report(&obs(n, 1, Some(5.0), 0.02));
         }
         c.check(SimTime::ZERO); // settling check (cold start)
         c.check(SimTime::from_nanos(5_000_000_000));
@@ -1268,7 +1275,7 @@ mod tests {
         ] {
             let mut c = Coordinator::new(ClassId(1), NodeId(0), 2, 2.0, 1.0, fixed);
             for n in 0..2 {
-                c.on_report(obs(n, 1, Some(50.0), 0.02));
+                c.on_report(&obs(n, 1, Some(50.0), 0.02));
             }
             let out = c.check(SimTime::ZERO);
             assert_eq!(out.satisfied, Some(false));
@@ -1280,14 +1287,14 @@ mod tests {
     fn node_down_clears_view_and_ignores_stragglers() {
         let mut c = coordinator(5.0);
         for n in 0..3 {
-            c.on_report(obs(n, 1, Some(9.0), 0.02));
+            c.on_report(&obs(n, 1, Some(9.0), 0.02));
             c.on_granted(NodeId(n), 256, 512);
         }
         c.node_down(NodeId(2));
         assert_eq!(c.live_nodes(), 2);
         assert_eq!(c.granted_mb()[2], 0.0);
         // A straggler report from the dead node must not resurrect it.
-        c.on_report(obs(2, 1, Some(9.0), 0.02));
+        c.on_report(&obs(2, 1, Some(9.0), 0.02));
         assert_eq!(c.granted_mb()[2], 0.0);
         c.node_down(NodeId(2)); // idempotent
         assert_eq!(c.live_nodes(), 2);
@@ -1318,8 +1325,8 @@ mod tests {
                 c.on_granted(NodeId(n), (a[n as usize] * PAGES_PER_MB) as usize, 512);
                 let mut o = obs(n, 1, Some(rt(a)), 0.02);
                 o.granted_pages = (a[n as usize] * PAGES_PER_MB) as usize;
-                c.on_report(o);
-                c.on_report(obs(n, 0, Some(3.0), 0.02));
+                c.on_report(&o);
+                c.on_report(&obs(n, 0, Some(3.0), 0.02));
             }
             t += 5_000_000_000;
             let out = c.check(SimTime::from_nanos(t));
@@ -1382,8 +1389,8 @@ mod tests {
             for n in 0..3 {
                 let mut o = obs(n, 1, Some(rt), 0.02);
                 o.granted_pages = (alloc[n as usize] * PAGES_PER_MB) as usize;
-                c.on_report(o);
-                c.on_report(obs(n, 0, Some(planes.predict_nogoal_ms(alloc)), 0.02));
+                c.on_report(&o);
+                c.on_report(&obs(n, 0, Some(planes.predict_nogoal_ms(alloc)), 0.02));
             }
             t += 5_000_000_000;
             c.check(SimTime::from_nanos(t))

@@ -3,19 +3,24 @@
 //! The `layout!` table at the bottom declares every record kind once: its
 //! ordered `field: Type` list and its trailing extension groups. Each entry
 //! expands to the struct the emitters fill by field name, its published
-//! [`Layout`] (which `dmm-trace`'s schema reads) and an `into_json` writing
-//! the fields in declared order, which the serializer preserves. The
+//! [`Layout`] (which `dmm-trace`'s schema reads) and a [`Record::write`]
+//! that appends `"field":value` in declared order straight into a
+//! caller's line buffer, through the scalar writers `Json::write` uses. No
+//! record is built as a `Json` tree on the way out: fields keyed by the run
+//! (slot and tier names, span stages) are borrowed [`Keyed`] views. The
 //! `run_config` record and its nested objects also decode from their
 //! entries ([`RunConfig::from_record`]), and each enum the replay closure
 //! carries has one `(name, variant)` table read in both directions, so the
 //! closure's emitter and its reader cannot drift apart.
 
+use std::fmt::Write as _;
 use std::mem::discriminant;
 
 use dmm_buffer::TierPolicy;
 use dmm_cluster::{FabricSpec, FaultKind, HotRingSpec, NodeId, PlacementSpec, TierSpec};
+use dmm_obs::json::{write_bool, write_f64, write_null, write_str, write_u64};
 use dmm_obs::{Json, Stage, StageNanos, STAGES};
-use dmm_workload::GoalRange;
+use dmm_workload::{GoalMetric, GoalRange};
 
 use crate::baselines::ControllerKind;
 use crate::coordinator::SatisfactionMode;
@@ -77,19 +82,65 @@ pub fn layout(kind: &str) -> Option<Layout> {
     RECORDS.iter().find(|l| l.kind == kind).copied()
 }
 
-/// An object keyed by the run rather than the layout (the storage ladder's
-/// slot or tier names): one field per `(key, value)` pair.
-pub(crate) fn keyed<K: Into<String>, V: Encode>(
-    pairs: impl ExactSizeIterator<Item = (K, V)>,
-) -> Json {
-    let mut out = Vec::with_capacity(pairs.len());
-    out.extend(pairs.map(|(k, v)| (k.into(), v.encode())));
-    Json::Obj(out)
+/// A trace record: one JSON object, written straight to text.
+pub trait Record {
+    /// Appends the record to `out` as one compact JSON object: `type`
+    /// first, then the layout's fields and the carried extension groups,
+    /// in published order.
+    fn write(&self, out: &mut String);
 }
 
-/// How a field value is written.
+/// An object keyed by the run rather than the layout (the storage ladder's
+/// slot or tier names, the span stages): key `i` carries value `i`. Both
+/// sides are borrowed from where the run keeps them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Keyed<'a, K, V> {
+    /// The field names, in order.
+    pub keys: &'a [K],
+    /// One value per key.
+    pub values: &'a [V],
+}
+
+/// The name a [`Keyed`] object gives one of its fields.
+pub(crate) trait Key {
+    /// The field name.
+    fn key(&self) -> &str;
+}
+
+impl Key for String {
+    fn key(&self) -> &str {
+        self
+    }
+}
+
+impl Key for &str {
+    fn key(&self) -> &str {
+        self
+    }
+}
+
+/// A memory tier, keyed by its name.
+impl Key for TierSpec {
+    fn key(&self) -> &str {
+        &self.name
+    }
+}
+
+/// Appends one `"key":value` field to the object being written in `out`,
+/// after a comma unless it is the object's first (`out` still ends with
+/// the object's `{`: no value ends with that character).
+fn field<V: Encode + ?Sized>(out: &mut String, key: &str, value: &V) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    write_str(out, key);
+    out.push(':');
+    value.encode(out);
+}
+
+/// How a field value is written: as JSON text appended to `out`.
 pub(crate) trait Encode {
-    fn encode(self) -> Json;
+    fn encode(&self, out: &mut String);
 }
 
 /// How a field value is read back: `value` is field `key` of the object at
@@ -107,8 +158,8 @@ fn mistyped(at: &str, key: &str) -> String {
 macro_rules! scalar {
     ($($t:ty: $get:expr, $put:expr;)*) => {$(
         impl Encode for $t {
-            fn encode(self) -> Json {
-                $put(self)
+            fn encode(&self, out: &mut String) {
+                $put(out, *self)
             }
         }
         impl Decode for $t {
@@ -119,10 +170,28 @@ macro_rules! scalar {
     )*};
 }
 scalar! {
-    u64: Json::as_u64, Json::U64;
-    f64: Json::as_f64, Json::F64;
-    bool: Json::as_bool, Json::Bool;
-    String: |v: &Json| v.as_str().map(str::to_string), Json::Str;
+    u64: Json::as_u64, write_u64;
+    f64: Json::as_f64, write_f64;
+    bool: Json::as_bool, write_bool;
+}
+
+impl Encode for str {
+    fn encode(&self, out: &mut String) {
+        write_str(out, self)
+    }
+}
+
+impl Encode for String {
+    fn encode(&self, out: &mut String) {
+        write_str(out, self)
+    }
+}
+
+impl Decode for String {
+    fn decode(value: Option<&Json>, at: &str, key: &str) -> Result<Self, String> {
+        let text = value.and_then(Json::as_str);
+        text.map(str::to_string).ok_or_else(|| mistyped(at, key))
+    }
 }
 
 /// Narrower integers, written as `u64` and narrowed back to the type the
@@ -130,8 +199,8 @@ scalar! {
 macro_rules! narrow {
     ($($t:ty),*) => {$(
         impl Encode for $t {
-            fn encode(self) -> Json {
-                Json::U64(self as u64)
+            fn encode(&self, out: &mut String) {
+                write_u64(out, *self as u64)
             }
         }
         impl Decode for $t {
@@ -144,27 +213,55 @@ macro_rules! narrow {
 }
 narrow!(u8, u16, u32, usize);
 
-impl Encode for &'static str {
-    fn encode(self) -> Json {
-        Json::from(self)
+/// A `&'static str` label.
+impl Encode for &str {
+    fn encode(&self, out: &mut String) {
+        write_str(out, self)
     }
 }
 
-impl Encode for Json {
-    fn encode(self) -> Json {
-        self
+/// An array borrowed from the run's state.
+impl<T: Encode> Encode for &[T] {
+    fn encode(&self, out: &mut String) {
+        (**self).encode(out)
     }
 }
 
+impl<K: Key, V: Encode> Encode for Keyed<'_, K, V> {
+    fn encode(&self, out: &mut String) {
+        out.push('{');
+        for (key, value) in self.keys.iter().zip(self.values) {
+            field(out, key.key(), value);
+        }
+        out.push('}');
+    }
+}
+
+/// A span's stage sums, keyed by [`SPAN_STAGE_FIELDS`].
 impl Encode for StageNanos {
-    fn encode(self) -> Json {
-        keyed(SPAN_STAGE_FIELDS.into_iter().zip(self))
+    fn encode(&self, out: &mut String) {
+        Keyed {
+            keys: &SPAN_STAGE_FIELDS,
+            values: self,
+        }
+        .encode(out)
+    }
+}
+
+/// The goal metric's label (`p95`, …), written without allocating; its
+/// characters (letters, digits, `.`) need no escaping.
+impl Encode for GoalMetric {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "\"{self}\"");
     }
 }
 
 impl<T: Encode> Encode for Option<T> {
-    fn encode(self) -> Json {
-        self.map_or(Json::Null, Encode::encode)
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(value) => value.encode(out),
+            None => write_null(out),
+        }
     }
 }
 
@@ -180,9 +277,22 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.encode(out);
+        }
+        out.push(']');
+    }
+}
+
 impl<T: Encode> Encode for Vec<T> {
-    fn encode(self) -> Json {
-        Json::Arr(self.into_iter().map(Encode::encode).collect())
+    fn encode(&self, out: &mut String) {
+        self.as_slice().encode(out)
     }
 }
 
@@ -204,10 +314,10 @@ trait Named: Copy + 'static {
 }
 
 impl<T: Named> Encode for T {
-    fn encode(self) -> Json {
-        let same = |(_, v): &&(&str, T)| discriminant(v) == discriminant(&self);
+    fn encode(&self, out: &mut String) {
+        let same = |(_, v): &&(&str, T)| discriminant(v) == discriminant(self);
         let (name, _) = T::NAMES.iter().find(same).expect("every variant is named");
-        Json::from(*name)
+        write_str(out, name)
     }
 }
 
@@ -267,35 +377,36 @@ names! {
 
 /// The declaration table's expander. Items, each ended by `;`:
 ///
-/// - `record Name = "kind" { field: Type, … } + group: Group …;` — a
-///   trace record: a struct, its [`Layout`] and `into_json`. Each trailing
-///   `group` is an `Option<Group>` field whose fields, when present, are
-///   appended after the base layout in declared order.
-/// - `object Name { field: Type, … };` — a nested object or an extension
-///   group: a struct and its ordered `FIELDS`.
+/// - `record Name<'a>? = "kind" { field: Type, … } + group: Group<'a>? …;`
+///   — a trace record: a struct, its [`Layout`] and its [`Record::write`].
+///   Each trailing `group` is an `Option<Group>` field whose fields, when
+///   present, are appended after the base layout in declared order. A
+///   lifetime lets fields borrow from the emitter.
+/// - `object Name<'a>? { field: Type, … };` — a nested object or an
+///   extension group: a struct and its ordered `FIELDS`.
 /// - `extern Type { field: Type, … };` — the layout of an existing struct
 ///   with public fields, written by listing every one of them.
 /// - `decode record …` / `decode object …` / `decode extern …` — the same,
 ///   plus a decoder.
 macro_rules! layout {
     () => {};
-    (@struct $(#[$meta:meta])* $name:ident {
+    (@struct $(#[$meta:meta])* $name:ident $(<$lt:lifetime>)? {
         $($field:ident: $ty:ty,)*
-    } $(+ $group:ident: $gty:ident)*) => {
+    } $(+ $group:ident: $gty:ident $(<$glt:lifetime>)?)*) => {
         $(#[$meta])*
         #[derive(Debug, Clone, PartialEq)]
-        pub struct $name {
+        pub struct $name $(<$lt>)? {
             $(pub $field: $ty,)*
             $(
                 #[doc = concat!("The trailing `", stringify!($group), "` extension, if carried.")]
-                pub $group: Option<$gty>,
+                pub $group: Option<$gty $(<$glt>)?>,
             )*
         }
 
-        impl $name {
-            fn write_fields(self, out: &mut Vec<(String, Json)>) {
-                $(out.push((stringify!($field).to_string(), self.$field.encode()));)*
-                $(if let Some(group) = self.$group {
+        impl $(<$lt>)? $name $(<$lt>)? {
+            fn write_fields(&self, out: &mut String) {
+                $(field(out, stringify!($field), &self.$field);)*
+                $(if let Some(group) = &self.$group {
                     group.write_fields(out);
                 })*
             }
@@ -326,19 +437,24 @@ macro_rules! layout {
     };
     ($(#[$meta:meta])* extern $name:ident { $($field:ident: $ty:ty,)* }; $($rest:tt)*) => {
         impl Encode for $name {
-            fn encode(self) -> Json {
-                Json::Obj(vec![$((stringify!($field).to_string(), self.$field.encode())),*])
+            fn encode(&self, out: &mut String) {
+                out.push('{');
+                $(field(out, stringify!($field), &self.$field);)*
+                out.push('}');
             }
         }
 
         layout!($($rest)*);
     };
-    ($(#[$meta:meta])* record $name:ident = $kind:literal {
+    ($(#[$meta:meta])* record $name:ident $(<$lt:lifetime>)? = $kind:literal {
         $($field:ident: $ty:ty,)*
-    } $(+ $group:ident: $gty:ident)*; $($rest:tt)*) => {
-        layout!(@struct $(#[$meta])* $name { $($field: $ty,)* } $(+ $group: $gty)*);
+    } $(+ $group:ident: $gty:ident $(<$glt:lifetime>)?)*; $($rest:tt)*) => {
+        layout!(
+            @struct $(#[$meta])* $name $(<$lt>)? { $($field: $ty,)* }
+            $(+ $group: $gty $(<$glt>)?)*
+        );
 
-        impl $name {
+        impl $(<$lt>)? $name $(<$lt>)? {
             /// The record's `type`.
             pub const KIND: &'static str = $kind;
             /// The published layout of this record kind.
@@ -347,34 +463,34 @@ macro_rules! layout {
                 fields: &["type", $(stringify!($field)),*],
                 extensions: &[$((stringify!($group), $gty::FIELDS)),*],
             };
+        }
 
-            /// The record, its fields in published order.
-            pub fn into_json(self) -> Json {
-                let mut out =
-                    Vec::with_capacity(Self::LAYOUT.fields.len() $(+ $gty::FIELDS.len())*);
-                out.push(("type".to_string(), Json::from($kind)));
-                self.write_fields(&mut out);
-                Json::Obj(out)
+        impl $(<$lt>)? Record for $name $(<$lt>)? {
+            fn write(&self, out: &mut String) {
+                out.push('{');
+                field(out, "type", $kind);
+                self.write_fields(out);
+                out.push('}');
             }
         }
 
         layout!($($rest)*);
     };
-    ($(#[$meta:meta])* object $name:ident {
+    ($(#[$meta:meta])* object $name:ident $(<$lt:lifetime>)? {
         $($field:ident: $ty:ty,)*
     }; $($rest:tt)*) => {
-        layout!(@struct $(#[$meta])* $name { $($field: $ty,)* });
+        layout!(@struct $(#[$meta])* $name $(<$lt>)? { $($field: $ty,)* });
 
-        impl $name {
+        impl $(<$lt>)? $name $(<$lt>)? {
             /// The object's ordered fields.
             pub const FIELDS: &'static [&'static str] = &[$(stringify!($field)),*];
         }
 
-        impl Encode for $name {
-            fn encode(self) -> Json {
-                let mut out = Vec::with_capacity(Self::FIELDS.len());
-                self.write_fields(&mut out);
-                Json::Obj(out)
+        impl $(<$lt>)? Encode for $name $(<$lt>)? {
+            fn encode(&self, out: &mut String) {
+                out.push('{');
+                self.write_fields(out);
+                out.push('}');
             }
         }
 
@@ -431,25 +547,27 @@ layout! {
     /// keyed by storage-slot name. Quantile-goal classes append
     /// the `quantile` group and extended ladders the `tier` group after it,
     /// so mean-goal, default-ladder traces keep the base layout.
-    record Interval = "interval" {
+    record Interval<'a> = "interval" {
         interval: u64, t_ms: f64, class: u64, observed_ms: Option<f64>, goal_ms: f64,
         nogoal_ms: f64, tolerance_ms: f64, satisfied: Option<bool>, settling: bool,
-        store_cleared: bool, phase: &'static str, dedicated_mb: f64, level_share: Json,
-        class_hit_rate: f64, nogoal_hit_rate: f64, residual_ms: Option<f64>,
-    } + quantile: IntervalQuantile + tier: TierExtension;
-    /// The `quantile` group of an `interval` record.
-    object IntervalQuantile { observed_p_ms: Option<f64>, goal_metric: String, };
+        store_cleared: bool, phase: &'static str, dedicated_mb: f64,
+        level_share: Keyed<'a, String, f64>, class_hit_rate: f64, nogoal_hit_rate: f64,
+        residual_ms: Option<f64>,
+    } + quantile: IntervalQuantile + tier: TierExtension<'a>;
+    /// The `quantile` group of an `interval` record; `goal_metric` is
+    /// written as its label (`p95`, …).
+    object IntervalQuantile { observed_p_ms: Option<f64>, goal_metric: GoalMetric, };
     /// The `quantile` group of `optimize` and `goal_change` records.
-    object GoalMetricLabel { goal_metric: String, };
+    object GoalMetricLabel { goal_metric: GoalMetric, };
     /// The `tier` group of an `interval` record: a [`TierLoad`] per memory
     /// tier, keyed by tier name.
-    object TierExtension { tier_occupancy: Json, };
+    object TierExtension<'a> { tier_occupancy: Keyed<'a, TierSpec, TierLoad>, };
     /// One tier's entry in `tier_occupancy`, cluster-wide.
     object TierLoad { resident: u64, frames: u64, };
     /// Per-node home duty at an interval boundary, one array entry per node.
-    record HomeLoad = "home_load" {
-        interval: u64, t_ms: f64, home_pages: Vec<u32>, home_reads: Vec<u64>,
-        remote_fanin: Vec<u64>,
+    record HomeLoad<'a> = "home_load" {
+        interval: u64, t_ms: f64, home_pages: &'a [u32], home_reads: &'a [u64],
+        remote_fanin: &'a [u64],
     };
     /// Per-node link busy fractions, under a switched fabric only, plus the
     /// switch core's (`null` for an ideal core).
@@ -495,5 +613,332 @@ impl RunConfig {
     /// variant name must be known; the error names the offending path.
     pub fn from_record(record: &Json) -> Result<Self, String> {
         Self::decode(Some(record), "", Self::KIND)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A name holding every character class the string writer escapes or
+    /// passes through: quote, backslash, newline, U+0001 and non-ASCII.
+    const ODD: &str = "a\"b\\c\nd\u{1}é→";
+
+    fn tier(name: &str) -> TierSpec {
+        TierSpec {
+            name: name.to_string(),
+            hit_ms: 1e-7,
+            frames: None,
+            bandwidth_bytes_per_sec: Some(u64::MAX),
+        }
+    }
+
+    /// Writes `record`, checks that the text parses, re-serializes to the
+    /// identical bytes and carries `layout`'s fields then every extension
+    /// group's, in order; returns the line.
+    fn written(layout: &Layout, record: &dyn Record) -> String {
+        let mut line = String::new();
+        record.write(&mut line);
+        let parsed = Json::parse(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(parsed.to_string(), line, "{} re-serializes", layout.kind);
+        let keys: Vec<&str> = parsed
+            .as_obj()
+            .expect("a record is an object")
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        let groups = layout.extensions.iter().flat_map(|(_, fields)| *fields);
+        let expected: Vec<&str> = layout.fields.iter().chain(groups).copied().collect();
+        assert_eq!(keys, expected, "{} field order", layout.kind);
+        assert_eq!(parsed.get("type").and_then(Json::as_str), Some(layout.kind));
+        line
+    }
+
+    #[test]
+    fn every_record_kind_writes_parseable_text_in_layout_order() {
+        let slots = vec![ODD.to_string(), "remote_hit".to_string()];
+        let shares = [0.25, f64::NAN];
+        let tiers = [tier("dram"), tier(ODD)];
+        let loads = [
+            TierLoad {
+                resident: 3,
+                frames: 4,
+            },
+            TierLoad {
+                resident: u64::MAX,
+                frames: 0,
+            },
+        ];
+        let quantile = GoalMetric::Quantile { q: 0.999 };
+        let records: Vec<(Layout, Box<dyn Record + '_>)> = vec![
+            (
+                RunConfig::LAYOUT,
+                Box::new(RunConfig {
+                    seed: u64::MAX,
+                    nodes: 3,
+                    db_pages: 2_000,
+                    buffer_pages_per_node: 256,
+                    theta: 1e-7,
+                    goal_ms: None,
+                    goal_rate_per_ms: Some(1e21),
+                    goal_quantile: Some(-0.0),
+                    interval_ns: 5_000_000_000,
+                    warmup_intervals: 0,
+                    controller: Controller {
+                        kind: ControllerKind::Hyperplane {
+                            objective: Objective::BalanceNodes,
+                        },
+                        objective: Some(Objective::BalanceNodes),
+                        fraction: None,
+                    },
+                    goal_range: Some(GoalRange {
+                        min_ms: 4.0,
+                        max_ms: 40.5,
+                    }),
+                    satisfaction: SatisfactionMode::UpperBound,
+                    release_floor_mb: 0.1,
+                    placement: Placement {
+                        kind: PlacementSpec::Hash,
+                        vnodes: None,
+                        max_replicas: Some(u8::MAX),
+                        ring_seed: None,
+                    },
+                    fabric: Fabric {
+                        kind: FabricSpec::SharedMedium,
+                        bisection_bits_per_sec: None,
+                    },
+                    net_bits_per_sec: 10_000_000,
+                    probe: Probe {
+                        kind: ProbeSpec::Batched { batch: 4 },
+                        batch: Some(4),
+                    },
+                    tiers: tiers.to_vec(),
+                    tier_policy: TierPolicy::StaticHash,
+                    fault_plan: Some(FaultPlanRecord {
+                        seed: 7,
+                        drop_probability: 0.5,
+                        retransmit_ns: 1,
+                        events: vec![FaultEvent {
+                            kind: FaultKind::Restart(NodeId(2)),
+                            node: 2,
+                            at_ns: u64::MAX,
+                        }],
+                        stalls: vec![Stall {
+                            node: 1,
+                            from_ns: 0,
+                            until_ns: 9,
+                            factor: 2.0,
+                        }],
+                    }),
+                    replayable: false,
+                }),
+            ),
+            (
+                Interval::LAYOUT,
+                Box::new(Interval {
+                    interval: 0,
+                    t_ms: -0.0,
+                    class: 1,
+                    observed_ms: Some(f64::NAN),
+                    goal_ms: 1e21,
+                    nogoal_ms: 1e-7,
+                    tolerance_ms: f64::NEG_INFINITY,
+                    satisfied: None,
+                    settling: true,
+                    store_cleared: false,
+                    phase: "settling",
+                    dedicated_mb: 0.1,
+                    level_share: Keyed {
+                        keys: &slots,
+                        values: &shares,
+                    },
+                    class_hit_rate: 1.0,
+                    nogoal_hit_rate: 0.0,
+                    residual_ms: None,
+                    quantile: Some(IntervalQuantile {
+                        observed_p_ms: Some(2.5),
+                        goal_metric: quantile,
+                    }),
+                    tier: Some(TierExtension {
+                        tier_occupancy: Keyed {
+                            keys: &tiers,
+                            values: &loads,
+                        },
+                    }),
+                }),
+            ),
+            (
+                HomeLoad::LAYOUT,
+                Box::new(HomeLoad {
+                    interval: 1,
+                    t_ms: 5_000.0,
+                    home_pages: &[u32::MAX, 0],
+                    home_reads: &[u64::MAX, 1],
+                    remote_fanin: &[],
+                }),
+            ),
+            (
+                NetLoad::LAYOUT,
+                Box::new(NetLoad {
+                    interval: 1,
+                    t_ms: 5_000.0,
+                    tx_busy: vec![-0.0, f64::INFINITY],
+                    rx_busy: vec![1e-7],
+                    bisection_busy: None,
+                }),
+            ),
+            (
+                Optimize::LAYOUT,
+                Box::new(Optimize {
+                    interval: 2,
+                    class: 1,
+                    path: "lp",
+                    points: 4,
+                    plane_w: Some(vec![-1.5, 1e21]),
+                    plane_c: Some(f64::NAN),
+                    goal_attainable: Some(true),
+                    predicted_class_ms: None,
+                    fit_residuals_ms: Some(Vec::new()),
+                    fit_rms_ms: Some(0.0),
+                    fallback: Some("rank_deficient"),
+                    current_mb: vec![0.5, 0.25],
+                    requested_mb: vec![1.0, -0.0],
+                    delta_mb: 1e-7,
+                    quantile: Some(GoalMetricLabel {
+                        goal_metric: quantile,
+                    }),
+                }),
+            ),
+            (
+                Grant::LAYOUT,
+                Box::new(Grant {
+                    t_ms: 5_050.125,
+                    class: 1,
+                    node: 0,
+                    requested_pages: u32::MAX,
+                    granted_pages: 0,
+                    avail_pages: 7,
+                }),
+            ),
+            (
+                GoalChange::LAYOUT,
+                Box::new(GoalChange {
+                    interval: 20,
+                    t_ms: 1e21,
+                    class: 1,
+                    old_goal_ms: 8.0,
+                    new_goal_ms: 12.5,
+                    quantile: Some(GoalMetricLabel {
+                        goal_metric: GoalMetric::Quantile { q: 0.95 },
+                    }),
+                }),
+            ),
+            (
+                Fault::LAYOUT,
+                Box::new(Fault {
+                    t_ms: 0.0,
+                    kind: FaultKind::Crash(NodeId(1)),
+                    node: 1,
+                    live_nodes: 2,
+                    last_copy_losses: u64::MAX,
+                    ops_aborted: 0,
+                }),
+            ),
+            (
+                Failover::LAYOUT,
+                Box::new(Failover {
+                    t_ms: 1.0,
+                    class: 1,
+                    from: 1,
+                    to: 0,
+                }),
+            ),
+            (
+                Span::LAYOUT,
+                Box::new(Span {
+                    t_ms: 3.0,
+                    op: u64::MAX,
+                    class: 0,
+                    origin: 2,
+                    response_ms: 1e-7,
+                    stages: [1, 2, 3, 4, 5, 6, 7, u64::MAX],
+                }),
+            ),
+        ];
+        let kinds: Vec<&str> = records.iter().map(|(layout, _)| layout.kind).collect();
+        assert_eq!(kinds, RECORD_TYPES, "one instance of every record kind");
+        let lines: Vec<String> = records
+            .iter()
+            .map(|(layout, record)| written(layout, record.as_ref()))
+            .collect();
+        let doc = lines.join("\n");
+
+        // Non-finite floats and `None` are `null`; −0.0, 1e-7 and 1e21 keep
+        // the standard library's shortest digits; integers are exact.
+        for expected in [
+            r#""observed_ms":null"#,
+            r#""tolerance_ms":null"#,
+            r#""residual_ms":null"#,
+            r#""satisfied":null"#,
+            r#""plane_c":null"#,
+            r#""tx_busy":[-0,null]"#,
+            r#""t_ms":-0,"#,
+            r#""goal_quantile":-0,"#,
+            r#""theta":0.0000001,"#,
+            r#""goal_rate_per_ms":1000000000000000000000,"#,
+            r#""seed":18446744073709551615,"#,
+            r#""home_pages":[4294967295,0]"#,
+            r#""remote_fanin":[]"#,
+            r#""goal_metric":"p99.9""#,
+            r#""goal_metric":"p95""#,
+            r#""kind":"restart""#,
+            r#""max_replicas":255"#,
+            r#""stages":{"local_hit_ns":1,"pool_queue_ns":2,"#,
+        ] {
+            assert!(doc.contains(expected), "{expected} missing from\n{doc}");
+        }
+        // The odd name is escaped as a key and as a value, and reads back.
+        let escaped = r#""a\"b\\c\nd\u0001é→""#;
+        assert!(
+            lines[0].contains(&format!(r#""name":{escaped}"#)),
+            "{}",
+            lines[0]
+        );
+        assert!(
+            lines[1].contains(&format!("{{{escaped}:0.25,")),
+            "{}",
+            lines[1]
+        );
+        assert!(
+            lines[1].contains(&format!("{escaped}:{{\"resident\"")),
+            "{}",
+            lines[1]
+        );
+        let config = RunConfig::from_record(&Json::parse(&lines[0]).expect("parses"))
+            .expect("the written run_config decodes");
+        assert_eq!(config.tiers[1].name, ODD);
+        assert_eq!(
+            config.goal_quantile.map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(config.seed, u64::MAX);
+    }
+
+    #[test]
+    fn absent_extension_groups_leave_the_base_layout() {
+        let rec = GoalChange {
+            interval: 1,
+            t_ms: 2.0,
+            class: 1,
+            old_goal_ms: 3.0,
+            new_goal_ms: 4.0,
+            quantile: None,
+        };
+        let mut line = String::new();
+        rec.write(&mut line);
+        assert_eq!(
+            line,
+            r#"{"type":"goal_change","interval":1,"t_ms":2,"class":1,"old_goal_ms":3,"new_goal_ms":4}"#
+        );
     }
 }

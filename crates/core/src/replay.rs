@@ -45,14 +45,26 @@ use dmm_workload::WorkloadSpec;
 use crate::baselines::ControllerKind;
 use crate::probe::ProbeSpec;
 use crate::records::{
-    Controller, Fabric, FaultEvent, FaultPlanRecord, Placement, Probe, RunConfig, Stall,
+    Controller, Fabric, FaultEvent, FaultPlanRecord, Placement, Probe, Record, RunConfig, Stall,
 };
 use crate::system::{Simulation, SystemConfig};
 use dmm_buffer::PolicySpec;
 
-/// Builds the `run_config` record for a configuration: the first record of
-/// every sink-enabled trace. Its layout is [`RunConfig`]'s.
+/// The `run_config` record of a configuration, parsed from the very line
+/// that leads every sink-enabled trace. Its layout is [`RunConfig`]'s.
 pub fn run_config_record(config: &SystemConfig) -> Json {
+    Json::parse(&run_config_line(config)).expect("a written record parses")
+}
+
+/// The `run_config` line a sink-enabled trace leads with.
+pub(crate) fn run_config_line(config: &SystemConfig) -> String {
+    let mut line = String::new();
+    run_config(config).write(&mut line);
+    line
+}
+
+/// Maps a configuration onto its `run_config` record.
+fn run_config(config: &SystemConfig) -> RunConfig {
     let cluster = &config.cluster;
     let goal = config.workload.classes.get(1);
     let ring = match cluster.placement {
@@ -135,7 +147,6 @@ pub fn run_config_record(config: &SystemConfig) -> Json {
         }),
         replayable: is_replayable(config),
     }
-    .into_json()
 }
 
 /// Whether the closure can rebuild the run: the workload matches the

@@ -10,10 +10,10 @@
 
 use dmm_buffer::{ClassId, TierPolicy};
 use dmm_cluster::{
-    ClusterEvent, ClusterParams, CostSlot, DataPlane, FabricSpec, FaultKind, FaultPlan, NodeId,
-    PlacementSpec, TierLadder, TierSpec,
+    ClusterEvent, ClusterParams, CostSlot, DataPlane, FabricSpec, FaultKind, FaultPlan, HomeLoad,
+    NodeId, PlacementSpec, TierLadder, TierSpec,
 };
-use dmm_obs::{Json, MetricsSnapshot, NoopSink, SpanMode, TraceSink};
+use dmm_obs::{MetricsSnapshot, NoopSink, SpanMode, TraceSink};
 use dmm_sim::{Engine, ExecMode, Handler, Scheduler, SimDuration, SimParams, SimTime};
 use dmm_workload::{GoalRange, GoalSchedule, WorkloadGenerator, WorkloadSpec};
 
@@ -24,7 +24,9 @@ use crate::coordinator::{Coordinator, SatisfactionMode, PAGES_PER_MB};
 use crate::error::Error;
 use crate::metrics::{ConvergenceStats, IntervalRecord};
 use crate::probe::ProbeSpec;
-use crate::records::{self, GoalMetricLabel, IntervalQuantile, TierExtension, TierLoad};
+use crate::records::{
+    self, GoalMetricLabel, IntervalQuantile, Keyed, Record, TierExtension, TierLoad,
+};
 
 /// Observation-interval length a built configuration starts with (§7.1).
 /// A replayed trace restores its recorded interval into
@@ -468,30 +470,38 @@ enum SysEvent {
 /// are reused, so after warm-up parking allocates nothing.
 #[derive(Default)]
 struct ReportSlots {
-    slots: Vec<Option<AgentObservation>>,
+    slots: Vec<AgentObservation>,
     free: Vec<u32>,
 }
 
 impl ReportSlots {
-    fn park(&mut self, obs: AgentObservation) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(obs);
+    /// Copies `obs` into a free slot. A slot whose last report carried a
+    /// histogram iff this one does is preferred, so histogram buffers are
+    /// reused rather than dropped and reallocated.
+    fn park(&mut self, obs: &AgentObservation) -> u32 {
+        let slots = &self.slots;
+        let same_kind =
+            |&slot: &u32| slots[slot as usize].rt_hist.is_some() == obs.rt_hist.is_some();
+        let free = self.free.iter().rposition(same_kind);
+        match free.or(self.free.len().checked_sub(1)) {
+            Some(i) => {
+                let slot = self.free.swap_remove(i);
+                self.slots[slot as usize].clone_from(obs);
                 slot
             }
             None => {
-                self.slots.push(Some(obs));
+                self.slots.push(obs.clone());
                 u32::try_from(self.slots.len() - 1).expect("report slots fit u32")
             }
         }
     }
 
-    fn take(&mut self, slot: u32) -> AgentObservation {
-        let obs = self.slots[slot as usize]
-            .take()
-            .expect("report slot is delivered once");
+    /// The report parked in `slot`, which is free again once this borrow
+    /// ends.
+    fn take(&mut self, slot: u32) -> &AgentObservation {
+        debug_assert!(!self.free.contains(&slot), "report slot is delivered once");
         self.free.push(slot);
-        obs
+        &self.slots[slot as usize]
     }
 }
 
@@ -526,8 +536,8 @@ struct SimState {
     interval_idx: u32,
     interval: SimDuration,
     warmup_intervals: u32,
-    /// Structured trace receiver (§5 phases). NoopSink by default.
-    sink: Box<dyn TraceSink>,
+    /// Structured trace receiver (§5 phases) and its line buffer.
+    trace: Trace,
     /// Per-slot access-cost observation counts at the previous interval
     /// boundary, for per-interval level shares (one entry per storage slot
     /// of the configured tier ladder).
@@ -536,9 +546,34 @@ struct SimState {
     level_share: Vec<f64>,
     /// Stable slot names of the ladder (`local_hit`, …), for trace fields.
     slot_names: Vec<String>,
+    /// The `home_load` record's per-node counts, refilled in place.
+    home_load: HomeLoad,
+    /// The `tier_occupancy` of an extended ladder's `interval` records, one
+    /// entry per memory tier, refilled in place.
+    tier_loads: Vec<TierLoad>,
     /// The run's replay closure, emitted as the leading `run_config`
     /// record whenever an enabled sink is attached.
-    run_config: Json,
+    run_config: String,
+}
+
+/// The trace receiver ([`NoopSink`] by default) and the one line buffer
+/// every record is written into before the sink sees it.
+struct Trace {
+    sink: Box<dyn TraceSink>,
+    line: String,
+}
+
+impl Trace {
+    fn enabled(&self) -> bool {
+        self.sink.enabled()
+    }
+
+    /// Writes `record` into the reused line and hands the line over.
+    fn emit(&mut self, record: &impl Record) {
+        self.line.clear();
+        record.write(&mut self.line);
+        self.sink.emit_line(&self.line);
+    }
 }
 
 impl SimState {
@@ -553,7 +588,7 @@ impl SimState {
     fn schedule_plane(
         out: dmm_cluster::StepOutput,
         agents: &mut [Vec<LocalAgent>],
-        sink: &mut dyn TraceSink,
+        trace: &mut Trace,
         sched: &mut Scheduler<SysEvent>,
     ) {
         if let Some((t, e)) = out.schedule {
@@ -572,7 +607,7 @@ impl SimState {
             // the data plane; emit it as a `span` trace record. The stage
             // sums partition the response time integer-exactly (§5f of
             // DESIGN.md), so `response_ms` is redundant but convenient.
-            if sink.enabled() {
+            if trace.enabled() {
                 if let Some(stages) = c.span {
                     let record = records::Span {
                         t_ms: c.finished.as_millis_f64(),
@@ -582,7 +617,7 @@ impl SimState {
                         response_ms: c.response_ms(),
                         stages,
                     };
-                    sink.emit(&record.into_json());
+                    trace.emit(&record);
                 }
             }
         }
@@ -616,22 +651,23 @@ impl SimState {
         // duty (pages owned, home reads served, remote fan-in) across the
         // cluster. One record per interval, for every placement scheme, so
         // scheme A vs scheme B traces differ only where the load does.
-        if self.sink.enabled() {
-            let load = self.plane.home_load();
+        if self.trace.enabled() {
+            let load = &mut self.home_load;
+            self.plane.fill_home_load(load);
             let rec = records::HomeLoad {
                 interval: self.interval_idx.saturating_sub(1) as u64,
                 t_ms: now.as_millis_f64(),
-                home_pages: load.home_pages,
-                home_reads: load.home_reads,
-                remote_fanin: load.remote_fanin,
+                home_pages: &load.home_pages,
+                home_reads: &load.home_reads,
+                remote_fanin: &load.remote_fanin,
             };
-            self.sink.emit(&rec.into_json());
+            self.trace.emit(&rec);
         }
         // Per-link network-load snapshot, only under a switched fabric: the
         // cumulative TX/RX busy fraction of every node's links (and of the
         // switch core, when its bisection capacity is finite). Shared-medium
         // traces carry no such record and stay byte-identical.
-        if self.sink.enabled() {
+        if self.trace.enabled() {
             let net = self.plane.network();
             if net.is_switched() {
                 let n = self.plane.num_nodes();
@@ -649,7 +685,7 @@ impl SimState {
                     rx_busy: rx,
                     bisection_busy: net.bisection_utilization(now),
                 };
-                self.sink.emit(&rec.into_json());
+                self.trace.emit(&rec);
             }
         }
         let interval_ms = self.interval.as_millis_f64();
@@ -675,19 +711,17 @@ impl SimState {
                 } else {
                     std::slice::from_ref(&self.goals[class.index() - 1])
                 };
-                let Some((last, rest)) = targets.split_last() else {
-                    continue;
-                };
-                let mut report = |to: &Coordinator, obs: AgentObservation| {
+                for to in targets.iter().map(|goal| &goal.coord) {
                     let delivered = self.plane.send_control(node, to.home(), REPORT_BYTES, now);
                     let slot = self.reports.park(obs);
-                    let to = to.class();
-                    sched.at(delivered, SysEvent::Report { to, slot });
-                };
-                for goal in rest {
-                    report(&goal.coord, obs.clone());
+                    sched.at(
+                        delivered,
+                        SysEvent::Report {
+                            to: to.class(),
+                            slot,
+                        },
+                    );
                 }
-                report(&last.coord, obs);
             }
         }
         for goal in &self.goals {
@@ -738,7 +772,7 @@ impl SimState {
         };
         goal.records.push(record);
 
-        if self.sink.enabled() {
+        if self.trace.enabled() {
             let phase = if outcome.settling {
                 "settling"
             } else if acted {
@@ -757,6 +791,12 @@ impl SimState {
                 class_pool.merge(&self.plane.pool_stats(node, class));
                 nogoal_pool.merge(&self.plane.pool_stats(node, dmm_buffer::NO_GOAL));
             }
+            let tiers = &self.plane.params().tiers;
+            if tiers.is_extended() {
+                for (t, load) in self.tier_loads.iter_mut().enumerate() {
+                    (load.resident, load.frames) = self.plane.tier_residency(t);
+                }
+            }
             // Quantile goals append their fields *after* the base layout,
             // so mean-goal traces stay byte-identical (the quantile path is
             // purely additive); extended ladders append per-tier occupancy
@@ -774,34 +814,29 @@ impl SimState {
                 store_cleared: outcome.store_cleared,
                 phase,
                 dedicated_mb: record.dedicated_bytes as f64 / (1024.0 * 1024.0),
-                level_share: records::keyed(
-                    self.slot_names.iter().zip(self.level_share.iter().copied()),
-                ),
+                level_share: Keyed {
+                    keys: &self.slot_names,
+                    values: &self.level_share,
+                },
                 class_hit_rate: class_pool.hit_rate(),
                 nogoal_hit_rate: nogoal_pool.hit_rate(),
                 residual_ms: outcome.prediction_residual_ms,
-                quantile: metric.is_quantile().then(|| IntervalQuantile {
+                quantile: metric.is_quantile().then_some(IntervalQuantile {
                     observed_p_ms: outcome.observed_quantile_ms,
-                    goal_metric: metric.label(),
+                    goal_metric: metric,
                 }),
-                tier: self
-                    .plane
-                    .params()
-                    .tiers
-                    .is_extended()
-                    .then(|| TierExtension {
-                        tier_occupancy: records::keyed(
-                            self.plane.tier_occupancy().into_iter().map(
-                                |(name, resident, frames)| (name, TierLoad { resident, frames }),
-                            ),
-                        ),
-                    }),
+                tier: tiers.is_extended().then_some(TierExtension {
+                    tier_occupancy: Keyed {
+                        keys: &tiers.tiers()[..self.tier_loads.len()],
+                        values: &self.tier_loads,
+                    },
+                }),
             };
-            self.sink.emit(&rec.into_json());
+            self.trace.emit(&rec);
 
             if let Some(mut rec) = outcome.optimize.take() {
                 rec.interval = record.interval as u64;
-                self.sink.emit(&rec.into_json());
+                self.trace.emit(&rec);
             }
         }
 
@@ -816,18 +851,18 @@ impl SimState {
                 if measuring {
                     goal.convergence.on_goal_change();
                 }
-                if self.sink.enabled() {
+                if self.trace.enabled() {
                     let rec = records::GoalChange {
                         interval: self.interval_idx.saturating_sub(1) as u64,
                         t_ms: now.as_millis_f64(),
                         class: class.index() as u64,
                         old_goal_ms: old_goal,
                         new_goal_ms: new_goal,
-                        quantile: metric.is_quantile().then(|| GoalMetricLabel {
-                            goal_metric: metric.label(),
+                        quantile: metric.is_quantile().then_some(GoalMetricLabel {
+                            goal_metric: metric,
                         }),
                     };
-                    self.sink.emit(&rec.into_json());
+                    self.trace.emit(&rec);
                 }
             }
         }
@@ -872,14 +907,14 @@ impl SimState {
                             .find(|&n| self.plane.is_up(n))
                             .expect("fault plans never crash the whole cluster");
                         self.migrate_coordinator_from(class, new_home, new_home, now);
-                        if self.sink.enabled() {
+                        if self.trace.enabled() {
                             let rec = records::Failover {
                                 t_ms: now.as_millis_f64(),
                                 class: class.index() as u64,
                                 from: node.index() as u64,
                                 to: new_home.index() as u64,
                             };
-                            self.sink.emit(&rec.into_json());
+                            self.trace.emit(&rec);
                         }
                     }
                     let goal = &mut self.goals[i];
@@ -905,7 +940,7 @@ impl SimState {
     }
 
     fn emit_fault_record(&mut self, kind: FaultKind, now: SimTime) {
-        if !self.sink.enabled() {
+        if !self.trace.enabled() {
             return;
         }
         let stats = self.plane.fault_stats();
@@ -917,7 +952,7 @@ impl SimState {
             last_copy_losses: stats.last_copy_losses,
             ops_aborted: stats.ops_aborted,
         };
-        self.sink.emit(&rec.into_json());
+        self.trace.emit(&rec);
     }
 }
 
@@ -926,7 +961,7 @@ impl Handler<SysEvent> for SimState {
         match event {
             SysEvent::Data(e) => {
                 let out = self.plane.handle(now, e);
-                Self::schedule_plane(out, &mut self.agents, &mut *self.sink, sched);
+                Self::schedule_plane(out, &mut self.agents, &mut self.trace, sched);
             }
             SysEvent::Arrival { node, class } => {
                 // Work arriving at a crashed node is lost (clients fail,
@@ -936,7 +971,7 @@ impl Handler<SysEvent> for SimState {
                     self.agents[class.index()][node.index()].on_arrival();
                     let op = self.gen.make_op(node, class, now);
                     let out = self.plane.start_operation(op, now);
-                    Self::schedule_plane(out, &mut self.agents, &mut *self.sink, sched);
+                    Self::schedule_plane(out, &mut self.agents, &mut self.trace, sched);
                 }
                 let gap = self.gen.next_gap(node, class, now);
                 sched.after(gap, SysEvent::Arrival { node, class });
@@ -944,7 +979,7 @@ impl Handler<SysEvent> for SimState {
             SysEvent::IntervalEnd => self.end_interval(now, sched),
             SysEvent::Report { to, slot } => {
                 let obs = self.reports.take(slot);
-                self.goal_mut(to).coord.on_report(obs);
+                self.goals[to.index() - 1].coord.on_report(obs);
             }
             SysEvent::CoordCheck { class } => self.coord_check(class, now, sched),
             SysEvent::Alloc { class, node, pages } => {
@@ -976,7 +1011,7 @@ impl Handler<SysEvent> for SimState {
                 if !self.plane.is_up(node) {
                     return; // grant from a node that crashed in flight
                 }
-                if self.sink.enabled() {
+                if self.trace.enabled() {
                     let rec = records::Grant {
                         t_ms: now.as_millis_f64(),
                         class: class.index() as u64,
@@ -985,7 +1020,7 @@ impl Handler<SysEvent> for SimState {
                         granted_pages: granted,
                         avail_pages: avail,
                     };
-                    self.sink.emit(&rec.into_json());
+                    self.trace.emit(&rec);
                 }
                 self.goal_mut(class)
                     .coord
@@ -1101,11 +1136,21 @@ impl Simulation {
             interval_idx: 0,
             interval: config.interval,
             warmup_intervals: config.warmup_intervals,
-            sink: Box::new(NoopSink),
+            trace: Trace {
+                sink: Box::new(NoopSink),
+                line: String::new(),
+            },
             last_level_obs: vec![0; cluster.tiers.num_slots()],
             level_share: vec![0.0; cluster.tiers.num_slots()],
             slot_names: cluster.tiers.slot_names(),
-            run_config: crate::replay::run_config_record(&config),
+            home_load: HomeLoad::default(),
+            tier_loads: (0..cluster.tiers.num_memory_tiers())
+                .map(|_| TierLoad {
+                    resident: 0,
+                    frames: 0,
+                })
+                .collect(),
+            run_config: crate::replay::run_config_line(&config),
         };
 
         let mut engine = Engine::with_params(config.sim);
@@ -1194,10 +1239,10 @@ impl Simulation {
     /// receives the run's `run_config` record — the replay closure that
     /// lets `dmm-trace replay` reconstruct and re-run this configuration.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.state.sink = sink;
-        if self.state.sink.enabled() {
-            let record = self.state.run_config.clone();
-            self.state.sink.emit(&record);
+        let state = &mut self.state;
+        state.trace.sink = sink;
+        if state.trace.enabled() {
+            state.trace.sink.emit_line(&state.run_config);
         }
     }
 
@@ -1230,14 +1275,12 @@ impl Simulation {
         }
         // Sink-health counters are zero-suppressed so healthy traces stay
         // byte-identical across sink implementations.
-        if self.state.sink.write_errors() > 0 {
-            snap.counter("obs.sink.errors", self.state.sink.write_errors());
+        let sink = &self.state.trace.sink;
+        if sink.write_errors() > 0 {
+            snap.counter("obs.sink.errors", sink.write_errors());
         }
-        if self.state.sink.dropped_records() > 0 {
-            snap.counter(
-                "obs.sink.dropped_records",
-                self.state.sink.dropped_records(),
-            );
+        if sink.dropped_records() > 0 {
+            snap.counter("obs.sink.dropped_records", sink.dropped_records());
         }
         self.state.plane.fill_metrics(&mut snap, self.engine.now());
         for coord in self.state.goals.iter().map(|goal| &goal.coord) {
@@ -1413,28 +1456,55 @@ mod tests {
         );
     }
 
-    #[test]
-    fn report_slots_are_reused_after_delivery() {
-        let obs = |completions| AgentObservation {
+    fn report(completions: u64, hist: bool) -> AgentObservation {
+        AgentObservation {
             node: NodeId(0),
             class: ClassId(1),
             mean_rt_ms: None,
-            rt_hist: None,
+            rt_hist: hist.then(crate::agent::rt_histogram),
             completions,
             arrival_rate_per_ms: 0.0,
             pool_accesses: 0,
             pool_hits: 0,
             granted_pages: 0,
             avail_pages: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn report_slots_are_reused_after_delivery() {
         let mut slots = ReportSlots::default();
-        let a = slots.park(obs(1));
-        let b = slots.park(obs(2));
+        let a = slots.park(&report(1, false));
+        let b = slots.park(&report(2, false));
         assert_ne!(a, b);
         assert_eq!(slots.take(a).completions, 1);
-        assert_eq!(slots.park(obs(3)), a, "a delivered slot is reused");
+        assert_eq!(
+            slots.park(&report(3, false)),
+            a,
+            "a delivered slot is reused"
+        );
         assert_eq!(slots.take(b).completions, 2);
         assert_eq!(slots.take(a).completions, 3);
+        assert_eq!(slots.slots.len(), 2);
+    }
+
+    #[test]
+    fn a_report_with_a_histogram_reuses_a_histogram_slot() {
+        let mut slots = ReportSlots::default();
+        let with = slots.park(&report(1, true));
+        let without = slots.park(&report(2, false));
+        let buffer = |slots: &ReportSlots| {
+            let hist = slots.slots[with as usize].rt_hist.as_ref();
+            hist.map(|h| h.counts().as_ptr())
+        };
+        let before = buffer(&slots);
+        slots.take(with);
+        slots.take(without);
+        // `without` was freed last, but the histogram goes where one was.
+        assert_eq!(slots.park(&report(3, true)), with);
+        assert_eq!(buffer(&slots), before, "histogram buffer reused");
+        assert_eq!(slots.park(&report(4, false)), without);
+        assert_eq!(slots.take(with).completions, 3);
         assert_eq!(slots.slots.len(), 2);
     }
 

@@ -7,7 +7,7 @@
 //! exists for round-trip tests and for test harnesses that consume emitted
 //! trace files; it accepts standard JSON.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects preserve insertion order (`Vec` of pairs, not a
 /// map): deterministic serialization is the whole point of this module.
@@ -106,29 +106,17 @@ impl Json {
         }
     }
 
-    /// Serializes to compact JSON text.
+    /// Serializes to compact JSON text, through the same scalar writers
+    /// ([`write_u64`], [`write_f64`], [`write_str`], …) that records
+    /// written straight to text use.
     pub fn write(&self, out: &mut String) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::U64(v) => {
-                use fmt::Write;
-                let _ = write!(out, "{v}");
-            }
-            Json::I64(v) => {
-                use fmt::Write;
-                let _ = write!(out, "{v}");
-            }
-            Json::F64(v) => {
-                use fmt::Write;
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Null => write_null(out),
+            Json::Bool(v) => write_bool(out, *v),
+            Json::U64(v) => write_u64(out, *v),
+            Json::I64(v) => write_i64(out, *v),
+            Json::F64(v) => write_f64(out, *v),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -145,7 +133,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -235,7 +223,40 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `null`.
+pub fn write_null(out: &mut String) {
+    out.push_str("null");
+}
+
+/// Appends `true` or `false`.
+pub fn write_bool(out: &mut String, v: bool) {
+    out.push_str(if v { "true" } else { "false" });
+}
+
+/// Appends a non-negative integer in decimal.
+pub fn write_u64(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
+}
+
+/// Appends a signed integer in decimal.
+pub fn write_i64(out: &mut String, v: i64) {
+    let _ = write!(out, "{v}");
+}
+
+/// Appends a float in the standard library's shortest round-trip form
+/// (never an exponent: `1e21` is written out in full), or `null` when it
+/// is not finite.
+pub fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        write_null(out);
+    }
+}
+
+/// Appends `s` as a quoted JSON string: `"`, `\` and control characters
+/// escaped, everything else (non-ASCII included) verbatim.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -245,7 +266,6 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                use fmt::Write;
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
@@ -469,7 +489,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         if let Ok(v) = text.parse::<u64>() {
             return Ok(Json::U64(v));
         }
-        if let Ok(v) = text.parse::<i64>() {
+        // `-0` is the float negative zero (what `write_f64(-0.0)` writes),
+        // so it re-serializes as written rather than as the integer `0`.
+        if let Some(v) = text.parse::<i64>().ok().filter(|&v| v != 0) {
             return Ok(Json::I64(v));
         }
     }
@@ -512,6 +534,17 @@ mod tests {
         let mut s = String::new();
         Json::F64(f64::NAN).write(&mut s);
         assert_eq!(s, "null", "non-finite floats become null");
+    }
+
+    #[test]
+    fn negative_zero_round_trips_as_written() {
+        let mut s = String::new();
+        write_f64(&mut s, -0.0);
+        assert_eq!(s, "-0");
+        let parsed = Json::parse(&s).expect("parses");
+        assert_eq!(parsed.as_f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(parsed.to_string(), "-0");
+        assert_eq!(Json::parse("-7").expect("parses"), Json::I64(-7));
     }
 
     #[test]

@@ -18,7 +18,7 @@ const BIT_LENGTHS: usize = 66;
 /// `bounds` are inclusive upper bucket edges; one overflow bucket catches
 /// everything above the last edge. Totals saturate instead of wrapping,
 /// which keeps [`merge`](Histogram::merge) associative and commutative.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Histogram {
     bounds: Vec<u64>,
     /// `index[k]` is the number of edges below `2^(k-1)`, the smallest value
@@ -35,6 +35,30 @@ pub struct Histogram {
     min_seen: u64,
     /// Largest recorded value (0 while empty).
     max_seen: u64,
+}
+
+/// `clone_from` reuses the target's buffers: copying a histogram into one
+/// of the same layout allocates nothing.
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        Histogram {
+            bounds: self.bounds.clone(),
+            counts: self.counts.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut bounds = std::mem::take(&mut self.bounds);
+        let mut counts = std::mem::take(&mut self.counts);
+        bounds.clone_from(&source.bounds);
+        counts.clone_from(&source.counts);
+        *self = Histogram {
+            bounds,
+            counts,
+            ..*source
+        };
+    }
 }
 
 impl Histogram {
@@ -497,6 +521,21 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.total(), 5126);
         assert!((h.mean() - 5126.0 / 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_targets_buffers() {
+        let mut source = Histogram::log_linear(10, 10_000, 4);
+        for v in [7, 40, 41, 9_000, 50_000] {
+            source.record(v);
+        }
+        let mut target = Histogram::log_linear(10, 10_000, 4);
+        target.record(3);
+        let counts = target.counts().as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(target.counts().as_ptr(), counts, "buffer reused");
+        assert_eq!(target.quantile(0.5), source.quantile(0.5));
     }
 
     #[test]

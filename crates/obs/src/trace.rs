@@ -1,17 +1,32 @@
 //! Structured event traces.
 //!
-//! Instrumented components publish one [`Json`] record per interesting event
-//! (a control-loop phase, an allocation grant, …) through a [`TraceSink`].
-//! The default [`NoopSink`] reports `enabled() == false`; instrumented code
-//! checks that flag before building the record, so tracing costs one branch
-//! when disabled:
+//! Instrumented components publish one record per interesting event (a
+//! control-loop phase, an allocation grant, …) through a [`TraceSink`], as
+//! one line of compact JSON text. The default [`NoopSink`] reports
+//! `enabled() == false`; instrumented code checks that flag before writing
+//! the record, so tracing costs one branch when off. When on, a writer
+//! reuses one line buffer, so a record costs the sink's own keeping: one
+//! allocation per record in [`VecSink`] and [`StreamSink`], none in
+//! [`JsonLinesSink`]:
 //!
 //! ```
-//! use dmm_obs::{Json, NoopSink, TraceSink};
-//! let mut sink = NoopSink;
-//! if sink.enabled() {
-//!     sink.emit(&Json::obj().field("type", "check"));
+//! use dmm_obs::json::{write_str, write_u64};
+//! use dmm_obs::{TraceSink, VecSink};
+//! let lines = VecSink::new();
+//! let mut sink = lines.handle();
+//! let mut line = String::new();
+//! for interval in 0..2 {
+//!     if sink.enabled() {
+//!         line.clear();
+//!         line.push_str("{\"type\":");
+//!         write_str(&mut line, "check");
+//!         line.push_str(",\"interval\":");
+//!         write_u64(&mut line, interval);
+//!         line.push('}');
+//!         sink.emit_line(&line);
+//!     }
 //! }
+//! assert_eq!(lines.lines()[1], r#"{"type":"check","interval":1}"#);
 //! ```
 
 use std::collections::VecDeque;
@@ -26,14 +41,24 @@ use crate::json::Json;
 /// `Send` so a simulation carrying a sink can move onto a worker thread
 /// (parallel replication in the bench helpers).
 pub trait TraceSink: Send {
-    /// Whether records will be kept. Callers skip building records when
+    /// Whether records will be kept. Callers skip writing records when
     /// false.
     fn enabled(&self) -> bool {
         true
     }
 
-    /// Consumes one record.
-    fn emit(&mut self, record: &Json);
+    /// Consumes one record, written as one line of compact JSON text (no
+    /// trailing newline). The line is borrowed: a sink that keeps it copies
+    /// it, and the caller reuses its buffer for the next record.
+    fn emit_line(&mut self, line: &str);
+
+    /// Consumes one record given as a [`Json`] value: serializes it and
+    /// hands the text to [`TraceSink::emit_line`].
+    fn emit(&mut self, record: &Json) {
+        let mut line = String::new();
+        record.write(&mut line);
+        self.emit_line(&line);
+    }
 
     /// Records this sink has lost (write failure, bounded buffer full, …).
     /// Surfaced as the `obs.sink.dropped_records` counter in metrics
@@ -59,7 +84,7 @@ impl TraceSink for NoopSink {
         false
     }
 
-    fn emit(&mut self, _record: &Json) {}
+    fn emit_line(&mut self, _line: &str) {}
 }
 
 /// Collects serialized records in memory, behind a shared handle so the
@@ -100,11 +125,8 @@ impl VecSink {
 }
 
 impl TraceSink for VecSink {
-    fn emit(&mut self, record: &Json) {
-        self.lines
-            .lock()
-            .expect("sink lock")
-            .push(record.to_string());
+    fn emit_line(&mut self, line: &str) {
+        self.lines.lock().expect("sink lock").push(line.to_owned());
     }
 }
 
@@ -119,7 +141,7 @@ struct StreamShared {
 /// Bounded in-memory streaming sink for live consumers (`dmm-trace watch`
 /// and other tail readers).
 ///
-/// `emit` serializes the record and pushes it onto a fixed-capacity ring.
+/// `emit_line` copies the line and pushes it onto a fixed-capacity ring.
 /// When the ring is full — the consumer fell behind — the *incoming* record
 /// is dropped and counted, so the buffered prefix stays a contiguous,
 /// in-order slice of the trace and the simulation hot path never blocks on
@@ -129,9 +151,6 @@ struct StreamShared {
 pub struct StreamSink {
     shared: Arc<Mutex<StreamShared>>,
     capacity: usize,
-    /// Per-handle size hint so each serialized line is allocated once
-    /// instead of growing from empty on every record.
-    line_hint: usize,
 }
 
 impl StreamSink {
@@ -146,7 +165,6 @@ impl StreamSink {
                 dropped: 0,
             })),
             capacity,
-            line_hint: 128,
         }
     }
 
@@ -179,13 +197,10 @@ impl StreamSink {
 }
 
 impl TraceSink for StreamSink {
-    fn emit(&mut self, record: &Json) {
-        // Serialize outside the lock, straight into a right-sized buffer
-        // (skipping `to_string`'s intermediate copy): the only contended
-        // work is one push.
-        let mut line = String::with_capacity(self.line_hint);
-        record.write(&mut line);
-        self.line_hint = self.line_hint.max(line.len().next_power_of_two());
+    fn emit_line(&mut self, line: &str) {
+        // Copy outside the lock, at the line's exact size: the only
+        // contended work is one push.
+        let line = line.to_owned();
         let mut shared = self.shared.lock().expect("stream sink lock");
         if shared.ring.len() >= self.capacity {
             shared.dropped += 1;
@@ -236,7 +251,8 @@ impl JsonLinesSink {
     }
 
     /// Flushes buffered lines to the underlying writer, surfacing a write
-    /// error recorded by an earlier [`TraceSink::emit`] if there was one.
+    /// error recorded by an earlier [`TraceSink::emit_line`] if there was
+    /// one.
     pub fn flush(&mut self) -> io::Result<()> {
         if let Some(err) = &self.error {
             return Err(io::Error::new(err.kind(), err.to_string()));
@@ -261,7 +277,7 @@ impl JsonLinesSink {
 }
 
 impl TraceSink for JsonLinesSink {
-    fn emit(&mut self, record: &Json) {
+    fn emit_line(&mut self, line: &str) {
         // A sink that has failed (full disk, closed pipe, …) stays failed:
         // keep the first error for the caller, count what was lost, and let
         // the run finish rather than panicking mid-simulation.
@@ -269,10 +285,8 @@ impl TraceSink for JsonLinesSink {
             self.dropped += 1;
             return;
         }
-        let mut line = String::new();
-        record.write(&mut line);
-        line.push('\n');
-        if let Err(err) = self.writer.write_all(line.as_bytes()) {
+        let written = self.writer.write_all(line.as_bytes());
+        if let Err(err) = written.and_then(|()| self.writer.write_all(b"\n")) {
             // One warning, at the moment of failure; the latched error and
             // the `obs.sink.errors` / `obs.sink.dropped_records` counters
             // carry the rest of the story.

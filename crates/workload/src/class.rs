@@ -1,5 +1,7 @@
 //! Class specifications.
 
+use std::fmt;
+
 use dmm_buffer::{ClassId, PageId, NO_GOAL};
 use dmm_sim::SimTime;
 
@@ -50,19 +52,10 @@ impl GoalMetric {
     }
 
     /// Compact label: `"mean"`, or `"p95"` / `"p99.9"` for quantiles
-    /// (per-mille precision, trailing zero dropped).
+    /// (per-mille precision, trailing zero dropped). The [`fmt::Display`]
+    /// form, which writes it without allocating.
     pub fn label(&self) -> String {
-        match self {
-            GoalMetric::Mean => "mean".to_string(),
-            GoalMetric::Quantile { q } => {
-                let permille = (q * 1000.0).round() as u64;
-                if permille.is_multiple_of(10) {
-                    format!("p{}", permille / 10)
-                } else {
-                    format!("p{}.{}", permille / 10, permille % 10)
-                }
-            }
-        }
+        self.to_string()
     }
 
     /// Validates the metric (quantile must lie strictly inside (0, 1)).
@@ -72,6 +65,23 @@ impl GoalMetric {
                 q.is_finite() && *q > 0.0 && *q < 1.0,
                 "goal quantile must lie in (0, 1), got {q}"
             );
+        }
+    }
+}
+
+/// The compact [`GoalMetric::label`]: `mean`, `p95`, `p99.9`, …
+impl fmt::Display for GoalMetric {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GoalMetric::Mean => f.write_str("mean"),
+            GoalMetric::Quantile { q } => {
+                let permille = (q * 1000.0).round() as u64;
+                if permille.is_multiple_of(10) {
+                    write!(f, "p{}", permille / 10)
+                } else {
+                    write!(f, "p{}.{}", permille / 10, permille % 10)
+                }
+            }
         }
     }
 }

@@ -16,7 +16,8 @@ use dmm::buffer::{ClassId, TierPolicy};
 use dmm::cluster::{
     ClusterEvent, DataPlane, FabricSpec, HotRingSpec, NodeId, PlacementSpec, StepOutput, TierSpec,
 };
-use dmm::core::{SatisfactionMode, Simulation, SystemConfig};
+use dmm::core::{SatisfactionMode, Simulation, SystemConfig, SystemConfigBuilder};
+use dmm::obs::{SpanMode, StreamSink};
 use dmm::sim::{Engine, Handler, Scheduler, SimDuration, SimTime};
 use dmm::workload::WorkloadGenerator;
 
@@ -69,16 +70,61 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Allocations per completed operation over `measured` intervals of a full
-/// simulation (no-op sink), after `warmup` intervals.
-fn allocs_per_op(config: SystemConfig, warmup: u32, measured: u32) -> f64 {
+/// What a measured segment of a full simulation did.
+struct Segment {
+    /// Allocation calls over the segment.
+    allocs: u64,
+    /// Operations completed.
+    ops: u64,
+    /// Trace records drained from the streaming sink.
+    records: u64,
+    /// Intervals run.
+    intervals: u32,
+}
+
+impl Segment {
+    fn per_op(&self) -> f64 {
+        self.allocs as f64 / self.ops as f64
+    }
+}
+
+/// Allocations over `measured` intervals of a full simulation, after
+/// `warmup` intervals. With a `stream` sink, it is attached from the start
+/// and drained after every interval, as a live reader drains it; without
+/// one the default no-op sink stays.
+fn allocs_per_op(
+    config: SystemConfig,
+    warmup: u32,
+    measured: u32,
+    stream: Option<&StreamSink>,
+) -> Segment {
     let mut sim = Simulation::new(config);
-    sim.run_intervals(warmup);
+    if let Some(stream) = stream {
+        sim.set_trace_sink(Box::new(stream.handle()));
+    }
+    let drain = || stream.map_or(0, |s| s.drain().len() as u64);
+    for _ in 0..warmup {
+        sim.run_intervals(1);
+        drain();
+    }
     let (a0, c0) = (allocs(), sim.plane().completions());
-    sim.run_intervals(measured);
-    let ops = sim.plane().completions() - c0;
-    assert!(ops > 1_000, "the measured segment completed only {ops} ops");
-    (allocs() - a0) as f64 / ops as f64
+    let mut records = 0;
+    for _ in 0..measured {
+        sim.run_intervals(1);
+        records += drain();
+    }
+    let segment = Segment {
+        allocs: allocs() - a0,
+        ops: sim.plane().completions() - c0,
+        records,
+        intervals: measured,
+    };
+    assert!(
+        segment.ops > 1_000,
+        "the measured segment completed only {} ops",
+        segment.ops
+    );
+    segment
 }
 
 #[test]
@@ -87,13 +133,13 @@ fn paper_base_config_stays_within_half_an_allocation_per_op() {
         .seed(42)
         .build()
         .expect("the paper's base configuration");
-    let per_op = allocs_per_op(config, 40, 60);
+    let per_op = allocs_per_op(config, 40, 60, None).per_op();
     assert!(per_op <= 0.5, "{per_op:.3} allocations per operation");
 }
 
-#[test]
-fn four_rung_hotness_ladder_with_a_p95_goal_stays_within_budget() {
-    let config = SystemConfig::builder()
+/// Four memory-ladder rungs under hotness tiering, with a p95 goal.
+fn four_rung_ladder_with_a_p95_goal() -> SystemConfigBuilder {
+    SystemConfig::builder()
         .seed(42)
         .theta(0.8)
         .goal_quantile(0.95)
@@ -109,10 +155,48 @@ fn four_rung_hotness_ladder_with_a_p95_goal_stays_within_budget() {
         ])
         .tier_policy(TierPolicy::Hotness)
         .satisfaction(SatisfactionMode::UpperBound)
+}
+
+#[test]
+fn four_rung_hotness_ladder_with_a_p95_goal_stays_within_budget() {
+    let config = four_rung_ladder_with_a_p95_goal()
         .build()
         .expect("valid ladder configuration");
-    let per_op = allocs_per_op(config, 40, 60);
+    let per_op = allocs_per_op(config, 40, 60, None).per_op();
     assert!(per_op <= 0.5, "{per_op:.3} allocations per operation");
+}
+
+/// What the goal class's check phase of the streamed ladder below still
+/// allocates per interval, by site (60 intervals at seed 42, 30 of them
+/// optimizing): the measure store's rank reselection (incremental Gauss
+/// elimination over the stored points) 25, probe planning 6, the pool
+/// resizes an allocation message triggers 5, the optimize phase's
+/// allocation vectors 2, and the growth of the per-check record list.
+const CHECK_ALLOCS_PER_INTERVAL: u64 = 40;
+
+/// The benchmark's `tiered_tail` shape: the ladder above plus histogram
+/// spans and a streaming sink drained every interval. Records are written
+/// into one reused line and the quantile histograms are swapped and merged
+/// in reused buffers, so the boundary allocates the sink's copy of each
+/// record, the drain's `Vec` and what the check phase still allocates.
+#[test]
+fn a_streamed_p95_ladder_allocates_a_line_per_record_and_little_else() {
+    let config = four_rung_ladder_with_a_p95_goal()
+        .spans(SpanMode::Histograms)
+        .build()
+        .expect("valid ladder configuration");
+    let stream = StreamSink::bounded(1 << 12);
+    let segment = allocs_per_op(config, 40, 60, Some(&stream));
+    let intervals = u64::from(segment.intervals);
+    let budget = segment.records + intervals * (1 + CHECK_ALLOCS_PER_INTERVAL);
+    assert!(
+        segment.allocs <= budget,
+        "{} allocations over {intervals} intervals ({:.1} per interval) exceed {} records \
+         drained + {intervals} drains + {CHECK_ALLOCS_PER_INTERVAL} per check",
+        segment.allocs,
+        segment.allocs as f64 / intervals as f64,
+        segment.records,
+    );
 }
 
 #[test]
@@ -132,7 +216,7 @@ fn sixteen_node_hot_ring_on_a_switched_fabric_stays_within_budget() {
         })
         .build()
         .expect("valid scaled configuration");
-    let per_op = allocs_per_op(config, 20, 50);
+    let per_op = allocs_per_op(config, 20, 50, None).per_op();
     assert!(per_op <= 0.5, "{per_op:.3} allocations per operation");
 }
 

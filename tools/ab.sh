@@ -20,7 +20,12 @@
 # and refuses two revisions that behave differently. Otherwise it prints
 # the quiet wall of each side (sum over intervals of the fastest repeat,
 # as the ledger folds host time), their ratio a/b (above 1: b is faster)
-# and the number of intervals b won. Interleaving in one process cancels
+# and the number of intervals b won, then the median of the per-interval
+# ratios a/b with its 95 % sign-test interval: the order statistics
+# k and n + 1 - k of the n sorted ratios, k the largest with
+# P(Binomial(n, 1/2) <= k - 1) <= 0.025, which cover the true median
+# with probability >= 95 % whatever the ratios' distribution. A host-time
+# claim needs an interval that excludes 1. Interleaving in one process cancels
 # most of the host drift that makes single readings on a shared machine
 # swing by tens of percent. The build uses cargo's default release profile, the one the
 # ledger is built with. Needs no dependency beyond the toolchain.
@@ -237,6 +242,52 @@ fn main() {
         total_b as f64 / 1e6,
         total_a as f64 / total_b as f64
     );
+    let mut ratios: Vec<f64> = quiet_a
+        .iter()
+        .zip(&quiet_b)
+        .map(|(&a, &b)| a as f64 / b as f64)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let n = ratios.len();
+    let median = if n % 2 == 1 {
+        ratios[n / 2]
+    } else {
+        (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0
+    };
+    match sign_test_rank(n) {
+        Some((k, tail)) => println!(
+            "median per-interval ratio a/b {median:.4}, 95 % sign-test interval \
+             [{:.4}, {:.4}] (order statistics {k} and {} of {n}, coverage {:.1} %)",
+            ratios[k - 1],
+            ratios[n - k],
+            n + 1 - k,
+            100.0 * (1.0 - 2.0 * tail)
+        ),
+        None => println!(
+            "median per-interval ratio a/b {median:.4}; {n} intervals are too few for a \
+             95 % sign-test interval (it needs 6)"
+        ),
+    }
+}
+
+/// The largest `k >= 1` whose lower tail `P(Binomial(n, 1/2) <= k - 1)`
+/// is at most 0.025, with that tail; `None` when even `k = 1` exceeds it.
+/// Terms are summed from their logarithms, so no `n` underflows.
+fn sign_test_rank(n: usize) -> Option<(usize, f64)> {
+    let mut ln_term = -(n as f64) * std::f64::consts::LN_2; // ln P(X = 0)
+    let mut tail = 0.0;
+    let mut found = None;
+    for j in 0..n {
+        if j > 0 {
+            ln_term += ((n - j + 1) as f64 / j as f64).ln();
+        }
+        tail += ln_term.exp();
+        if tail > 0.025 {
+            break;
+        }
+        found = Some((j + 1, tail));
+    }
+    found
 }
 EOF
 

@@ -22,8 +22,7 @@
 //! the current directory: evidence documents (`BENCH_*.json`) through
 //! [`bench_doc_path`] and data files under `results/` through
 //! [`results_path`]. Both anchor at the workspace root through the manifest
-//! dir, because `cargo run`/`cargo bench` may execute from the package
-//! directory.
+//! dir, because `cargo run` may execute from the package directory.
 
 use std::path::{Path, PathBuf};
 use std::str::FromStr;

@@ -9,9 +9,9 @@
 //! than the equal-split fencing baselines.
 
 use dmm::buffer::ClassId;
-use dmm::core::{ControllerKind, Objective, Simulation, SystemConfig};
+use dmm::core::{ControllerKind, Objective, SystemConfig};
 
-use crate::{grid, render_table, steady_state, sweep, workers, BenchArgs};
+use crate::{fmt2, grid, render_table, study, workers, BenchArgs};
 
 const CONTROLLERS: [(&str, ControllerKind); 5] = [
     (
@@ -31,9 +31,9 @@ const CONTROLLERS: [(&str, ControllerKind); 5] = [
     ("no partitioning", ControllerKind::None),
 ];
 
-/// One controller's table row under goal `goal_ms`, per-node arrivals
+/// A controller's config under goal `goal_ms`, with per-node arrivals
 /// uniform or skewed.
-fn row(goal_ms: f64, skewed_nodes: bool, label: &str, controller: ControllerKind) -> Vec<String> {
+fn config(goal_ms: f64, skewed_nodes: bool, controller: ControllerKind) -> SystemConfig {
     let mut cfg = SystemConfig::builder()
         .seed(31)
         .goal_ms(goal_ms)
@@ -47,25 +47,27 @@ fn row(goal_ms: f64, skewed_nodes: bool, label: &str, controller: ControllerKind
         // baselines cannot (§2: "designed for a single server").
         cfg.workload.classes[1].arrival_per_ms = vec![0.012, 0.005, 0.001];
     }
-    let mut sim = Simulation::new(cfg);
-    sim.run_intervals(10); // settle
-    let s = steady_state(&mut sim, ClassId(1), 50);
-    vec![
-        label.to_string(),
-        format!("{:.2}", s.class_rt_ms),
-        format!("{:.0}", 100.0 * s.satisfied_fraction),
-        format!("{:.2}", s.nogoal_rt_ms),
-        format!("{:.2}", s.dedicated_mb),
-    ]
+    cfg
 }
 
 pub fn run(_: &BenchArgs) {
     let goal_ms = 8.0;
-    let rows = sweep(
+    let rows = study(
         &grid(&[false, true], &CONTROLLERS),
+        ClassId(1),
+        10..60,
         workers(),
-        |&(skewed, (label, controller))| row(goal_ms, skewed, label, controller),
-        |(_, (label, _)), _| eprintln!("{label}: done"),
+        |&(skewed, (_, controller))| config(goal_ms, skewed, controller),
+        |(_, (label, _)), run| {
+            let w = run.window;
+            vec![
+                label.to_string(),
+                fmt2(w.mean_observed_ms()),
+                format!("{:.0}", 100.0 * w.satisfied_of_checked()),
+                fmt2(w.mean_nogoal_ms()),
+                fmt2(w.mean_dedicated_mb()),
+            ]
+        },
     );
     for (skewed_nodes, rows) in [false, true]
         .into_iter()

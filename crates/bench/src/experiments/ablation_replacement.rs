@@ -7,10 +7,9 @@
 //! identical memory.
 
 use dmm::buffer::{ClassId, PolicySpec};
-use dmm::cluster::NodeId;
-use dmm::core::{Simulation, SystemConfig};
+use dmm::core::SystemConfig;
 
-use crate::{render_table, steady_state, sweep, workers, BenchArgs};
+use crate::{fmt2, render_table, study, workers, BenchArgs};
 
 pub fn run(_: &BenchArgs) {
     let goal_ms = 8.0;
@@ -22,10 +21,12 @@ pub fn run(_: &BenchArgs) {
     ];
 
     println!("Ablation A — replacement policies (goal {goal_ms} ms, theta 0.6)\n");
-    let rows = sweep(
+    let rows = study(
         &policies,
+        ClassId(1),
+        10..50,
         workers(),
-        |&(label, policy)| {
+        |&(_, policy)| {
             let mut cfg = SystemConfig::builder()
                 .seed(17)
                 .theta(0.6)
@@ -33,25 +34,19 @@ pub fn run(_: &BenchArgs) {
                 .build()
                 .expect("valid ablation config");
             cfg.cluster.policy = policy;
-            let mut sim = Simulation::new(cfg);
-            sim.run_intervals(10);
-            let before_reads: u64 = disks(&sim);
-            let s = steady_state(&mut sim, ClassId(1), 40);
-            let reads = disks(&sim) - before_reads;
-            let remote = sim
-                .plane()
-                .costs()
-                .observations(sim.plane().costs().remote_hit_slot());
+            cfg
+        },
+        |(label, _), run| {
+            let costs = run.sim.plane().costs();
             vec![
                 label.to_string(),
-                format!("{:.2}", s.class_rt_ms),
-                format!("{:.2}", s.nogoal_rt_ms),
-                reads.to_string(),
-                remote.to_string(),
-                format!("{:.2}", s.dedicated_mb),
+                fmt2(run.window.mean_observed_ms()),
+                fmt2(run.window.mean_nogoal_ms()),
+                run.disk_reads.to_string(),
+                costs.observations(costs.remote_hit_slot()).to_string(),
+                fmt2(run.window.mean_dedicated_mb()),
             ]
         },
-        |(label, _), _| eprintln!("{label}: done"),
     );
     println!(
         "{}",
@@ -67,10 +62,4 @@ pub fn run(_: &BenchArgs) {
             &rows
         )
     );
-}
-
-fn disks(sim: &Simulation) -> u64 {
-    (0..sim.plane().num_nodes())
-        .map(|n| sim.plane().disk_reads(NodeId(n as u16)))
-        .sum()
 }

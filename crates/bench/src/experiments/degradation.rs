@@ -17,28 +17,7 @@ use dmm::core::calibrate_goal_range;
 use dmm::obs::Json;
 use dmm::prelude::*;
 
-use crate::BenchArgs;
-
-/// Intervals from `after` (exclusive) until the goal is satisfied for
-/// `streak` consecutive checks; `None` if it never re-converges.
-fn intervals_to_reconverge(
-    records: &[dmm::core::IntervalRecord],
-    after: u32,
-    streak: usize,
-) -> Option<u32> {
-    let mut run = 0usize;
-    for r in records.iter().filter(|r| r.interval > after) {
-        if r.satisfied == Some(true) {
-            run += 1;
-            if run >= streak {
-                return Some(r.interval - after);
-            }
-        } else {
-            run = 0;
-        }
-    }
-    None
-}
+use crate::{fmt2, BenchArgs, Window};
 
 pub fn run(args: &BenchArgs) {
     let quick = args.quick;
@@ -73,13 +52,13 @@ pub fn run(args: &BenchArgs) {
     sim.run_intervals(total);
 
     let records = sim.records(class);
-    // First satisfied interval after the fault. The crash halves the memory
-    // pool so the class converges from above; after the restart the class
-    // overshoots (extra memory) and the controller releases frames, so a
-    // single in-band interval is the honest convergence marker.
-    let streak = 1;
-    let crash_reconv = intervals_to_reconverge(records, crash_iv, streak);
-    let restart_reconv = intervals_to_reconverge(records, restart_iv, streak);
+    // Intervals to the first satisfied one after the fault. The crash halves
+    // the memory pool so the class converges from above; after the restart
+    // the class overshoots (extra memory) and the controller releases
+    // frames, so a single in-band interval is the honest convergence marker.
+    let window = Window::range(records, ..);
+    let reconverge = |t: u32| window.first_satisfied_after(t).map(|i| i - t);
+    let (crash_reconv, restart_reconv) = (reconverge(crash_iv), reconverge(restart_iv));
 
     let snap = sim.metrics_snapshot();
     let counter = |k: &str| snap.get_counter(k).unwrap_or(0);
@@ -105,8 +84,7 @@ pub fn run(args: &BenchArgs) {
         println!(
             "{:>8}  {:>11}  {:>12.2}  {:>9}  {:>4}{}",
             r.interval,
-            r.observed_ms
-                .map_or_else(|| "-".into(), |v| format!("{v:.2}")),
+            fmt2(r.observed_ms),
             r.dedicated_bytes as f64 / (1024.0 * 1024.0),
             r.satisfied.map_or("-", |s| if s { "yes" } else { "NO" }),
             live,

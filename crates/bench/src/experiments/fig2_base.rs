@@ -18,7 +18,7 @@
 use dmm::buffer::ClassId;
 use dmm::core::{Simulation, SystemConfig};
 
-use crate::BenchArgs;
+use crate::{fmt2, BenchArgs, Window};
 
 pub fn run(args: &BenchArgs) {
     let (csv, json) = (args.csv, args.json);
@@ -61,8 +61,7 @@ pub fn run(args: &BenchArgs) {
         println!(
             "{:>8}  {:>11}  {:>7.2}  {:>12.2}  {:>9}  |{}",
             r.interval,
-            r.observed_ms
-                .map_or_else(|| "-".into(), |v| format!("{v:.2}")),
+            fmt2(r.observed_ms),
             r.goal_ms,
             r.dedicated_bytes as f64 / (1024.0 * 1024.0),
             r.satisfied.map_or("-", |s| if s { "yes" } else { "NO" }),
@@ -71,16 +70,12 @@ pub fn run(args: &BenchArgs) {
     }
 
     let c = sim.convergence(class);
-    let sat: usize = sim
-        .records(class)
-        .iter()
-        .filter(|r| r.satisfied == Some(true))
-        .count();
+    let window = Window::range(sim.records(class), ..);
     println!(
         "\ngoal changes survived: {}, mean iterations to re-converge: {:.2}, satisfied intervals: {}/{}",
         c.episodes(),
         c.mean_iterations(),
-        sat,
-        sim.records(class).len()
+        window.satisfied(),
+        window.records()
     );
 }

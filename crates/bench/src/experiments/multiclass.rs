@@ -17,10 +17,10 @@
 //! from the buffers of class k1" (the §3 Example 2 effect).
 
 use dmm::buffer::ClassId;
-use dmm::core::{calibrate_goal_range, Simulation, SystemConfig};
+use dmm::core::{calibrate_goal_range, SystemConfig};
 use dmm::workload::WorkloadSpec;
 
-use crate::{render_table, sweep, sweep_until_accurate, workers, BenchArgs};
+use crate::{fmt2, render_table, study, sweep_until_accurate, workers, BenchArgs};
 
 fn config(sharing: f64, seed: u64) -> SystemConfig {
     // §7.4: "twice the amount of cache buffer memory at each node"; a larger
@@ -46,25 +46,24 @@ fn config(sharing: f64, seed: u64) -> SystemConfig {
 
 fn sharing_sweep() {
     println!("§7.4 — sharing sweep (k1 goal 6 ms, k2 goal 12 ms)\n");
-    let tail = 40usize;
-    let runs = sweep(
+    let runs = study(
         &[0.0, 0.25, 0.5, 0.75, 1.0],
+        ClassId(2),
+        100..140,
         workers(),
-        |&sharing| {
-            let mut cfg = config(sharing, 97);
+        |&sharing| SystemConfig {
             // Pools must be allowed to vanish for the Example-2 effect.
-            cfg.release_floor_mb = 0.0;
-            let mut sim = Simulation::new(cfg);
-            sim.run_intervals(140);
-            let k2_rt = sim.mean_observed_ms(ClassId(2), tail).unwrap_or(f64::NAN);
+            release_floor_mb: 0.0,
+            ..config(sharing, 97)
+        },
+        |sharing, run| {
             vec![
                 format!("{sharing:.2}"),
-                format!("{:.2}", mean_dedicated(&sim, ClassId(1), tail)),
-                format!("{:.2}", mean_dedicated(&sim, ClassId(2), tail)),
-                format!("{k2_rt:.2}"),
+                fmt2(run.window_of(ClassId(1)).mean_dedicated_mb()),
+                fmt2(run.window.mean_dedicated_mb()),
+                fmt2(run.window.mean_observed_ms()),
             ]
         },
-        |sharing, _| eprintln!("sharing {sharing}: done"),
     );
     println!(
         "{}",
@@ -118,12 +117,6 @@ fn disjoint() {
         )
     );
     println!("paper: with disjoint page sets the convergence speed matches Table 2.");
-}
-
-fn mean_dedicated(sim: &Simulation, class: ClassId, tail: usize) -> f64 {
-    let records = sim.records(class);
-    let t = &records[records.len().saturating_sub(tail)..];
-    t.iter().map(|r| r.dedicated_bytes as f64).sum::<f64>() / t.len() as f64 / (1024.0 * 1024.0)
 }
 
 /// The sections `--only` can select, in run order.

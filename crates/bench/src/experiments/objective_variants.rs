@@ -7,9 +7,9 @@
 
 use dmm::buffer::ClassId;
 use dmm::cluster::NodeId;
-use dmm::core::{ControllerKind, Objective, Simulation, SystemConfig};
+use dmm::core::{ControllerKind, Objective, SystemConfig};
 
-use crate::{render_table, steady_state, sweep, workers, BenchArgs, SteadyState};
+use crate::{fmt2, render_table, study, workers, BenchArgs, Run};
 
 const OBJECTIVES: [(&str, Objective); 3] = [
     ("min no-goal RT (paper)", Objective::MinNoGoalRt),
@@ -17,49 +17,44 @@ const OBJECTIVES: [(&str, Objective); 3] = [
     ("balance nodes", Objective::BalanceNodes),
 ];
 
-/// The steady state of goal class 1 (goal 8 ms) under `objective` over
-/// `intervals` after 10 settling intervals, and the per-node spread (MB)
-/// of its final allocation.
-fn measure(objective: Objective, seed: u64, intervals: u32) -> (SteadyState, f64) {
-    let cfg = SystemConfig::builder()
+fn config(seed: u64, objective: Objective) -> SystemConfig {
+    SystemConfig::builder()
         .seed(seed)
         .goal_ms(8.0)
         .controller(ControllerKind::Hyperplane { objective })
         .build()
-        .expect("valid objective config");
-    let mut sim = Simulation::new(cfg);
-    sim.run_intervals(10);
-    let s = steady_state(&mut sim, ClassId(1), intervals);
-    let per_node: Vec<f64> = (0..sim.plane().num_nodes())
-        .map(|n| sim.plane().dedicated_pages(NodeId(n as u16), ClassId(1)) as f64 / 256.0)
-        .collect();
-    let spread = per_node.iter().cloned().fold(f64::MIN, f64::max)
-        - per_node.iter().cloned().fold(f64::MAX, f64::min);
-    (s, spread)
+        .expect("valid objective config")
+}
+
+/// The per-node spread (MB) of class 1's final allocation.
+fn node_spread(run: &Run) -> f64 {
+    let plane = run.sim.plane();
+    let mb = (0..plane.num_nodes())
+        .map(|n| plane.dedicated_pages(NodeId(n as u16), ClassId(1)) as f64 / 256.0);
+    let (lo, hi) = mb.fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+    hi - lo
 }
 
 pub fn run(_: &BenchArgs) {
     println!("§8 extension — LP objectives (goal 8 ms, theta 0)\n");
-    let runs = sweep(
+    let rows = study(
         &OBJECTIVES,
+        ClassId(1),
+        10..50,
         workers(),
-        |&(_, objective)| measure(objective, 23, 40),
-        |(label, _), _| eprintln!("{label}: done"),
-    );
-    let rows: Vec<Vec<String>> = OBJECTIVES
-        .iter()
-        .zip(&runs)
-        .map(|((label, _), (s, spread))| {
+        |&(_, objective)| config(23, objective),
+        |(label, _), run| {
+            let w = run.window;
             vec![
                 label.to_string(),
-                format!("{:.2}", s.class_rt_ms),
-                format!("{:.0}", 100.0 * s.satisfied_fraction),
-                format!("{:.2}", s.nogoal_rt_ms),
-                format!("{:.2}", s.dedicated_mb),
-                format!("{spread:.2}"),
+                fmt2(w.mean_observed_ms()),
+                format!("{:.0}", 100.0 * w.satisfied_of_checked()),
+                fmt2(w.mean_nogoal_ms()),
+                fmt2(w.mean_dedicated_mb()),
+                format!("{:.2}", node_spread(run)),
             ]
-        })
-        .collect();
+        },
+    );
     println!(
         "{}",
         render_table(
@@ -81,22 +76,6 @@ mod tests {
     use super::*;
     use crate::grid;
 
-    /// Every field of each run, bit for bit.
-    fn bits(runs: &[(SteadyState, f64)]) -> Vec<[u64; 5]> {
-        runs.iter()
-            .map(|(s, spread)| {
-                [
-                    s.class_rt_ms,
-                    s.nogoal_rt_ms,
-                    s.satisfied_fraction,
-                    s.dedicated_mb,
-                    *spread,
-                ]
-                .map(f64::to_bits)
-            })
-            .collect()
-    }
-
     #[test]
     fn sweep_returns_real_runs_in_job_order_for_any_worker_count() {
         // The experiment's three objectives at its seed, then a small
@@ -104,8 +83,23 @@ mod tests {
         let objectives = OBJECTIVES.map(|(_, objective)| objective);
         let mut jobs = grid(&[23], &objectives);
         jobs.extend(grid(&[24, 25], &objectives[..2]));
-        let run = |&(seed, objective): &(u64, Objective)| measure(objective, seed, 8);
-        let serial = bits(&jobs.iter().map(run).collect::<Vec<_>>());
+        // Every summary of each run, bit for bit.
+        let bits = |threads| {
+            let config = |&(seed, objective): &_| config(seed, objective);
+            study(&jobs, ClassId(1), 10..18, threads, config, |_, run| {
+                let w = run.window;
+                [
+                    w.mean_observed_ms().unwrap_or(f64::NAN),
+                    w.mean_nogoal_ms().unwrap_or(f64::NAN),
+                    w.satisfied_of_checked(),
+                    w.mean_dedicated_mb().unwrap_or(f64::NAN),
+                    run.disk_reads as f64,
+                    node_spread(run),
+                ]
+                .map(f64::to_bits)
+            })
+        };
+        let serial = bits(1);
         let mut distinct = serial.clone();
         distinct.sort_unstable();
         distinct.dedup();
@@ -114,9 +108,8 @@ mod tests {
             jobs.len(),
             "every job must differ for order to show"
         );
-        for threads in [1, 2, 8] {
-            let swept = sweep(&jobs, threads, run, |_, _| {});
-            assert_eq!(bits(&swept), serial, "threads={threads}");
+        for threads in [2, 8] {
+            assert_eq!(bits(threads), serial, "threads={threads}");
         }
     }
 }

@@ -27,7 +27,7 @@ use dmm::core::{
     SystemConfigBuilder,
 };
 
-use crate::{sweep, workers, BenchArgs};
+use crate::{sweep, workers, BenchArgs, Window};
 
 /// The §7.1 shared medium (100 Mbit/s) and a switched-era fabric. The
 /// N = 64 convergence run needs the faster fabric, because at that scale
@@ -71,30 +71,6 @@ fn fabric_config(nodes: usize, fabric: FabricSpec, probe: ProbeSpec, seed: u64) 
         .expect("valid fabric config")
 }
 
-/// First measured interval from which the goal stays satisfied to the end
-/// of the run (the paper's "converged after" reading), if it does.
-fn converged_at(sim: &Simulation) -> Option<u32> {
-    let records = sim.records(ClassId(1));
-    let mut first = None;
-    for r in records {
-        match r.satisfied {
-            Some(true) => first = first.or(Some(r.interval)),
-            _ => first = None,
-        }
-    }
-    first
-}
-
-/// Fraction of the last `n` check phases that judged the goal satisfied.
-fn satisfied_tail(sim: &Simulation, n: usize) -> f64 {
-    let records = sim.records(ClassId(1));
-    let tail = &records[records.len().saturating_sub(n)..];
-    if tail.is_empty() {
-        return 0.0;
-    }
-    tail.iter().filter(|r| r.satisfied == Some(true)).count() as f64 / tail.len() as f64
-}
-
 /// Max/mean per-node home reads: 1.0 is a perfectly balanced home load.
 fn imbalance(reads: &[u64]) -> f64 {
     let total: u64 = reads.iter().sum();
@@ -122,7 +98,6 @@ fn balance(quick: bool) {
             let load = sim.plane().home_load();
             (imbalance(&load.home_reads), load)
         },
-        |_, _| {},
     );
     let ((static_ratio, static_load), (ring_ratio, ring_load)) = (&runs[0], &runs[1]);
     println!(
@@ -162,7 +137,6 @@ fn fabric(quick: bool) {
             sim.run_intervals(intervals);
             (sim, begin.elapsed().as_secs_f64())
         },
-        |_, _| {},
     );
     let ((shared, shared_secs), (switched, switched_secs)) = (&runs[0], &runs[1]);
     let now = shared.now();
@@ -236,7 +210,7 @@ fn probe(quick: bool) {
         .expect("donor run must reach a full-rank fit");
     println!(
         "donor: N = {donor_nodes}, {donor_intervals} intervals, converged at {:?}",
-        converged_at(&donor)
+        Window::range(donor.records(ClassId(1)), ..).satisfied_since()
     );
     // Target: N = 64 with a calibrated midpoint goal (reachable by
     // construction, but only through controller action).
@@ -254,7 +228,10 @@ fn probe(quick: bool) {
         let begin = Instant::now();
         sim.run_intervals(intervals);
         let secs = begin.elapsed().as_secs_f64();
-        (converged_at(&sim), satisfied_tail(&sim, 8), goal, secs)
+        let records = sim.records(ClassId(1));
+        let conv = Window::range(records, ..).satisfied_since();
+        let tail = Window::last(records, 8).satisfied_of_records();
+        (conv, tail, goal, secs)
     };
     let stretched = upsample_planes(&small_fit, nodes);
     let warm_intervals = if quick { 24 } else { 96 };
@@ -331,9 +308,10 @@ fn n64_convergence(quick: bool) {
             );
         }
     }
-    let conv = converged_at(&sim);
-    let tail = satisfied_tail(&sim, 8);
-    let observed = sim.mean_observed_ms(ClassId(1), 8);
+    let records = sim.records(ClassId(1));
+    let conv = Window::range(records, ..).satisfied_since();
+    let last = Window::last(records, 8);
+    let (observed, tail) = (last.mean_observed_ms(), last.satisfied_of_records());
     let now = sim.now();
     println!(
         "{intervals} intervals in {secs:.1} s: converged at {conv:?}, \

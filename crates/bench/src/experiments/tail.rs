@@ -22,7 +22,7 @@ use dmm::core::calibrate_goal_range;
 use dmm::obs::Json;
 use dmm::prelude::*;
 
-use crate::{sweep, workers, BenchArgs};
+use crate::{fmt2, sweep, workers, BenchArgs, Window};
 
 const Q: f64 = 0.95;
 
@@ -77,12 +77,9 @@ pub fn run(args: &BenchArgs) {
     let mut baseline_cfg = flagship_cfg.clone();
     baseline_cfg.controller = ControllerKind::None;
 
-    let runs = sweep(
-        &[flagship_cfg, baseline_cfg],
-        workers(),
-        |cfg| run_counting(cfg.clone(), total),
-        |_, _| {},
-    );
+    let runs = sweep(&[flagship_cfg, baseline_cfg], workers(), |cfg| {
+        run_counting(cfg.clone(), total)
+    });
     let ((sim, flag_cum), (_, base_cum)) = (&runs[0], &runs[1]);
 
     // Batch budget: 90 % of what the uncontrolled baseline completed, so
@@ -92,14 +89,9 @@ pub fn run(args: &BenchArgs) {
     let flag_makespan = makespan_intervals(flag_cum, batch_target);
 
     let records = sim.records(class);
-    let measured: Vec<_> = records
-        .iter()
-        .filter(|r| r.observed_p_ms.is_some())
-        .collect();
-    let satisfied = measured
-        .iter()
-        .filter(|r| r.satisfied == Some(true))
-        .count();
+    // A quantile goal is judged exactly when its interval has a quantile.
+    let window = Window::range(records, ..);
+    let (satisfied, measured) = (window.satisfied(), window.checked());
     // The score statistic: the settled p95, averaged over the final
     // `measure` intervals (same window calibration used).
     let settled_p95 = sim
@@ -124,12 +116,11 @@ pub fn run(args: &BenchArgs) {
     );
     println!("interval  mean_ms  p95_ms  dedicated_MB  satisfied");
     for r in records {
-        let fmt_opt = |v: Option<f64>| v.map_or_else(|| "-".into(), |x| format!("{x:.2}"));
         println!(
             "{:>8}  {:>7}  {:>6}  {:>12.2}  {:>9}",
             r.interval,
-            fmt_opt(r.observed_ms),
-            fmt_opt(r.observed_p_ms),
+            fmt2(r.observed_ms),
+            fmt2(r.observed_p_ms),
             r.dedicated_bytes as f64 / (1024.0 * 1024.0),
             r.satisfied.map_or("-", |s| if s { "yes" } else { "NO" }),
         );
@@ -140,7 +131,7 @@ pub fn run(args: &BenchArgs) {
     if let Some(p) = overall_p95_ms {
         println!("whole-run achieved p95 (data plane): {p:.2} ms");
     }
-    println!("satisfied intervals: {satisfied}/{}", measured.len());
+    println!("satisfied intervals: {satisfied}/{measured}");
     let fmt = |v: Option<u32>| v.map_or_else(|| "never".into(), |n| format!("{n} intervals"));
     println!(
         "batch makespan to {batch_target} ops: flagship {}, uncontrolled baseline {}",
@@ -171,7 +162,7 @@ pub fn run(args: &BenchArgs) {
         .field("overall_p95_ms", overall_p95_ms)
         .field("tolerance_ms", tolerance_ms)
         .field("satisfied_intervals", satisfied as u64)
-        .field("measured_intervals", measured.len() as u64)
+        .field("measured_intervals", measured as u64)
         .field("batch_target_ops", batch_target)
         .field("flagship_makespan_intervals", flag_makespan.map(u64::from))
         .field("baseline_makespan_intervals", base_makespan.map(u64::from))

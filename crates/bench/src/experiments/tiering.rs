@@ -23,23 +23,12 @@ use dmm::core::ControllerKind;
 use dmm::obs::Json;
 use dmm::prelude::*;
 
-use crate::{grid, render_table, sweep, workers, BenchArgs};
+use crate::{grid, render_table, study, workers, BenchArgs};
 
 /// Total local frames per node, split between DRAM and the second tier.
 const TOTAL_FRAMES: usize = 96;
 
-/// One policy × split run: mean goal-class response time over the
-/// measured tail plus the closing tier occupancy.
-struct Run {
-    policy: &'static str,
-    dram_frames: usize,
-    slow_frames: usize,
-    mean_rt_ms: f64,
-    occupancy: Vec<(String, u64, u64)>,
-}
-
-fn run_split(policy: TierPolicy, dram_frames: usize, quick: bool, seed: u64) -> Run {
-    let slow_frames = TOTAL_FRAMES - dram_frames;
+fn config(policy: TierPolicy, dram_frames: usize, seed: u64) -> SystemConfig {
     let cfg = SystemConfig::builder()
         .seed(seed)
         .theta(0.8)
@@ -50,7 +39,7 @@ fn run_split(policy: TierPolicy, dram_frames: usize, quick: bool, seed: u64) -> 
         .tiers(vec![
             TierSpec::new("dram", 0.03),
             TierSpec::new("cxl", 0.25)
-                .frames(slow_frames)
+                .frames(TOTAL_FRAMES - dram_frames)
                 .bandwidth(2_000_000_000),
             TierSpec::new("remote", 0.5),
             TierSpec::new("disk", 12.6),
@@ -59,23 +48,7 @@ fn run_split(policy: TierPolicy, dram_frames: usize, quick: bool, seed: u64) -> 
         .build()
         .expect("valid tiering config");
     assert_eq!(cfg.cluster.local_frames_per_node(), TOTAL_FRAMES);
-    let mut sim = Simulation::new(cfg);
-    let (warmup, measure) = if quick { (4, 8) } else { (8, 24) };
-    sim.run_intervals(warmup + measure);
-    let mean_rt_ms = sim
-        .mean_observed_ms(ClassId(1), measure as usize)
-        .expect("measured intervals");
-    sim.plane().check_invariants();
-    Run {
-        policy: match policy {
-            TierPolicy::Hotness => "hotness",
-            TierPolicy::StaticHash => "static",
-        },
-        dram_frames,
-        slow_frames,
-        mean_rt_ms,
-        occupancy: sim.plane().tier_occupancy(),
-    }
+    cfg
 }
 
 pub fn run(args: &BenchArgs) {
@@ -86,42 +59,55 @@ pub fn run(args: &BenchArgs) {
     println!(
         "Tiering — hotness vs static placement (dram + cxl, {TOTAL_FRAMES} frames/node, theta 0.8)\n"
     );
-    let jobs = grid(&[TierPolicy::StaticHash, TierPolicy::Hotness], &splits);
-    let runs = sweep(
-        &jobs,
+    // Each run settles to the range's start and is judged on the range.
+    let intervals = if quick { 4..12 } else { 8..32 };
+    let policies = [
+        ("static", TierPolicy::StaticHash),
+        ("hotness", TierPolicy::Hotness),
+    ];
+    // Per run: its table row, its mean goal-class RT and its JSON entry.
+    let runs = study(
+        &grid(&policies, &splits),
+        ClassId(1),
+        intervals,
         workers(),
-        |&(policy, dram)| run_split(policy, dram, quick, seed),
-        |_, run| {
-            eprintln!(
-                "{} dram={} done ({:.2} ms)",
-                run.policy, run.dram_frames, run.mean_rt_ms
-            )
+        |&((_, policy), dram)| config(policy, dram, seed),
+        |&((policy, _), dram), run| {
+            run.sim.plane().check_invariants();
+            let rt = run.window.mean_observed_ms().expect("measured intervals");
+            let cxl = TOTAL_FRAMES - dram;
+            let mut occupancy = Json::obj();
+            for (tier, resident, frames) in run.sim.plane().tier_occupancy() {
+                let load = Json::obj().field("resident", resident);
+                occupancy = occupancy.field(&tier, load.field("frames", frames));
+            }
+            let doc = Json::obj()
+                .field("policy", policy)
+                .field("dram_frames", dram)
+                .field("cxl_frames", cxl)
+                .field("mean_rt_ms", rt)
+                .field("tier_occupancy", occupancy);
+            let row = vec![
+                policy.to_string(),
+                dram.to_string(),
+                cxl.to_string(),
+                format!("{rt:.2}"),
+            ];
+            (row, rt, doc)
         },
     );
-
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.policy.to_string(),
-                r.dram_frames.to_string(),
-                r.slow_frames.to_string(),
-                format!("{:.2}", r.mean_rt_ms),
-            ]
-        })
-        .collect();
+    let rows: Vec<Vec<String>> = runs.iter().map(|(row, ..)| row.clone()).collect();
     println!(
         "{}",
         render_table(&["policy", "dram", "cxl", "goal RT (ms)"], &rows)
     );
 
-    let best = |name: &str| -> f64 {
-        runs.iter()
-            .filter(|r| r.policy == name)
-            .map(|r| r.mean_rt_ms)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let (best_static, best_hotness) = (best("static"), best("hotness"));
+    // The runs come one policy after the other, in `policies` order.
+    let best: Vec<f64> = runs
+        .chunks(splits.len())
+        .map(|runs| runs.iter().map(|r| r.1).fold(f64::INFINITY, f64::min))
+        .collect();
+    let (best_static, best_hotness) = (best[0], best[1]);
     println!(
         "\nbest static {best_static:.2} ms, best hotness {best_hotness:.2} ms \
          ({:+.1} % vs static)",
@@ -135,27 +121,7 @@ pub fn run(args: &BenchArgs) {
         .field("total_frames_per_node", TOTAL_FRAMES as u64)
         .field(
             "runs",
-            Json::Arr(
-                runs.iter()
-                    .map(|r| {
-                        let mut occ = Json::obj();
-                        for (name, resident, frames) in &r.occupancy {
-                            occ = occ.field(
-                                name,
-                                Json::obj()
-                                    .field("resident", *resident)
-                                    .field("frames", *frames),
-                            );
-                        }
-                        Json::obj()
-                            .field("policy", r.policy)
-                            .field("dram_frames", r.dram_frames as u64)
-                            .field("cxl_frames", r.slow_frames as u64)
-                            .field("mean_rt_ms", r.mean_rt_ms)
-                            .field("tier_occupancy", occ)
-                    })
-                    .collect(),
-            ),
+            Json::Arr(runs.into_iter().map(|(_, _, doc)| doc).collect()),
         )
         .field("best_static_ms", best_static)
         .field("best_hotness_ms", best_hotness);

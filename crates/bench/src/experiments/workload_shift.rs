@@ -12,7 +12,7 @@ use dmm::core::{Simulation, SystemConfig};
 use dmm::sim::SimTime;
 use dmm::workload::RateShift;
 
-use crate::BenchArgs;
+use crate::{fmt2, BenchArgs, Window};
 
 pub fn run(args: &BenchArgs) {
     let goal_ms = 9.0;
@@ -39,34 +39,20 @@ pub fn run(args: &BenchArgs) {
                 println!(
                     "{:>8}  {:>11}  {:>12.2}  {:>9}",
                     r.interval,
-                    r.observed_ms
-                        .map_or_else(|| "-".into(), |v| format!("{v:.2}")),
+                    fmt2(r.observed_ms),
                     r.dedicated_bytes as f64 / (1024.0 * 1024.0),
                     r.satisfied.map_or("-", |s| if s { "yes" } else { "NO" }),
                 );
             }
         }
     });
-    let before: Vec<_> = sim
-        .records(ClassId(1))
-        .iter()
-        .filter(|r| (40..60).contains(&r.interval))
-        .collect();
-    let after: Vec<_> = sim
-        .records(ClassId(1))
-        .iter()
-        .filter(|r| r.interval >= 120)
-        .collect();
-    let ded = |rs: &[&dmm::core::IntervalRecord]| {
-        rs.iter().map(|r| r.dedicated_bytes as f64).sum::<f64>()
-            / rs.len() as f64
-            / (1024.0 * 1024.0)
-    };
-    let sat = |rs: &[&dmm::core::IntervalRecord]| {
-        100.0 * rs.iter().filter(|r| r.satisfied == Some(true)).count() as f64 / rs.len() as f64
-    };
+    let records = sim.records(ClassId(1));
+    let before = Window::range(records, 40..60);
+    let after = Window::range(records, 120..);
+    let ded = |w: Window| fmt2(w.mean_dedicated_mb());
+    let sat = |w: Window| 100.0 * w.satisfied_of_records();
     println!(
-        "\nbefore shift: {:.2} MB dedicated, {:.0}% satisfied;  after re-convergence: {:.2} MB, {:.0}% satisfied",
-        ded(&before), sat(&before), ded(&after), sat(&after)
+        "\nbefore shift: {} MB dedicated, {:.0}% satisfied;  after re-convergence: {} MB, {:.0}% satisfied",
+        ded(before), sat(before), ded(after), sat(after)
     );
 }

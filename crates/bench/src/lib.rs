@@ -1,18 +1,19 @@
 //! The paper's §7 experiments behind the `dmm-repro` binary (one module per
-//! table, figure or ablation, named in [`experiments::EXPERIMENTS`]), their
-//! shared helpers, and the microbenchmark harness.
+//! table, figure or ablation, named in [`experiments::EXPERIMENTS`]), the
+//! study layer they share ([`study()`], [`Window`]), and their helpers.
 
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 
 pub mod cli;
 pub mod experiments;
-pub mod micro;
 pub mod partition_simplex;
 mod pool;
+mod study;
 
 pub use cli::BenchArgs;
 pub use partition_simplex::solve_partitioning_simplex;
+pub use study::{study, Run, Window};
 
 use dmm::buffer::ClassId;
 use dmm::core::{
@@ -20,7 +21,6 @@ use dmm::core::{
     SystemConfigBuilder,
 };
 use dmm::obs::JsonLinesSink;
-use dmm::sim::stats::Welford;
 use dmm::workload::GoalRange;
 
 /// Renders an aligned text table: `header` then one row per entry.
@@ -54,6 +54,11 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
         fmt_row(&mut out, row);
     }
     out
+}
+
+/// `v` to two decimals, or `-` when there is none.
+pub fn fmt2(v: Option<f64>) -> String {
+    v.map_or_else(|| "-".into(), |v| format!("{v:.2}"))
 }
 
 /// The §7.3 goal-schedule setup the goal-walk experiments share: calibrates
@@ -153,18 +158,11 @@ pub fn grid<A: Copy, B: Copy>(a: &[A], b: &[B]) -> Vec<(A, B)> {
 
 /// Runs every job (one independent simulation each, say one cell of a
 /// variants × seeds grid) on `threads` workers and returns the results in
-/// job order; `progress` sees each result in job order as it arrives.
-/// Built on `pool::replicate_in_order`, so the results are bit-identical
-/// for every `threads ≥ 1`.
-pub fn sweep<J: Sync, T: Send>(
-    jobs: &[J],
-    threads: usize,
-    run: impl Fn(&J) -> T + Sync,
-    mut progress: impl FnMut(&J, &T),
-) -> Vec<T> {
+/// job order. Built on `pool::replicate_in_order`, so the results are
+/// bit-identical for every `threads ≥ 1`.
+pub fn sweep<J: Sync, T: Send>(jobs: &[J], threads: usize, run: impl Fn(&J) -> T + Sync) -> Vec<T> {
     let mut results = Vec::with_capacity(jobs.len());
-    pool::replicate_in_order(jobs, threads, run, |i, result| {
-        progress(&jobs[i], &result);
+    pool::replicate_in_order(jobs, threads, run, |_, result| {
         results.push(result);
         ControlFlow::Continue(())
     });
@@ -197,51 +195,6 @@ pub fn sweep_until_accurate(
         }
     });
     merged
-}
-
-/// Summary statistics of a completed steady-state run (for the ablations).
-#[derive(Debug, Clone, Copy)]
-pub struct SteadyState {
-    /// Mean goal-class response time over the measured tail (ms).
-    pub class_rt_ms: f64,
-    /// Mean no-goal response time over the measured tail (ms).
-    pub nogoal_rt_ms: f64,
-    /// Fraction of post-warm-up checks that satisfied the goal.
-    pub satisfied_fraction: f64,
-    /// Mean dedicated memory for the class (MB).
-    pub dedicated_mb: f64,
-}
-
-/// Runs `intervals` and summarizes the post-warm-up behaviour of `class`.
-pub fn steady_state(sim: &mut Simulation, class: ClassId, intervals: u32) -> SteadyState {
-    let warmup = sim.intervals();
-    sim.run_intervals(intervals);
-    let mut rt = Welford::new();
-    let mut nogoal = Welford::new();
-    let mut dedicated = Welford::new();
-    let mut satisfied = 0u64;
-    let mut checked = 0u64;
-    for r in sim.records(class).iter().filter(|r| r.interval >= warmup) {
-        if let Some(v) = r.observed_ms {
-            rt.push(v);
-        }
-        nogoal.push(r.nogoal_ms);
-        dedicated.push(r.dedicated_bytes as f64 / (1024.0 * 1024.0));
-        if let Some(s) = r.satisfied {
-            checked += 1;
-            satisfied += u64::from(s);
-        }
-    }
-    SteadyState {
-        class_rt_ms: rt.mean(),
-        nogoal_rt_ms: nogoal.mean(),
-        satisfied_fraction: if checked == 0 {
-            0.0
-        } else {
-            satisfied as f64 / checked as f64
-        },
-        dedicated_mb: dedicated.mean(),
-    }
 }
 
 #[cfg(test)]

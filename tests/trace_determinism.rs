@@ -359,14 +359,7 @@ fn span_sampled_traces_are_byte_identical_per_seed() {
 #[test]
 fn span_traces_are_invariant_across_worker_threads() {
     let seeds = [7u64, 8, 9];
-    let collect = |threads| {
-        sweep(
-            &seeds,
-            threads,
-            |&seed| spanned_traced_run(seed, 16),
-            |_, _| {},
-        )
-    };
+    let collect = |threads| sweep(&seeds, threads, |&seed| spanned_traced_run(seed, 16));
     let one = collect(1);
     for threads in [2, 4] {
         assert_eq!(one, collect(threads), "threads={threads}");
@@ -735,7 +728,7 @@ fn quantile_tail_compliance_is_invariant_across_worker_threads() {
             let (trace, p95) = quantile_traced_run(seed);
             (trace, p95.expect("settled p95").to_bits())
         };
-        sweep(&seeds, threads, run, |_, _| {})
+        sweep(&seeds, threads, run)
     };
     let one = collect(1);
     for threads in [2, 4] {

@@ -501,7 +501,9 @@ impl DataPlane {
             .sum()
     }
 
-    /// Disk read count of `node`.
+    /// Disk read count of `node` since the last
+    /// [`reset_stats`](Self::reset_stats) (from 0 before the first): the
+    /// count restarts at the warm-up boundary, so a delta must not span it.
     pub fn disk_reads(&self, node: NodeId) -> u64 {
         self.nodes[node.index()].disk.reads()
     }
@@ -1546,6 +1548,21 @@ mod tests {
         assert_eq!(p.disk_reads(NodeId(0)), 1);
         assert_eq!(p.network().data_bytes(), 128, "one location update only");
         p.check_invariants();
+    }
+
+    #[test]
+    fn disk_reads_restart_at_reset_stats() {
+        let mut p = plane();
+        let out = p.start_operation(op(1, 0, 0, &[0], SimTime::ZERO), SimTime::ZERO);
+        let t1 = drive(&mut p, out.schedule)[0].finished;
+        assert_eq!(p.disk_reads(NodeId(0)), 1);
+        p.reset_stats(t1);
+        assert_eq!(p.disk_reads(NodeId(0)), 0, "the warm-up boundary zeroes it");
+        // Page 3's home is node 0 too; its cold read counts from the reset.
+        let out = p.start_operation(op(2, 0, 0, &[3], t1), t1);
+        drive(&mut p, out.schedule);
+        assert_eq!(p.disk_reads(NodeId(0)), 1);
+        assert_eq!(p.completions(), 2, "completions stay cumulative");
     }
 
     #[test]

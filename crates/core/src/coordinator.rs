@@ -241,7 +241,7 @@ impl Coordinator {
     /// per-interval quantiles are noisier than means, so the settling
     /// semantics get more slack before a violation is declared.
     pub fn set_goal_metric(&mut self, metric: GoalMetric) {
-        metric.validate();
+        metric.validate().unwrap_or_else(|e| panic!("{e}"));
         self.metric = metric;
         if metric.is_quantile() {
             self.tol = ToleranceEstimator::for_quantile();

@@ -16,11 +16,12 @@
 use std::fmt::Write as _;
 use std::mem::discriminant;
 
-use dmm_buffer::TierPolicy;
+use dmm_buffer::{PolicySpec, TierPolicy};
 use dmm_cluster::{FabricSpec, FaultKind, HotRingSpec, NodeId, PlacementSpec, TierSpec};
 use dmm_obs::json::{write_bool, write_f64, write_null, write_str, write_u64};
 use dmm_obs::{Json, Stage, StageNanos, STAGES};
-use dmm_workload::{GoalMetric, GoalRange};
+use dmm_sim::SimTime;
+use dmm_workload::{GoalMetric, GoalRange, RateShift};
 
 use crate::baselines::ControllerKind;
 use crate::coordinator::SatisfactionMode;
@@ -173,6 +174,8 @@ scalar! {
     u64: Json::as_u64, write_u64;
     f64: Json::as_f64, write_f64;
     bool: Json::as_bool, write_bool;
+    SimTime: |v: &Json| v.as_u64().map(SimTime::from_nanos),
+        |out, t: SimTime| write_u64(out, t.as_nanos());
 }
 
 impl Encode for str {
@@ -348,6 +351,8 @@ macro_rules! names {
 }
 
 names! {
+    PolicySpec { "lru" => Self::Lru, "fifo" => Self::Fifo, "clock" => Self::Clock,
+        "lru_k" => Self::LruK(0), "cost_based" => Self::CostBased, }
     SatisfactionMode { "two_sided" => Self::TwoSided, "upper_bound" => Self::UpperBound, }
     TierPolicy { "hotness" => Self::Hotness, "static_hash" => Self::StaticHash, }
     Objective {
@@ -500,17 +505,27 @@ macro_rules! layout {
 
 layout! {
     /// The replay closure: the first record of every trace, carrying every
-    /// builder parameter that shapes the byte stream (see [`crate::replay`]).
-    /// The span mode, an observer toggle, is trace-invariant and excluded.
+    /// parameter that shapes the byte stream (see [`crate::replay`]). The
+    /// span mode, an observer toggle, is trace-invariant and excluded.
     decode record RunConfig = "run_config" {
-        seed: u64, nodes: usize, db_pages: u32, buffer_pages_per_node: usize, theta: f64,
-        goal_ms: Option<f64>, goal_rate_per_ms: Option<f64>, goal_quantile: Option<f64>,
-        interval_ns: u64, warmup_intervals: u32, controller: Controller,
-        goal_range: Option<GoalRange>, satisfaction: SatisfactionMode,
+        schema_version: u64, seed: u64, nodes: usize, db_pages: u32,
+        buffer_pages_per_node: usize, policy: Policy, interval_ns: u64, warmup_intervals: u32,
+        controller: Controller, goal_range: Option<GoalRange>, satisfaction: SatisfactionMode,
         release_floor_mb: f64, placement: Placement, fabric: Fabric, net_bits_per_sec: u64,
         probe: Probe, tiers: Vec<TierSpec>, tier_policy: TierPolicy,
-        fault_plan: Option<FaultPlanRecord>, replayable: bool,
+        fault_plan: Option<FaultPlanRecord>, workload: Vec<WorkloadClass>,
     };
+    /// `run_config.policy`, the replacement policy: `k` is set for `lru_k` only.
+    decode object Policy { kind: PolicySpec, k: Option<usize>, };
+    /// `run_config.workload`, indexed by class id; `pages` are hottest first.
+    decode object WorkloadClass {
+        goal_ms: Option<f64>, goal_quantile: Option<f64>, pages_per_op: usize, theta: f64,
+        pages: Vec<PageRun>, arrival_per_ms: Vec<f64>, rate_shifts: Vec<RateShift>,
+    };
+    /// Pages `start..start + len` of a class's page set.
+    decode object PageRun { start: u32, len: u32, };
+    /// One of a class's `rate_shifts`; `at` is in nanoseconds.
+    decode extern RateShift { at: SimTime, arrival_per_ms: Vec<f64>, };
     /// `run_config.controller`: `objective` is set for `hyperplane` only,
     /// `fraction` for `static` only.
     decode object Controller {
@@ -607,12 +622,20 @@ layout! {
     };
 }
 
+/// The `run_config` layout a trace records (its `schema_version`) and replay accepts.
+pub const SCHEMA_VERSION: u64 = 1;
+
 impl RunConfig {
     /// Decodes a parsed `run_config` record. Every field must be present
-    /// with its declared type (nullable ones may be `null`), and every
-    /// variant name must be known; the error names the offending path.
+    /// with its declared type (nullable ones may be `null`), every variant
+    /// name must be known and the version must be [`SCHEMA_VERSION`]; the
+    /// error names the offending path.
     pub fn from_record(record: &Json) -> Result<Self, String> {
-        Self::decode(Some(record), "", Self::KIND)
+        let config = Self::decode(Some(record), "", Self::KIND)?;
+        match config.schema_version {
+            SCHEMA_VERSION => Ok(config),
+            v => Err(format!("run_config.schema_version = {v} is not supported")),
+        }
     }
 }
 
@@ -674,14 +697,15 @@ mod tests {
             (
                 RunConfig::LAYOUT,
                 Box::new(RunConfig {
+                    schema_version: SCHEMA_VERSION,
                     seed: u64::MAX,
                     nodes: 3,
                     db_pages: 2_000,
                     buffer_pages_per_node: 256,
-                    theta: 1e-7,
-                    goal_ms: None,
-                    goal_rate_per_ms: Some(1e21),
-                    goal_quantile: Some(-0.0),
+                    policy: Policy {
+                        kind: PolicySpec::LruK(2),
+                        k: Some(2),
+                    },
                     interval_ns: 5_000_000_000,
                     warmup_intervals: 0,
                     controller: Controller {
@@ -730,7 +754,21 @@ mod tests {
                             factor: 2.0,
                         }],
                     }),
-                    replayable: false,
+                    workload: vec![WorkloadClass {
+                        goal_ms: None,
+                        goal_quantile: Some(-0.0),
+                        pages_per_op: 4,
+                        theta: 1e-7,
+                        pages: vec![PageRun {
+                            start: u32::MAX,
+                            len: 0,
+                        }],
+                        arrival_per_ms: vec![1e21],
+                        rate_shifts: vec![RateShift {
+                            at: SimTime::from_nanos(u64::MAX),
+                            arrival_per_ms: Vec::new(),
+                        }],
+                    }],
                 }),
             ),
             (
@@ -885,8 +923,11 @@ mod tests {
             r#""t_ms":-0,"#,
             r#""goal_quantile":-0,"#,
             r#""theta":0.0000001,"#,
-            r#""goal_rate_per_ms":1000000000000000000000,"#,
+            r#""arrival_per_ms":[1000000000000000000000],"#,
             r#""seed":18446744073709551615,"#,
+            r#""policy":{"kind":"lru_k","k":2},"#,
+            r#""pages":[{"start":4294967295,"len":0}],"#,
+            r#""rate_shifts":[{"at":18446744073709551615,"arrival_per_ms":[]}]"#,
             r#""home_pages":[4294967295,0]"#,
             r#""remote_fanin":[]"#,
             r#""goal_metric":"p99.9""#,
@@ -918,10 +959,11 @@ mod tests {
             .expect("the written run_config decodes");
         assert_eq!(config.tiers[1].name, ODD);
         assert_eq!(
-            config.goal_quantile.map(f64::to_bits),
+            config.workload[0].goal_quantile.map(f64::to_bits),
             Some((-0.0f64).to_bits())
         );
         assert_eq!(config.seed, u64::MAX);
+        assert_eq!(config.workload[0].rate_shifts[0].at.as_nanos(), u64::MAX);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Trace-driven replay: the `run_config` record and its inverse.
 //!
 //! Every sink-enabled run leads with one `run_config` record carrying the
-//! *replay closure* of its configuration — the complete set of builder
+//! *replay closure* of its configuration — the complete set of
 //! parameters that shape the trace byte stream. Given a recorded trace,
 //! [`recorded_run_from_jsonl`] reconstructs the [`SystemConfig`] (fault
 //! plan included) and [`verify_jsonl`] re-runs it through the simulator,
@@ -16,17 +16,16 @@
 //!
 //! ## What the closure contains — and what it deliberately omits
 //!
-//! The closure covers every parameter that affects the *bytes* of the
-//! control-record stream: seed, cluster shape, workload generator inputs,
-//! goal metric and schedule, controller, satisfaction and placement
-//! modes, fabric, probing, storage ladder, and the full fault plan (the
-//! `fault` trace records alone don't carry drop probabilities or disk-stall
-//! windows, so the plan rides in the closure).
-//!
-//! It pins every [`dmm_cluster::ClusterParams`] field but the span mode:
-//! the closure records no replacement policy, so only the builder's
-//! cost-based one is replayable and a run under any other policy is
-//! flagged non-replayable; the goal-class count follows from the workload.
+//! The closure is the run's configuration itself, so every run replays:
+//! every parameter that affects the *bytes* of the control-record stream —
+//! seed, cluster shape, replacement policy, the whole workload, goal
+//! schedule, controller, satisfaction and placement modes, fabric, probing,
+//! storage ladder, and the full fault plan (the `fault` trace records alone
+//! don't carry drop probabilities or disk-stall windows). It pins every
+//! [`dmm_cluster::ClusterParams`] field but the span mode; the goal-class
+//! count follows from the workload. Runtime interventions
+//! ([`Simulation::set_goal`], [`Simulation::dedicate_fraction`],
+//! [`Simulation::migrate_coordinator`], warm starts) stay outside it.
 //!
 //! It deliberately *excludes* the span mode, an observer toggle proven
 //! trace-invariant by the determinism suite (non-span records are
@@ -36,19 +35,20 @@
 //! Replays therefore run with spans off and compare *control records* —
 //! every record type except `span`.
 
+use dmm_buffer::{ClassId, PageId, PolicySpec};
 use dmm_cluster::{DiskStall, FabricSpec, FaultPlan, NodeId, PlacementSpec, ScheduledFault};
 use dmm_cluster::{FaultKind, HotRingSpec};
 use dmm_obs::{Json, VecSink};
 use dmm_sim::{SimDuration, SimTime};
-use dmm_workload::WorkloadSpec;
+use dmm_workload::{ClassSpec, GoalMetric, WorkloadSpec};
 
 use crate::baselines::ControllerKind;
 use crate::probe::ProbeSpec;
 use crate::records::{
-    Controller, Fabric, FaultEvent, FaultPlanRecord, Placement, Probe, Record, RunConfig, Stall,
+    Controller, Fabric, FaultEvent, FaultPlanRecord, PageRun, Placement, Policy, Probe, Record,
+    RunConfig, Stall, WorkloadClass, SCHEMA_VERSION,
 };
 use crate::system::{Simulation, SystemConfig};
-use dmm_buffer::PolicySpec;
 
 /// The `run_config` record of a configuration, parsed from the very line
 /// that leads every sink-enabled trace. Its layout is [`RunConfig`]'s.
@@ -66,20 +66,23 @@ pub(crate) fn run_config_line(config: &SystemConfig) -> String {
 /// Maps a configuration onto its `run_config` record.
 fn run_config(config: &SystemConfig) -> RunConfig {
     let cluster = &config.cluster;
-    let goal = config.workload.classes.get(1);
     let ring = match cluster.placement {
         PlacementSpec::HotRing(ring) => Some(ring),
         _ => None,
     };
     RunConfig {
+        schema_version: SCHEMA_VERSION,
         seed: config.seed,
         nodes: cluster.nodes,
         db_pages: cluster.db_pages,
         buffer_pages_per_node: cluster.buffer_pages_per_node,
-        theta: goal.map_or(0.0, |c| c.zipf_theta),
-        goal_ms: goal.and_then(|c| c.goal_ms),
-        goal_rate_per_ms: goal.and_then(|c| c.arrival_per_ms.first().copied()),
-        goal_quantile: goal.and_then(|c| c.goal_metric.quantile()),
+        policy: Policy {
+            kind: cluster.policy,
+            k: match cluster.policy {
+                PolicySpec::LruK(k) => Some(k),
+                _ => None,
+            },
+        },
         interval_ns: config.interval.as_nanos(),
         warmup_intervals: config.warmup_intervals,
         controller: Controller {
@@ -145,37 +148,31 @@ fn run_config(config: &SystemConfig) -> RunConfig {
                 })
                 .collect(),
         }),
-        replayable: is_replayable(config),
+        workload: config
+            .workload
+            .classes
+            .iter()
+            .map(|c| WorkloadClass {
+                goal_ms: c.goal_ms,
+                goal_quantile: c.goal_metric.quantile(),
+                pages_per_op: c.pages_per_op,
+                theta: c.zipf_theta,
+                pages: page_runs(&c.pages),
+                arrival_per_ms: c.arrival_per_ms.clone(),
+                rate_shifts: c.rate_shifts.clone(),
+            })
+            .collect(),
     }
 }
 
-/// Whether the closure can rebuild the run: the workload matches the
-/// builder's generative two-class shape (reconstructible from the closure's
-/// scalar parameters) and the replacement policy is the builder's
-/// cost-based one (the closure does not carry it). Hand-assembled
-/// workloads (extra classes, custom per-node rates, scheduled rate shifts)
-/// and other policies are recorded but flagged non-replayable.
-fn is_replayable(config: &SystemConfig) -> bool {
-    if config.cluster.policy != PolicySpec::CostBased {
-        return false;
-    }
-    let classes = &config.workload.classes;
-    if classes.len() != 2 {
-        return false;
-    }
-    let goal = &classes[1];
-    let (Some(goal_ms), Some(&rate)) = (goal.goal_ms, goal.arrival_per_ms.first()) else {
-        return false;
-    };
-    let mut candidate = WorkloadSpec::base_two_class(
-        config.cluster.nodes,
-        config.cluster.db_pages,
-        goal.zipf_theta,
-        rate,
-        goal_ms,
-    );
-    candidate.classes[1].goal_metric = goal.goal_metric;
-    candidate.classes == *classes
+/// A page set as runs of consecutive ids, in order.
+fn page_runs(pages: &[PageId]) -> Vec<PageRun> {
+    let runs = pages.chunk_by(|a, b| a.0.checked_add(1) == Some(b.0));
+    runs.map(|run| PageRun {
+        start: run[0].0,
+        len: run.len() as u32,
+    })
+    .collect()
 }
 
 /// A payload field its variant requires, `null` in the record: an error
@@ -188,12 +185,6 @@ fn required<T>(value: Option<T>, path: &str) -> Result<T, String> {
 pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
     if record.get("type").and_then(Json::as_str) != Some(RunConfig::KIND) {
         return Err("not a run_config record".to_string());
-    }
-    if record.get("replayable").and_then(Json::as_bool) != Some(true) {
-        return Err(
-            "run not replayable: its workload or replacement policy was set outside the builder"
-                .to_string(),
-        );
     }
     let rc = RunConfig::from_record(record)?;
 
@@ -226,16 +217,18 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
         },
         kind => kind,
     };
+    let policy = match (rc.policy.kind, rc.policy.k) {
+        (PolicySpec::LruK(_), Some(k @ 1..)) => PolicySpec::LruK(k),
+        (PolicySpec::LruK(_), _) => return Err("run_config.policy.k must be ≥ 1".to_string()),
+        (kind, _) => kind,
+    };
     let instant = |ns| SimTime::ZERO + SimDuration::from_nanos(ns);
 
     let mut builder = SystemConfig::builder()
         .seed(rc.seed)
-        .theta(rc.theta)
-        .goal_ms(required(rc.goal_ms, "goal_ms")?)
         .nodes(rc.nodes)
         .db_pages(rc.db_pages)
         .buffer_pages_per_node(rc.buffer_pages_per_node)
-        .goal_rate_per_ms(required(rc.goal_rate_per_ms, "goal_rate_per_ms")?)
         .warmup_intervals(rc.warmup_intervals)
         .controller(controller)
         .satisfaction(rc.satisfaction)
@@ -246,9 +239,6 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
         .probe(probe)
         .tiers(rc.tiers)
         .tier_policy(rc.tier_policy);
-    if let Some(q) = rc.goal_quantile {
-        builder = builder.goal_quantile(q);
-    }
     if let Some(range) = rc.goal_range {
         // The condition `GoalRange::new` asserts; the builder takes a range
         // as given, and a record is outside input.
@@ -285,9 +275,33 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
         builder = builder.fault_plan(plan);
     }
     let mut config = builder.build().map_err(|e| e.to_string())?;
-    // The builder always starts from the §7.1 interval; restore the
-    // recorded one exactly.
+    // The builder always starts from the §7.1 interval, the cost-based
+    // policy and the §7.2 workload; restore the recorded ones exactly.
     config.interval = SimDuration::from_nanos(rc.interval_ns);
+    config.cluster.policy = policy;
+    let mut classes = Vec::with_capacity(rc.workload.len());
+    for (i, c) in rc.workload.into_iter().enumerate() {
+        let mut pages = Vec::new();
+        for PageRun { start, len } in c.pages {
+            let end = start.checked_add(len).filter(|&end| end <= rc.db_pages);
+            let range = || format!("run_config.workload.pages {start}+{len} is out of range");
+            pages.extend((start..end.ok_or_else(range)?).map(PageId));
+        }
+        let quantile = c.goal_quantile.map(|q| GoalMetric::Quantile { q });
+        classes.push(ClassSpec {
+            class: ClassId(u16::try_from(i).map_err(|_| "run_config.workload: too many classes")?),
+            goal_ms: c.goal_ms,
+            goal_metric: quantile.unwrap_or_default(),
+            pages_per_op: c.pages_per_op,
+            zipf_theta: c.theta,
+            pages,
+            arrival_per_ms: c.arrival_per_ms,
+            rate_shifts: c.rate_shifts,
+        });
+    }
+    config.workload = WorkloadSpec { classes };
+    let valid = config.workload.validate(rc.nodes, rc.db_pages);
+    valid.map_err(|e| format!("run_config.workload: {e}"))?;
     Ok(config)
 }
 
@@ -423,10 +437,9 @@ mod tests {
     use super::*;
     use crate::coordinator::SatisfactionMode;
     use crate::optimize::Objective;
-    use crate::system::SystemConfigBuilder;
-    use dmm_buffer::{ClassId, TierPolicy};
+    use dmm_buffer::TierPolicy;
     use dmm_cluster::TierSpec;
-    use dmm_workload::GoalRange;
+    use dmm_workload::{GoalRange, RateShift};
 
     fn traced(config: SystemConfig, intervals: u32) -> String {
         let sink = VecSink::new();
@@ -439,8 +452,11 @@ mod tests {
     /// Every `run_config` variant the emitter writes, one row each: a
     /// default closure with a fault plan, the scale-out variants, the
     /// 4-rung ladder under static-hash placement, every controller and LP
-    /// objective, and the upper-bound / quantile goal variants.
-    fn closure_variants() -> Vec<(&'static str, SystemConfigBuilder)> {
+    /// objective, the upper-bound / quantile goal variants, every
+    /// replacement policy, and the workloads set outside the builder:
+    /// §7.4's two goal classes, Ablation B's skewed arrivals and a rate
+    /// shift.
+    fn closure_variants() -> Vec<(&'static str, SystemConfig)> {
         let small = || {
             SystemConfig::builder()
                 .seed(9)
@@ -515,23 +531,47 @@ mod tests {
         ] {
             rows.push(("controller", small().controller(controller)));
         }
+        let mut rows: Vec<_> = rows
+            .into_iter()
+            .map(|(row, builder)| (row, builder.build().expect("valid config")))
+            .collect();
+        let base = || small().build().expect("valid config");
+        for policy in [
+            PolicySpec::Lru,
+            PolicySpec::Fifo,
+            PolicySpec::Clock,
+            PolicySpec::LruK(2),
+        ] {
+            let mut config = base();
+            config.cluster.policy = policy;
+            rows.push(("non-cost policy", config));
+        }
+        let mut shared = base();
+        shared.workload = WorkloadSpec::two_goal_classes(3, 400, 0.5, 0.004, 6.0, 12.0, 0.5);
+        let mut skewed = base();
+        skewed.workload.classes[1].arrival_per_ms = vec![0.012, 0.005, 0.001];
+        let mut shifted = base();
+        shifted.workload.classes[0].rate_shifts = vec![RateShift {
+            at: SimTime::from_nanos(30_000_000_000),
+            arrival_per_ms: vec![0.048, 0.024, 0.0],
+        }];
+        rows.extend([
+            ("two goal classes at sharing 0.5", shared),
+            ("skewed per-node arrivals", skewed),
+            ("rate shift", shifted),
+        ]);
         rows
     }
 
     #[test]
     fn run_config_round_trips_through_the_builder() {
-        for (row, builder) in closure_variants() {
-            let config = builder.build().expect("valid config");
+        for (row, config) in closure_variants() {
             let record = run_config_record(&config);
             let text = record.to_string();
-            assert_eq!(
-                record.get("replayable").and_then(Json::as_bool),
-                Some(true),
-                "{row}: {text}"
-            );
             let rebuilt = config_from_record(&record).expect("round trip");
-            // Every cluster parameter survives, bar the observer-only span
-            // mode (replays run with spans off).
+            // The workload and every cluster parameter survive, bar the
+            // observer-only span mode (replays run with spans off).
+            assert_eq!(rebuilt.workload.classes, config.workload.classes, "{row}");
             let mut expected = config.cluster.clone();
             expected.spans = rebuilt.cluster.spans;
             assert_eq!(rebuilt.cluster, expected, "{row}");
@@ -624,71 +664,47 @@ mod tests {
         }
     }
 
+    /// The base system with a goal range, and the runs whose workload or
+    /// policy is set outside the builder: §7.4's two goal classes at
+    /// sharing 0.5, an LRU run and Ablation B's skewed arrivals.
     #[test]
     fn replay_reproduces_a_recorded_run_byte_for_byte() {
-        let config = SystemConfig::builder()
-            .seed(7)
-            .theta(0.5)
-            .goal_ms(8.0)
-            .db_pages(400)
-            .buffer_pages_per_node(96)
-            .goal_rate_per_ms(0.008)
-            .warmup_intervals(2)
-            .goal_range(GoalRange::new(4.0, 40.0))
-            .build()
-            .expect("valid config");
-        let doc = traced(config, 8);
-        let report = verify_jsonl(&doc, 4).expect("replayable");
-        assert_eq!(report.intervals, 8);
-        assert!(
-            report.identical(),
-            "replay diverged: {:?}",
-            report.divergences.first()
-        );
-    }
-
-    #[test]
-    fn hand_assembled_workloads_are_flagged_non_replayable() {
-        let mut config = SystemConfig::builder()
-            .seed(7)
-            .goal_ms(8.0)
-            .build()
-            .expect("valid config");
-        config.workload.classes[1].arrival_per_ms[0] *= 2.0; // post-hoc edit
-        let record = run_config_record(&config);
-        assert_eq!(
-            record.get("replayable").and_then(Json::as_bool),
-            Some(false)
-        );
-        let err = config_from_record(&record).expect_err("must refuse");
-        assert!(err.contains("not replayable"), "{err}");
-    }
-
-    /// The closure carries no replacement policy, so a run under any other
-    /// than the builder's cost-based one must not claim replayability:
-    /// replayed with the cost-based policy, 8 intervals of this LRU run
-    /// diverged in 16 of 28 control records, from the first after
-    /// `run_config` on.
-    #[test]
-    fn non_cost_based_policies_are_flagged_non_replayable() {
-        let mut config = SystemConfig::builder()
-            .seed(7)
-            .theta(0.5)
-            .goal_ms(8.0)
-            .db_pages(400)
-            .buffer_pages_per_node(96)
-            .goal_rate_per_ms(0.008)
-            .warmup_intervals(2)
-            .build()
-            .expect("valid config");
-        config.cluster.policy = PolicySpec::Lru;
-        let record = run_config_record(&config);
-        assert_eq!(
-            record.get("replayable").and_then(Json::as_bool),
-            Some(false)
-        );
-        let err = config_from_record(&record).expect_err("must refuse");
-        assert!(err.contains("not replayable"), "{err}");
+        let small = || {
+            SystemConfig::builder()
+                .seed(7)
+                .theta(0.5)
+                .goal_ms(8.0)
+                .db_pages(400)
+                .buffer_pages_per_node(96)
+                .goal_rate_per_ms(0.008)
+                .warmup_intervals(2)
+                .build()
+                .expect("valid config")
+        };
+        let mut ranged = small();
+        ranged.goal_range = Some(GoalRange::new(4.0, 40.0));
+        let mut shared = small();
+        shared.workload = WorkloadSpec::two_goal_classes(3, 400, 0.5, 0.004, 6.0, 12.0, 0.5);
+        shared.release_floor_mb = 0.0;
+        let mut lru = small();
+        lru.cluster.policy = PolicySpec::Lru;
+        let mut skewed = small();
+        skewed.workload.classes[1].arrival_per_ms = vec![0.012, 0.005, 0.001];
+        for (row, config) in [
+            ("goal range", ranged),
+            ("two goal classes", shared),
+            ("lru", lru),
+            ("skewed arrivals", skewed),
+        ] {
+            let doc = traced(config, 8);
+            let report = verify_jsonl(&doc, 4).expect("replayable");
+            assert_eq!(report.intervals, 8, "{row}");
+            assert!(
+                report.identical(),
+                "{row}: replay diverged: {:?}",
+                report.divergences.first()
+            );
+        }
     }
 
     #[test]
@@ -705,24 +721,6 @@ mod tests {
         assert!(recorded_run_from_jsonl(&only_header)
             .expect_err("no intervals")
             .contains("no interval records"));
-    }
-
-    #[test]
-    fn goal_quantile_survives_the_closure() {
-        let config = SystemConfig::builder()
-            .seed(7)
-            .goal_ms(15.0)
-            .goal_quantile(0.95)
-            .build()
-            .expect("valid config");
-        let record = run_config_record(&config);
-        assert_eq!(
-            record.get("goal_quantile").and_then(Json::as_f64),
-            Some(0.95)
-        );
-        let rebuilt = config_from_record(&record).expect("round trip");
-        assert!(rebuilt.workload.classes[1].goal_metric.is_quantile());
-        let _ = ClassId(1);
     }
 
     /// The value at a dotted path of a record (`fault_plan.events.1.kind`;
@@ -743,7 +741,7 @@ mod tests {
     /// A closure exercising every variant name the record carries, one row
     /// per (path, name): the default config names the first variant of
     /// each enum, and each row switches one enum to another variant.
-    fn named_variants() -> Vec<(&'static str, &'static str, SystemConfigBuilder)> {
+    fn named_variants() -> Vec<(&'static str, &'static str, SystemConfig)> {
         let small = || {
             SystemConfig::builder()
                 .seed(9)
@@ -757,7 +755,7 @@ mod tests {
                 )
         };
         let hyperplane = |objective| ControllerKind::Hyperplane { objective };
-        vec![
+        let rows = vec![
             ("satisfaction", "two_sided", small()),
             (
                 "satisfaction",
@@ -829,13 +827,28 @@ mod tests {
             ),
             ("fault_plan.events.0.kind", "crash", small()),
             ("fault_plan.events.1.kind", "restart", small()),
-        ]
+        ];
+        let mut rows: Vec<_> = rows
+            .into_iter()
+            .map(|(path, name, builder)| (path, name, builder.build().expect("valid config")))
+            .collect();
+        for (name, policy) in [
+            ("cost_based", PolicySpec::CostBased),
+            ("lru", PolicySpec::Lru),
+            ("fifo", PolicySpec::Fifo),
+            ("clock", PolicySpec::Clock),
+            ("lru_k", PolicySpec::LruK(2)),
+        ] {
+            let mut config = small().build().expect("valid config");
+            config.cluster.policy = policy;
+            rows.push(("policy.kind", name, config));
+        }
+        rows
     }
 
     #[test]
     fn every_variant_encodes_to_its_name_and_decodes_to_itself() {
-        for (path, name, builder) in named_variants() {
-            let config = builder.build().expect("valid config");
+        for (path, name, config) in named_variants() {
             let mut record = run_config_record(&config);
             let written = at_path(&mut record, path).as_str().map(str::to_string);
             assert_eq!(written.as_deref(), Some(name), "{path}: {record}");
@@ -850,8 +863,7 @@ mod tests {
 
     #[test]
     fn an_unknown_variant_name_is_refused_naming_its_path() {
-        for (path, name, builder) in named_variants() {
-            let config = builder.build().expect("valid config");
+        for (path, name, config) in named_variants() {
             let mut record = run_config_record(&config);
             *at_path(&mut record, path) = Json::from("bogus");
             let err = config_from_record(&record).expect_err(path);
@@ -891,9 +903,10 @@ mod tests {
             ("fabric.bisection_bits_per_sec", Json::from("fast")),
             ("tiers.1.frames", Json::from("many")),
             ("tiers.1.bandwidth_bytes_per_sec", Json::from(true)),
-            ("goal_quantile", Json::from("p95")),
             ("fault_plan.events", Json::from(7u64)),
             ("fault_plan.stalls", Json::from("none")),
+            ("workload.1.goal_quantile", Json::from("p95")),
+            ("workload.1.rate_shifts", Json::Null),
         ];
         for (path, value) in mistyped {
             let mut edited = record.clone();
@@ -910,26 +923,95 @@ mod tests {
             ("tiers.0", "bandwidth_bytes_per_sec"),
             ("fault_plan", "events"),
             ("fault_plan", "stalls"),
+            ("policy", "k"),
+            ("workload.1", "goal_quantile"),
         ] {
             let mut edited = record.clone();
             let Json::Obj(fields) = at_path(&mut edited, parent) else {
                 panic!("{parent} is an object");
             };
             fields.retain(|(k, _)| k != key);
-            let field = format!("{parent}.{key}").replace(".0.", ".");
+            let field = format!("{parent}.{key}")
+                .replace(".0.", ".")
+                .replace(".1.", ".");
             assert_eq!(
                 config_from_record(&edited).expect_err(key),
                 format!("run_config.{field} missing or mistyped")
             );
         }
-        let mut edited = record.clone();
-        let Json::Obj(fields) = &mut edited else {
+    }
+
+    /// A trace of another `run_config` layout is refused by its version,
+    /// before any field of it is read.
+    #[test]
+    fn another_schema_version_is_refused_naming_the_field() {
+        let config = SystemConfig::builder().build().expect("valid config");
+        let mut record = run_config_record(&config);
+        assert_eq!(
+            record.get("schema_version"),
+            Some(&Json::from(SCHEMA_VERSION))
+        );
+        *at_path(&mut record, "schema_version") = Json::from(SCHEMA_VERSION + 1);
+        assert_eq!(
+            config_from_record(&record).expect_err("a later version"),
+            format!(
+                "run_config.schema_version = {} is not supported",
+                SCHEMA_VERSION + 1
+            )
+        );
+        let Json::Obj(fields) = &mut record else {
             panic!("record is an object");
         };
-        fields.retain(|(k, _)| k != "goal_quantile");
+        fields.retain(|(k, _)| k != "schema_version");
         assert_eq!(
-            config_from_record(&edited).expect_err("no goal_quantile"),
-            "run_config.goal_quantile missing or mistyped"
+            config_from_record(&record).expect_err("no version"),
+            "run_config.schema_version missing or mistyped"
         );
+    }
+
+    /// A workload the simulator would refuse is refused by path, not
+    /// panicked on: `WorkloadSpec::validate` returns the fault.
+    #[test]
+    fn a_malformed_workload_is_refused_not_panicked() {
+        let config = SystemConfig::builder().build().expect("valid config");
+        let record = run_config_record(&config);
+        for (path, value, fault) in [
+            (
+                "workload.1.pages.0.len",
+                Json::from(2_001u64),
+                "pages 0+2001 is out of range",
+            ),
+            (
+                "workload.1.arrival_per_ms",
+                Json::Arr(vec![Json::F64(0.006)]),
+                "arrival rates",
+            ),
+            (
+                "workload.0.rate_shifts",
+                Json::parse(
+                    r#"[{"at":9,"arrival_per_ms":[0,0,0]},{"at":8,"arrival_per_ms":[0,0,0]}]"#,
+                )
+                .expect("parses"),
+                "time order",
+            ),
+            (
+                "workload.0.goal_ms",
+                Json::F64(5.0),
+                "no-goal class cannot carry a goal",
+            ),
+            (
+                "workload.1.goal_quantile",
+                Json::F64(1.0),
+                "goal quantile must lie in (0, 1)",
+            ),
+        ] {
+            let mut edited = record.clone();
+            *at_path(&mut edited, path) = value;
+            let err = config_from_record(&edited).expect_err(path);
+            assert!(
+                err.starts_with("run_config.workload") && err.contains(fault),
+                "{path}: {err}"
+            );
+        }
     }
 }

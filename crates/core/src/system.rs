@@ -1042,14 +1042,12 @@ impl Simulation {
     /// clock.
     pub fn new(config: SystemConfig) -> Self {
         let mut cluster = config.cluster.clone();
+        config
+            .workload
+            .validate(cluster.nodes, cluster.db_pages)
+            .expect("invalid workload");
         let goal_classes = config.workload.classes.len() - 1;
         cluster.goal_classes = goal_classes;
-        config.workload.validate(cluster.nodes, cluster.db_pages);
-        assert_eq!(
-            config.workload.goal_classes(),
-            goal_classes,
-            "classes 1..=K must all be goal classes"
-        );
 
         let mut plane = DataPlane::new(cluster.clone());
         if let Some(plan) = &config.fault_plan {

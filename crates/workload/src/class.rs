@@ -59,12 +59,12 @@ impl GoalMetric {
     }
 
     /// Validates the metric (quantile must lie strictly inside (0, 1)).
-    pub fn validate(&self) {
-        if let GoalMetric::Quantile { q } = self {
-            assert!(
-                q.is_finite() && *q > 0.0 && *q < 1.0,
-                "goal quantile must lie in (0, 1), got {q}"
-            );
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            GoalMetric::Quantile { q } if !(q.is_finite() && *q > 0.0 && *q < 1.0) => {
+                Err(format!("goal quantile must lie in (0, 1), got {q}"))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -127,46 +127,51 @@ impl ClassSpec {
         self.goal_ms.is_some()
     }
 
-    /// Validates internal consistency.
-    pub fn validate(&self, nodes: usize, db_pages: u32) {
-        assert!(!self.pages.is_empty(), "{}: empty page set", self.class);
-        assert!(self.pages_per_op >= 1);
-        assert!(self.zipf_theta >= 0.0);
-        assert_eq!(
-            self.arrival_per_ms.len(),
-            nodes,
-            "{}: arrival rates must cover every node",
-            self.class
-        );
-        assert!(
-            self.arrival_per_ms.iter().all(|&r| r >= 0.0),
-            "negative arrival rate"
-        );
-        let mut prev = None;
-        for shift in &self.rate_shifts {
-            assert_eq!(shift.arrival_per_ms.len(), nodes, "shift rate arity");
-            assert!(shift.arrival_per_ms.iter().all(|&r| r >= 0.0));
-            if let Some(p) = prev {
-                assert!(shift.at > p, "rate shifts must be in time order");
-            }
-            prev = Some(shift.at);
+    /// Validates internal consistency; the error names the class and the
+    /// first fault found.
+    pub fn validate(&self, nodes: usize, db_pages: u32) -> Result<(), String> {
+        let rates_ok = |rates: &[f64]| rates.len() == nodes && rates.iter().all(|&r| r >= 0.0);
+        let no_goal = self.class == NO_GOAL;
+        let checks = [
+            (!self.pages.is_empty(), "empty page set"),
+            (
+                self.pages.iter().all(|p| p.0 < db_pages),
+                "page outside database",
+            ),
+            (self.pages_per_op >= 1, "no page per operation"),
+            (self.zipf_theta >= 0.0, "negative skew theta"),
+            (
+                rates_ok(&self.arrival_per_ms),
+                "arrival rates must be ≥ 0, one per node",
+            ),
+            (
+                self.rate_shifts.iter().all(|s| rates_ok(&s.arrival_per_ms)),
+                "shift rates must be ≥ 0, one per node",
+            ),
+            (
+                self.rate_shifts.windows(2).all(|w| w[0].at < w[1].at),
+                "rate shifts must be in time order",
+            ),
+            (
+                !no_goal || self.goal_ms.is_none(),
+                "no-goal class cannot carry a goal",
+            ),
+            (
+                !no_goal || !self.goal_metric.is_quantile(),
+                "no-goal class cannot carry a quantile goal metric",
+            ),
+            (no_goal || self.goal_ms.is_some(), "goal class needs a goal"),
+            (
+                self.goal_ms.is_none_or(|g| g > 0.0),
+                "goal must be positive",
+            ),
+        ];
+        if let Some((_, fault)) = checks.iter().find(|(ok, _)| !ok) {
+            return Err(format!("{}: {fault}", self.class));
         }
-        for p in &self.pages {
-            assert!(p.0 < db_pages, "{}: page {p} outside database", self.class);
-        }
-        if self.class == NO_GOAL {
-            assert!(self.goal_ms.is_none(), "no-goal class cannot carry a goal");
-            assert!(
-                !self.goal_metric.is_quantile(),
-                "no-goal class cannot carry a quantile goal metric"
-            );
-        } else {
-            assert!(self.goal_ms.is_some(), "goal class needs a goal");
-        }
-        if let Some(g) = self.goal_ms {
-            assert!(g > 0.0);
-        }
-        self.goal_metric.validate();
+        self.goal_metric
+            .validate()
+            .map_err(|e| format!("{}: {e}", self.class))
     }
 }
 
@@ -178,13 +183,22 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Validates the whole workload against a cluster shape.
-    pub fn validate(&self, nodes: usize, db_pages: u32) {
-        assert!(!self.classes.is_empty());
-        for (i, c) in self.classes.iter().enumerate() {
-            assert_eq!(c.class.index(), i, "class ids must be contiguous");
-            c.validate(nodes, db_pages);
+    /// Validates the whole workload against a cluster shape: the no-goal
+    /// class first, then goal classes, ids contiguous from 0.
+    pub fn validate(&self, nodes: usize, db_pages: u32) -> Result<(), String> {
+        if self.classes.is_empty() {
+            return Err("no classes, not even the no-goal class".to_string());
         }
+        for (i, c) in self.classes.iter().enumerate() {
+            if c.class.index() != i {
+                return Err(format!(
+                    "{} at index {i}: class ids must be contiguous",
+                    c.class
+                ));
+            }
+            c.validate(nodes, db_pages)?;
+        }
+        Ok(())
     }
 
     /// Number of goal classes.
@@ -314,7 +328,7 @@ mod tests {
     #[test]
     fn base_workload_is_valid_and_disjoint() {
         let w = WorkloadSpec::base_two_class(3, 2000, 0.5, 0.02, 5.0);
-        w.validate(3, 2000);
+        w.validate(3, 2000).expect("valid");
         assert_eq!(w.goal_classes(), 1);
         let goal: std::collections::HashSet<_> = w.class(ClassId(1)).pages.iter().collect();
         let nogoal: std::collections::HashSet<_> = w.class(NO_GOAL).pages.iter().collect();
@@ -325,7 +339,7 @@ mod tests {
     #[test]
     fn sharing_zero_is_disjoint() {
         let w = WorkloadSpec::two_goal_classes(3, 2100, 0.0, 0.02, 3.0, 6.0, 0.0);
-        w.validate(3, 2100);
+        w.validate(3, 2100).expect("valid");
         let k1: std::collections::HashSet<_> = w.class(ClassId(1)).pages.iter().collect();
         let k2: std::collections::HashSet<_> = w.class(ClassId(2)).pages.iter().collect();
         assert!(k1.is_disjoint(&k2));
@@ -334,7 +348,7 @@ mod tests {
     #[test]
     fn sharing_half_overlaps_hot_heads() {
         let w = WorkloadSpec::two_goal_classes(3, 2100, 0.0, 0.02, 3.0, 6.0, 0.5);
-        w.validate(3, 2100);
+        w.validate(3, 2100).expect("valid");
         let k1 = &w.class(ClassId(1)).pages;
         let k2 = &w.class(ClassId(2)).pages;
         let shared = 350; // 0.5 · 700
@@ -371,7 +385,7 @@ mod tests {
     fn quantile_outside_unit_interval_rejected() {
         let mut w = WorkloadSpec::base_two_class(2, 100, 0.0, 0.01, 5.0);
         w.classes[1].goal_metric = GoalMetric::Quantile { q: 1.0 };
-        w.validate(2, 100);
+        w.validate(2, 100).unwrap();
     }
 
     #[test]
@@ -389,7 +403,7 @@ mod tests {
                 arrival_per_ms: vec![0.04, 0.0],
             },
         ];
-        w.validate(2, 100);
+        w.validate(2, 100).unwrap();
         let c = w.class(ClassId(1));
         assert_eq!(c.rates_at(SimTime::from_nanos(5)), &[0.01, 0.01]);
         assert_eq!(c.rates_at(SimTime::from_nanos(10)), &[0.02, 0.02]);
@@ -411,7 +425,7 @@ mod tests {
                 arrival_per_ms: vec![0.04, 0.04],
             },
         ];
-        w.validate(2, 100);
+        w.validate(2, 100).unwrap();
     }
 
     #[test]
@@ -419,6 +433,6 @@ mod tests {
     fn validation_catches_bad_pages() {
         let mut w = WorkloadSpec::base_two_class(2, 100, 0.0, 0.01, 5.0);
         w.classes[1].pages.push(PageId(5000));
-        w.validate(2, 100);
+        w.validate(2, 100).unwrap();
     }
 }

@@ -921,45 +921,46 @@ fn every_controller_traces_its_pinned_bytes() {
     // FNV-1a digests of each controller's JSONL trace, pinned across
     // revisions: a change that only restructures the control plane leaves
     // every controller's bytes as they are. A declared behaviour change
-    // regenerates them (the failure message prints the new values).
+    // regenerates them (the failure message prints the new values). Each
+    // trace also replays from its run_config record, rate shift included.
     let pinned: [(&str, ControllerKind, u64); 7] = [
         (
             "hyperplane/min_nogoal_rt",
             ControllerKind::Hyperplane {
                 objective: Objective::MinNoGoalRt,
             },
-            0x65c9_a019_30d5_1be2,
+            0x1f0c_0b43_022e_e833,
         ),
         (
             "hyperplane/min_total_dedicated",
             ControllerKind::Hyperplane {
                 objective: Objective::MinTotalDedicated,
             },
-            0xc219_f2af_a2bc_170b,
+            0x7b76_4398_aff7_33d0,
         ),
         (
             "hyperplane/balance_nodes",
             ControllerKind::Hyperplane {
                 objective: Objective::BalanceNodes,
             },
-            0xa68a_b810_74e3_e154,
+            0xc4d8_651c_5b1d_bd49,
         ),
         (
             "fragment_fencing",
             ControllerKind::FragmentFencing,
-            0x9976_267a_35cd_25bb,
+            0x6fc7_6eba_07f4_975e,
         ),
         (
             "class_fencing",
             ControllerKind::ClassFencing,
-            0xaa60_0113_0d1e_141c,
+            0x0be0_8e31_f299_399b,
         ),
         (
             "static",
             ControllerKind::Static { fraction: 0.25 },
-            0x88cf_687d_fb24_8618,
+            0x073c_0485_976b_06cb,
         ),
-        ("none", ControllerKind::None, 0x1ab8_dc72_3c82_7210),
+        ("none", ControllerKind::None, 0xa0ff_bec5_8455_da7f),
     ];
     let mut moved = Vec::new();
     for (name, controller, digest) in pinned {
@@ -973,6 +974,12 @@ fn every_controller_traces_its_pinned_bytes() {
         ] {
             assert!(doc.contains(needle), "{name}: no {needle} in the trace");
         }
+        let report = dmm::core::replay::verify_jsonl(&doc, 4).expect("replayable");
+        assert!(
+            report.identical(),
+            "{name}: replay diverged: {:?}",
+            report.divergences.first()
+        );
         let got = fnv1a(doc.as_bytes());
         if got != digest {
             moved.push(format!("{name}: {got:#018x}"));

@@ -351,10 +351,16 @@ fn run_config_leads_every_trace_and_carries_the_replay_closure() {
         assert_eq!(first.uint("seed"), Some(7), "{name}");
         assert_eq!(first.uint("nodes"), Some(3), "{name}");
         assert_eq!(
-            first.flag("replayable"),
-            Some(true),
-            "{name}: builder-generated workloads are replayable"
+            first.uint("schema_version"),
+            Some(dmm::core::records::SCHEMA_VERSION),
+            "{name}"
         );
+        let workload = first
+            .json
+            .get("workload")
+            .and_then(dmm::obs::Json::as_arr)
+            .unwrap_or_else(|| panic!("{name}: workload is an array"));
+        assert_eq!(workload.len(), 2, "{name}: the no-goal and the goal class");
         // The resolved tier ladder is always serialized, even when implicit.
         let tiers = first
             .json
@@ -427,18 +433,22 @@ fn run_config_serializes_the_fault_plan_and_fabric() {
 
 #[test]
 fn run_config_quantile_and_tier_closures_reflect_the_builder() {
-    let quantile = quantile_goal_trace(7);
+    // The goal quantile rides on its class, the goal class 1.
+    let goal_quantile = |trace: &Trace| {
+        let workload = trace.records[0].json.get("workload");
+        let classes = workload
+            .and_then(dmm::obs::Json::as_arr)
+            .expect("workload array");
+        classes[1].get("goal_quantile").cloned()
+    };
     assert_eq!(
-        quantile.records[0].num("goal_quantile"),
-        Some(0.95),
+        goal_quantile(&quantile_goal_trace(7)),
+        Some(dmm::obs::Json::F64(0.95)),
         "quantile goal recorded"
     );
-    let plain = goal_schedule_trace(7);
-    assert!(
-        matches!(
-            plain.records[0].json.get("goal_quantile"),
-            Some(dmm::obs::Json::Null)
-        ),
+    assert_eq!(
+        goal_quantile(&goal_schedule_trace(7)),
+        Some(dmm::obs::Json::Null),
         "mean-goal run_config carries goal_quantile: null"
     );
 
@@ -467,18 +477,12 @@ fn run_config_quantile_and_tier_closures_reflect_the_builder() {
 
 /// Committed artefacts must keep working with the current tools: every
 /// record of the three committed traces validates against the published
-/// schema, the replayable recordings re-run to byte-identical control
-/// records, and the metrics sidecars load and render.
+/// schema, each recording (workload_shift's rate shift included) re-runs to
+/// byte-identical control records, and the metrics sidecars load and render.
 #[test]
 fn committed_results_still_validate_replay_and_render() {
     let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    // workload_shift assembles its workload outside the builder, so its
-    // recording is marked non-replayable; the refusal is part of the contract.
-    for (name, replayable) in [
-        ("fig2_base", true),
-        ("overhead", true),
-        ("workload_shift", false),
-    ] {
+    for name in ["fig2_base", "overhead", "workload_shift"] {
         let text = std::fs::read_to_string(results.join(format!("{name}.jsonl")))
             .unwrap_or_else(|e| panic!("{name}.jsonl: {e}"));
         let trace = read_str(&text).unwrap_or_else(|e| panic!("{name}.jsonl: {e:?}"));
@@ -486,14 +490,9 @@ fn committed_results_still_validate_replay_and_render() {
         for record in &trace.records {
             validate_record(record).unwrap_or_else(|e| panic!("{name}.jsonl: {e}"));
         }
-        let replay = dmm::core::replay::verify_jsonl(&text, 3);
-        if replayable {
-            let report = replay.unwrap_or_else(|e| panic!("{name}.jsonl: {e}"));
-            assert!(report.identical(), "{name}: {:?}", report.divergences);
-        } else {
-            let err = replay.expect_err("hand-assembled workloads refuse to replay");
-            assert!(err.contains("not replayable"), "{name}: {err}");
-        }
+        let report = dmm::core::replay::verify_jsonl(&text, 3)
+            .unwrap_or_else(|e| panic!("{name}.jsonl: {e}"));
+        assert!(report.identical(), "{name}: {:?}", report.divergences);
 
         let sidecar = std::fs::read_to_string(results.join(format!("{name}_metrics.json")))
             .unwrap_or_else(|e| panic!("{name}_metrics.json: {e}"));

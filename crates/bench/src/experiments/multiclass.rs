@@ -17,10 +17,10 @@
 //! from the buffers of class k1" (the §3 Example 2 effect).
 
 use dmm::buffer::ClassId;
-use dmm::core::{calibrate_goal_range, SystemConfig};
+use dmm::core::SystemConfig;
 use dmm::workload::WorkloadSpec;
 
-use crate::{fmt2, render_table, study, sweep_until_accurate, workers, BenchArgs};
+use crate::{convergence_speed, fmt2, render_table, study, workers, BenchArgs, ConvergenceResult};
 
 fn config(sharing: f64, seed: u64) -> SystemConfig {
     // §7.4: "twice the amount of cache buffer memory at each node"; a larger
@@ -86,35 +86,20 @@ fn disjoint() {
     let base = config(0.0, 11);
     let mut rows = Vec::new();
     for class in [ClassId(1), ClassId(2)] {
-        let range = calibrate_goal_range(&base, class, 6, 6).expect("calibrate the goal range");
-        let configs: Vec<SystemConfig> = (1..=6u64)
-            .map(|seed| SystemConfig {
+        let replications = |range| {
+            let replication = |seed| SystemConfig {
                 goal_range: Some(range),
                 ..config(0.0, 5000 + seed)
-            })
-            .collect();
-        let episodes = sweep_until_accurate(&configs, class, 300, workers());
-        rows.push(vec![
-            format!("k{}", class.0),
-            format!("{:.2}", episodes.mean_iterations()),
-            format!("±{:.2}", episodes.ci99().half_width),
-            episodes.episodes().to_string(),
-            format!("[{:.1}, {:.1}]", range.min_ms, range.max_ms),
-        ]);
+            };
+            (1..=6u64).map(replication).collect()
+        };
+        let result = convergence_speed(&base, class, replications, 300, workers());
+        rows.push(result.row(format!("k{}", class.0)));
         eprintln!("class {class}: done");
     }
     println!(
         "{}",
-        render_table(
-            &[
-                "class",
-                "iterations",
-                "99% CI",
-                "episodes",
-                "goal range (ms)"
-            ],
-            &rows
-        )
+        render_table(&ConvergenceResult::header("class"), &rows)
     );
     println!("paper: with disjoint page sets the convergence speed matches Table 2.");
 }

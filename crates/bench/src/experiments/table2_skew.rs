@@ -12,10 +12,27 @@
 //! 0.75 → 3.88, 1.0 → 3.95. The reproduction target is the monotone
 //! increase with θ and the "< 4 iterations even at θ=1" headline.
 
-use dmm::core::ControllerKind;
+use dmm::buffer::ClassId;
+use dmm::core::{SystemConfig, SystemConfigBuilder};
 use dmm::obs::Json;
+use dmm::workload::GoalRange;
 
-use crate::{convergence_speed, render_table, workers, BenchArgs};
+use crate::{convergence_speed, render_table, workers, BenchArgs, ConvergenceResult};
+
+/// The Table 2 row at skew `theta`: the base system calibrated at the first
+/// seed under a 15 ms placeholder goal, then one replication per seed with
+/// its goal at `goal_max` and the goal schedule on.
+fn skew_row(theta: f64, seeds: &[u64]) -> ConvergenceResult {
+    let base = SystemConfig::builder().theta(theta);
+    let build = |builder: SystemConfigBuilder| builder.build().expect("valid config");
+    let calibration = build(base.clone().seed(seeds[0]).goal_ms(15.0));
+    let replications = |range: GoalRange| {
+        let schedule = base.clone().goal_ms(range.max_ms).goal_range(range);
+        let replication = |&seed| build(schedule.clone().seed(seed));
+        seeds.iter().map(replication).collect()
+    };
+    convergence_speed(&calibration, ClassId(1), replications, 400, workers())
+}
 
 pub fn run(args: &BenchArgs) {
     let json = args.json;
@@ -24,7 +41,7 @@ pub fn run(args: &BenchArgs) {
     let mut rows = Vec::new();
     let mut json_lines = String::new();
     for &theta in &thetas {
-        let r = convergence_speed(theta, &seeds, 400, ControllerKind::default(), workers());
+        let r = skew_row(theta, &seeds);
         if json {
             let line = Json::obj()
                 .field("bench", "table2_skew")
@@ -37,28 +54,13 @@ pub fn run(args: &BenchArgs) {
             json_lines.push_str(&line.to_string());
             json_lines.push('\n');
         }
-        rows.push(vec![
-            format!("{theta:.2}"),
-            format!("{:.2}", r.mean_iterations),
-            format!("±{:.2}", r.ci99_half_width),
-            r.episodes.to_string(),
-            format!("[{:.1}, {:.1}]", r.goal_range.min_ms, r.goal_range.max_ms),
-        ]);
+        rows.push(r.row(format!("{theta:.2}")));
         eprintln!("theta {theta}: done ({} episodes)", r.episodes);
     }
     println!("Table 2 — convergence speed under varying skew");
     println!(
         "{}",
-        render_table(
-            &[
-                "theta",
-                "iterations",
-                "99% CI",
-                "episodes",
-                "goal range (ms)"
-            ],
-            &rows
-        )
+        render_table(&ConvergenceResult::header("theta"), &rows)
     );
     println!("paper:  0 → 1.84, 0.25 → 2.41, 0.5 → 3.55, 0.75 → 3.88, 1.0 → 3.95");
     if json {

@@ -17,8 +17,7 @@ pub use study::{study, Run, Window};
 
 use dmm::buffer::ClassId;
 use dmm::core::{
-    calibrate_goal_range, ControllerKind, ConvergenceStats, Simulation, SystemConfig,
-    SystemConfigBuilder,
+    calibrate_goal_range, ConvergenceStats, Simulation, SystemConfig, SystemConfigBuilder,
 };
 use dmm::obs::JsonLinesSink;
 use dmm::workload::GoalRange;
@@ -100,7 +99,7 @@ pub fn run_traced(
     }
 }
 
-/// Result of one convergence-speed measurement (a Table 2 cell).
+/// Result of one convergence-speed measurement (a Table 2 row).
 #[derive(Debug, Clone, Copy)]
 pub struct ConvergenceResult {
     /// Mean iterations of the feedback loop to re-satisfy a changed goal.
@@ -113,29 +112,44 @@ pub struct ConvergenceResult {
     pub goal_range: GoalRange,
 }
 
-/// Runs the §7.1 convergence protocol for the base two-class workload at
-/// skew `theta`: calibrate `[goal_min, goal_max]`, enable the goal schedule,
-/// and accumulate episodes across `seeds` with [`sweep_until_accurate`]
-/// until the 99 % CI half-width drops below 1 iteration (or the interval
-/// budget is exhausted). The result is bit-identical for every `threads`.
+impl ConvergenceResult {
+    /// The column headers of a convergence table whose rows are labelled
+    /// `label` (θ, or the class).
+    pub fn header(label: &str) -> [&str; 5] {
+        [label, "iterations", "99% CI", "episodes", "goal range (ms)"]
+    }
+
+    /// The row under [`ConvergenceResult::header`]: `label`, then the
+    /// iterations, ±99 % CI, episodes and goal range.
+    pub fn row(&self, label: String) -> Vec<String> {
+        let range = self.goal_range;
+        vec![
+            label,
+            format!("{:.2}", self.mean_iterations),
+            format!("±{:.2}", self.ci99_half_width),
+            self.episodes.to_string(),
+            format!("[{:.1}, {:.1}]", range.min_ms, range.max_ms),
+        ]
+    }
+}
+
+/// Runs the §7.1 convergence protocol for `class`: calibrate its
+/// `[goal_min, goal_max]` on `calibration` (6 settling + 6 measured
+/// intervals per end), build the replication configs for that range with
+/// `replications`, and merge their episodes with [`sweep_until_accurate`]
+/// until the 99 % CI half-width drops below 1 iteration (or the configs
+/// run out). The result is bit-identical for every `threads`.
 pub fn convergence_speed(
-    theta: f64,
-    seeds: &[u64],
+    calibration: &SystemConfig,
+    class: ClassId,
+    replications: impl FnOnce(GoalRange) -> Vec<SystemConfig>,
     max_intervals_per_seed: u32,
-    controller: ControllerKind,
     threads: usize,
 ) -> ConvergenceResult {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let (goal_range, schedule) =
-        calibrated_goal_schedule(SystemConfig::builder().seed(seeds[0]).theta(theta));
-    let configs: Vec<SystemConfig> = seeds
-        .iter()
-        .map(|&seed| {
-            let builder = schedule.clone().seed(seed).controller(controller);
-            builder.build().expect("valid replication config")
-        })
-        .collect();
-    let merged = sweep_until_accurate(&configs, ClassId(1), max_intervals_per_seed, threads);
+    let goal_range =
+        calibrate_goal_range(calibration, class, 6, 6).expect("calibrate the goal range");
+    let configs = replications(goal_range);
+    let merged = sweep_until_accurate(&configs, class, max_intervals_per_seed, threads);
     ConvergenceResult {
         mean_iterations: merged.mean_iterations(),
         ci99_half_width: merged.ci99().half_width,

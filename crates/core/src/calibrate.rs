@@ -18,8 +18,9 @@ use dmm_buffer::ClassId;
 use dmm_workload::GoalRange;
 
 use crate::baselines::ControllerKind;
+use crate::config::SystemConfig;
 use crate::error::Error;
-use crate::system::{Simulation, SystemConfig};
+use crate::system::Simulation;
 
 /// Measures `[goal_min, goal_max]` for `class` under `config`'s workload.
 /// `settle_intervals` are run before `measure_intervals` are averaged.

@@ -275,7 +275,7 @@ impl Coordinator {
     /// [`crate::probe`]). Every planned probe is guaranteed to extend the
     /// measure store's rank, so none of the scarce acted-on checks is wasted
     /// re-measuring a direction already in the span. Panics unless `batch`
-    /// is a power of two ≥ 2 (`SystemConfig::build` validates upstream).
+    /// is a power of two ≥ 2 (`SystemConfig::validate` checks upstream).
     pub fn set_probe_batch(&mut self, batch: usize) {
         self.probe_plan = Some(batched_probe_deltas(self.nodes, batch));
     }

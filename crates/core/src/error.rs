@@ -1,9 +1,12 @@
 //! Typed errors of the public simulation API.
 //!
-//! Every fallible [`crate::Simulation`] mutator and the
-//! [`crate::system::SystemConfigBuilder`] return these instead of
-//! panicking, so embedding code (benchmark harnesses, parameter sweeps,
-//! interactive drivers) can recover from bad inputs.
+//! Every fallible [`crate::Simulation`] mutator,
+//! [`crate::SystemConfig::validate`] and the
+//! [`crate::SystemConfigBuilder`] return these instead of panicking, so
+//! embedding code (benchmark harnesses, parameter sweeps, interactive
+//! tools) can recover from bad inputs. A configuration edited field by
+//! field after `build` is judged by the same `validate` when
+//! [`crate::Simulation::new`] takes it, which panics on a refusal.
 
 use dmm_buffer::ClassId;
 use dmm_cluster::NodeId;
@@ -24,8 +27,11 @@ pub enum Error {
     InvalidGoal(f64),
     /// A dedicated-buffer fraction must lie in `[0, 1]`.
     InvalidFraction(f64),
-    /// The builder was given an inconsistent configuration.
+    /// The configuration is not a valid run of the system.
     InvalidConfig(&'static str),
+    /// The workload is malformed for the configured cluster (the fault
+    /// [`dmm_workload::WorkloadSpec::validate`] names).
+    InvalidWorkload(String),
     /// The storage-tier ladder is malformed (too few/many rungs,
     /// non-monotone latencies, zero capacities, duplicate names, …).
     InvalidTier(String),
@@ -45,6 +51,7 @@ impl std::fmt::Display for Error {
                 write!(f, "fraction must lie in [0, 1], got {x}")
             }
             Error::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
+            Error::InvalidWorkload(why) => write!(f, "invalid workload: {why}"),
             Error::InvalidTier(why) => write!(f, "invalid tier ladder: {why}"),
         }
     }

@@ -15,7 +15,8 @@
 //! | (d) optimize: hyperplane approximation + linear program | [`approx`], [`optimize`] |
 //! | (e) allocate, best-effort, with feedback of granted sizes | [`coordinator`], `dmm-cluster` |
 //!
-//! [`system`] wires the phases into the discrete-event simulation of
+//! [`config`] holds a run's configuration and its one check, [`system`]
+//! wires the phases into the discrete-event simulation of
 //! `dmm-cluster`/`dmm-workload`, [`baselines`] provides the comparison
 //! controllers (fragment fencing, class fencing, static, none), and
 //! [`metrics`] implements the §7 measurement protocol (convergence counting,
@@ -25,6 +26,7 @@ pub mod agent;
 pub mod approx;
 pub mod baselines;
 pub mod calibrate;
+pub mod config;
 pub mod coordinator;
 pub mod error;
 pub mod measure;
@@ -39,6 +41,7 @@ pub mod tolerance;
 pub use approx::{fit_planes, upsample_planes, Planes};
 pub use baselines::ControllerKind;
 pub use calibrate::calibrate_goal_range;
+pub use config::{SystemConfig, SystemConfigBuilder};
 pub use coordinator::{Coordinator, SatisfactionMode};
 pub use error::Error;
 pub use measure::{MeasurePoint, MeasureStore};
@@ -49,5 +52,5 @@ pub use replay::{
     config_from_record, recorded_run_from_jsonl, rerun_lines, run_config_record, verify_jsonl,
     RecordedRun, ReplayReport,
 };
-pub use system::{Simulation, SystemConfig, SystemConfigBuilder};
+pub use system::Simulation;
 pub use tolerance::ToleranceEstimator;

@@ -36,19 +36,21 @@
 //! every record type except `span`.
 
 use dmm_buffer::{ClassId, PageId, PolicySpec};
-use dmm_cluster::{DiskStall, FabricSpec, FaultPlan, NodeId, PlacementSpec, ScheduledFault};
-use dmm_cluster::{FaultKind, HotRingSpec};
+use dmm_cluster::{ClusterParams, DiskStall, FabricSpec, FaultKind, FaultPlan, HotRingSpec};
+use dmm_cluster::{NetParams, NodeId, PlacementSpec, ScheduledFault, TierLadder};
 use dmm_obs::{Json, VecSink};
-use dmm_sim::{SimDuration, SimTime};
+use dmm_sim::{SimDuration, SimParams, SimTime};
 use dmm_workload::{ClassSpec, GoalMetric, WorkloadSpec};
 
 use crate::baselines::ControllerKind;
+use crate::config::SystemConfig;
+use crate::error::Error;
 use crate::probe::ProbeSpec;
 use crate::records::{
     Controller, Fabric, FaultEvent, FaultPlanRecord, PageRun, Placement, Policy, Probe, Record,
     RunConfig, Stall, WorkloadClass, SCHEMA_VERSION,
 };
-use crate::system::{Simulation, SystemConfig};
+use crate::system::Simulation;
 
 /// The `run_config` record of a configuration, parsed from the very line
 /// that leads every sink-enabled trace. Its layout is [`RunConfig`]'s.
@@ -157,22 +159,15 @@ fn run_config(config: &SystemConfig) -> RunConfig {
                 goal_quantile: c.goal_metric.quantile(),
                 pages_per_op: c.pages_per_op,
                 theta: c.zipf_theta,
-                pages: page_runs(&c.pages),
+                pages: c
+                    .page_runs()
+                    .map(|(start, len)| PageRun { start, len })
+                    .collect(),
                 arrival_per_ms: c.arrival_per_ms.clone(),
                 rate_shifts: c.rate_shifts.clone(),
             })
             .collect(),
     }
-}
-
-/// A page set as runs of consecutive ids, in order.
-fn page_runs(pages: &[PageId]) -> Vec<PageRun> {
-    let runs = pages.chunk_by(|a, b| a.0.checked_add(1) == Some(b.0));
-    runs.map(|run| PageRun {
-        start: run[0].0,
-        len: run.len() as u32,
-    })
-    .collect()
 }
 
 /// A payload field its variant requires, `null` in the record: an error
@@ -217,41 +212,16 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
         },
         kind => kind,
     };
-    let policy = match (rc.policy.kind, rc.policy.k) {
-        (PolicySpec::LruK(_), Some(k @ 1..)) => PolicySpec::LruK(k),
-        (PolicySpec::LruK(_), _) => return Err("run_config.policy.k must be ≥ 1".to_string()),
-        (kind, _) => kind,
+    let policy = match rc.policy.kind {
+        PolicySpec::LruK(_) => PolicySpec::LruK(required(rc.policy.k, "policy.k")?),
+        kind => kind,
     };
     let instant = |ns| SimTime::ZERO + SimDuration::from_nanos(ns);
-
-    let mut builder = SystemConfig::builder()
-        .seed(rc.seed)
-        .nodes(rc.nodes)
-        .db_pages(rc.db_pages)
-        .buffer_pages_per_node(rc.buffer_pages_per_node)
-        .warmup_intervals(rc.warmup_intervals)
-        .controller(controller)
-        .satisfaction(rc.satisfaction)
-        .release_floor_mb(rc.release_floor_mb)
-        .placement(placement)
-        .fabric(fabric)
-        .net_bits_per_sec(rc.net_bits_per_sec)
-        .probe(probe)
-        .tiers(rc.tiers)
-        .tier_policy(rc.tier_policy);
-    if let Some(range) = rc.goal_range {
-        // The condition `GoalRange::new` asserts; the builder takes a range
-        // as given, and a record is outside input.
-        if !(range.min_ms > 0.0 && range.max_ms > range.min_ms) {
-            return Err("run_config.goal_range is not 0 < min_ms < max_ms".to_string());
-        }
-        builder = builder.goal_range(range);
-    }
-    if let Some(p) = rc.fault_plan {
-        let mut plan = FaultPlan::new(p.seed);
-        plan.drop_probability = p.drop_probability;
-        plan.retransmit = SimDuration::from_nanos(p.retransmit_ns);
-        plan.events = p
+    let fault_plan = rc.fault_plan.map(|p| FaultPlan {
+        seed: p.seed,
+        drop_probability: p.drop_probability,
+        retransmit: SimDuration::from_nanos(p.retransmit_ns),
+        events: p
             .events
             .into_iter()
             .map(|e| ScheduledFault {
@@ -261,8 +231,8 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
                     FaultKind::Restart(_) => FaultKind::Restart(NodeId(e.node)),
                 },
             })
-            .collect();
-        plan.stalls = p
+            .collect(),
+        stalls: p
             .stalls
             .into_iter()
             .map(|s| DiskStall {
@@ -271,14 +241,8 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
                 until: instant(s.until_ns),
                 factor: s.factor,
             })
-            .collect();
-        builder = builder.fault_plan(plan);
-    }
-    let mut config = builder.build().map_err(|e| e.to_string())?;
-    // The builder always starts from the §7.1 interval, the cost-based
-    // policy and the §7.2 workload; restore the recorded ones exactly.
-    config.interval = SimDuration::from_nanos(rc.interval_ns);
-    config.cluster.policy = policy;
+            .collect(),
+    });
     let mut classes = Vec::with_capacity(rc.workload.len());
     for (i, c) in rc.workload.into_iter().enumerate() {
         let mut pages = Vec::new();
@@ -299,9 +263,39 @@ pub fn config_from_record(record: &Json) -> Result<SystemConfig, String> {
             rate_shifts: c.rate_shifts,
         });
     }
-    config.workload = WorkloadSpec { classes };
-    let valid = config.workload.validate(rc.nodes, rc.db_pages);
-    valid.map_err(|e| format!("run_config.workload: {e}"))?;
+    let config = SystemConfig {
+        cluster: ClusterParams {
+            nodes: rc.nodes,
+            buffer_pages_per_node: rc.buffer_pages_per_node,
+            db_pages: rc.db_pages,
+            policy,
+            net: NetParams {
+                bits_per_sec: rc.net_bits_per_sec,
+                fabric,
+            },
+            placement,
+            tiers: TierLadder::new(rc.tiers).map_err(|e| format!("run_config.tiers: {e}"))?,
+            tier_policy: rc.tier_policy,
+            // The goal-class count follows from the workload; replays run
+            // with spans off.
+            ..ClusterParams::default()
+        },
+        workload: WorkloadSpec { classes },
+        seed: rc.seed,
+        interval: SimDuration::from_nanos(rc.interval_ns),
+        warmup_intervals: rc.warmup_intervals,
+        controller,
+        goal_range: rc.goal_range,
+        satisfaction: rc.satisfaction,
+        release_floor_mb: rc.release_floor_mb,
+        fault_plan,
+        probe,
+        sim: SimParams::default(),
+    };
+    config.validate().map_err(|e| match e {
+        Error::InvalidWorkload(fault) => format!("run_config.workload: {fault}"),
+        e => format!("run_config: {e}"),
+    })?;
     Ok(config)
 }
 
@@ -602,8 +596,43 @@ mod tests {
         *at_path(&mut record, "goal_range.max_ms") = Json::F64(2.0);
         assert_eq!(
             config_from_record(&record).expect_err("min above max"),
-            "run_config.goal_range is not 0 < min_ms < max_ms"
+            "run_config: invalid configuration: goal_range must satisfy 0 < min_ms < max_ms"
         );
+    }
+
+    /// A decoded configuration that `SystemConfig::validate` refuses is
+    /// refused with the fault, which names the field.
+    #[test]
+    fn a_config_the_simulator_refuses_is_refused_naming_the_field() {
+        let base = SystemConfig::builder().build().expect("valid config");
+        let mut lru_k = base.clone();
+        lru_k.cluster.policy = PolicySpec::LruK(2);
+        let mut fixed = base.clone();
+        fixed.controller = ControllerKind::Static { fraction: 0.25 };
+        for (config, path, value, field) in [
+            (&base, "release_floor_mb", Json::F64(-1.0), "release floor"),
+            (
+                &base,
+                "net_bits_per_sec",
+                Json::from(0u64),
+                "network bandwidth",
+            ),
+            (
+                &lru_k,
+                "policy.k",
+                Json::from(0u64),
+                "policy LruK needs k ≥ 1",
+            ),
+            (&fixed, "controller.fraction", Json::F64(1.5), "fraction"),
+        ] {
+            let mut record = run_config_record(config);
+            *at_path(&mut record, path) = value;
+            let err = config_from_record(&record).expect_err(path);
+            assert!(
+                err.starts_with("run_config: invalid configuration: ") && err.contains(field),
+                "{path}: {err}"
+            );
+        }
     }
 
     /// An integer too wide for its field is refused with the field's name.

@@ -88,7 +88,7 @@ impl fmt::Display for GoalMetric {
 
 /// One workload class: its goal, complexity, access skew, page set and
 /// per-node arrival rates.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct ClassSpec {
     /// Class identity (0 = no-goal).
     pub class: ClassId,
@@ -122,6 +122,13 @@ impl ClassSpec {
 }
 
 impl ClassSpec {
+    /// The page set as `(start, len)` runs of consecutive ids, in rank
+    /// order.
+    pub fn page_runs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let runs = self.pages.chunk_by(|a, b| a.0.checked_add(1) == Some(b.0));
+        runs.map(|run| (run[0].0, run.len() as u32))
+    }
+
     /// True for a goal class.
     pub fn is_goal_class(&self) -> bool {
         self.goal_ms.is_some()
@@ -130,7 +137,9 @@ impl ClassSpec {
     /// Validates internal consistency; the error names the class and the
     /// first fault found.
     pub fn validate(&self, nodes: usize, db_pages: u32) -> Result<(), String> {
-        let rates_ok = |rates: &[f64]| rates.len() == nodes && rates.iter().all(|&r| r >= 0.0);
+        let finite_non_negative = |x: &f64| (0.0..f64::INFINITY).contains(x);
+        let rates_ok =
+            |rates: &[f64]| rates.len() == nodes && rates.iter().all(finite_non_negative);
         let no_goal = self.class == NO_GOAL;
         let checks = [
             (!self.pages.is_empty(), "empty page set"),
@@ -139,14 +148,17 @@ impl ClassSpec {
                 "page outside database",
             ),
             (self.pages_per_op >= 1, "no page per operation"),
-            (self.zipf_theta >= 0.0, "negative skew theta"),
+            (
+                finite_non_negative(&self.zipf_theta),
+                "skew theta must be finite and ≥ 0",
+            ),
             (
                 rates_ok(&self.arrival_per_ms),
-                "arrival rates must be ≥ 0, one per node",
+                "arrival rates must be finite and ≥ 0, one per node",
             ),
             (
                 self.rate_shifts.iter().all(|s| rates_ok(&s.arrival_per_ms)),
-                "shift rates must be ≥ 0, one per node",
+                "shift rates must be finite and ≥ 0, one per node",
             ),
             (
                 self.rate_shifts.windows(2).all(|w| w[0].at < w[1].at),
@@ -172,6 +184,31 @@ impl ClassSpec {
         self.goal_metric
             .validate()
             .map_err(|e| format!("{}: {e}", self.class))
+    }
+}
+
+/// Prints the page set as its size and its `{start, len}` runs: a class
+/// over a contiguous block of the database prints one run, not one entry
+/// per page.
+impl fmt::Debug for ClassSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let runs = self
+            .page_runs()
+            .map(|(start, len)| format!("{{start: {start}, len: {len}}}"));
+        f.debug_struct("ClassSpec")
+            .field("class", &self.class)
+            .field("goal_ms", &self.goal_ms)
+            .field("goal_metric", &self.goal_metric)
+            .field("pages_per_op", &self.pages_per_op)
+            .field("zipf_theta", &self.zipf_theta)
+            .field("page_count", &self.pages.len())
+            .field(
+                "page_runs",
+                &format_args!("[{}]", runs.collect::<Vec<_>>().join(", ")),
+            )
+            .field("arrival_per_ms", &self.arrival_per_ms)
+            .field("rate_shifts", &self.rate_shifts)
+            .finish()
     }
 }
 

@@ -472,9 +472,20 @@ fn metrics_snapshot_round_trips_through_json() {
 #[test]
 fn convergence_speed_is_thread_count_invariant() {
     let seeds: Vec<u64> = (1..=6).map(|s| 9000 + s).collect();
-    let one = convergence_speed(0.5, &seeds, 120, ControllerKind::default(), 1);
+    let base = SystemConfig::builder().theta(0.5);
+    let calibration = base.clone().seed(seeds[0]).goal_ms(15.0).build();
+    let calibration = calibration.expect("valid config");
+    let run = |threads| {
+        let replications = |range: GoalRange| {
+            let schedule = base.clone().goal_ms(range.max_ms).goal_range(range);
+            let replication = |&seed| schedule.clone().seed(seed).build().expect("valid config");
+            seeds.iter().map(replication).collect()
+        };
+        convergence_speed(&calibration, ClassId(1), replications, 120, threads)
+    };
+    let one = run(1);
     for threads in [2, 4, 8] {
-        let many = convergence_speed(0.5, &seeds, 120, ControllerKind::default(), threads);
+        let many = run(threads);
         assert_eq!(one.episodes, many.episodes, "threads={threads}");
         assert_eq!(
             one.mean_iterations.to_bits(),
